@@ -17,18 +17,24 @@ and x-only symbols to pointwise multiplication.
 
 De-quantization inverts the kernel formula along the (midpoint,
 difference) slots, FFT in x - y.  The slot map (i, j) <-> (m, d) is a
-bijection, so `quantize(dequantize(K)) == K` holds for every matrix;
-each midpoint row only observes difference residues of its own parity,
-and the unobserved components are filled from a caller-supplied prior
-symbol (zero if absent), which keeps `dequantize(quantize(p), prior=p)
-== p` exact.
+bijection, so `quantize(dequantize(K)) == K` holds for every matrix
+that is symmetric on the antipodal column d = n/2 (every image of
+`quantize` is); each midpoint row only observes difference residues of
+its own parity, and the unobserved components are filled from a
+caller-supplied prior symbol (zero if absent), which keeps
+`dequantize(quantize(p), prior=p) == p` exact.
+
+The index maps of the (i, j) <-> (m, d) slot map depend on n only; they
+are built once per n and cached (read-only) for every later `quantize`
+and `dequantize` at that size.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -139,18 +145,47 @@ def _wrapped_difference(n: int):
     return D0, Dstar, Mstar
 
 
+class _WeylGather(NamedTuple):
+    """Cached index maps of `_wrapped_difference(n)`, flattened.
+
+    `index[i, j] = m* * n + d0` addresses the ravelled (2n, n)
+    difference profiles; `anti` holds the flat kernel positions of the
+    antipodal column d0 = n/2 and `anti_alt` the profile slot of their
+    other torus midpoint m* + n.
+    """
+
+    index: np.ndarray
+    anti: np.ndarray
+    anti_alt: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _weyl_gather(n: int) -> _WeylGather:
+    D0, _, Mstar = _wrapped_difference(n)
+    anti = D0 == n // 2
+    gather = _WeylGather(
+        index=(Mstar * n + D0).astype(np.intp),
+        anti=np.flatnonzero(anti),
+        anti_alt=((Mstar[anti] + n) % (2 * n)) * n + n // 2,
+    )
+    for arr in gather:
+        arr.setflags(write=False)
+    return gather
+
+
 def quantize(p: SymbolField, mode: str = WEYL) -> QuantizedOperator:
     """Assemble the dense kernel of op(p)."""
     n = p.grid.n
-    D0, _, Mstar = _wrapped_difference(n)
+    g = _weyl_gather(n)
     if mode == WEYL:
-        c = np.fft.ifft(p.samples, axis=1)
-        K = c[Mstar, D0]
-        anti = D0 == n // 2
-        K[anti] = 0.5 * (K[anti] + c[(Mstar[anti] + n) % (2 * n), n // 2])
+        c = np.fft.ifft(p.samples, axis=1).reshape(-1)
+        K = c[g.index]
+        Kf = K.reshape(-1)
+        Kf[g.anti] = 0.5 * (Kf[g.anti] + c[g.anti_alt])
     elif mode == KOHN_NIRENBERG:
         c = np.fft.ifft(p.samples[::2], axis=1)
-        K = c[np.arange(n)[:, None], D0]
+        # index % n recovers the difference residue d0
+        K = c[np.arange(n)[:, None], g.index % n]
     else:
         raise ValueError(f"unknown quantization mode {mode!r}")
     return QuantizedOperator(K, quantization=mode, provenance=p.label)
@@ -187,12 +222,15 @@ def dequantize(matrix: np.ndarray, grid: Grid,
         c = np.fft.ifft(prior, axis=1)
     else:
         c = np.zeros((2 * n, n), dtype=complex)
-    D0, _, Mstar = _wrapped_difference(n)
-    c[Mstar, D0] = matrix
-    anti = D0 == n // 2
-    sym = 0.5 * (matrix[anti] + matrix.T[anti])
-    c[Mstar[anti], n // 2] = sym
-    c[(Mstar[anti] + n) % (2 * n), n // 2] = sym
+    g = _weyl_gather(n)
+    cf = c.reshape(-1)
+    cf[g.index] = matrix
+    mf = matrix.reshape(-1)
+    # the transpose of flat position i * n + j is j * n + i
+    anti_t = (g.anti % n) * n + g.anti // n
+    sym = 0.5 * (mf[g.anti] + mf[anti_t])
+    cf[g.index.reshape(-1)[g.anti]] = sym
+    cf[g.anti_alt] = sym
     if prior is None:
         m_idx = np.arange(2 * n)[:, None]
         r_idx = np.arange(n)[None, :]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -168,6 +169,17 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        n = self.n
+        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
+                or n <= 0 or n & (n - 1) != 0):
+            raise ValueError(f"n = {n!r} must be a positive power-of-two int")
+        for name in ("sigma", "tau0", "c"):
+            value = getattr(self, name)
+            if name == "c" and value is None:
+                continue  # defaults to the coupling below
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} = {value!r} must be a finite real number")
         if self.c is None:
             self.c = 2.0 * (1.0 - self.sigma)
         if not (0.0 < self.sigma < 1.0):

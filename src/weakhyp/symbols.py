@@ -16,6 +16,7 @@ audits can compare finite differences against exact derivatives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,10 +173,18 @@ class CoefficientField:
         return self.chi(x) * (self.eta(t) + q * self.eta(t, 1))
 
     def sup_a(self, n_samples: int = 2048) -> float:
-        """Sup of a over the support, by dense sampling."""
-        ts = np.linspace(0.0, self.T_outer, 64)
-        xs = np.linspace(self.x0 - self.r_outer, self.x0 + self.r_outer, n_samples)
-        return float(np.max(self.a(ts[:, None], xs[None, :])))
+        """Sup of a over the support, by dense sampling (memoised)."""
+        return _sup_a(self, n_samples)
+
+
+@functools.lru_cache(maxsize=16)
+def _sup_a(coeff: CoefficientField, n_samples: int) -> float:
+    # a depends only on the class and the frozen field values, and the
+    # dataclass equality compares both, so the field itself is the key
+    ts = np.linspace(0.0, coeff.T_outer, 64)
+    xs = np.linspace(coeff.x0 - coeff.r_outer, coeff.x0 + coeff.r_outer,
+                     n_samples)
+    return float(np.max(coeff.a(ts[:, None], xs[None, :])))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import weakhyp
 
 from weakhyp.cli import Scenario, ScenarioError, load_scenario, main, run_scenario
 
@@ -43,6 +47,21 @@ class TestValidationExitCodes:
         assert run_scenario(s) == 2
         err = capsys.readouterr().err
         assert "c = 3.0" in err and "uncertainty" in err
+
+    @pytest.mark.parametrize("bad", [{"n": 100}, {"sigma": "0.5"}])
+    def test_bad_energy_config_exits_2_without_traceback(self, tmp_path,
+                                                         bad):
+        path = _write_scenario(tmp_path / "s.json",
+                               {"kind": "energy_estimate", "config": bad,
+                                "output_dir": str(tmp_path / "out")})
+        src = os.path.dirname(os.path.dirname(weakhyp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "weakhyp.cli", "run",
+                               path], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
 
     def test_cjs_short_ladder_exits_2(self, tmp_path):
         s = Scenario(kind="cjs_sweep", config={"xi_ladder": [16, 32]},

@@ -4,6 +4,7 @@ import pytest
 from weakhyp.energy import (Symmetrizer, conjugated_matrix,
                             dt_energy_breakdown, e1, energy,
                             garding_sign_probe, subprincipal_refinement)
+from weakhyp.quantize import SymbolField, quantize
 from weakhyp.solver import (NonlinearityF, RunConfig, SystemState, rhs,
                             verify_breakdown_identity, wave_packet)
 from weakhyp.spectral import Grid, bracket
@@ -35,6 +36,15 @@ class TestSymmetrizer:
         xi = grid128.xi[None, :]
         prod = sb_c1.b(0.0, x, xi) ** 2 * sb_c1.a_natural(0.0, x, xi)
         assert np.abs(prod - 1.0).max() < 1e-12
+
+
+    @pytest.mark.parametrize("t", [0.0, 0.025, 0.07])
+    def test_dt_b_matrix_reuses_b_samples_exactly(self, sb_c1, grid128, t):
+        x = grid128.x_doubled[:, None]
+        xi = grid128.xi[None, :]
+        direct = quantize(SymbolField(grid128, sb_c1.dt_b(t, x, xi))).matrix
+        sym = Symmetrizer(grid128, sb_c1, t)
+        assert np.array_equal(sym.dt_b_matrix(), direct)
 
 
 class TestEnergy:

@@ -1,13 +1,19 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from weakhyp.quantize import (KOHN_NIRENBERG, PowerIterationWarning,
-                              SymbolField, compose_remainder, dequantize,
-                              invert_b, multiplication_matrix,
-                              multiplier_matrix, operator_norm, quantize,
-                              sample_symbol, sample_symbol_b)
+                              SymbolField, _weyl_gather, _wrapped_difference,
+                              compose_remainder, dequantize, invert_b,
+                              multiplication_matrix, multiplier_matrix,
+                              operator_norm, quantize, sample_symbol,
+                              sample_symbol_b)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
+
+# the package re-exports the function `quantize` under the module's name
+quantize_module = importlib.import_module("weakhyp.quantize")
 
 
 class TestQuantizeReductions:
@@ -85,6 +91,71 @@ class TestDequantize:
         back = dequantize(K, grid64)
         rel = np.abs(back.samples - p.samples).max() / np.abs(p.samples).max()
         assert rel < 5e-2
+
+
+def _reference_kernels(p):
+    """Weyl and KN kernels gathered directly from `_wrapped_difference`."""
+    n = p.grid.n
+    D0, _, Mstar = _wrapped_difference(n)
+    c = np.fft.ifft(p.samples, axis=1)
+    weyl = c[Mstar, D0]
+    anti = D0 == n // 2
+    weyl[anti] = 0.5 * (weyl[anti] + c[(Mstar[anti] + n) % (2 * n), n // 2])
+    c_kn = np.fft.ifft(p.samples[::2], axis=1)
+    return weyl, c_kn[np.arange(n)[:, None], D0]
+
+
+class TestWeylGatherCache:
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
+    def test_cached_kernels_equal_direct_gather(self, n):
+        rng = np.random.default_rng(n)
+        p = SymbolField(Grid(n, 1.0, 0.5),
+                        rng.normal(size=(2 * n, n))
+                        + 1j * rng.normal(size=(2 * n, n)))
+        weyl, kn = _reference_kernels(p)
+        assert np.array_equal(quantize(p).matrix, weyl)
+        assert np.array_equal(quantize(p, KOHN_NIRENBERG).matrix, kn)
+
+    def test_cached_arrays_are_read_only(self):
+        gather = _weyl_gather(16)
+        for arr in gather:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            gather.index[0, 0] = 0
+
+    def test_index_maps_built_once_per_n(self, monkeypatch, grid64):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return _wrapped_difference(n)
+
+        monkeypatch.setattr(quantize_module, "_wrapped_difference", counting)
+        _weyl_gather.cache_clear()
+        try:
+            p = sample_symbol(grid64, lambda x, xi: np.cos(2 * np.pi * x) + xi)
+            first = quantize(p).matrix
+            second = quantize(p).matrix
+            quantize(p, KOHN_NIRENBERG)
+            dequantize(first, grid64)
+        finally:
+            _weyl_gather.cache_clear()
+        assert calls == [64]
+        assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_round_trip_on_random_matrices(self, n):
+        rng = np.random.default_rng(n)
+        K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        # quantize averages the antipodal column d0 = n/2 over its two
+        # torus midpoints, so only a symmetric one there is reproduced
+        i = np.arange(n)
+        anti = (i[:, None] - i[None, :]) % n == n // 2
+        K[anti] = 0.5 * (K + K.T)[anti]
+        grid = Grid(n, 1.0, 0.5)
+        for prior in (None, rng.normal(size=(2 * n, n))):
+            back = quantize(dequantize(K, grid, prior=prior)).matrix
+            assert np.abs(back - K).max() < 1e-13 * np.abs(K).max()
 
 
 class TestOperatorNorm:

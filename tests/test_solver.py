@@ -135,6 +135,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="support"):
             RunConfig(coeff=cf, length=1.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"n": 100}, {"n": 64.0}, {"n": True}, {"sigma": "0.5"},
+        {"tau0": float("nan")}, {"c": "1"}])
+    def test_rejects_mistyped_values(self, coeff, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            RunConfig(coeff=coeff, **bad)
+
     def test_horizon_capped_by_tau(self, coeff):
         cfg = RunConfig(coeff=coeff, tau0=1.0, taudot=40.0)
         assert cfg.t_end() == pytest.approx(1.0 / 40.0)

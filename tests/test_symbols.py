@@ -43,6 +43,18 @@ class TestCoefficientField:
         e = coeff.e(ts[:, None], xs[None, :])
         assert np.all((0.5 <= e) & (e <= 2.0))
 
+    def test_sup_a_memo_keyed_on_field_values_and_class(self, coeff,
+                                                        frozen_zero_coeff):
+        ts = np.linspace(0.0, coeff.T_outer, 64)
+        xs = np.linspace(coeff.x0 - coeff.r_outer, coeff.x0 + coeff.r_outer,
+                         2048)
+        direct = float(np.max(coeff.a(ts[:, None], xs[None, :])))
+        assert coeff.sup_a() == direct
+        assert CoefficientField(T=0.06).sup_a() != direct
+        # equal field values but a subclass with another a(t, x)
+        assert frozen_zero_coeff.sup_a() == 0.0
+        assert coeff.sup_a() == direct
+
     def test_e_vanishes_outside_support(self, coeff):
         assert coeff.e(coeff.T_outer + 0.01, coeff.x0) == 0.0
         assert coeff.e(0.0, coeff.x0 + coeff.r_outer + 0.01) == 0.0
