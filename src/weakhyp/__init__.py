@@ -7,8 +7,7 @@ inequalities (Glaeser, symbol bounds, metric admissibility,
 composition remainders) the construction rests on.
 """
 
-from .spectral import (Grid, GridFunction, Space, apply_multiplier, bracket,
-                       forward_transform, gevrey_weight, inverse_transform)
+from .spectral import Grid, bracket
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 from .quantize import (QuantizedOperator, SymbolField, compose_remainder,
                        dequantize, invert_b, operator_norm, quantize,

@@ -72,18 +72,6 @@ class TimeCoefficient:
         ts = np.linspace(0.0, T, samples)
         return float(np.max([self.fn(t) for t in ts]))
 
-    def ck_norm(self, T: float, samples: int = 2048) -> float:
-        """Measured sup of |a^(j)| for j <= k, by finite differences."""
-        ts = np.linspace(0.0, T, samples)
-        vals = np.array([self.fn(t) for t in ts])
-        worst = float(np.max(np.abs(vals)))
-        h = T / (samples - 1)
-        cur = vals
-        for _ in range(self.k):
-            cur = np.gradient(cur, h)
-            worst = max(worst, float(np.max(np.abs(cur))))
-        return worst
-
 
 def coefficient_linear() -> TimeCoefficient:
     return TimeCoefficient(fn=lambda t: t, k=1, name="a(t)=t",

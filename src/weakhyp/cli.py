@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import audits, cjs
@@ -90,13 +92,16 @@ def _coeff_from_config(section: Optional[dict]) -> CoefficientField:
         return CoefficientField()
     allowed = {"x0", "r", "r_outer", "T", "T_outer", "sigma_coeff", "radius_R"}
     _check_keys(section, allowed, "config.coeff")
-    return CoefficientField(**section)
+    try:
+        return CoefficientField(**section)
+    except (TypeError, ValueError) as err:
+        raise ScenarioError(f"config.coeff: {err}") from err
 
 
 ENERGY_KEYS = {
     "n", "length", "sigma", "c", "tau0", "taudot", "taudot_factor",
     "nonlinear", "f21_zero", "packet_xi", "packet_width",
-    "packet_component", "sample_stride", "horizon", "seed", "coeff",
+    "packet_component", "sample_stride", "horizon", "coeff",
     "assert_max_ratio",
 }
 
@@ -104,23 +109,30 @@ ENERGY_KEYS = {
 def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     _check_keys(cfg_raw, ENERGY_KEYS, "config")
     coeff = _coeff_from_config(cfg_raw.get("coeff"))
-    kwargs = {k: cfg_raw[k] for k in
-              ("n", "length", "sigma", "c", "tau0", "packet_xi",
-               "packet_width", "packet_component", "sample_stride",
-               "horizon", "seed", "f21_zero") if k in cfg_raw}
+    # the RunConfig fields among ENERGY_KEYS are passed through as given
+    passed = {f.name for f in fields(RunConfig)} - {"coeff", "taudot"}
+    kwargs = {k: v for k, v in cfg_raw.items() if k in passed}
     kwargs["coeff"] = coeff
     if not cfg_raw.get("nonlinear", True):
         kwargs["nonlinearity"] = NonlinearityF.zero()
     try:
         cfg = RunConfig(**kwargs)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ScenarioError(str(err)) from err
 
     taudot = cfg_raw.get("taudot")
+    factor = cfg_raw.get("taudot_factor")
+    for key, value in (("taudot", taudot), ("taudot_factor", factor)):
+        if value is not None and value != "auto" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value) or value < 0):
+            raise ScenarioError(
+                f"{key} = {value!r} must be \"auto\", null or a finite real >= 0"
+            )
     threshold = None
     if taudot is None or taudot == "auto":
         threshold = measure_tau_threshold(cfg)
-        taudot = cfg_raw.get("taudot_factor", 2.0) * threshold
+        taudot = (2.0 if factor in (None, "auto") else factor) * threshold
     cfg = replace(cfg, taudot=float(taudot))
 
     trace = run_with_energy(cfg)

@@ -41,16 +41,8 @@ __all__ = [
 
 def weight_values(grid: Grid, values: np.ndarray, tau: float, sigma: float,
                   direction: int = +1) -> np.ndarray:
-    """exp(+-tau D^sigma) applied to raw physical-space samples."""
-    mv = gevrey_multiplier(grid, tau, sigma, direction)
-    return np.fft.ifft(mv * np.fft.fft(values))
-
-
-def _dsigma(grid: Grid, values: np.ndarray, sigma: float,
-            half: bool = False) -> np.ndarray:
-    expo = sigma / 2.0 if half else sigma
-    mv = bracket(grid.xi) ** expo
-    return np.fft.ifft(mv * np.fft.fft(values))
+    """exp(+-tau D^sigma) applied along the last axis of physical samples."""
+    return grid.multiply(values, gevrey_multiplier(grid, tau, sigma, direction))
 
 
 @dataclass
@@ -120,18 +112,20 @@ class EnergyBreakdown:
         return -taudot * self.E1 + self.E2 + self.E3 + self.E4
 
 
-def _weighted_pair(state, tau: float, sigma: float):
-    grid = state.u1.grid
-    v1 = weight_values(grid, state.u1.values, tau, sigma)
-    v2 = weight_values(grid, state.u2.values, tau, sigma)
-    return grid, v1, v2
-
-
 def energy(state, sym: Symmetrizer, tau: float, sigma: float) -> float:
     """E = 1/2 (||v1||^2 + ||op(b) v2||^2) with v = exp(tau D^sigma) u."""
-    grid, v1, v2 = _weighted_pair(state, tau, sigma)
-    bv2 = sym.b_matrix @ v2
-    return 0.5 * (grid.norm2(v1) + grid.norm2(bv2))
+    grid = state.grid
+    v = weight_values(grid, state.u, tau, sigma)
+    bv2 = sym.b_matrix @ v[1]
+    return 0.5 * (grid.norm2(v[0]) + grid.norm2(bv2))
+
+
+def _e1(grid: Grid, v: np.ndarray, B: np.ndarray, bv2: np.ndarray,
+        sigma: float) -> float:
+    """Re<D^sigma v1, v1> + Re<op(b) D^sigma v2, op(b) v2>."""
+    dv = grid.multiply(v, bracket(grid.xi) ** sigma)
+    return float(np.real(grid.inner(dv[0], v[0]))
+                 + np.real(grid.inner(B @ dv[1], bv2)))
 
 
 def e1(state, sym: Symmetrizer, tau: float, sigma: float):
@@ -140,25 +134,22 @@ def e1(state, sym: Symmetrizer, tau: float, sigma: float):
     value      = Re<D^sigma v1, v1> + Re<op(b) D^sigma v2, op(b) v2>
     equivalent = ||D^(sigma/2) v1||^2 + ||D^(sigma/2) op(b) v2||^2
     """
-    grid, v1, v2 = _weighted_pair(state, tau, sigma)
-    bv2 = sym.b_matrix @ v2
-    value = (np.real(grid.inner(_dsigma(grid, v1, sigma), v1))
-             + np.real(grid.inner(sym.b_matrix @ _dsigma(grid, v2, sigma), bv2)))
-    equivalent = (grid.norm2(_dsigma(grid, v1, sigma, half=True))
-                  + grid.norm2(_dsigma(grid, bv2, sigma, half=True)))
-    return float(value), float(equivalent)
+    grid = state.grid
+    v = weight_values(grid, state.u, tau, sigma)
+    bv2 = sym.b_matrix @ v[1]
+    half = grid.multiply(np.stack((v[0], bv2)),
+                         bracket(grid.xi) ** (sigma / 2.0))
+    equivalent = grid.norm2(half[0]) + grid.norm2(half[1])
+    return _e1(grid, v, sym.b_matrix, bv2, sigma), float(equivalent)
 
 
 def conjugated_matrix(grid: Grid, m_values: np.ndarray, tau: float,
                       sigma: float) -> np.ndarray:
     """Dense matrix of exp(tau D^sigma) * m(x) * exp(-tau D^sigma)."""
-    m_values = np.asarray(m_values, dtype=complex)
-    wp = gevrey_multiplier(grid, tau, sigma, +1)
-    wm = gevrey_multiplier(grid, tau, sigma, -1)
+    m = np.asarray(m_values, dtype=complex)
     eye = np.eye(grid.n, dtype=complex)
-    cols = np.fft.ifft(wm[:, None] * np.fft.fft(eye, axis=0), axis=0)
-    cols = m_values[:, None] * cols
-    return np.fft.ifft(wp[:, None] * np.fft.fft(cols, axis=0), axis=0)
+    return weight_values(grid, weight_values(grid, eye, tau, sigma, -1) * m,
+                         tau, sigma, +1).T
 
 
 def _conjugated_apply(grid: Grid, m_values: np.ndarray, values: np.ndarray,
@@ -176,35 +167,31 @@ def dt_energy_breakdown(state, dstate_dt, sym: Symmetrizer, tau: float,
     transport part is recomputed from the coefficient so the nonlinear
     contribution E4 is obtained by difference.
     """
-    grid, v1, v2 = _weighted_pair(state, tau, sigma)
+    grid, t = state.grid, state.t
+    v = weight_values(grid, state.u, tau, sigma)
+    v1, v2 = v
     B = sym.b_matrix
     bv2 = B @ v2
-    t = state.t
 
-    e1_value, _ = e1(state, sym, tau, sigma)
+    e1_value = _e1(grid, v, B, bv2, sigma)
 
-    dxi = 2.0j * np.pi * grid.xi
-    dx_u1 = np.fft.ifft(dxi * np.fft.fft(state.u1.values))
-    dx_u2 = np.fft.ifft(dxi * np.fft.fft(state.u2.values))
+    du = grid.multiply(state.u, grid.dxi)
+    dx_u1, dx_u2 = du
     a_vals = sym.sb.coeff.a(t, grid.x)
 
     # linear transport, conjugated: (d/dx v2, a^(tau) d/dx v1)
-    lin1_w = weight_values(grid, dx_u2, tau, sigma)
-    lin2_w = _conjugated_apply(grid, a_vals,
-                               weight_values(grid, dx_u1, tau, sigma),
-                               tau, sigma)
+    dx_v1, lin1_w = weight_values(grid, du, tau, sigma)
+    lin2_w = _conjugated_apply(grid, a_vals, dx_v1, tau, sigma)
     e2_value = (np.real(grid.inner(lin1_w, v1))
                 + np.real(grid.inner(B @ lin2_w, bv2)))
 
     e3_value = np.real(grid.inner(sym.dt_b_matrix() @ v2, bv2))
 
     # nonlinear part F(u)u = full rhs minus the linear transport
-    f1 = dstate_dt[0] - dx_u2
-    f2 = dstate_dt[1] - a_vals * dx_u1
-    f1_w = weight_values(grid, f1, tau, sigma)
-    f2_w = weight_values(grid, f2, tau, sigma)
-    e4_value = (np.real(grid.inner(f1_w, v1))
-                + np.real(grid.inner(B @ f2_w, bv2)))
+    f_w = weight_values(grid, dstate_dt - np.stack((dx_u2, a_vals * dx_u1)),
+                        tau, sigma)
+    e4_value = (np.real(grid.inner(f_w[0], v1))
+                + np.real(grid.inner(B @ f_w[1], bv2)))
 
     E = 0.5 * (grid.norm2(v1) + grid.norm2(bv2))
     return EnergyBreakdown(t=t, tau=tau, E=float(E), E1=float(e1_value),
@@ -219,7 +206,8 @@ def garding_sign_probe(state, sym: Symmetrizer, tau: float,
     op(g) is Hermitian (real symbol, Weyl), so the form is a square and
     must be nonnegative up to roundoff.
     """
-    grid, _, v2 = _weighted_pair(state, tau, sigma)
+    grid = state.grid
+    v2 = weight_values(grid, state.u[1], tau, sigma)
     x = grid.x_doubled[:, None]
     xi = grid.xi[None, :]
     dta = np.maximum(np.asarray(sym.sb.coeff.dt_a(sym.t, x), dtype=float), 0.0)

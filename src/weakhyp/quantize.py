@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,7 +68,6 @@ class SymbolField:
     samples: np.ndarray
     time: float = 0.0
     label: str = ""
-    claimed_weight: Optional[str] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -86,8 +85,6 @@ class QuantizedOperator:
     """Dense matrix realization of op(p) on the grid."""
 
     matrix: np.ndarray
-    quantization: str = WEYL
-    provenance: str = ""
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -105,14 +102,14 @@ class QuantizedOperator:
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T) / scale)
 
 
-def sample_symbol(grid: Grid, fn, time: float = 0.0, label: str = "",
-                  claimed_weight: Optional[str] = None) -> SymbolField:
+def sample_symbol(grid: Grid, fn, time: float = 0.0,
+                  label: str = "") -> SymbolField:
     """Sample fn(x, xi) on the doubled lattice; fn must broadcast."""
     x = grid.x_doubled[:, None]
     xi = grid.xi[None, :]
     return SymbolField(grid, np.broadcast_to(np.asarray(fn(x, xi), dtype=complex),
                                              (2 * grid.n, grid.n)).copy(),
-                       time=time, label=label, claimed_weight=claimed_weight)
+                       time=time, label=label)
 
 
 def sample_symbol_b(sb: SymbolB, grid: Grid, t: float, power: int = 1,
@@ -123,8 +120,7 @@ def sample_symbol_b(sb: SymbolB, grid: Grid, t: float, power: int = 1,
     values = sb.b(t, x, xi) ** power
     if label is None:
         label = "b" if power == 1 else f"b^{power}"
-    return SymbolField(grid, values.astype(complex), time=t, label=label,
-                       claimed_weight=label)
+    return SymbolField(grid, values.astype(complex), time=t, label=label)
 
 
 def _wrapped_difference(n: int):
@@ -188,7 +184,7 @@ def quantize(p: SymbolField, mode: str = WEYL) -> QuantizedOperator:
         K = c[np.arange(n)[:, None], g.index % n]
     else:
         raise ValueError(f"unknown quantization mode {mode!r}")
-    return QuantizedOperator(K, quantization=mode, provenance=p.label)
+    return QuantizedOperator(K)
 
 
 def dequantize(matrix: np.ndarray, grid: Grid,
@@ -391,6 +387,4 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid, mode: str = WEYL):
                 "discretization floor reached",
                 UserWarning,
             )
-    field = SymbolField(grid, c, time=t, label=f"c_{nu}",
-                        claimed_weight="b^-1")
-    return field, defects
+    return SymbolField(grid, c, time=t, label=f"c_{nu}"), defects

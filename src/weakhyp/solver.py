@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import Grid, GridFunction, Space
+from .spectral import Grid
 from .symbols import CoefficientField, SymbolB
 from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
@@ -56,28 +56,20 @@ class SolverBlowupError(RuntimeError):
 
 @dataclass
 class SystemState:
-    """The pair (u1, u2) of physical-space grid functions at time t."""
+    """The pair (u1, u2) of physical-space samples at time t, as u[0], u[1]."""
 
-    u1: GridFunction
-    u2: GridFunction
+    grid: Grid
+    u: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("u1 and u2 live on different grids")
-        if self.u1.space is not Space.PHYSICAL or self.u2.space is not Space.PHYSICAL:
-            raise ValueError("SystemState components must be physical-space")
-        if not (np.all(np.isfinite(self.u1.values))
-                and np.all(np.isfinite(self.u2.values))):
+        self.u = np.asarray(self.u, dtype=complex)
+        if self.u.shape != (2, self.grid.n):
+            raise ValueError(
+                f"u has shape {self.u.shape}, expected (2, {self.grid.n})"
+            )
+        if not np.all(np.isfinite(self.u)):
             raise ValueError("SystemState has non-finite entries")
-
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
-
-    @staticmethod
-    def from_arrays(grid: Grid, u1, u2, t: float = 0.0) -> "SystemState":
-        return SystemState(GridFunction(grid, u1), GridFunction(grid, u2), t)
 
 
 @dataclass
@@ -116,9 +108,10 @@ class NonlinearityF:
     def is_zero(self) -> bool:
         return len(self.terms) == 0
 
-    def apply(self, t: float, x: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-              f21_zero: bool = False):
-        """(F(t,x,u) u)_1 and (F(t,x,u) u)_2 as arrays."""
+    def apply(self, t: float, x: np.ndarray, u: np.ndarray,
+              f21_zero: bool = False) -> np.ndarray:
+        """F(t,x,u) u as a (2, n) array."""
+        u1, u2 = u
         n = x.shape[0]
         F = np.zeros((2, 2, n), dtype=complex)
         for k, i, j, profile in self.terms:
@@ -126,7 +119,8 @@ class NonlinearityF:
                 continue
             F[i, j] += np.asarray(profile(t, x), dtype=complex) \
                 * u1 ** k[0] * u2 ** k[1]
-        return F[0, 0] * u1 + F[0, 1] * u2, F[1, 0] * u1 + F[1, 1] * u2
+        return np.stack((F[0, 0] * u1 + F[0, 1] * u2,
+                         F[1, 0] * u1 + F[1, 1] * u2))
 
 
 def wave_packet(grid: Grid, center: float, xi_center: float,
@@ -140,6 +134,8 @@ def wave_packet(grid: Grid, center: float, xi_center: float,
     env = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
     vals = env * np.exp(2.0j * np.pi * xi_center * (x - center))
     spec_width = 1.0 / (2.0 * np.pi * width)
+    # unitary pair, not Grid.multiply: that rounds the packet differently
+    # and moves the recorded traces by up to ~3e-11 relative
     vh = np.fft.fft(vals, norm="ortho")
     keep = np.abs(grid.xi - xi_center) <= n_sigma_cut * spec_width
     return np.fft.ifft(vh * keep, norm="ortho")
@@ -166,7 +162,6 @@ class RunConfig:
     packet_width: float = 0.02
     packet_component: int = 2
     normalize_energy: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         n = self.n
@@ -190,6 +185,13 @@ class RunConfig:
             )
         if self.taudot < 0.0:
             raise ValueError(f"taudot = {self.taudot} must be >= 0")
+        comp, stride = self.packet_component, self.sample_stride
+        if (isinstance(comp, bool) or not isinstance(comp, numbers.Integral)
+                or comp not in (1, 2)):
+            raise ValueError(f"packet_component = {comp!r} must be 1 or 2")
+        if (isinstance(stride, bool) or not isinstance(stride, numbers.Integral)
+                or stride <= 0):
+            raise ValueError(f"sample_stride = {stride!r} must be a positive int")
         if self.coeff is not None:
             if self.tau0 >= self.coeff.tau_under:
                 raise ValueError(
@@ -237,15 +239,10 @@ class RunConfig:
 
     def initial_state(self) -> SystemState:
         grid = self.grid
-        packet = wave_packet(grid, grid.x0, self.packet_xi, self.packet_width)
-        zero = np.zeros(grid.n, dtype=complex)
-        if self.packet_component == 1:
-            u1, u2 = packet, zero
-        elif self.packet_component == 2:
-            u1, u2 = zero, packet
-        else:
-            u1, u2 = packet, packet.copy()
-        return SystemState.from_arrays(grid, u1, u2, 0.0)
+        u = np.zeros((2, grid.n), dtype=complex)
+        u[self.packet_component - 1] = wave_packet(
+            grid, grid.x0, self.packet_xi, self.packet_width)
+        return SystemState(grid, u, 0.0)
 
     def content_hash(self) -> str:
         return hashlib.sha256(
@@ -260,7 +257,7 @@ class RunConfig:
             "horizon": self.horizon, "sample_stride": self.sample_stride,
             "packet_xi": self.packet_xi, "packet_width": self.packet_width,
             "packet_component": self.packet_component,
-            "normalize_energy": self.normalize_energy, "seed": self.seed,
+            "normalize_energy": self.normalize_energy,
             "nonlinear": not self.nonlinearity.is_zero(),
         }
         if self.coeff is not None:
@@ -274,28 +271,23 @@ class RunConfig:
         return d
 
 
-def rhs(state: SystemState, cfg: RunConfig):
-    """Discrete right-hand side (du1/dt, du2/dt) as raw arrays."""
+def rhs(state: SystemState, cfg: RunConfig) -> np.ndarray:
+    """Discrete right-hand side (du1/dt, du2/dt) as a (2, n) array."""
     grid = state.grid
-    dxi = 2.0j * np.pi * grid.xi
-    dx_u1 = np.fft.ifft(dxi * np.fft.fft(state.u1.values))
-    dx_u2 = np.fft.ifft(dxi * np.fft.fft(state.u2.values))
+    dx_u1, dx_u2 = grid.multiply(state.u, grid.dxi)
     if cfg.coeff is not None:
         a_vals = cfg.coeff.a(state.t, grid.x)
     else:
         a_vals = 0.0
-    du1 = dx_u2
-    du2 = a_vals * dx_u1
+    du = np.stack((dx_u2, a_vals * dx_u1))
     if not cfg.nonlinearity.is_zero():
-        f1, f2 = cfg.nonlinearity.apply(state.t, grid.x, state.u1.values,
-                                        state.u2.values, cfg.f21_zero)
-        du1 = du1 + f1
-        du2 = du2 + f2
-    if not (np.all(np.isfinite(du1)) and np.all(np.isfinite(du2))):
+        du = du + cfg.nonlinearity.apply(state.t, grid.x, state.u,
+                                         cfg.f21_zero)
+    if not np.all(np.isfinite(du)):
         raise SolverBlowupError(
             f"non-finite right-hand side at t = {state.t}", state.t
         )
-    return du1, du2
+    return du
 
 
 def step_rk4(state: SystemState, cfg: RunConfig, dt: float) -> SystemState:
@@ -305,21 +297,13 @@ def step_rk4(state: SystemState, cfg: RunConfig, dt: float) -> SystemState:
         raise CFLError(
             f"dt = {dt} violates the CFL bound; required dt <= {limit:.6e}"
         )
-    grid = state.grid
-    u = (state.u1.values, state.u2.values)
+    grid, u, t = state.grid, state.u, state.t
     k1 = rhs(state, cfg)
-    s2 = SystemState.from_arrays(grid, u[0] + 0.5 * dt * k1[0],
-                                 u[1] + 0.5 * dt * k1[1], state.t + 0.5 * dt)
-    k2 = rhs(s2, cfg)
-    s3 = SystemState.from_arrays(grid, u[0] + 0.5 * dt * k2[0],
-                                 u[1] + 0.5 * dt * k2[1], state.t + 0.5 * dt)
-    k3 = rhs(s3, cfg)
-    s4 = SystemState.from_arrays(grid, u[0] + dt * k3[0],
-                                 u[1] + dt * k3[1], state.t + dt)
-    k4 = rhs(s4, cfg)
-    new1 = u[0] + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    new2 = u[1] + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return SystemState.from_arrays(grid, new1, new2, state.t + dt)
+    k2 = rhs(SystemState(grid, u + 0.5 * dt * k1, t + 0.5 * dt), cfg)
+    k3 = rhs(SystemState(grid, u + 0.5 * dt * k2, t + 0.5 * dt), cfg)
+    k4 = rhs(SystemState(grid, u + dt * k3, t + dt), cfg)
+    return SystemState(grid, u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4),
+                       t + dt)
 
 
 @dataclass
@@ -379,8 +363,7 @@ def run_with_energy(cfg: RunConfig, state: Optional[SystemState] = None) -> Ener
     E0 = gevrey_energy(state, sym0, cfg.tau0, cfg.sigma)
     if cfg.normalize_energy and E0 > 0.0:
         scale = 1.0 / math.sqrt(E0)
-        state = SystemState.from_arrays(grid, scale * state.u1.values,
-                                        scale * state.u2.values, state.t)
+        state = SystemState(grid, scale * state.u, state.t)
         E0 = gevrey_energy(state, sym0, cfg.tau0, cfg.sigma)
 
     t_end = cfg.t_end()

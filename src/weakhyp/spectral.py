@@ -1,14 +1,17 @@
-"""Periodic grid, unitary FFT, Fourier multipliers and Gevrey weights.
+"""Periodic grid, Fourier multipliers and Gevrey weights.
 
 Conventions used throughout the package:
 
 * the spatial domain is the torus [0, L) sampled at n equispaced points,
 * the frequency lattice is xi_k = k / L for k in {-n/2, ..., n/2 - 1}
   (cycles per unit length), stored in numpy's natural FFT order,
-* the forward transform is the unitary DFT (norm="ortho"), so plain
-  vector 2-norms are preserved exactly,
-* spectral differentiation is the multiplier 2*pi*i*xi, matching the
-  kernel convention exp(2*pi*i*(x - y)*xi) of the quantizer,
+* every Fourier multiplier goes through `Grid.multiply`, which uses the
+  unnormalized FFT pair: the normalization of a forward/inverse pair
+  cancels, and the unnormalized one is the pair the recorded outputs
+  were produced with,
+* spectral differentiation is the multiplier 2*pi*i*xi (`Grid.dxi`),
+  matching the kernel convention exp(2*pi*i*(x - y)*xi) of the
+  quantizer,
 * L2 norms carry the quadrature weight dx, which makes the physical and
   frequency side Parseval sums identical.
 """
@@ -16,31 +19,19 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "Space",
     "Grid",
-    "GridFunction",
     "GevreyOverflowError",
     "bracket",
-    "forward_transform",
-    "inverse_transform",
-    "apply_multiplier",
-    "derivative_multiplier",
-    "gevrey_weight",
     "gevrey_multiplier",
 ]
 
 #: exponent cap for exp(tau * <xi>^sigma); doubles overflow near exp(709)
 DEFAULT_MAX_EXPONENT = 700.0
-
-
-class Space(Enum):
-    PHYSICAL = "physical"
-    FREQUENCY = "frequency"
 
 
 class GevreyOverflowError(OverflowError):
@@ -94,14 +85,27 @@ class Grid:
         """Half-step lattice x_m = m * dx / 2 holding all pair midpoints."""
         return np.arange(2 * self.n) * (self.dx / 2.0)
 
-    @property
+    @cached_property
     def xi(self) -> np.ndarray:
-        """Frequency lattice k / L in numpy FFT order."""
-        return np.fft.fftfreq(self.n, d=self.dx)
+        """Frequency lattice k / L in numpy FFT order (read-only)."""
+        xi = np.fft.fftfreq(self.n, d=self.dx)
+        xi.setflags(write=False)
+        return xi
+
+    @cached_property
+    def dxi(self) -> np.ndarray:
+        """Multiplier 2*pi*i*xi of d/dx (read-only)."""
+        dxi = 2.0j * np.pi * self.xi
+        dxi.setflags(write=False)
+        return dxi
 
     @property
     def xi_max(self) -> float:
         return float(np.max(np.abs(self.xi)))
+
+    def multiply(self, values: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Fourier multiplier m(xi) applied along the last axis of `values`."""
+        return np.fft.ifft(m * np.fft.fft(values, axis=-1), axis=-1)
 
     def norm2(self, values: np.ndarray) -> float:
         """Squared L2 norm with quadrature weight dx."""
@@ -113,73 +117,6 @@ class Grid:
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """L2 inner product <f, g> = dx * sum f * conj(g)."""
         return complex(self.dx * np.sum(f * np.conj(g)))
-
-
-@dataclass
-class GridFunction:
-    """Complex samples of a function on a :class:`Grid`, tagged by space."""
-
-    grid: Grid
-    values: np.ndarray
-    space: Space = Space.PHYSICAL
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                f"values have shape {self.values.shape}, expected ({self.grid.n},)"
-            )
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.space)
-
-
-def forward_transform(u: GridFunction) -> GridFunction:
-    """Unitary DFT, physical -> frequency."""
-    if u.space is not Space.PHYSICAL:
-        raise ValueError("forward_transform expects a physical-space function")
-    return GridFunction(u.grid, np.fft.fft(u.values, norm="ortho"), Space.FREQUENCY)
-
-
-def inverse_transform(u: GridFunction) -> GridFunction:
-    """Unitary inverse DFT, frequency -> physical."""
-    if u.space is not Space.FREQUENCY:
-        raise ValueError("inverse_transform expects a frequency-space function")
-    return GridFunction(u.grid, np.fft.ifft(u.values, norm="ortho"), Space.PHYSICAL)
-
-
-def _multiplier_values(grid: Grid, m) -> np.ndarray:
-    mv = np.asarray(m(grid.xi) if callable(m) else m, dtype=complex)
-    if mv.shape == ():
-        mv = np.full(grid.n, mv)
-    if mv.shape != (grid.n,):
-        raise ValueError(f"multiplier has shape {mv.shape}, expected ({grid.n},)")
-    bad = ~np.isfinite(mv)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"multiplier is not finite at lattice point xi = {grid.xi[k]}"
-        )
-    return mv
-
-
-def apply_multiplier(u: GridFunction, m) -> GridFunction:
-    """Apply the Fourier multiplier u_hat_k <- m(xi_k) u_hat_k.
-
-    `m` is a callable on the frequency lattice or a precomputed array in
-    FFT order.  A physical-space input is transformed, multiplied and
-    transformed back; a frequency-space input is multiplied in place.
-    """
-    mv = _multiplier_values(u.grid, m)
-    if u.space is Space.FREQUENCY:
-        return GridFunction(u.grid, u.values * mv, Space.FREQUENCY)
-    uh = np.fft.fft(u.values, norm="ortho")
-    return GridFunction(u.grid, np.fft.ifft(mv * uh, norm="ortho"), Space.PHYSICAL)
-
-
-def derivative_multiplier(grid: Grid) -> np.ndarray:
-    """Multiplier of d/dx in the exp(2*pi*i*x*xi) convention."""
-    return 2.0j * np.pi * grid.xi
 
 
 def gevrey_multiplier(
@@ -209,15 +146,3 @@ def gevrey_multiplier(
             f"cap {max_exponent:.3g} at xi = {grid.xi[worst]}"
         )
     return np.exp(direction * exponents)
-
-
-def gevrey_weight(
-    u: GridFunction,
-    tau: float,
-    sigma: float,
-    direction: int = +1,
-    max_exponent: float = DEFAULT_MAX_EXPONENT,
-) -> GridFunction:
-    """Apply the Gevrey weight exp(+-tau * D^sigma) as a Fourier multiplier."""
-    mv = gevrey_multiplier(u.grid, tau, sigma, direction, max_exponent)
-    return apply_multiplier(u, mv)

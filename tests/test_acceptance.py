@@ -245,7 +245,7 @@ def test_criterion_8_breakdown_identity_and_garding():
     for _ in range(100):
         u1 = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
         u2 = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
-        st = SystemState.from_arrays(grid, u1, u2, 0.01)
+        st = SystemState(grid, [u1, u2], 0.01)
         val = garding_sign_probe(st, sym, 0.2, 0.5)
         floor = -1e-10 * grid.norm2(u2)
         worst_g = min(worst_g, val)

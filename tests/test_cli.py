@@ -48,7 +48,8 @@ class TestValidationExitCodes:
         err = capsys.readouterr().err
         assert "c = 3.0" in err and "uncertainty" in err
 
-    @pytest.mark.parametrize("bad", [{"n": 100}, {"sigma": "0.5"}])
+    @pytest.mark.parametrize("bad", [{"n": 100}, {"sigma": "0.5"},
+                                     {"taudot": "fast"}, {"taudot": True}])
     def test_bad_energy_config_exits_2_without_traceback(self, tmp_path,
                                                          bad):
         path = _write_scenario(tmp_path / "s.json",
@@ -62,6 +63,24 @@ class TestValidationExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["energy_estimate", "symbol_audit",
+                                      "metric_audit", "quantizer_audit"])
+    def test_bad_coeff_exits_2(self, tmp_path, capsys, kind):
+        s = Scenario(kind=kind, config={"coeff": {"T": 0.2}},
+                     output_dir=str(tmp_path / "out"))
+        assert run_scenario(s) == 2
+        assert "config.coeff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        {"taudot": -1.0}, {"taudot_factor": "fast"},
+        {"taudot_factor": True}, {"packet_component": 7},
+        {"sample_stride": 0}])
+    def test_bad_rate_or_run_key_exits_2(self, tmp_path, capsys, bad):
+        s = Scenario(kind="energy_estimate", config=dict(bad, n=64),
+                     output_dir=str(tmp_path / "out"))
+        assert run_scenario(s) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
 
     def test_cjs_short_ladder_exits_2(self, tmp_path):
         s = Scenario(kind="cjs_sweep", config={"xi_ladder": [16, 32]},

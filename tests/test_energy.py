@@ -19,8 +19,7 @@ def sym128(sb_c1, grid128):
 def _random_state(grid, rng, t=0.0):
     u1 = wave_packet(grid, grid.x0, rng.uniform(5, 30), 0.02)
     u2 = wave_packet(grid, grid.x0, rng.uniform(5, 30), 0.02)
-    return SystemState.from_arrays(grid, rng.normal() * u1,
-                                   rng.normal() * u2, t)
+    return SystemState(grid, [rng.normal() * u1, rng.normal() * u2], t)
 
 
 class TestSymmetrizer:
@@ -49,13 +48,12 @@ class TestSymmetrizer:
 
 class TestEnergy:
     def test_zero_state(self, sym128, grid128):
-        st = SystemState.from_arrays(grid128, np.zeros(grid128.n),
-                                     np.zeros(grid128.n))
+        st = SystemState(grid128, np.zeros((2, grid128.n)))
         assert energy(st, sym128, 0.5, 0.5) == 0.0
 
     def test_tau_zero_first_component_only(self, sym128, grid128, rng):
         u1 = rng.normal(size=grid128.n) + 1j * rng.normal(size=grid128.n)
-        st = SystemState.from_arrays(grid128, u1, np.zeros(grid128.n))
+        st = SystemState(grid128, [u1, np.zeros(grid128.n)])
         assert energy(st, sym128, 0.0, 0.5) == pytest.approx(
             0.5 * grid128.norm2(u1), rel=1e-12)
 
@@ -69,7 +67,7 @@ class TestEnergy:
         xi_star = grid128.xi[k]
         A = 0.7
         u2 = A * np.exp(2j * np.pi * xi_star * grid128.x)
-        st = SystemState.from_arrays(grid128, np.zeros(grid128.n), u2)
+        st = SystemState(grid128, [np.zeros(grid128.n), u2])
         expected = 0.5 * A**2 * bracket(xi_star) ** sb.c * grid128.length
         assert energy(st, sym, 0.0, 0.5) == pytest.approx(expected, rel=1e-10)
 
@@ -81,8 +79,7 @@ class TestEnergy:
 
 class TestE1:
     def test_zero_state(self, sym128, grid128):
-        st = SystemState.from_arrays(grid128, np.zeros(grid128.n),
-                                     np.zeros(grid128.n))
+        st = SystemState(grid128, np.zeros((2, grid128.n)))
         v, eq = e1(st, sym128, 0.2, 0.5)
         assert v == 0.0 and eq == 0.0
 
@@ -90,7 +87,7 @@ class TestE1:
         sigma = 0.5
         k = 12
         u1 = np.exp(2j * np.pi * grid128.xi[k] * grid128.x)
-        st = SystemState.from_arrays(grid128, u1, np.zeros(grid128.n))
+        st = SystemState(grid128, [u1, np.zeros(grid128.n)])
         v, eq = e1(st, sym128, 0.0, sigma)
         expected = bracket(grid128.xi[k]) ** sigma * grid128.norm2(u1)
         assert v == pytest.approx(expected, rel=1e-10)
@@ -156,8 +153,7 @@ class TestBreakdown:
         cfg = RunConfig(n=128, sigma=0.5, coeff=coeff)
         sb = cfg.symbol_b()
         sym = Symmetrizer(grid128, sb, 0.0)
-        st = SystemState.from_arrays(grid128, np.zeros(grid128.n),
-                                     np.zeros(grid128.n))
+        st = SystemState(grid128, np.zeros((2, grid128.n)))
         d = rhs(st, cfg)
         bd = dt_energy_breakdown(st, d, sym, cfg.tau0, cfg.sigma, 0.0)
         assert bd.E == bd.E1 == bd.E2 == bd.E3 == bd.E4 == 0.0
@@ -208,17 +204,17 @@ class TestDomination:
 class TestGardingProbe:
     def test_zero_v2(self, sym128, grid128, rng):
         u1 = rng.normal(size=grid128.n)
-        st = SystemState.from_arrays(grid128, u1, np.zeros(grid128.n))
+        st = SystemState(grid128, [u1, np.zeros(grid128.n)])
         assert garding_sign_probe(st, sym128, 0.3, 0.5) == 0.0
 
     def test_nonnegative_on_random_states(self, sym128, grid128, rng):
         for _ in range(30):
             st = _random_state(grid128, rng)
             val = garding_sign_probe(st, sym128, 0.2, 0.5)
-            assert val >= -1e-10 * grid128.norm2(st.u2.values)
+            assert val >= -1e-10 * grid128.norm2(st.u[1])
 
     def test_positive_time_also_nonnegative(self, sb_c1, grid128, rng):
         sym = Symmetrizer(grid128, sb_c1, 0.025)
         st = _random_state(grid128, rng, t=0.025)
         val = garding_sign_probe(st, sym, 0.2, 0.5)
-        assert val >= -1e-10 * grid128.norm2(st.u2.values)
+        assert val >= -1e-10 * grid128.norm2(st.u[1])

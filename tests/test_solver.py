@@ -16,11 +16,25 @@ def free_cfg():
                      nonlinearity=NonlinearityF.zero(), length=1.0)
 
 
+class TestSystemState:
+    def test_value_shape_must_match(self, grid64):
+        with pytest.raises(ValueError, match="shape"):
+            SystemState(grid64, np.zeros((2, 63)))
+        with pytest.raises(ValueError, match="shape"):
+            SystemState(grid64, np.zeros(grid64.n))
+
+    def test_rejects_non_finite_entries(self, grid64):
+        u = np.zeros((2, grid64.n))
+        u[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            SystemState(grid64, u)
+
+
 class TestRhs:
     def test_zero_state(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff)
         g = cfg.grid
-        st = SystemState.from_arrays(g, np.zeros(g.n), np.zeros(g.n))
+        st = SystemState(g, np.zeros((2, g.n)))
         d1, d2 = rhs(st, cfg)
         assert np.all(d1 == 0) and np.all(d2 == 0)
 
@@ -28,7 +42,7 @@ class TestRhs:
         g = free_cfg.grid
         k = 5
         u2 = np.exp(2j * np.pi * g.xi[k] * g.x)
-        st = SystemState.from_arrays(g, np.zeros(g.n), u2)
+        st = SystemState(g, [np.zeros(g.n), u2])
         d1, d2 = rhs(st, free_cfg)
         assert np.abs(d1 - 2j * np.pi * g.xi[k] * u2).max() < 1e-12
         assert np.abs(d2).max() == 0.0
@@ -37,7 +51,7 @@ class TestRhs:
         bad = NonlinearityF([((0, 0), 0, 0, lambda t, x: np.full_like(x, np.nan))])
         cfg = RunConfig(n=64, coeff=coeff, nonlinearity=bad)
         g = cfg.grid
-        st = SystemState.from_arrays(g, np.ones(g.n), np.ones(g.n))
+        st = SystemState(g, np.ones((2, g.n)))
         with pytest.raises(SolverBlowupError):
             rhs(st, cfg)
 
@@ -46,14 +60,14 @@ class TestStepRK4:
     def test_zero_stays_zero(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff)
         g = cfg.grid
-        st = SystemState.from_arrays(g, np.zeros(g.n), np.zeros(g.n))
+        st = SystemState(g, np.zeros((2, g.n)))
         out = step_rk4(st, cfg, cfg.max_dt())
-        assert np.all(out.u1.values == 0) and np.all(out.u2.values == 0)
+        assert np.all(out.u == 0)
 
     def test_cfl_violation_names_required_dt(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff)
         g = cfg.grid
-        st = SystemState.from_arrays(g, np.zeros(g.n), np.zeros(g.n))
+        st = SystemState(g, np.zeros((2, g.n)))
         with pytest.raises(CFLError, match="required dt"):
             step_rk4(st, cfg, 10.0 * cfg.max_dt())
 
@@ -61,14 +75,14 @@ class TestStepRK4:
         g = free_cfg.grid
         k = 3
         u2 = np.exp(2j * np.pi * g.xi[k] * g.x)
-        st = SystemState.from_arrays(g, np.zeros(g.n), u2)
+        st = SystemState(g, [np.zeros(g.n), u2])
         dt = free_cfg.max_dt()
         for _ in range(100):
             st = step_rk4(st, free_cfg, dt)
         t = st.t
         exact = t * 2j * np.pi * g.xi[k] * u2
-        assert np.abs(st.u1.values - exact).max() < 1e-10
-        assert np.abs(st.u2.values - u2).max() < 1e-10
+        assert np.abs(st.u[0] - exact).max() < 1e-10
+        assert np.abs(st.u[1] - u2).max() < 1e-10
 
     def test_fourth_order_convergence(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, nonlinearity=NonlinearityF.zero(),
@@ -81,7 +95,7 @@ class TestStepRK4:
             st = st0
             for _ in range(steps):
                 st = step_rk4(st, cfg, dt)
-            return np.concatenate([st.u1.values, st.u2.values])
+            return st.u.ravel()
 
         dt = cfg.max_dt()
         u_a, u_b, u_c = integrate(dt), integrate(dt / 2), integrate(dt / 4)
@@ -137,7 +151,10 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("bad", [
         {"n": 100}, {"n": 64.0}, {"n": True}, {"sigma": "0.5"},
-        {"tau0": float("nan")}, {"c": "1"}])
+        {"tau0": float("nan")}, {"c": "1"},
+        {"packet_component": 7}, {"packet_component": 1.0},
+        {"packet_component": True}, {"sample_stride": 0},
+        {"sample_stride": 2.0}, {"sample_stride": True}])
     def test_rejects_mistyped_values(self, coeff, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(coeff=coeff, **bad)
@@ -154,7 +171,7 @@ class TestRunWithEnergy:
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=8,
                         normalize_energy=False)
         g = cfg.grid
-        zero = SystemState.from_arrays(g, np.zeros(g.n), np.zeros(g.n))
+        zero = SystemState(g, np.zeros((2, g.n)))
         trace = run_with_energy(cfg, state=zero)
         assert trace.max_ratio() == 0.0
 
@@ -168,9 +185,8 @@ class TestRunWithEnergy:
         for _ in range(steps):
             state = step_rk4(state, cfg, dt)
         outside = np.abs(g.x - g.x0) > coeff.r_outer
-        mass = (g.norm2(state.u1.values * outside)
-                + g.norm2(state.u2.values * outside))
-        total = g.norm2(state.u1.values) + g.norm2(state.u2.values)
+        mass = g.norm2(state.u * outside)
+        total = g.norm2(state.u)
         assert mass < 1e-8 * total
 
     def test_abort_keeps_partial_trace(self, coeff):
@@ -203,20 +219,19 @@ class TestWaveReduction:
                         packet_component=1, normalize_energy=False)
         g = cfg.grid
         st = cfg.initial_state()
-        scale = 0.05 / max(np.abs(st.u1.values))
-        st = SystemState.from_arrays(g, scale * st.u1.values,
-                                     np.zeros(g.n), 0.0)
+        scale = 0.05 / max(np.abs(st.u[0]))
+        st = SystemState(g, [scale * st.u[0], np.zeros(g.n)], 0.0)
         dt = cfg.max_dt() / 4.0
         back = step_rk4(st, cfg, -dt)
         fwd = step_rk4(st, cfg, dt)
-        d2t_u1 = (fwd.u1.values - 2 * st.u1.values + back.u1.values) / dt**2
+        d2t_u1 = (fwd.u[0] - 2 * st.u[0] + back.u[0]) / dt**2
 
         dxi = 2j * np.pi * g.xi
         a_vals = coeff.a(st.t, g.x)
-        dx_u1 = np.fft.ifft(dxi * np.fft.fft(st.u1.values))
+        dx_u1 = np.fft.ifft(dxi * np.fft.fft(st.u[0]))
         flux = np.fft.ifft(dxi * np.fft.fft(a_vals * dx_u1))
         source = np.fft.ifft(dxi * np.fft.fft(coeff.chi(g.x)
-                                              * st.u1.values ** 2))
+                                              * st.u[0] ** 2))
         predicted = flux + source
         inner = np.abs(g.x - g.x0) <= coeff.r * 0.9
         err = np.abs(d2t_u1 - predicted)[inner].max()
