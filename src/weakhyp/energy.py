@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Grid, bracket, gevrey_multiplier
-from .quantize import QuantizedOperator, SymbolField, quantize, sample_symbol_b
+from .quantize import QuantizedOperator, SymbolField, quantize
 from .symbols import SymbolB
 
 __all__ = [
@@ -47,14 +47,32 @@ def weight_values(grid: Grid, values: np.ndarray, tau: float, sigma: float,
 
 @dataclass
 class Symmetrizer:
-    """diag(1, op(b)) at a fixed time, with the op(b) block assembled."""
+    """diag(1, op(b)) at a fixed time, with the op(b) block assembled.
+
+    b(t, x, xi) = (a(t, x) + <xi>^(-c))^(-1/2) depends on x only through
+    the value a(t, x), and dt b = -1/2 dt_a b^3 only through the pair
+    (a, dt_a).  Doubled-lattice points with the same pair therefore
+    carry identical rows of both symbols, and outside the bump support
+    every point has a = dt_a = 0.  The build samples b once per distinct
+    pair and quantizes the row-mapped field, which gives the same kernel
+    bit for bit as the full (2n, n) sampling.
+    """
 
     grid: Grid
     sb: SymbolB
     t: float
 
     def __post_init__(self):
-        self._b_field = sample_symbol_b(self.sb, self.grid, self.t)
+        x2 = self.grid.x_doubled
+        coeff = self.sb.coeff
+        pairs = np.stack((coeff.a(self.t, x2), coeff.dt_a(self.t, x2)))
+        # pairs are told apart by their bits, so a signed zero keeps its row
+        _, first, rows = np.unique(pairs.view(np.int64), axis=1,
+                                   return_index=True, return_inverse=True)
+        self._dt_a = pairs[1, first]
+        b = self.sb.b(self.t, x2[first][:, None], self.grid.xi[None, :])
+        self._b_field = SymbolField(self.grid, b.astype(complex), time=self.t,
+                                    label="b", rows=rows.reshape(-1))
         self._op_b = quantize(self._b_field)
 
     @property
@@ -68,14 +86,16 @@ class Symmetrizer:
     def dt_b_matrix(self) -> np.ndarray:
         """op(d/dt b) from the analytic derivative dt_b = -1/2 dt_a b^3.
 
-        Reuses the b samples taken at construction; b is real, and its
-        real part is cubed because a complex power is far slower.
+        Reuses the distinct b rows taken at construction and their row
+        map: dt b depends on x only through (a, dt_a), which is what the
+        rows were told apart by.  b is real, and its real part is cubed
+        because a complex power is far slower.
         """
-        x = self.grid.x_doubled[:, None]
         b_real = self._b_field.samples.real
-        samples = -0.5 * self.sb.coeff.dt_a(self.t, x) * b_real ** 3
+        samples = -0.5 * self._dt_a[:, None] * b_real ** 3
         return quantize(SymbolField(self.grid, samples, time=self.t,
-                                    label="dt b")).matrix
+                                    label="dt b",
+                                    rows=self._b_field.rows)).matrix
 
     def hermiticity_defect(self) -> float:
         return self._op_b.hermiticity_defect()

@@ -27,6 +27,15 @@ caller-supplied prior symbol (zero if absent), which keeps
 The index maps of the (i, j) <-> (m, d) slot map depend on n only; they
 are built once per n and cached (read-only) for every later `quantize`
 and `dequantize` at that size.
+
+A symbol field may be row-mapped: it then stores only its u distinct
+midpoint rows, samples of shape (u, n), plus `rows`, which maps each of
+the 2n doubled-lattice points to its sample row.  The field stands for
+the full (2n, n) field `samples[rows]`, and `quantize` gives the same
+kernel for both, bit for bit: the inverse FFT runs over the u stored
+rows only and the gather reads row `rows[m]` for midpoint m.  Symbols
+that depend on x only through a few values, such as b through a(t, x),
+need far fewer rows than the lattice has points.
 """
 
 from __future__ import annotations
@@ -62,19 +71,40 @@ KOHN_NIRENBERG = "kohn_nirenberg"
 
 @dataclass
 class SymbolField:
-    """Symbol samples on the doubled (2n, n) phase-space lattice."""
+    """Symbol samples on the doubled (2n, n) phase-space lattice.
+
+    With `rows` given, `samples` holds u distinct rows, shape (u, n),
+    and the doubled-lattice point m carries the row `samples[rows[m]]`.
+    """
 
     grid: Grid
     samples: np.ndarray
     time: float = 0.0
     label: str = ""
+    rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
         n = self.grid.n
-        if self.samples.shape != (2 * n, n):
+        if self.rows is None:
+            expected = (2 * n, n)
+        else:
+            rows = np.asarray(self.rows)
+            if rows.shape != (2 * n,) or not np.issubdtype(rows.dtype,
+                                                           np.integer):
+                raise ValueError(
+                    f"rows must be an int array of shape {(2 * n,)}, "
+                    f"got {rows.dtype} {rows.shape}"
+                )
+            u = self.samples.shape[0] if self.samples.ndim else 0
+            if rows.min() < 0 or rows.max() >= u:
+                raise ValueError(f"rows must lie in [0, {u}), got "
+                                 f"[{rows.min()}, {rows.max()}]")
+            self.rows = rows.astype(np.intp)
+            expected = (u, n)
+        if self.samples.shape != expected:
             raise ValueError(
-                f"samples have shape {self.samples.shape}, expected {(2 * n, n)}"
+                f"samples have shape {self.samples.shape}, expected {expected}"
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"symbol '{self.label}' has non-finite samples")
@@ -169,17 +199,41 @@ def _weyl_gather(n: int) -> _WeylGather:
     return gather
 
 
+@functools.lru_cache(maxsize=4)
+def _row_gather(n: int):
+    """The parts (m*, d0) of `_weyl_gather(n).index`, read-only.
+
+    Only row-mapped fields need them, so sizes that never quantize one
+    never hold these two extra (n, n) index arrays.
+    """
+    parts = np.divmod(_weyl_gather(n).index, n)
+    for arr in parts:
+        arr.setflags(write=False)
+    return parts
+
+
 def quantize(p: SymbolField, mode: str = WEYL) -> QuantizedOperator:
-    """Assemble the dense kernel of op(p)."""
+    """Assemble the dense kernel of op(p).
+
+    A row-mapped field is transformed on its stored rows only; the
+    kernel equals that of the expanded field `samples[rows]`.
+    """
     n = p.grid.n
     g = _weyl_gather(n)
     if mode == WEYL:
         c = np.fft.ifft(p.samples, axis=1).reshape(-1)
-        K = c[g.index]
+        if p.rows is None:
+            index, alt = g.index, g.anti_alt
+        else:
+            mid, diff = _row_gather(n)
+            index = p.rows[mid] * n + diff
+            alt = p.rows[g.anti_alt // n] * n + n // 2
+        K = c[index]
         Kf = K.reshape(-1)
-        Kf[g.anti] = 0.5 * (Kf[g.anti] + c[g.anti_alt])
+        Kf[g.anti] = 0.5 * (Kf[g.anti] + c[alt])
     elif mode == KOHN_NIRENBERG:
-        c = np.fft.ifft(p.samples[::2], axis=1)
+        kn = p.samples[::2] if p.rows is None else p.samples[p.rows[::2]]
+        c = np.fft.ifft(kn, axis=1)
         # index % n recovers the difference residue d0
         K = c[np.arange(n)[:, None], g.index % n]
     else:

@@ -168,13 +168,20 @@ class RunConfig:
         if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
                 or n <= 0 or n & (n - 1) != 0):
             raise ValueError(f"n = {n!r} must be a positive power-of-two int")
-        for name in ("sigma", "tau0", "c"):
+        for name in ("length", "sigma", "tau0", "c", "cfl", "dt", "horizon",
+                     "packet_xi", "packet_width"):
             value = getattr(self, name)
-            if name == "c" and value is None:
-                continue  # defaults to the coupling below
+            if value is None and name in ("c", "dt", "horizon"):
+                continue  # optional; c defaults to the coupling below
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{name} = {value!r} must be a finite real number")
+        for name in ("length", "cfl", "dt", "packet_width"):
+            value = getattr(self, name)
+            if value is not None and value <= 0.0:
+                raise ValueError(f"{name} = {value!r} must be positive")
+        if self.horizon is not None and self.horizon < 0.0:
+            raise ValueError(f"horizon = {self.horizon!r} must be >= 0")
         if self.c is None:
             self.c = 2.0 * (1.0 - self.sigma)
         if not (0.0 < self.sigma < 1.0):
@@ -203,6 +210,7 @@ class RunConfig:
                     "coefficient support diameter exceeds half the period; "
                     "wrap-around would not be negligible"
                 )
+        self.grid  # the bump center must lie inside the domain
         if self.nonlinearity is None:
             self.nonlinearity = (NonlinearityF.zero() if self.coeff is None
                                  else NonlinearityF.wave_default(self.coeff))
@@ -377,7 +385,7 @@ def run_with_energy(cfg: RunConfig, state: Optional[SystemState] = None) -> Ener
     reason = ""
 
     def record(s: SystemState):
-        sym = Symmetrizer(grid, sb, s.t)
+        sym = sym0 if s.t == sym0.t else Symmetrizer(grid, sb, s.t)
         tau = cfg.tau_at(s.t)
         d = rhs(s, cfg)
         breakdowns.append(

@@ -49,7 +49,12 @@ class TestValidationExitCodes:
         assert "c = 3.0" in err and "uncertainty" in err
 
     @pytest.mark.parametrize("bad", [{"n": 100}, {"sigma": "0.5"},
-                                     {"taudot": "fast"}, {"taudot": True}])
+                                     {"taudot": "fast"}, {"taudot": True},
+                                     {"packet_xi": "x"},
+                                     {"packet_width": "x"},
+                                     {"packet_width": -0.02},
+                                     {"horizon": "x"}, {"horizon": -1.0},
+                                     {"coeff": {"x0": 1.5}}])
     def test_bad_energy_config_exits_2_without_traceback(self, tmp_path,
                                                          bad):
         path = _write_scenario(tmp_path / "s.json",

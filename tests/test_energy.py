@@ -4,7 +4,7 @@ import pytest
 from weakhyp.energy import (Symmetrizer, conjugated_matrix,
                             dt_energy_breakdown, e1, energy,
                             garding_sign_probe, subprincipal_refinement)
-from weakhyp.quantize import SymbolField, quantize
+from weakhyp.quantize import SymbolField, quantize, sample_symbol_b
 from weakhyp.solver import (NonlinearityF, RunConfig, SystemState, rhs,
                             verify_breakdown_identity, wave_packet)
 from weakhyp.spectral import Grid, bracket
@@ -44,6 +44,33 @@ class TestSymmetrizer:
         direct = quantize(SymbolField(grid128, sb_c1.dt_b(t, x, xi))).matrix
         sym = Symmetrizer(grid128, sb_c1, t)
         assert np.array_equal(sym.dt_b_matrix(), direct)
+
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("t", [0.0, 0.025, 0.07, 0.1])
+    def test_distinct_rows_match_full_lattice(self, coeff, n, t):
+        # 0.07 lies in (T, T_outer), where eta and dt_a vary in time
+        grid = Grid(n, 1.0, 0.5)
+        x = grid.x_doubled[:, None]
+        for c in (1.0, 0.5):
+            sb = SymbolB(coeff, c=c)
+            sym = Symmetrizer(grid, sb, t)
+            full_b = sample_symbol_b(sb, grid, t)
+            assert np.array_equal(sym.b_matrix, quantize(full_b).matrix)
+            dt_b = -0.5 * coeff.dt_a(t, x) * full_b.samples.real ** 3
+            assert np.array_equal(sym.dt_b_matrix(),
+                                  quantize(SymbolField(grid, dt_b)).matrix)
+
+    def test_samples_one_row_per_distinct_coefficient_pair(self, coeff,
+                                                           grid128):
+        x = grid128.x_doubled
+        for t in (0.0, 0.07):
+            # by bits: a signed zero of dt_a is a row of its own
+            pairs = {(a.hex(), d.hex())
+                     for a, d in zip(coeff.a(t, x), coeff.dt_a(t, x))}
+            field = Symmetrizer(grid128, SymbolB(coeff), t)._b_field
+            assert field.samples.shape == (len(pairs), grid128.n)
+            assert len(pairs) < grid128.n
 
 
 class TestEnergy:

@@ -3,12 +3,12 @@ import importlib
 import numpy as np
 import pytest
 
-from weakhyp.quantize import (KOHN_NIRENBERG, PowerIterationWarning,
-                              SymbolField, _weyl_gather, _wrapped_difference,
-                              compose_remainder, dequantize, invert_b,
-                              multiplication_matrix, multiplier_matrix,
-                              operator_norm, quantize, sample_symbol,
-                              sample_symbol_b)
+from weakhyp.quantize import (KOHN_NIRENBERG, WEYL, PowerIterationWarning,
+                              SymbolField, _row_gather, _weyl_gather,
+                              _wrapped_difference, compose_remainder,
+                              dequantize, invert_b, multiplication_matrix,
+                              multiplier_matrix, operator_norm, quantize,
+                              sample_symbol, sample_symbol_b)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
 
@@ -118,7 +118,7 @@ class TestWeylGatherCache:
 
     def test_cached_arrays_are_read_only(self):
         gather = _weyl_gather(16)
-        for arr in gather:
+        for arr in (*gather, *_row_gather(16)):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             gather.index[0, 0] = 0
@@ -156,6 +156,67 @@ class TestWeylGatherCache:
         for prior in (None, rng.normal(size=(2 * n, n))):
             back = quantize(dequantize(K, grid, prior=prior)).matrix
             assert np.abs(back - K).max() < 1e-13 * np.abs(K).max()
+
+
+def _random_row_map(n, seed):
+    """A random (u, n) symbol and a random map of the 2n midpoints to it."""
+    rng = np.random.default_rng(seed)
+    u = int(rng.integers(1, 2 * n + 1))
+    samples = rng.normal(size=(u, n)) + 1j * rng.normal(size=(u, n))
+    return samples, rng.integers(0, u, size=2 * n)
+
+
+class TestRowMappedFields:
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quantize_equals_expanded_field(self, n, seed):
+        grid = Grid(n, 1.0, 0.5)
+        samples, rows = _random_row_map(n, 1000 * n + seed)
+        mapped = SymbolField(grid, samples, rows=rows)
+        expanded = SymbolField(grid, samples[rows])
+        weyl, kn = _reference_kernels(expanded)
+        for mode, reference in ((WEYL, weyl), (KOHN_NIRENBERG, kn)):
+            K = quantize(mapped, mode).matrix
+            assert np.array_equal(K, quantize(expanded, mode).matrix)
+            assert np.array_equal(K, reference)
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_antipodal_midpoints_on_different_rows(self, n):
+        # every antipodal entry averages two midpoints m* and m* + n;
+        # give the two halves of the doubled lattice unrelated rows
+        grid = Grid(n, 1.0, 0.5)
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        rows = np.repeat([0, 1], n)
+        mapped = quantize(SymbolField(grid, samples, rows=rows)).matrix
+        expanded = quantize(SymbolField(grid, samples[rows])).matrix
+        assert np.array_equal(mapped, expanded)
+        anti = _weyl_gather(n).anti
+        assert np.array_equal(mapped.reshape(-1)[anti],
+                              expanded.reshape(-1)[anti])
+
+    def test_rows_none_keeps_full_field(self, grid64):
+        p = SymbolField(grid64, np.ones((2 * grid64.n, grid64.n)))
+        assert p.rows is None
+
+    @pytest.mark.parametrize("samples_shape, rows, match", [
+        ((3, 64), np.zeros(127, dtype=int), "rows must be"),
+        ((3, 64), np.zeros((2, 64), dtype=int), "rows must be"),
+        ((3, 64), np.zeros(128), "rows must be"),
+        ((3, 64), np.full(128, 3), r"\[0, 3\)"),
+        ((3, 64), np.full(128, -1), r"\[0, 3\)"),
+        ((3, 128), np.zeros(128, dtype=int), "expected"),
+        ((3,), np.zeros(128, dtype=int), "expected"),
+    ])
+    def test_rejects_bad_row_maps(self, grid64, samples_shape, rows, match):
+        with pytest.raises(ValueError, match=match):
+            SymbolField(grid64, np.ones(samples_shape), rows=rows)
+
+    def test_rejects_non_finite_rows(self, grid64):
+        samples = np.ones((2, 64))
+        samples[1, 5] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            SymbolField(grid64, samples, rows=np.zeros(128, dtype=int))
 
 
 class TestOperatorNorm:

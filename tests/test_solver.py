@@ -1,12 +1,16 @@
+import importlib
 import io
 
 import numpy as np
 import pytest
 
+from weakhyp.energy import Symmetrizer
 from weakhyp.solver import (CFLError, NonlinearityF, RunConfig,
                             SolverBlowupError, SystemState, rhs,
                             run_with_energy, step_rk4, wave_packet)
 from weakhyp.symbols import CoefficientField
+
+solver_module = importlib.import_module("weakhyp.solver")
 
 
 @pytest.fixture()
@@ -154,10 +158,23 @@ class TestRunConfig:
         {"tau0": float("nan")}, {"c": "1"},
         {"packet_component": 7}, {"packet_component": 1.0},
         {"packet_component": True}, {"sample_stride": 0},
-        {"sample_stride": 2.0}, {"sample_stride": True}])
+        {"sample_stride": 2.0}, {"sample_stride": True},
+        {"length": "1"}, {"length": True}, {"length": 0.0},
+        {"packet_xi": "x"}, {"packet_xi": float("inf")},
+        {"packet_width": "x"}, {"packet_width": -0.02},
+        {"packet_width": 0.0}, {"horizon": "x"}, {"horizon": -1.0},
+        {"horizon": float("nan")}, {"cfl": 0.0}, {"cfl": None},
+        {"dt": -1.0}, {"dt": "0.1"}])
     def test_rejects_mistyped_values(self, coeff, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(coeff=coeff, **bad)
+
+    def test_rejects_bump_center_outside_domain(self):
+        with pytest.raises(ValueError, match="x0 = 1.5"):
+            RunConfig(coeff=CoefficientField(x0=1.5))
+
+    def test_zero_horizon_accepted(self, coeff):
+        assert RunConfig(coeff=coeff, horizon=0.0).t_end() == 0.0
 
     def test_horizon_capped_by_tau(self, coeff):
         cfg = RunConfig(coeff=coeff, tau0=1.0, taudot=40.0)
@@ -198,6 +215,21 @@ class TestRunWithEnergy:
         assert trace.aborted
         assert len(trace.breakdowns) >= 1
         assert "non-finite" in trace.abort_reason
+
+    def test_initial_symmetrizer_reused_for_first_record(self, coeff,
+                                                        monkeypatch):
+        built = []
+
+        class Counting(Symmetrizer):
+            def __post_init__(self):
+                built.append(self.t)
+                super().__post_init__()
+
+        monkeypatch.setattr(solver_module, "Symmetrizer", Counting)
+        cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0)
+        trace = run_with_energy(cfg)
+        # one build for the normalisation and t = 0, one per later record
+        assert built == [0.0] + list(trace.times[1:])
 
     def test_trace_rows_deterministic(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=4, taudot=1.0)
