@@ -9,8 +9,8 @@ composition remainders) the construction rests on.
 
 from .spectral import Grid, bracket
 from .symbols import CoefficientField, PhaseMetric, SymbolB
-from .quantize import (QuantizedOperator, SymbolField, compose_remainder,
-                       dequantize, invert_b, operator_norm, quantize,
+from .quantize import (SymbolField, compose_remainder, dequantize,
+                       hermiticity_defect, invert_b, operator_norm, quantize,
                        sample_symbol, sample_symbol_b)
 from .energy import (EnergyBreakdown, Symmetrizer, conjugated_matrix,
                      dt_energy_breakdown, e1, energy, garding_sign_probe,

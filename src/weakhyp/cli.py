@@ -11,8 +11,8 @@ Scenario files are JSON with a "kind", an "output_dir" and a "config"
 section; unknown config keys are rejected (exit 2) since a silently
 ignored sigma or c would invalidate a run.  Exit codes: 0 all embedded
 assertions passed, 1 an assertion failed (failures.json written),
-2 the scenario did not validate.  The WEAKHYP_WORKERS environment
-variable bounds the pool used when several scenario files are given.
+2 the scenario did not validate.  Every config value is type- and
+range-checked before any work starts.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from . import audits, cjs
 from .constraints import constraint_table, minimal_feasible_sigma
+from .quantize import (SymbolField, hermiticity_defect, invert_b,
+                       operator_norm, quantize, sample_symbol_b)
 from .reporting import write_csv, write_json
 from .solver import NonlinearityF, RunConfig, measure_tau_threshold, run_with_energy
+from .spectral import Grid
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
@@ -66,11 +68,44 @@ class Scenario:
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
     unknown = set(section) - set(allowed)
     if unknown:
         raise ScenarioError(
             f"unknown keys in {where}: {', '.join(sorted(unknown))}"
         )
+
+
+def _real(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
+def _int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+# (predicate, what it asks for) of a config value
+REAL = (_real, "a finite real")
+NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a finite real >= 0")
+POSITIVE = (lambda v: _real(v) and v > 0, "a finite real > 0")
+COUNT = (lambda v: _int(v) and v >= 0, "an int >= 0")
+BOOL = (lambda v: isinstance(v, bool), "true or false")
+RATE = (lambda v: v is None or v == "auto" or NONNEGATIVE[0](v),
+        '"auto", null or a finite real >= 0')
+
+
+def _check_config(section: dict, rules: dict) -> None:
+    """Reject unknown keys and present values that break their rule.
+
+    `rules` maps every allowed key to a rule, or to None where the
+    object built from the value validates it.
+    """
+    _check_keys(section, rules, "config")
+    for key, rule in rules.items():
+        if rule and key in section and not rule[0](section[key]):
+            raise ScenarioError(f"{key} = {section[key]!r} must be {rule[1]}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -98,18 +133,30 @@ def _coeff_from_config(section: Optional[dict]) -> CoefficientField:
         raise ScenarioError(f"config.coeff: {err}") from err
 
 
-ENERGY_KEYS = {
-    "n", "length", "sigma", "c", "tau0", "taudot", "taudot_factor",
-    "nonlinear", "f21_zero", "packet_xi", "packet_width",
-    "packet_component", "sample_stride", "horizon", "coeff",
-    "assert_max_ratio",
+def _symbol_b(cfg_raw: dict, default_c: float) -> SymbolB:
+    """The weight b of an audit scenario's `coeff` and `c` keys."""
+    coeff = _coeff_from_config(cfg_raw.get("coeff"))
+    try:
+        return SymbolB(coeff, c=cfg_raw.get("c", default_c))
+    except ValueError as err:
+        raise ScenarioError(str(err)) from err
+
+
+# RunConfig validates the keys without a rule
+ENERGY_RULES = dict.fromkeys(
+    ("n", "length", "sigma", "c", "tau0", "packet_xi", "packet_width",
+     "packet_component", "sample_stride", "horizon", "coeff")) | {
+    "taudot": RATE, "taudot_factor": RATE,
+    "nonlinear": BOOL, "f21_zero": BOOL,
+    "assert_max_ratio": (lambda v: v is None or _real(v),
+                         "null or a finite real"),
 }
 
 
 def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
-    _check_keys(cfg_raw, ENERGY_KEYS, "config")
+    _check_config(cfg_raw, ENERGY_RULES)
     coeff = _coeff_from_config(cfg_raw.get("coeff"))
-    # the RunConfig fields among ENERGY_KEYS are passed through as given
+    # the RunConfig fields among the keys are passed through as given
     passed = {f.name for f in fields(RunConfig)} - {"coeff", "taudot"}
     kwargs = {k: v for k, v in cfg_raw.items() if k in passed}
     kwargs["coeff"] = coeff
@@ -122,13 +169,6 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
 
     taudot = cfg_raw.get("taudot")
     factor = cfg_raw.get("taudot_factor")
-    for key, value in (("taudot", taudot), ("taudot_factor", factor)):
-        if value is not None and value != "auto" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value) or value < 0):
-            raise ScenarioError(
-                f"{key} = {value!r} must be \"auto\", null or a finite real >= 0"
-            )
     threshold = None
     if taudot is None or taudot == "auto":
         threshold = measure_tau_threshold(cfg)
@@ -157,13 +197,17 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     return failures
 
 
+AUDIT_RULES = {"c": REAL, "t": NONNEGATIVE, "coeff": None}
+ORDERS = (lambda v: isinstance(v, list) and all(
+    isinstance(o, list) and len(o) == 2 and all(map(COUNT[0], o))
+    and sum(o) <= 4 for o in v),
+    "a list of [alpha, beta] pairs of ints >= 0 with alpha + beta <= 4")
+
+
 def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
-    _check_keys(cfg_raw, {"c", "t", "orders", "coeff"}, "config")
-    coeff = _coeff_from_config(cfg_raw.get("coeff"))
-    try:
-        sb = SymbolB(coeff, c=cfg_raw.get("c", 1.0))
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
+    _check_config(cfg_raw, AUDIT_RULES | {"orders": ORDERS})
+    sb = _symbol_b(cfg_raw, 1.0)
+    coeff = sb.coeff
     t = cfg_raw.get("t", 0.0)
     orders = [tuple(o) for o in cfg_raw.get("orders",
                                             [[0, 0], [1, 0], [0, 1], [2, 0],
@@ -178,15 +222,15 @@ def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
             for r in reports if not r.passed]
 
 
+METRIC_RULES = AUDIT_RULES | {
+    "n_pairs": (lambda v: _int(v) and v >= 1, "an int >= 1"),
+    "xi_max": POSITIVE, "seed": COUNT,
+}
+
+
 def _run_metric_audit(cfg_raw: dict, out: str) -> list:
-    _check_keys(cfg_raw, {"c", "t", "n_pairs", "xi_max", "seed", "coeff"},
-                "config")
-    coeff = _coeff_from_config(cfg_raw.get("coeff"))
-    try:
-        sb = SymbolB(coeff, c=cfg_raw.get("c", 1.0))
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
-    pm = PhaseMetric(sb)
+    _check_config(cfg_raw, METRIC_RULES)
+    pm = PhaseMetric(_symbol_b(cfg_raw, 1.0))
     kwargs = {k: cfg_raw[k] for k in ("t", "n_pairs", "xi_max", "seed")
               if k in cfg_raw}
     reports = audits.metric_admissibility_audit(pm, **kwargs)
@@ -198,25 +242,22 @@ def _run_metric_audit(cfg_raw: dict, out: str) -> list:
             for r in records if not r["pass"]]
 
 
-def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
-    from .quantize import (SymbolField, invert_b, operator_norm, quantize,
-                           sample_symbol_b)
-    from .spectral import Grid
+QUANTIZER_RULES = AUDIT_RULES | {
+    "sizes": (lambda v: isinstance(v, list) and len(v) > 0 and all(
+        _int(n) and n > 0 and n & (n - 1) == 0 for n in v),
+        "a non-empty list of positive power-of-two ints"),
+    "dump_matrices": BOOL,
+}
 
-    _check_keys(cfg_raw, {"c", "t", "sizes", "coeff", "dump_matrices"},
-                "config")
-    coeff = _coeff_from_config(cfg_raw.get("coeff"))
-    c = cfg_raw.get("c", 0.5)
-    try:
-        sb = SymbolB(coeff, c=c)
-    except ValueError as err:
-        raise ScenarioError(str(err)) from err
+
+def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
+    _check_config(cfg_raw, QUANTIZER_RULES)
+    sb = _symbol_b(cfg_raw, 0.5)
+    coeff = sb.coeff
     t = cfg_raw.get("t", 0.0)
     sizes = cfg_raw.get("sizes", [128, 256])
-    dump = bool(cfg_raw.get("dump_matrices", False))
+    dump = cfg_raw.get("dump_matrices", False)
     records = []
-    failures = []
-
     comp_norms = []
     for n in sizes:
         grid = Grid(n, 1.0, coeff.x0)
@@ -224,12 +265,12 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
         B = quantize(bf)
         if dump:
             # raw row-major complex doubles, little-endian
-            B.matrix.astype("<c16").tofile(os.path.join(out, f"op_b_n{n}.bin"))
-        herm = B.hermiticity_defect()
+            B.astype("<c16").tofile(os.path.join(out, f"op_b_n{n}.bin"))
+        herm = hermiticity_defect(B)
         records.append({"check": f"hermiticity_n{n}", "constant": herm,
                         "pass": herm <= 1e-10})
-        R = B.matrix @ B.matrix - quantize(
-            SymbolField(grid, bf.samples**2, time=t, label="b^2")).matrix
+        R = B @ B - quantize(
+            SymbolField(grid, bf.samples**2, time=t, label="b^2"))
         comp_norms.append(operator_norm(R))
         records.append({"check": f"compose_norm_n{n}",
                         "constant": comp_norms[-1], "pass": True})
@@ -243,23 +284,29 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
                     "pass": defects[0] >= defects[1] >= defects[2],
                     "defects": defects})
     write_json(os.path.join(out, "quantizer.json"), {"records": records})
-    failures.extend({"check": r["check"], "detail": "failed"}
-                    for r in records if not r["pass"])
-    return failures
+    return [{"check": r["check"], "detail": "failed"}
+            for r in records if not r["pass"]]
+
+
+CJS_PROFILES = {"linear": cjs.coefficient_linear,
+                "parabola": cjs.coefficient_parabola,
+                "constant": cjs.coefficient_constant}
+CJS_RULES = {
+    "profile": (lambda v: isinstance(v, str) and v in CJS_PROFILES,
+                "one of " + ", ".join(CJS_PROFILES)),
+    "k": (lambda v: v is None or COUNT[0](v), "null or an int >= 0"),
+    "xi_ladder": (lambda v: isinstance(v, list) and len(v) >= 6
+                  and all(map(POSITIVE[0], v)),
+                  "a list of at least 6 finite reals > 0"),
+    "t_final": POSITIVE,
+}
 
 
 def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
-    _check_keys(cfg_raw, {"profile", "k", "xi_ladder", "t_final"}, "config")
+    _check_config(cfg_raw, CJS_RULES)
     profile = cfg_raw.get("profile", "linear")
-    makers = {"linear": cjs.coefficient_linear,
-              "parabola": cjs.coefficient_parabola,
-              "constant": cjs.coefficient_constant}
-    if profile not in makers:
-        raise ScenarioError(f"unknown cjs profile {profile!r}")
-    tc = makers[profile]()
+    tc = CJS_PROFILES[profile]()
     ladder = cfg_raw.get("xi_ladder", [2**j for j in range(4, 11)])
-    if len(ladder) < 6:
-        raise ScenarioError("xi_ladder needs at least 6 frequencies")
     T = cfg_raw.get("t_final", 1.0)
     fit = cjs.growth_exponent_fit(tc, ladder, T, k=cfg_raw.get("k"))
     budget = 2.0 / (fit["k"] + 2.0) + 0.05
@@ -280,8 +327,8 @@ def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
 
 
 def _run_constraint_table(cfg_raw: dict, out: str) -> list:
-    _check_keys(cfg_raw, {"sigma_min", "sigma_max", "step", "nu", "f21_zero"},
-                "config")
+    _check_config(cfg_raw, {"sigma_min": None, "sigma_max": None,
+                            "step": None, "nu": COUNT, "f21_zero": BOOL})
     try:
         records = constraint_table(
             str(cfg_raw.get("sigma_min", "0.3")),
@@ -341,13 +388,7 @@ def _cmd_run(args) -> int:
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    workers = int(os.environ.get("WEAKHYP_WORKERS", "1"))
-    if workers > 1 and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(run_scenario, scenarios))
-    else:
-        codes = [run_scenario(s) for s in scenarios]
-    return max(codes)
+    return max(run_scenario(s) for s in scenarios)
 
 
 def _cmd_table(args) -> int:
@@ -378,7 +419,7 @@ def _cmd_cjs(args) -> int:
     if args.k is not None:
         config["k"] = args.k
     if args.xi_ladder:
-        config["xi_ladder"] = [float(v) for v in args.xi_ladder.split(",")]
+        config["xi_ladder"] = args.xi_ladder
     scenario = Scenario(kind="cjs_sweep", config=config, output_dir=args.out)
     return run_scenario(scenario)
 
@@ -413,7 +454,9 @@ def main(argv=None) -> int:
 
     p_cjs = sub.add_parser("cjs", help="scalar-mode growth sweep")
     p_cjs.add_argument("--k", type=int, default=None)
-    p_cjs.add_argument("--xi-ladder", default="")
+    # a ValueError here is argparse's usage error, exit 2
+    p_cjs.add_argument("--xi-ladder", default=None,
+                       type=lambda s: [float(v) for v in s.split(",")])
     p_cjs.add_argument("--profile", default="linear",
                        choices=["linear", "parabola", "constant"])
     p_cjs.add_argument("--t-final", type=float, default=1.0)

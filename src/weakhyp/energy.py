@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Grid, bracket, gevrey_multiplier
-from .quantize import QuantizedOperator, SymbolField, quantize
+from .quantize import SymbolField, operator_norm, quantize
 from .symbols import SymbolB
 
 __all__ = [
@@ -47,7 +47,7 @@ def weight_values(grid: Grid, values: np.ndarray, tau: float, sigma: float,
 
 @dataclass
 class Symmetrizer:
-    """diag(1, op(b)) at a fixed time, with the op(b) block assembled.
+    """diag(1, op(b)) at a fixed time; `b_matrix` is the op(b) kernel.
 
     b(t, x, xi) = (a(t, x) + <xi>^(-c))^(-1/2) depends on x only through
     the value a(t, x), and dt b = -1/2 dt_a b^3 only through the pair
@@ -73,15 +73,7 @@ class Symmetrizer:
         b = self.sb.b(self.t, x2[first][:, None], self.grid.xi[None, :])
         self._b_field = SymbolField(self.grid, b.astype(complex), time=self.t,
                                     label="b", rows=rows.reshape(-1))
-        self._op_b = quantize(self._b_field)
-
-    @property
-    def op_b(self) -> QuantizedOperator:
-        return self._op_b
-
-    @property
-    def b_matrix(self) -> np.ndarray:
-        return self._op_b.matrix
+        self.b_matrix = quantize(self._b_field)
 
     def dt_b_matrix(self) -> np.ndarray:
         """op(d/dt b) from the analytic derivative dt_b = -1/2 dt_a b^3.
@@ -95,10 +87,7 @@ class Symmetrizer:
         samples = -0.5 * self._dt_a[:, None] * b_real ** 3
         return quantize(SymbolField(self.grid, samples, time=self.t,
                                     label="dt b",
-                                    rows=self._b_field.rows)).matrix
-
-    def hermiticity_defect(self) -> float:
-        return self._op_b.hermiticity_defect()
+                                    rows=self._b_field.rows))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part of op(b)."""
@@ -233,7 +222,7 @@ def garding_sign_probe(state, sym: Symmetrizer, tau: float,
     dta = np.maximum(np.asarray(sym.sb.coeff.dt_a(sym.t, x), dtype=float), 0.0)
     g_samples = np.sqrt(dta) * sym.sb.b(sym.t, x, xi)
     G = quantize(SymbolField(grid, g_samples.astype(complex), time=sym.t,
-                             label="sqrt(dt a) b")).matrix
+                             label="sqrt(dt a) b"))
     w = sym.b_matrix @ v2
     return float(np.real(grid.inner(G @ (G @ w), w)))
 
@@ -254,8 +243,6 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
     under refinement reflects the extra frequency decay of the
     remainder.
     """
-    from .quantize import operator_norm
-
     coeff = sb.coeff
     results = []
     for n in ns:
@@ -268,7 +255,7 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
         s1 = (tau / (2.0j * np.pi)) * (sigma * xi * bracket(xi) ** (sigma - 2.0)
                                        ) * coeff.dx_a(t, x)
         op_s1 = quantize(SymbolField(grid, s1.astype(complex), time=t,
-                                     label="subprincipal")).matrix
+                                     label="subprincipal"))
         mask = (np.abs(grid.xi) >= grid.xi_max / 2.0).astype(float)
         F = np.fft.fft(np.eye(n), axis=0, norm="ortho")
         P = F.conj().T @ (mask[:, None] * F)

@@ -15,6 +15,17 @@ midpoint the kernel formula is a single inverse FFT in the difference
 variable.  x-independent symbols reduce exactly to Fourier multipliers
 and x-only symbols to pointwise multiplication.
 
+Every symbol field carries a row map: `samples` holds u rows, shape
+(u, n), and `rows` maps each of the 2n doubled-lattice points to its
+sample row, so the field stands for the full (2n, n) field
+`samples[rows]`.  By default u = 2n and `rows` is the identity.
+Symbols that depend on x only through a few values, such as b through
+a(t, x), store far fewer rows than the lattice has points; the inverse
+FFT then runs over the u stored rows only, and the gather reads row
+`rows[m]` for midpoint m, which gives the kernel of the expanded field
+bit for bit.  `quantize` returns that kernel as a plain (n, n) complex
+array.
+
 De-quantization inverts the kernel formula along the (midpoint,
 difference) slots, FFT in x - y.  The slot map (i, j) <-> (m, d) is a
 bijection, so `quantize(dequantize(K)) == K` holds for every matrix
@@ -24,18 +35,9 @@ its own parity, and the unobserved components are filled from a
 caller-supplied prior symbol (zero if absent), which keeps
 `dequantize(quantize(p), prior=p) == p` exact.
 
-The index maps of the (i, j) <-> (m, d) slot map depend on n only; they
-are built once per n and cached (read-only) for every later `quantize`
-and `dequantize` at that size.
-
-A symbol field may be row-mapped: it then stores only its u distinct
-midpoint rows, samples of shape (u, n), plus `rows`, which maps each of
-the 2n doubled-lattice points to its sample row.  The field stands for
-the full (2n, n) field `samples[rows]`, and `quantize` gives the same
-kernel for both, bit for bit: the inverse FFT runs over the u stored
-rows only and the gather reads row `rows[m]` for midpoint m.  Symbols
-that depend on x only through a few values, such as b through a(t, x),
-need far fewer rows than the lattice has points.
+The index maps of the slot map depend on n only; they are built once
+per n and cached (read-only) for every later `quantize` and
+`dequantize` at that size.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ from .symbols import SymbolB
 
 __all__ = [
     "SymbolField",
-    "QuantizedOperator",
     "sample_symbol",
     "quantize",
     "dequantize",
+    "hermiticity_defect",
     "multiplier_matrix",
     "multiplication_matrix",
     "operator_norm",
@@ -73,8 +75,9 @@ KOHN_NIRENBERG = "kohn_nirenberg"
 class SymbolField:
     """Symbol samples on the doubled (2n, n) phase-space lattice.
 
-    With `rows` given, `samples` holds u distinct rows, shape (u, n),
-    and the doubled-lattice point m carries the row `samples[rows[m]]`.
+    `samples` holds u rows, shape (u, n), and the doubled-lattice point
+    m carries the row `samples[rows[m]]`; `rows` defaults to the
+    identity map of a full (2n, n) field.
     """
 
     grid: Grid
@@ -86,50 +89,24 @@ class SymbolField:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
         n = self.grid.n
-        if self.rows is None:
-            expected = (2 * n, n)
-        else:
-            rows = np.asarray(self.rows)
-            if rows.shape != (2 * n,) or not np.issubdtype(rows.dtype,
-                                                           np.integer):
-                raise ValueError(
-                    f"rows must be an int array of shape {(2 * n,)}, "
-                    f"got {rows.dtype} {rows.shape}"
-                )
-            u = self.samples.shape[0] if self.samples.ndim else 0
-            if rows.min() < 0 or rows.max() >= u:
-                raise ValueError(f"rows must lie in [0, {u}), got "
-                                 f"[{rows.min()}, {rows.max()}]")
-            self.rows = rows.astype(np.intp)
-            expected = (u, n)
-        if self.samples.shape != expected:
+        rows = np.asarray(self.rows if self.rows is not None
+                          else np.arange(2 * n))
+        if rows.shape != (2 * n,) or not np.issubdtype(rows.dtype, np.integer):
             raise ValueError(
-                f"samples have shape {self.samples.shape}, expected {expected}"
+                f"rows must be an int array of shape {(2 * n,)}, "
+                f"got {rows.dtype} {rows.shape}"
+            )
+        u = self.samples.shape[0] if self.samples.ndim else 0
+        if rows.min() < 0 or rows.max() >= u:
+            raise ValueError(f"rows must lie in [0, {u}), got "
+                             f"[{rows.min()}, {rows.max()}]")
+        self.rows = rows.astype(np.intp)
+        if self.samples.shape != (u, n):
+            raise ValueError(
+                f"samples have shape {self.samples.shape}, expected {(u, n)}"
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"symbol '{self.label}' has non-finite samples")
-
-
-@dataclass
-class QuantizedOperator:
-    """Dense matrix realization of op(p) on the grid."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got {self.matrix.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        scale = np.linalg.norm(self.matrix)
-        if scale == 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T) / scale)
 
 
 def sample_symbol(grid: Grid, fn, time: float = 0.0,
@@ -142,15 +119,12 @@ def sample_symbol(grid: Grid, fn, time: float = 0.0,
                        time=time, label=label)
 
 
-def sample_symbol_b(sb: SymbolB, grid: Grid, t: float, power: int = 1,
-                    label: Optional[str] = None) -> SymbolField:
-    """Sample b(t, x, xi)^power on the doubled lattice."""
+def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
+    """Sample b(t, x, xi) on the doubled lattice."""
     x = grid.x_doubled[:, None]
     xi = grid.xi[None, :]
-    values = sb.b(t, x, xi) ** power
-    if label is None:
-        label = "b" if power == 1 else f"b^{power}"
-    return SymbolField(grid, values.astype(complex), time=t, label=label)
+    return SymbolField(grid, sb.b(t, x, xi).astype(complex), time=t,
+                       label="b")
 
 
 def _wrapped_difference(n: int):
@@ -171,74 +145,66 @@ def _wrapped_difference(n: int):
     return D0, Dstar, Mstar
 
 
-class _WeylGather(NamedTuple):
-    """Cached index maps of `_wrapped_difference(n)`, flattened.
+class _SlotMap(NamedTuple):
+    """The (midpoint, difference) slot of every kernel entry.
 
-    `index[i, j] = m* * n + d0` addresses the ravelled (2n, n)
-    difference profiles; `anti` holds the flat kernel positions of the
-    antipodal column d0 = n/2 and `anti_alt` the profile slot of their
-    other torus midpoint m* + n.
+    Entry (i, j) reads slot (mid[i, j], diff[i, j]) = (m*, d0) of the
+    (2n, n) difference profiles.  `anti` holds the flat kernel
+    positions of the antipodal column d0 = n/2 and `anti_mid` the other
+    torus midpoint m* + n of each.
     """
 
-    index: np.ndarray
+    mid: np.ndarray
+    diff: np.ndarray
     anti: np.ndarray
-    anti_alt: np.ndarray
+    anti_mid: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _weyl_gather(n: int) -> _WeylGather:
+def _slot_map(n: int) -> _SlotMap:
     D0, _, Mstar = _wrapped_difference(n)
-    anti = D0 == n // 2
-    gather = _WeylGather(
-        index=(Mstar * n + D0).astype(np.intp),
-        anti=np.flatnonzero(anti),
-        anti_alt=((Mstar[anti] + n) % (2 * n)) * n + n // 2,
-    )
-    for arr in gather:
+    anti = np.flatnonzero(D0 == n // 2)
+    # numpy gathers fastest through intp indices, so mid is intp; the
+    # Weyl path only adds diff (d0 < n), whose int32 halves its memory
+    slots = _SlotMap(mid=Mstar.astype(np.intp), diff=D0.astype(np.int32),
+                     anti=anti,
+                     anti_mid=(Mstar.reshape(-1)[anti] + n) % (2 * n))
+    for arr in slots:
         arr.setflags(write=False)
-    return gather
+    return slots
 
 
-@functools.lru_cache(maxsize=4)
-def _row_gather(n: int):
-    """The parts (m*, d0) of `_weyl_gather(n).index`, read-only.
+def quantize(p: SymbolField, mode: str = WEYL) -> np.ndarray:
+    """The dense (n, n) kernel of op(p).
 
-    Only row-mapped fields need them, so sizes that never quantize one
-    never hold these two extra (n, n) index arrays.
-    """
-    parts = np.divmod(_weyl_gather(n).index, n)
-    for arr in parts:
-        arr.setflags(write=False)
-    return parts
-
-
-def quantize(p: SymbolField, mode: str = WEYL) -> QuantizedOperator:
-    """Assemble the dense kernel of op(p).
-
-    A row-mapped field is transformed on its stored rows only; the
+    The inverse FFT runs over the stored rows of the field only; the
     kernel equals that of the expanded field `samples[rows]`.
     """
     n = p.grid.n
-    g = _weyl_gather(n)
+    g = _slot_map(n)
     if mode == WEYL:
         c = np.fft.ifft(p.samples, axis=1).reshape(-1)
-        if p.rows is None:
-            index, alt = g.index, g.anti_alt
-        else:
-            mid, diff = _row_gather(n)
-            index = p.rows[mid] * n + diff
-            alt = p.rows[g.anti_alt // n] * n + n // 2
+        # flat slot rows[m*] * n + d0, built in place
+        index = p.rows[g.mid]
+        index *= n
+        index += g.diff
         K = c[index]
         Kf = K.reshape(-1)
-        Kf[g.anti] = 0.5 * (Kf[g.anti] + c[alt])
+        Kf[g.anti] = 0.5 * (Kf[g.anti] + c[p.rows[g.anti_mid] * n + n // 2])
     elif mode == KOHN_NIRENBERG:
-        kn = p.samples[::2] if p.rows is None else p.samples[p.rows[::2]]
-        c = np.fft.ifft(kn, axis=1)
-        # index % n recovers the difference residue d0
-        K = c[np.arange(n)[:, None], g.index % n]
+        c = np.fft.ifft(p.samples[p.rows[::2]], axis=1)
+        K = c[np.arange(n)[:, None], g.diff]
     else:
         raise ValueError(f"unknown quantization mode {mode!r}")
-    return QuantizedOperator(K)
+    return K
+
+
+def hermiticity_defect(K: np.ndarray) -> float:
+    """Relative Frobenius distance ||K - K*|| / ||K|| of a kernel."""
+    scale = np.linalg.norm(K)
+    if scale == 0.0:
+        return 0.0
+    return float(np.linalg.norm(K - K.conj().T) / scale)
 
 
 def dequantize(matrix: np.ndarray, grid: Grid,
@@ -272,21 +238,24 @@ def dequantize(matrix: np.ndarray, grid: Grid,
         c = np.fft.ifft(prior, axis=1)
     else:
         c = np.zeros((2 * n, n), dtype=complex)
-    g = _weyl_gather(n)
+    g = _slot_map(n)
     cf = c.reshape(-1)
-    cf[g.index] = matrix
+    cf[g.mid * n + g.diff] = matrix
     mf = matrix.reshape(-1)
     # the transpose of flat position i * n + j is j * n + i
     anti_t = (g.anti % n) * n + g.anti // n
     sym = 0.5 * (mf[g.anti] + mf[anti_t])
-    cf[g.index.reshape(-1)[g.anti]] = sym
-    cf[g.anti_alt] = sym
+    cf[g.mid.reshape(-1)[g.anti] * n + n // 2] = sym
+    cf[g.anti_mid * n + n // 2] = sym
     if prior is None:
         m_idx = np.arange(2 * n)[:, None]
         r_idx = np.arange(n)[None, :]
         unseen = (m_idx % 2) != (r_idx % 2)
-        fill = 0.5 * (np.roll(c, 1, axis=0) + np.roll(c, -1, axis=0))
-        c[unseen] = fill[unseen]
+        # in place and masked: no (2n, n) sum or masked copy is allocated
+        fill = np.roll(c, 1, axis=0)
+        fill += np.roll(c, -1, axis=0)
+        fill *= 0.5
+        np.copyto(c, fill, where=unseen)
     return SymbolField(grid, np.fft.fft(c, axis=1), time=time, label=label)
 
 
@@ -315,7 +284,7 @@ def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200,
     orthonormal block is iterated and the top Rayleigh-Ritz value
     tracked until its relative change falls below `tol`.
     """
-    A = matrix.matrix if isinstance(matrix, QuantizedOperator) else np.asarray(matrix)
+    A = np.asarray(matrix)
     n = A.shape[0]
     block = min(block, n)
     rng = np.random.default_rng(seed)
@@ -383,11 +352,11 @@ def compose_remainder(p1: SymbolField, p2: SymbolField, order: int = 1,
     if p1.grid is not p2.grid and p1.grid != p2.grid:
         raise ValueError("symbols live on different grids")
     g = p1.grid
-    Q1 = quantize(p1, mode).matrix
-    Q2 = quantize(p2, mode).matrix
+    Q1 = quantize(p1, mode)
+    Q2 = quantize(p2, mode)
     prod = SymbolField(g, p1.samples * p2.samples, time=p1.time,
                        label=f"({p1.label})*({p2.label})")
-    R0 = Q1 @ Q2 - quantize(prod, mode).matrix
+    R0 = Q1 @ Q2 - quantize(prod, mode)
     norms = {"R0": operator_norm(R0, tol=tol, max_iter=max_iter)}
     residuals = {"R0": R0}
     if order >= 1:
@@ -398,7 +367,7 @@ def compose_remainder(p1: SymbolField, p2: SymbolField, order: int = 1,
                     * _dx_samples(g, p2.samples)) / (2.0j * np.pi)
         R1 = R0 - quantize(SymbolField(g, corr, time=p1.time,
                                        label="order-1 correction"),
-                           mode).matrix
+                           mode)
         residuals["R1"] = R1
         norms["R1"] = operator_norm(R1, tol=tol, max_iter=max_iter)
     ratio = norms.get("R1", np.nan) / norms["R0"] if norms["R0"] > 0 else 0.0
@@ -419,18 +388,18 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid, mode: str = WEYL):
         raise ValueError(f"nu must be in 0..6, got {nu}")
     b_field = sample_symbol_b(sb, grid, t)
     b_samples = b_field.samples
-    B = quantize(b_field, mode).matrix
+    B = quantize(b_field, mode)
     eye = np.eye(grid.n, dtype=complex)
     c = 1.0 / b_samples
 
     def defect_of(c_samples):
-        Q = quantize(SymbolField(grid, c_samples, time=t, label="c"), mode).matrix
+        Q = quantize(SymbolField(grid, c_samples, time=t, label="c"), mode)
         return operator_norm(B @ Q - eye)
 
     defects = [defect_of(c)]
     for k in range(1, nu + 1):
         M = B @ quantize(SymbolField(grid, c, time=t, label=f"c_{k-1}"),
-                         mode).matrix
+                         mode)
         s = dequantize(M, grid, time=t, label=f"b#c_{k-1}").samples
         c = c + (1.0 - s) / b_samples
         defects.append(defect_of(c))

@@ -18,12 +18,12 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import Grid
+from .spectral import DEFAULT_MAX_EXPONENT, Grid, bracket
 from .symbols import CoefficientField, SymbolB
 from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
@@ -180,8 +180,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ValueError(f"{name} = {value!r} must be positive")
-        if self.horizon is not None and self.horizon < 0.0:
-            raise ValueError(f"horizon = {self.horizon!r} must be >= 0")
+        for name in ("tau0", "horizon"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
+                raise ValueError(f"{name} = {value!r} must be >= 0")
         if self.c is None:
             self.c = 2.0 * (1.0 - self.sigma)
         if not (0.0 < self.sigma < 1.0):
@@ -210,7 +212,14 @@ class RunConfig:
                     "coefficient support diameter exceeds half the period; "
                     "wrap-around would not be negligible"
                 )
-        self.grid  # the bump center must lie inside the domain
+        # the bump center must lie inside the domain, and the largest
+        # Gevrey weight exp(tau0 <xi_max>^sigma) must stay below the cap
+        exponent = self.tau0 * float(bracket(self.grid.xi_max)) ** self.sigma
+        if exponent > DEFAULT_MAX_EXPONENT:
+            raise ValueError(
+                f"tau0 * <xi_max>^sigma = {exponent:.4g} exceeds the Gevrey "
+                f"weight cap {DEFAULT_MAX_EXPONENT:g}; lower n, sigma or tau0"
+            )
         if self.nonlinearity is None:
             self.nonlinearity = (NonlinearityF.zero() if self.coeff is None
                                  else NonlinearityF.wave_default(self.coeff))
@@ -258,24 +267,11 @@ class RunConfig:
         ).hexdigest()[:16]
 
     def describe(self) -> dict:
-        d = {
-            "n": self.n, "length": self.length, "sigma": self.sigma,
-            "c": self.c, "tau0": self.tau0, "taudot": self.taudot,
-            "f21_zero": self.f21_zero, "cfl": self.cfl, "dt": self.dt,
-            "horizon": self.horizon, "sample_stride": self.sample_stride,
-            "packet_xi": self.packet_xi, "packet_width": self.packet_width,
-            "packet_component": self.packet_component,
-            "normalize_energy": self.normalize_energy,
-            "nonlinear": not self.nonlinearity.is_zero(),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("coeff", "nonlinearity")}
+        d["nonlinear"] = not self.nonlinearity.is_zero()
         if self.coeff is not None:
-            d["coeff"] = {
-                "x0": self.coeff.x0, "r": self.coeff.r,
-                "r_outer": self.coeff.r_outer, "T": self.coeff.T,
-                "T_outer": self.coeff.T_outer,
-                "sigma_coeff": self.coeff.sigma_coeff,
-                "radius_R": self.coeff.radius_R,
-            }
+            d["coeff"] = asdict(self.coeff)
         return d
 
 

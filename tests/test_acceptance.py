@@ -18,9 +18,10 @@ from weakhyp.cjs import (coefficient_linear, coefficient_parabola,
 from weakhyp.constraints import constraint_table, minimal_feasible_sigma
 from weakhyp.energy import (Symmetrizer, garding_sign_probe,
                             subprincipal_refinement)
-from weakhyp.quantize import (SymbolField, invert_b, multiplication_matrix,
-                              multiplier_matrix, operator_norm, quantize,
-                              sample_symbol, sample_symbol_b)
+from weakhyp.quantize import (SymbolField, hermiticity_defect, invert_b,
+                              multiplication_matrix, multiplier_matrix,
+                              operator_norm, quantize, sample_symbol,
+                              sample_symbol_b)
 from weakhyp.solver import (NonlinearityF, RunConfig, SystemState,
                             measure_tau_threshold, run_with_energy, step_rk4,
                             verify_breakdown_identity)
@@ -182,7 +183,7 @@ def test_criterion_7_quantizer_properties():
     # Hermiticity of the Weyl-quantized symmetrizer weight
     sb1 = SymbolB(coeff, c=1.0)
     g = Grid(256, 1.0, coeff.x0)
-    herm = quantize(sample_symbol_b(sb1, g, 0.0)).hermiticity_defect()
+    herm = hermiticity_defect(quantize(sample_symbol_b(sb1, g, 0.0)))
     herm_ok = herm <= 1e-10
     details.append(f"hermiticity {herm:.2e}")
 
@@ -190,11 +191,11 @@ def test_criterion_7_quantizer_properties():
     g64 = Grid(64, 1.0, coeff.x0)
     mv = bracket(g64.xi) ** 0.5
     dm = np.abs(quantize(sample_symbol(
-        g64, lambda x, xi: bracket(xi) ** 0.5 + 0 * x)).matrix
+        g64, lambda x, xi: bracket(xi) ** 0.5 + 0 * x))
         - multiplier_matrix(g64, mv)).max()
     qv = coeff.chi(g64.x) + 0.5
     dq = np.abs(quantize(sample_symbol(
-        g64, lambda x, xi: coeff.chi(x) + 0.5 + 0 * xi)).matrix
+        g64, lambda x, xi: coeff.chi(x) + 0.5 + 0 * xi))
         - multiplication_matrix(qv)).max()
     red_ok = dm < 1e-12 and dq < 1e-12
     details.append(f"reductions {dm:.1e}/{dq:.1e}")
@@ -205,8 +206,8 @@ def test_criterion_7_quantizer_properties():
     for n in (128, 256):
         gg = Grid(n, 1.0, coeff.x0)
         bf = sample_symbol_b(sb_half, gg, 0.0)
-        R = quantize(bf).matrix @ quantize(bf).matrix - quantize(
-            SymbolField(gg, bf.samples**2, label="b^2")).matrix
+        R = quantize(bf) @ quantize(bf) - quantize(
+            SymbolField(gg, bf.samples**2, label="b^2"))
         norms.append(operator_norm(R))
     comp_ok = norms[1] < norms[0]
     details.append(f"|op(b)^2-op(b^2)|: {norms[0]:.3e} -> {norms[1]:.3e}")

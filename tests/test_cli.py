@@ -16,6 +16,38 @@ def _write_scenario(path, payload):
     return str(path)
 
 
+def _run_cli(tmp_path, kind, config):
+    """`weakhyp run` on a one-scenario file, in a fresh interpreter."""
+    path = _write_scenario(tmp_path / "s.json",
+                           {"kind": kind, "config": config,
+                            "output_dir": str(tmp_path / "out")})
+    src = os.path.dirname(os.path.dirname(weakhyp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "weakhyp.cli", "run", path],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+# invalid values of the non-energy scenario kinds, one key each
+BAD_VALUES = [
+    ("symbol_audit", {"orders": [[5, 0]]}),
+    ("symbol_audit", {"t": "x"}),
+    ("symbol_audit", {"c": "x"}),
+    ("metric_audit", {"n_pairs": 0}),
+    ("metric_audit", {"seed": "x"}),
+    ("metric_audit", {"coeff": 5}),
+    ("quantizer_audit", {"sizes": []}),
+    ("quantizer_audit", {"sizes": [100]}),
+    ("quantizer_audit", {"dump_matrices": "yes"}),
+    ("cjs_sweep", {"k": -2}),
+    ("cjs_sweep", {"xi_ladder": [0, 1, 2, 3, 4, 5]}),
+    ("cjs_sweep", {"t_final": -1}),
+    ("cjs_sweep", {"profile": ["linear"]}),
+    ("constraint_table", {"nu": "x"}),
+    ("constraint_table", {"f21_zero": "yes"}),
+]
+
+
 class TestScenarioLoading:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError):
@@ -54,17 +86,14 @@ class TestValidationExitCodes:
                                      {"packet_width": "x"},
                                      {"packet_width": -0.02},
                                      {"horizon": "x"}, {"horizon": -1.0},
-                                     {"coeff": {"x0": 1.5}}])
+                                     {"coeff": {"x0": 1.5}},
+                                     {"assert_max_ratio": "x"},
+                                     {"nonlinear": "no"},
+                                     {"f21_zero": "yes"},
+                                     {"n": 4096, "sigma": 0.9, "tau0": 1.0}])
     def test_bad_energy_config_exits_2_without_traceback(self, tmp_path,
                                                          bad):
-        path = _write_scenario(tmp_path / "s.json",
-                               {"kind": "energy_estimate", "config": bad,
-                                "output_dir": str(tmp_path / "out")})
-        src = os.path.dirname(os.path.dirname(weakhyp.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "weakhyp.cli", "run",
-                               path], capture_output=True, text=True,
-                              env=env, timeout=120)
+        proc = _run_cli(tmp_path, "energy_estimate", bad)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "error:" in proc.stderr
@@ -80,12 +109,33 @@ class TestValidationExitCodes:
     @pytest.mark.parametrize("bad", [
         {"taudot": -1.0}, {"taudot_factor": "fast"},
         {"taudot_factor": True}, {"packet_component": 7},
-        {"sample_stride": 0}])
+        {"sample_stride": 0}, {"assert_max_ratio": "x"},
+        {"nonlinear": "no"}, {"f21_zero": "yes"}, {"tau0": -0.5},
+        {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9}])
     def test_bad_rate_or_run_key_exits_2(self, tmp_path, capsys, bad):
-        s = Scenario(kind="energy_estimate", config=dict(bad, n=64),
+        s = Scenario(kind="energy_estimate", config=dict({"n": 64}, **bad),
                      output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
         assert next(iter(bad)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, bad", BAD_VALUES)
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, kind, bad):
+        s = Scenario(kind=kind, config=bad, output_dir=str(tmp_path / "out"))
+        assert run_scenario(s) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and next(iter(bad)) in err
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("symbol_audit", {"orders": [[5, 0]]}),
+        ("metric_audit", {"n_pairs": 0}),
+        ("quantizer_audit", {"sizes": [100]}),
+        ("cjs_sweep", {"t_final": -1}),
+        ("constraint_table", {"nu": "x"})])
+    def test_bad_value_exits_2_without_traceback(self, tmp_path, kind, bad):
+        proc = _run_cli(tmp_path, kind, bad)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
 
     def test_cjs_short_ladder_exits_2(self, tmp_path):
         s = Scenario(kind="cjs_sweep", config={"xi_ladder": [16, 32]},
@@ -103,8 +153,7 @@ class TestRunVerb:
                               "output_dir": str(tmp_path / "same")})
         assert main(["run", p1, p2]) == 2
 
-    def test_worker_pool_runs_scenarios(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WEAKHYP_WORKERS", "2")
+    def test_runs_several_scenario_files(self, tmp_path):
         paths = []
         for name in ("x", "y"):
             paths.append(_write_scenario(
@@ -235,3 +284,9 @@ class TestCjsScenario:
         assert summary["slope"] <= summary["budget"]
         with open(out / "cjs.csv") as fh:
             assert fh.readline().strip() == "xi,eps,G,steps"
+
+    def test_unparsable_ladder_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cjs", "--xi-ladder", "16,x", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--xi-ladder" in capsys.readouterr().err

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from weakhyp.quantize import (KOHN_NIRENBERG, WEYL, PowerIterationWarning,
-                              SymbolField, _row_gather, _weyl_gather,
-                              _wrapped_difference, compose_remainder,
-                              dequantize, invert_b, multiplication_matrix,
-                              multiplier_matrix, operator_norm, quantize,
-                              sample_symbol, sample_symbol_b)
+                              SymbolField, _slot_map, _wrapped_difference,
+                              compose_remainder, dequantize,
+                              hermiticity_defect, invert_b,
+                              multiplication_matrix, multiplier_matrix,
+                              operator_norm, quantize, sample_symbol,
+                              sample_symbol_b)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
 
@@ -19,13 +20,13 @@ quantize_module = importlib.import_module("weakhyp.quantize")
 class TestQuantizeReductions:
     def test_constant_symbol_is_identity(self, grid64):
         p = sample_symbol(grid64, lambda x, xi: 1.0 + 0 * x + 0 * xi)
-        K = quantize(p).matrix
+        K = quantize(p)
         assert np.abs(K - np.eye(grid64.n)).max() < 1e-13
 
     def test_multiplier_reduction_exact(self, grid64):
         mv = bracket(grid64.xi) ** 0.7
         p = sample_symbol(grid64, lambda x, xi: bracket(xi) ** 0.7 + 0 * x)
-        K = quantize(p).matrix
+        K = quantize(p)
         M = multiplier_matrix(grid64, mv)
         assert np.abs(K - M).max() < 1e-12
 
@@ -33,7 +34,7 @@ class TestQuantizeReductions:
         qv = np.exp(np.sin(2 * np.pi * grid64.x))
         p = sample_symbol(grid64,
                           lambda x, xi: np.exp(np.sin(2 * np.pi * x)) + 0 * xi)
-        K = quantize(p).matrix
+        K = quantize(p)
         D = multiplication_matrix(qv)
         assert np.abs(K - D).max() < 1e-12
         for _ in range(10):
@@ -42,7 +43,7 @@ class TestQuantizeReductions:
 
     def test_kohn_nirenberg_multiplier_reduction(self, grid64):
         p = sample_symbol(grid64, lambda x, xi: 1.0 / bracket(xi) + 0 * x)
-        K = quantize(p, KOHN_NIRENBERG).matrix
+        K = quantize(p, KOHN_NIRENBERG)
         M = multiplier_matrix(grid64, 1.0 / bracket(grid64.xi))
         assert np.abs(K - M).max() < 1e-12
 
@@ -53,13 +54,13 @@ class TestQuantizeReductions:
                            np.cos(2 * np.pi * x) * xi / bracket(xi) ** 2)
         a, b = 1.7, -0.3 + 0.2j
         combo = SymbolField(grid64, a * p1.samples + b * p2.samples)
-        K = quantize(combo).matrix
-        K2 = a * quantize(p1).matrix + b * quantize(p2).matrix
+        K = quantize(combo)
+        K2 = a * quantize(p1) + b * quantize(p2)
         assert np.abs(K - K2).max() < 1e-12 * max(1.0, np.abs(K).max())
 
     def test_hermiticity_of_real_symbol(self, sb_c1, grid128):
         B = quantize(sample_symbol_b(sb_c1, grid128, 0.0))
-        assert B.hermiticity_defect() <= 1e-10
+        assert hermiticity_defect(B) <= 1e-10
 
     def test_symbol_field_validation(self, grid64):
         with pytest.raises(ValueError):
@@ -73,21 +74,21 @@ class TestQuantizeReductions:
 class TestDequantize:
     def test_round_trip_on_image_matrices(self, sb_c1, grid64):
         p = sample_symbol_b(sb_c1, grid64, 0.01)
-        K = quantize(p).matrix
-        back = quantize(dequantize(K, grid64)).matrix
+        K = quantize(p)
+        back = quantize(dequantize(K, grid64))
         assert np.abs(back - K).max() < 1e-13 * np.abs(K).max()
 
     def test_prior_round_trip_recovers_symbol(self, grid64):
         # an x-localized, xi-decaying symbol whose kernel tails are tiny
         p = sample_symbol(grid64, lambda x, xi:
                           np.exp(-60 * (x - 0.5) ** 2) * np.exp(-(xi / 6.0) ** 2))
-        K = quantize(p).matrix
+        K = quantize(p)
         back = dequantize(K, grid64, prior=p.samples)
         assert np.abs(back.samples - p.samples).max() < 1e-10
 
     def test_interpolation_fill_close_to_symbol(self, sb_c1, grid64):
         p = sample_symbol_b(sb_c1, grid64, 0.02)
-        K = quantize(p).matrix
+        K = quantize(p)
         back = dequantize(K, grid64)
         rel = np.abs(back.samples - p.samples).max() / np.abs(p.samples).max()
         assert rel < 5e-2
@@ -113,15 +114,15 @@ class TestWeylGatherCache:
                         rng.normal(size=(2 * n, n))
                         + 1j * rng.normal(size=(2 * n, n)))
         weyl, kn = _reference_kernels(p)
-        assert np.array_equal(quantize(p).matrix, weyl)
-        assert np.array_equal(quantize(p, KOHN_NIRENBERG).matrix, kn)
+        assert np.array_equal(quantize(p), weyl)
+        assert np.array_equal(quantize(p, KOHN_NIRENBERG), kn)
 
     def test_cached_arrays_are_read_only(self):
-        gather = _weyl_gather(16)
-        for arr in (*gather, *_row_gather(16)):
+        slots = _slot_map(16)
+        for arr in slots:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            gather.index[0, 0] = 0
+            slots.mid[0, 0] = 0
 
     def test_index_maps_built_once_per_n(self, monkeypatch, grid64):
         calls = []
@@ -131,15 +132,15 @@ class TestWeylGatherCache:
             return _wrapped_difference(n)
 
         monkeypatch.setattr(quantize_module, "_wrapped_difference", counting)
-        _weyl_gather.cache_clear()
+        _slot_map.cache_clear()
         try:
             p = sample_symbol(grid64, lambda x, xi: np.cos(2 * np.pi * x) + xi)
-            first = quantize(p).matrix
-            second = quantize(p).matrix
+            first = quantize(p)
+            second = quantize(p)
             quantize(p, KOHN_NIRENBERG)
             dequantize(first, grid64)
         finally:
-            _weyl_gather.cache_clear()
+            _slot_map.cache_clear()
         assert calls == [64]
         assert np.array_equal(first, second)
 
@@ -154,7 +155,7 @@ class TestWeylGatherCache:
         K[anti] = 0.5 * (K + K.T)[anti]
         grid = Grid(n, 1.0, 0.5)
         for prior in (None, rng.normal(size=(2 * n, n))):
-            back = quantize(dequantize(K, grid, prior=prior)).matrix
+            back = quantize(dequantize(K, grid, prior=prior))
             assert np.abs(back - K).max() < 1e-13 * np.abs(K).max()
 
 
@@ -176,8 +177,8 @@ class TestRowMappedFields:
         expanded = SymbolField(grid, samples[rows])
         weyl, kn = _reference_kernels(expanded)
         for mode, reference in ((WEYL, weyl), (KOHN_NIRENBERG, kn)):
-            K = quantize(mapped, mode).matrix
-            assert np.array_equal(K, quantize(expanded, mode).matrix)
+            K = quantize(mapped, mode)
+            assert np.array_equal(K, quantize(expanded, mode))
             assert np.array_equal(K, reference)
 
     @pytest.mark.parametrize("n", [4, 64])
@@ -188,16 +189,16 @@ class TestRowMappedFields:
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         rows = np.repeat([0, 1], n)
-        mapped = quantize(SymbolField(grid, samples, rows=rows)).matrix
-        expanded = quantize(SymbolField(grid, samples[rows])).matrix
+        mapped = quantize(SymbolField(grid, samples, rows=rows))
+        expanded = quantize(SymbolField(grid, samples[rows]))
         assert np.array_equal(mapped, expanded)
-        anti = _weyl_gather(n).anti
+        anti = _slot_map(n).anti
         assert np.array_equal(mapped.reshape(-1)[anti],
                               expanded.reshape(-1)[anti])
 
-    def test_rows_none_keeps_full_field(self, grid64):
+    def test_default_rows_are_the_identity_map(self, grid64):
         p = SymbolField(grid64, np.ones((2 * grid64.n, grid64.n)))
-        assert p.rows is None
+        assert np.array_equal(p.rows, np.arange(2 * grid64.n))
 
     @pytest.mark.parametrize("samples_shape, rows, match", [
         ((3, 64), np.zeros(127, dtype=int), "rows must be"),
@@ -308,8 +309,8 @@ class TestInvertB:
 
     def test_returned_symbol_quantizes_near_inverse(self, sb_c1, grid64):
         field, defects = invert_b(sb_c1, 2, 0.0, grid64)
-        B = quantize(sample_symbol_b(sb_c1, grid64, 0.0)).matrix
-        C = quantize(field).matrix
+        B = quantize(sample_symbol_b(sb_c1, grid64, 0.0))
+        C = quantize(field)
         assert operator_norm(B @ C - np.eye(grid64.n)) == pytest.approx(
             defects[-1], rel=1e-6)
 
