@@ -12,6 +12,12 @@ is tracked with the frequency-tuned shift eps = |xi|^(-2/(k+2)).  Over
 a dyadic frequency ladder the growth G(xi) = max_t log(E_eps(t)/E_eps(0))
 is fitted against log|xi|; the fitted slope must stay below the budget
 2/(k+2) for a C^k coefficient.
+
+The mode equation is linear in y = (w, w'), so an RK4 step is a 2 x 2
+matrix and y(t_j) = Phi_j y(0), Phi_j the product of the first j step
+matrices.  `_propagator` forms these prefix products by doubling within
+blocks of `BLOCK` steps that carry the running product, so temporaries
+stay bounded; the result holds 48 bytes per step (t, a(t) and Phi).
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "ModeState",
     "TimeCoefficient",
     "coefficient_linear",
     "coefficient_parabola",
@@ -37,40 +42,29 @@ __all__ = [
 ]
 
 STEP_BUDGET = 10_000_000
+BLOCK = 1 << 16    # steps per block of the prefix product
 
 
 class StepBudgetError(RuntimeError):
     pass
 
 
-@dataclass
-class ModeState:
-    w: complex
-    dw_dt: complex
-    xi: float
-    t: float
+def _on_array(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
+    """A scalar callable applied to every entry of `t`."""
+    return np.vectorize(fn, otypes=[float])(t)
 
 
 @dataclass(frozen=True)
 class TimeCoefficient:
-    """Nonnegative coefficient a(t) on [0, T] with its C^k class data."""
+    """Nonnegative coefficient a(t) on [0, T], its derivative and C^k class."""
 
     fn: Callable[[float], float]
     k: int
+    dfn: Callable[[float], float]
     name: str = ""
-    dfn: Optional[Callable[[float], float]] = None
-
-    def a(self, t):
-        return self.fn(t)
-
-    def da(self, t, h: float = 1e-6):
-        if self.dfn is not None:
-            return self.dfn(t)
-        return (self.fn(t + h) - self.fn(t - h)) / (2.0 * h)
 
     def sup_a(self, T: float, samples: int = 4096) -> float:
-        ts = np.linspace(0.0, T, samples)
-        return float(np.max([self.fn(t) for t in ts]))
+        return float(np.max(_on_array(self.fn, np.linspace(0.0, T, samples))))
 
 
 def coefficient_linear() -> TimeCoefficient:
@@ -89,54 +83,55 @@ def coefficient_constant(value: float = 1.0) -> TimeCoefficient:
                            dfn=lambda t: 0.0)
 
 
-def e_eps(state: ModeState, a_val: float, eps: float) -> float:
-    """Regularized energy |w'|^2 + (a + eps) |xi|^2 |w|^2."""
-    if eps <= 0.0:
+def e_eps(w, dw_dt, xi, a_val, eps):
+    """Regularized energy |w'|^2 + (a + eps) |xi|^2 |w|^2, elementwise."""
+    if np.any(np.asarray(eps) <= 0.0):
         raise ValueError(f"eps must be positive, got {eps}")
-    return (abs(state.dw_dt) ** 2
-            + (a_val + eps) * state.xi ** 2 * abs(state.w) ** 2)
+    return np.abs(dw_dt) ** 2 + (a_val + eps) * xi ** 2 * np.abs(w) ** 2
 
 
 def _mode_dt(tc: TimeCoefficient, xi: float, T: float) -> float:
     dt = min(1e-3, 0.05 / (abs(xi) * math.sqrt(tc.sup_a(T) + 1.0)))
     steps = int(math.ceil(T / dt))
     if steps > STEP_BUDGET:
-        raise StepBudgetError(
-            f"{steps} steps exceed the budget {STEP_BUDGET} "
-            f"for xi={xi}, T={T}"
-        )
+        raise StepBudgetError(f"{steps} steps exceed the budget "
+                              f"{STEP_BUDGET} for xi={xi}, T={T}")
     return T / steps
 
 
-def _rk4_mode(tc: TimeCoefficient, xi: float, T: float, w0, dw0,
-              on_sample=None, stride: int = 1, dt: Optional[float] = None):
-    """Shared RK4 loop; on_sample(t, w, dw) is called every `stride` steps."""
+def _propagator(tc: TimeCoefficient, xi: float, T: float,
+                dt: Optional[float] = None):
+    """RK4 fundamental matrices of the mode; returns (t, a(t), Phi).
+
+    t holds the N + 1 step times, accumulated as t += dt, and Phi has
+    shape (N + 1, 2, 2) with y(t_j) = Phi[j] @ y(0) for y = (w, w').
+    """
     if dt is None:
         dt = _mode_dt(tc, xi, T)
     steps = int(round(T / dt))
-    xi2 = xi * xi
-    a = tc.fn
-    w, dw = complex(w0), complex(dw0)
-    t = 0.0
-    if on_sample is not None:
-        on_sample(t, w, dw)
-    for i in range(steps):
-        a1 = a(t)
-        k1w, k1v = dw, -a1 * xi2 * w
-        a2 = a(t + 0.5 * dt)
-        k2w = dw + 0.5 * dt * k1v
-        k2v = -a2 * xi2 * (w + 0.5 * dt * k1w)
-        k3w = dw + 0.5 * dt * k2v
-        k3v = -a2 * xi2 * (w + 0.5 * dt * k2w)
-        a4 = a(t + dt)
-        k4w = dw + dt * k3v
-        k4v = -a4 * xi2 * (w + dt * k3w)
-        w = w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        dw = dw + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        t += dt
-        if on_sample is not None and ((i + 1) % stride == 0 or i == steps - 1):
-            on_sample(t, w, dw)
-    return w, dw, steps
+    t = np.add.accumulate(np.r_[0.0, np.full(steps, dt)])   # as t += dt
+    a = _on_array(tc.fn, t)
+    # the generator A(t) = [[0, 1], [-a(t) xi^2, 0]] is N - a(t) xi^2 E
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    E = N.T
+    Phi = np.empty((steps + 1, 2, 2))
+    Phi[0] = np.eye(2)
+    for start in range(0, steps, BLOCK):
+        stop = min(start + BLOCK, steps)
+        A = N - np.multiply.outer(xi * xi * a[start:stop + 1], E)
+        a_mid = _on_array(tc.fn, t[start:stop] + 0.5 * dt)
+        Am = N - np.multiply.outer(xi * xi * a_mid, E)
+        K1 = A[:-1]
+        K2 = Am + 0.5 * dt * (Am @ K1)
+        K3 = Am + 0.5 * dt * (Am @ K2)
+        K4 = A[1:] + dt * (A[1:] @ K3)
+        X = dt / 6.0 * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        shift = 1
+        while shift < len(X):   # doubling: I + X[j] becomes M[j] ... M[0]
+            X[shift:] += X[:-shift] + X[shift:] @ X[:-shift]
+            shift *= 2
+        Phi[start + 1:stop + 1] = Phi[start] + X @ Phi[start]
+    return t, a, Phi
 
 
 def integrate_mode(tc: TimeCoefficient, xi: float, T: float,
@@ -147,81 +142,51 @@ def integrate_mode(tc: TimeCoefficient, xi: float, T: float,
     The step defaults to the resolution rule min(1e-3, 0.05/(|xi|
     sqrt(sup a + 1))); an explicit `dt` supports refinement studies.
     """
-    ts, ws, dws = [], [], []
-
-    def record(t, w, dw):
-        ts.append(t)
-        ws.append(w)
-        dws.append(dw)
-
-    _rk4_mode(tc, xi, T, initial[0], initial[1], on_sample=record,
-              stride=stride, dt=dt)
-    return np.array(ts), np.array(ws), np.array(dws)
+    t, _, Phi = _propagator(tc, xi, T, dt)
+    samples = np.unique(np.r_[0:len(t):stride, len(t) - 1])
+    y = Phi[samples] @ np.asarray(initial, dtype=complex)
+    return t[samples], y[:, 0], y[:, 1]
 
 
-def max_energy_growth(tc: TimeCoefficient, xi: float, T: float, eps: float,
-                      initial=None):
+def max_energy_growth(tc: TimeCoefficient, xi: float, T: float, eps: float):
     """Worst-case energy amplification max_t sup_u E_eps(t)/E_eps(0).
 
-    With `initial` given, tracks that single solution.  Otherwise the
-    two-dimensional solution space is propagated (fundamental matrix in
-    energy coordinates z = (w', sqrt(a + eps) |xi| w)) and the largest
-    squared singular value is tracked, which is the amplification over
-    all initial data, free of phase accidents.  Returns (ratio, steps).
+    The fundamental matrix in energy coordinates z = (w', sqrt(a + eps)
+    |xi| w) maps z(0) to z(t); its largest squared singular value is
+    the amplification over all initial data, free of phase accidents.
+    Returns (ratio, steps).
     """
-    if initial is not None:
-        best = 0.0
-        e0 = None
-
-        def track(t, w, dw):
-            nonlocal best, e0
-            e = abs(dw) ** 2 + (tc.fn(t) + eps) * xi ** 2 * abs(w) ** 2
-            if e0 is None:
-                e0 = e
-            best = max(best, e / e0)
-
-        _, _, steps = _rk4_mode(tc, xi, T, initial[0], initial[1],
-                                on_sample=track)
-        return best, steps
-
-    omega0 = math.sqrt(tc.fn(0.0) + eps) * abs(xi)
-    basis = [(0.0, 1.0), (1.0 / omega0, 0.0)]   # z(0) = e1, e2
-    samples = []
-    steps = 0
-    for w0, dw0 in basis:
-        cols = []
-
-        def track(t, w, dw, cols=cols):
-            omega = math.sqrt(tc.fn(t) + eps) * abs(xi)
-            cols.append((dw.real, omega * w.real))
-
-        _, _, steps = _rk4_mode(tc, xi, T, w0, dw0, on_sample=track)
-        samples.append(cols)
-    best = 0.0
-    for z1, z2 in zip(samples[0], samples[1]):
-        Z = np.array([[z1[0], z2[0]], [z1[1], z2[1]]])
-        s = np.linalg.svd(Z, compute_uv=False)[0]
-        best = max(best, s * s)
-    return best, steps
+    t, a, Phi = _propagator(tc, xi, T)
+    omega = np.sqrt(a + eps) * abs(xi)
+    # columns: the solutions with z(0) = e1 (w = 0, w' = 1) and
+    # z(0) = e2 (w = 1/omega(0), w' = 0)
+    p, q = Phi[:, 1, 1], Phi[:, 1, 0] / omega[0]
+    r, s = omega * Phi[:, 0, 1], omega * Phi[:, 0, 0] / omega[0]
+    # largest singular value of [[p, q], [r, s]], without cancellation
+    top = 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
+    return float(np.max(top * top)), len(t) - 1
 
 
 def growth_exponent_fit(tc: TimeCoefficient, xi_list: Sequence[float],
-                        T: float, k: Optional[int] = None,
-                        initial=None) -> dict:
+                        T: float, k: Optional[int] = None) -> dict:
     """Fit log G(xi) = p log|xi| + const over a dyadic ladder.
 
     G(xi) = max_t log(E_eps(t)/E_eps(0)) with eps = |xi|^(-2/(k+2)),
-    by default maximized over initial data (fundamental-matrix norm).
-    Returns slope, intercept, rms residual and the per-frequency table.
+    maximized over initial data (fundamental-matrix norm).  Returns
+    slope, intercept, rms residual and the per-frequency table.
     Non-positive growth anywhere is reported with slope 0 and a flag.
+    Raises StepBudgetError before any integration if a ladder entry
+    needs more than STEP_BUDGET steps.
     """
     if len(xi_list) < 6:
         raise ValueError("need at least 6 ladder frequencies for the fit")
+    for xi in xi_list:
+        _mode_dt(tc, xi, T)
     k_eff = tc.k if k is None else k
     rows = []
     for xi in xi_list:
         eps = abs(xi) ** (-2.0 / (k_eff + 2.0))
-        ratio, steps = max_energy_growth(tc, xi, T, eps, initial)
+        ratio, steps = max_energy_growth(tc, xi, T, eps)
         G = math.log(ratio) if ratio > 0 else float("-inf")
         rows.append({"xi": xi, "eps": eps, "G": G, "steps": steps})
     Gs = np.array([r["G"] for r in rows])
@@ -231,9 +196,8 @@ def growth_exponent_fit(tc: TimeCoefficient, xi_list: Sequence[float],
     logxi = np.log(np.abs(np.array([r["xi"] for r in rows])))
     logG = np.log(Gs)
     A = np.vstack([logxi, np.ones_like(logxi)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, logG, rcond=None)
-    fitted = A @ coef
-    rms = float(np.sqrt(np.mean((logG - fitted) ** 2)))
+    coef = np.linalg.lstsq(A, logG, rcond=None)[0]
+    rms = float(np.sqrt(np.mean((logG - A @ coef) ** 2)))
     return {"k": k_eff, "slope": float(coef[0]), "intercept": float(coef[1]),
             "residual": rms, "rows": rows, "no_growth": False}
 
@@ -251,8 +215,8 @@ def glaeser_l1_check(tc: TimeCoefficient, eps_list: Sequence[float],
 
     def l1(eps: float, m: int) -> float:
         ts = np.linspace(0.0, T, m)
-        avals = np.array([tc.fn(t) for t in ts])
-        davals = np.array([tc.da(t) for t in ts])
+        avals = _on_array(tc.fn, ts)
+        davals = _on_array(tc.dfn, ts)
         integrand = np.abs(davals / k_eff * (avals + eps) ** (1.0 / k_eff - 1.0))
         return float(np.trapezoid(integrand, ts))
 

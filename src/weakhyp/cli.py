@@ -308,7 +308,10 @@ def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
     tc = CJS_PROFILES[profile]()
     ladder = cfg_raw.get("xi_ladder", [2**j for j in range(4, 11)])
     T = cfg_raw.get("t_final", 1.0)
-    fit = cjs.growth_exponent_fit(tc, ladder, T, k=cfg_raw.get("k"))
+    try:
+        fit = cjs.growth_exponent_fit(tc, ladder, T, k=cfg_raw.get("k"))
+    except cjs.StepBudgetError as err:
+        raise ScenarioError(str(err)) from err
     budget = 2.0 / (fit["k"] + 2.0) + 0.05
     passed = fit["no_growth"] or fit["slope"] <= budget
     write_csv(os.path.join(out, "cjs.csv"),

@@ -256,10 +256,9 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
                                        ) * coeff.dx_a(t, x)
         op_s1 = quantize(SymbolField(grid, s1.astype(complex), time=t,
                                      label="subprincipal"))
+        # right product with the octave projection (the mask is even in xi)
         mask = (np.abs(grid.xi) >= grid.xi_max / 2.0).astype(float)
-        F = np.fft.fft(np.eye(n), axis=0, norm="ortho")
-        P = F.conj().T @ (mask[:, None] * F)
-        N0 = operator_norm((conj - op_a) @ P)
-        N1 = operator_norm((conj - op_a - op_s1) @ P)
+        N0 = operator_norm(grid.multiply(conj - op_a, mask))
+        N1 = operator_norm(grid.multiply(conj - op_a - op_s1, mask))
         results.append((n, N0, N1, N1 / N0 if N0 > 0 else np.inf))
     return results

@@ -248,14 +248,12 @@ def dequantize(matrix: np.ndarray, grid: Grid,
     cf[g.mid.reshape(-1)[g.anti] * n + n // 2] = sym
     cf[g.anti_mid * n + n // 2] = sym
     if prior is None:
-        m_idx = np.arange(2 * n)[:, None]
-        r_idx = np.arange(n)[None, :]
-        unseen = (m_idx % 2) != (r_idx % 2)
-        # in place and masked: no (2n, n) sum or masked copy is allocated
-        fill = np.roll(c, 1, axis=0)
-        fill += np.roll(c, -1, axis=0)
-        fill *= 0.5
-        np.copyto(c, fill, where=unseen)
+        # an unseen slot (row and residue of unlike parity) is the mean of
+        # the seen slots in the midpoint rows before and after it
+        for fill, seen, step in ((c[0::2, 1::2], c[1::2, 1::2], 1),
+                                 (c[1::2, 0::2], c[0::2, 0::2], -1)):
+            np.add(seen, np.roll(seen, step, axis=0), out=fill)
+            fill *= 0.5
     return SymbolField(grid, np.fft.fft(c, axis=1), time=time, label=label)
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from weakhyp.cjs import (ModeState, StepBudgetError, TimeCoefficient,
+from weakhyp import cjs
+from weakhyp.cjs import (StepBudgetError, TimeCoefficient,
                          coefficient_constant, coefficient_linear,
                          coefficient_parabola, e_eps, glaeser_l1_check,
                          growth_exponent_fit, integrate_mode,
@@ -12,28 +13,66 @@ from weakhyp.cjs import (ModeState, StepBudgetError, TimeCoefficient,
 LADDER = [2.0**j for j in range(4, 11)]
 
 
+def coefficient_cos():
+    """A positive coefficient written with the scalar `math` functions."""
+    return TimeCoefficient(fn=lambda t: 1.5 + 0.5 * math.cos(2 * math.pi * t),
+                           k=1, name="cos",
+                           dfn=lambda t: -math.pi * math.sin(2 * math.pi * t))
+
+
+COEFFICIENTS = [coefficient_linear, coefficient_parabola,
+                coefficient_constant, coefficient_cos]
+
+
+def reference_rk4(tc, xi, T, w, dw):
+    """Scalar RK4 loop of the mode; (t, w, dw_dt) after every step."""
+    dt = cjs._mode_dt(tc, xi, T)
+    a, xi2, t = tc.fn, xi * xi, 0.0
+    out = [(t, w, dw)]
+    for _ in range(int(round(T / dt))):
+        a1, a2, a4 = a(t), a(t + 0.5 * dt), a(t + dt)
+        k1w, k1v = dw, -a1 * xi2 * w
+        k2w, k2v = dw + 0.5 * dt * k1v, -a2 * xi2 * (w + 0.5 * dt * k1w)
+        k3w, k3v = dw + 0.5 * dt * k2v, -a2 * xi2 * (w + 0.5 * dt * k2w)
+        k4w, k4v = dw + dt * k3v, -a4 * xi2 * (w + dt * k3w)
+        w = w + dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        dw = dw + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        t += dt
+        out.append((t, w, dw))
+    return map(np.array, zip(*out))
+
+
+def reference_growth(tc, xi, T, eps):
+    """Largest squared singular value of the energy-coordinate matrix."""
+    omega0 = math.sqrt(tc.fn(0.0) + eps) * abs(xi)
+    cols = []
+    for w0, dw0 in ((0.0, 1.0), (1.0 / omega0, 0.0)):
+        t, w, dw = reference_rk4(tc, xi, T, w0, dw0)
+        omega = np.array([math.sqrt(tc.fn(s) + eps) for s in t]) * abs(xi)
+        cols.append(np.stack((dw, omega * w), axis=-1))
+    top = np.linalg.svd(np.stack(cols, axis=-1), compute_uv=False)[:, 0]
+    return float(np.max(top * top)), len(t) - 1
+
+
 class TestEnergyFormula:
     def test_zero_state(self):
-        st = ModeState(w=0.0, dw_dt=0.0, xi=3.0, t=0.0)
-        assert e_eps(st, a_val=1.0, eps=0.5) == 0.0
+        assert e_eps(0.0, 0.0, xi=3.0, a_val=1.0, eps=0.5) == 0.0
 
     def test_plug_in_example(self):
-        st = ModeState(w=1.0, dw_dt=0.0, xi=1.0, t=0.0)
-        assert e_eps(st, a_val=0.0, eps=1.0) == 1.0
+        assert e_eps(1.0, 0.0, xi=1.0, a_val=0.0, eps=1.0) == 1.0
 
     def test_monotone_in_eps(self, rng):
         for _ in range(50):
-            st = ModeState(w=rng.normal() + 1j * rng.normal(),
-                           dw_dt=rng.normal(), xi=rng.uniform(1, 50), t=0.0)
+            w, dw, xi = (rng.normal() + 1j * rng.normal(), rng.normal(),
+                         rng.uniform(1, 50))
             a = rng.uniform(0, 2)
-            e1 = e_eps(st, a, 0.1)
-            e2 = e_eps(st, a, 0.3)
+            e1 = e_eps(w, dw, xi, a, 0.1)
+            e2 = e_eps(w, dw, xi, a, 0.3)
             assert e1 <= e2
 
     def test_rejects_nonpositive_eps(self):
-        st = ModeState(w=1.0, dw_dt=0.0, xi=1.0, t=0.0)
         with pytest.raises(ValueError):
-            e_eps(st, 0.0, 0.0)
+            e_eps(1.0, 0.0, 1.0, 0.0, 0.0)
 
 
 class TestIntegrateMode:
@@ -72,6 +111,29 @@ class TestIntegrateMode:
         with pytest.raises(StepBudgetError):
             integrate_mode(coefficient_constant(1.0), xi=1e7, T=10.0)
 
+    @pytest.mark.parametrize("make", COEFFICIENTS)
+    @pytest.mark.parametrize("xi", [1.0, 16.0, 100.0, 1024.0])
+    def test_matches_scalar_reference(self, make, xi):
+        tc = make()
+        ts, ws, dws = integrate_mode(tc, xi, T=1.0, initial=(1.0, 0.5))
+        t_ref, w_ref, dw_ref = reference_rk4(tc, xi, 1.0, 1.0, 0.5)
+        assert np.array_equal(ts, t_ref)
+        assert np.abs(ws - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
+        assert np.abs(dws - dw_ref).max() <= 1e-12 * np.abs(dw_ref).max()
+        eps = xi ** (-2.0 / (tc.k + 2.0))
+        ratio, steps = max_energy_growth(tc, xi, 1.0, eps)
+        ratio_ref, steps_ref = reference_growth(tc, xi, 1.0, eps)
+        assert steps == steps_ref
+        assert abs(ratio - ratio_ref) <= 1e-12 * ratio_ref
+
+    @pytest.mark.parametrize("make", [coefficient_parabola, coefficient_cos])
+    def test_blocks_carry_the_running_product(self, make, monkeypatch):
+        # 2237 and 3465 steps: many blocks of 7 and a partial last one
+        _, _, whole = cjs._propagator(make(), 100.0, 1.0)
+        monkeypatch.setattr(cjs, "BLOCK", 7)
+        _, _, blocked = cjs._propagator(make(), 100.0, 1.0)
+        assert np.abs(blocked - whole).max() <= 1e-13 * np.abs(whole).max()
+
     def test_integrator_order_on_harmonic_case(self):
         tc = coefficient_constant(1.0)
         errs = []
@@ -96,6 +158,15 @@ class TestGrowthFit:
     def test_parabola_within_budget(self):
         fit = growth_exponent_fit(coefficient_parabola(), LADDER, T=1.0)
         assert fit["slope"] <= 2.0 / (2 + 2) + 0.05
+
+    def test_budget_checked_before_any_integration(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("integrated before the budget check")
+
+        monkeypatch.setattr(cjs, "max_energy_growth", fail)
+        with pytest.raises(StepBudgetError):
+            growth_exponent_fit(coefficient_linear(), LADDER[:5] + [1e6],
+                                T=1.0)
 
     def test_needs_six_frequencies(self):
         with pytest.raises(ValueError):

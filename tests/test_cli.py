@@ -130,7 +130,9 @@ class TestValidationExitCodes:
         ("metric_audit", {"n_pairs": 0}),
         ("quantizer_audit", {"sizes": [100]}),
         ("cjs_sweep", {"t_final": -1}),
-        ("constraint_table", {"nu": "x"})])
+        ("constraint_table", {"nu": "x"}),
+        ("cjs_sweep", {"xi_ladder": [16, 32, 64, 128, 256, 1e6]}),
+        ("cjs_sweep", {"t_final": 1e9})])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, kind, bad):
         proc = _run_cli(tmp_path, kind, bad)
         assert proc.returncode == 2

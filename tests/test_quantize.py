@@ -93,6 +93,28 @@ class TestDequantize:
         rel = np.abs(back.samples - p.samples).max() / np.abs(p.samples).max()
         assert rel < 5e-2
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
+    def test_fill_matches_whole_field_rolls(self, n, monkeypatch):
+        # the slot array that dequantize hands to its one forward FFT
+        slots = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda c, axis: (
+            slots.append(c.copy()), fft(c, axis=axis))[1])
+        rng = np.random.default_rng(n)
+        K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        back = dequantize(K, Grid(n, 1.0, 0.5))
+        (c,) = slots
+        ref = fft(_roll_fill(c), axis=1)
+        assert np.array_equal(back.samples.view(np.int64), ref.view(np.int64))
+
+
+def _roll_fill(c):
+    """Parity fill of the unseen slots from two whole-field rolls."""
+    n = c.shape[1]
+    unseen = (np.arange(2 * n)[:, None] % 2) != (np.arange(n)[None, :] % 2)
+    fill = 0.5 * (np.roll(c, 1, axis=0) + np.roll(c, -1, axis=0))
+    return np.where(unseen, fill, c)
+
 
 def _reference_kernels(p):
     """Weyl and KN kernels gathered directly from `_wrapped_difference`."""
