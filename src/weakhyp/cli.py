@@ -31,22 +31,12 @@ from .constraints import constraint_table, minimal_feasible_sigma
 from .quantize import (SymbolField, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol_b)
 from .reporting import write_csv, write_json
-from .solver import NonlinearityF, RunConfig, measure_tau_threshold, run_with_energy
+from .solver import (EnergyTrace, NonlinearityF, RunConfig,
+                     measure_tau_threshold, run_with_energy)
 from .spectral import Grid
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
-
-SCENARIO_KINDS = (
-    "energy_estimate",
-    "symbol_audit",
-    "metric_audit",
-    "quantizer_audit",
-    "cjs_sweep",
-    "constraint_table",
-)
-
-TRACE_COLUMNS = ("t", "tau", "E", "E1", "E2", "E3", "E4", "r2", "r3", "r4")
 
 
 class ScenarioError(ValueError):
@@ -125,8 +115,8 @@ def load_scenario(path: str) -> Scenario:
 def _coeff_from_config(section: Optional[dict]) -> CoefficientField:
     if not section:
         return CoefficientField()
-    allowed = {"x0", "r", "r_outer", "T", "T_outer", "sigma_coeff", "radius_R"}
-    _check_keys(section, allowed, "config.coeff")
+    _check_keys(section, [f.name for f in fields(CoefficientField)],
+                "config.coeff")
     try:
         return CoefficientField(**section)
     except (TypeError, ValueError) as err:
@@ -176,7 +166,8 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     cfg = replace(cfg, taudot=float(taudot))
 
     trace = run_with_energy(cfg)
-    write_csv(os.path.join(out, "trace.csv"), trace.rows(), TRACE_COLUMNS)
+    write_csv(os.path.join(out, "trace.csv"), trace.rows(),
+              EnergyTrace.COLUMNS)
     summary = {
         "max_ratio": trace.max_ratio(),
         "threshold": threshold,
@@ -265,6 +256,7 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
         B = quantize(bf)
         if dump:
             # raw row-major complex doubles, little-endian
+            os.makedirs(out, exist_ok=True)
             B.astype("<c16").tofile(os.path.join(out, f"op_b_n{n}.bin"))
         herm = hermiticity_defect(B)
         records.append({"check": f"hermiticity_n{n}", "constant": herm,
@@ -361,22 +353,25 @@ _RUNNERS = {
     "cjs_sweep": _run_cjs_sweep,
     "constraint_table": _run_constraint_table,
 }
+SCENARIO_KINDS = tuple(_RUNNERS)
 
 
 def run_scenario(scenario: Scenario) -> int:
-    """Execute one scenario. 0 = pass, 1 = failed checks, 2 = invalid."""
+    """Execute one scenario. 0 = pass, 1 = failed checks, 2 = invalid.
+
+    The writers make the output directory, so a scenario that does not
+    validate leaves none behind; one that cannot be written exits 2.
+    """
     try:
-        os.makedirs(scenario.output_dir, exist_ok=True)
         failures = _RUNNERS[scenario.kind](scenario.config,
                                            scenario.output_dir)
-    except ScenarioError as err:
+        if failures:
+            write_json(os.path.join(scenario.output_dir, "failures.json"),
+                       {"failures": failures})
+    except (ScenarioError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if failures:
-        write_json(os.path.join(scenario.output_dir, "failures.json"),
-                   {"failures": failures})
-        return 1
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_run(args) -> int:

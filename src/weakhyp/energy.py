@@ -9,11 +9,17 @@ and along solutions of the system its time derivative splits into
 
     dE/dt = -taudot * E1 + E2 + E3 + E4
 
-where E1 carries the Gevrey smoothing, E2 the (conjugated) linear
-transport terms, E3 the time derivative of the symmetrizer and E4 the
-nonlinearity.  All four terms are evaluated with exact grid-level
-operators, so the identity holds to the accuracy of the time
-discretization only.
+where E1 carries the Gevrey smoothing, E2 the linear transport terms,
+E3 the time derivative of the symmetrizer and E4 the nonlinearity.  The
+solver hands over the two parts of its right-hand side, and each is
+weighted once: E2 pairs exp(tau D^sigma) of the transport and E4 that
+of the source.  In exact arithmetic the weighted transport equals the
+conjugated form a^(tau) d/dx v1; weighting once avoids the
+unweight-reweight round trip, whose roundoff the large weights amplify.
+All four terms are evaluated with exact grid-level operators, so the
+identity holds to the accuracy of the time discretization only.  The
+state is the (2, n) array u; its grid and time are those of the
+Symmetrizer.
 """
 
 from __future__ import annotations
@@ -84,10 +90,13 @@ class Symmetrizer:
         because a complex power is far slower.
         """
         b_real = self._b_field.samples.real
-        samples = -0.5 * self._dt_a[:, None] * b_real ** 3
+        return self._quantize_rows(-0.5 * self._dt_a[:, None] * b_real ** 3,
+                                   "dt b")
+
+    def _quantize_rows(self, samples: np.ndarray, label: str) -> np.ndarray:
+        """op of a symbol given on the distinct b rows, by their row map."""
         return quantize(SymbolField(self.grid, samples, time=self.t,
-                                    label="dt b",
-                                    rows=self._b_field.rows))
+                                    label=label, rows=self._b_field.rows))
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part of op(b)."""
@@ -121,31 +130,39 @@ class EnergyBreakdown:
         return -taudot * self.E1 + self.E2 + self.E3 + self.E4
 
 
-def energy(state, sym: Symmetrizer, tau: float, sigma: float) -> float:
+def _weighted(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float):
+    """v = exp(tau D^sigma) u and op(b) v2."""
+    v = weight_values(sym.grid, u, tau, sigma)
+    return v, sym.b_matrix @ v[1]
+
+
+def _pair(grid: Grid, w: np.ndarray, v: np.ndarray, B: np.ndarray,
+          bv2: np.ndarray) -> float:
+    """Re<w1, v1> + Re<op(b) w2, op(b) v2>, the S^2 pairing of w with v."""
+    return float(np.real(grid.inner(w[0], v[0]))
+                 + np.real(grid.inner(B @ w[1], bv2)))
+
+
+def energy(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float) -> float:
     """E = 1/2 (||v1||^2 + ||op(b) v2||^2) with v = exp(tau D^sigma) u."""
-    grid = state.grid
-    v = weight_values(grid, state.u, tau, sigma)
-    bv2 = sym.b_matrix @ v[1]
-    return 0.5 * (grid.norm2(v[0]) + grid.norm2(bv2))
+    v, bv2 = _weighted(u, sym, tau, sigma)
+    return 0.5 * (sym.grid.norm2(v[0]) + sym.grid.norm2(bv2))
 
 
 def _e1(grid: Grid, v: np.ndarray, B: np.ndarray, bv2: np.ndarray,
         sigma: float) -> float:
     """Re<D^sigma v1, v1> + Re<op(b) D^sigma v2, op(b) v2>."""
-    dv = grid.multiply(v, bracket(grid.xi) ** sigma)
-    return float(np.real(grid.inner(dv[0], v[0]))
-                 + np.real(grid.inner(B @ dv[1], bv2)))
+    return _pair(grid, grid.multiply(v, bracket(grid.xi) ** sigma), v, B, bv2)
 
 
-def e1(state, sym: Symmetrizer, tau: float, sigma: float):
+def e1(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float):
     """E1 and its equivalent square-norm form, for ratio monitoring.
 
     value      = Re<D^sigma v1, v1> + Re<op(b) D^sigma v2, op(b) v2>
     equivalent = ||D^(sigma/2) v1||^2 + ||D^(sigma/2) op(b) v2||^2
     """
-    grid = state.grid
-    v = weight_values(grid, state.u, tau, sigma)
-    bv2 = sym.b_matrix @ v[1]
+    grid = sym.grid
+    v, bv2 = _weighted(u, sym, tau, sigma)
     half = grid.multiply(np.stack((v[0], bv2)),
                          bracket(grid.xi) ** (sigma / 2.0))
     equivalent = grid.norm2(half[0]) + grid.norm2(half[1])
@@ -161,69 +178,41 @@ def conjugated_matrix(grid: Grid, m_values: np.ndarray, tau: float,
                          tau, sigma, +1).T
 
 
-def _conjugated_apply(grid: Grid, m_values: np.ndarray, values: np.ndarray,
-                      tau: float, sigma: float) -> np.ndarray:
-    """Matrix-free application of the conjugated multiplication operator."""
-    w = weight_values(grid, values, tau, sigma, -1)
-    return weight_values(grid, m_values * w, tau, sigma, +1)
+def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
+                        source: np.ndarray, sym: Symmetrizer, tau: float,
+                        sigma: float) -> EnergyBreakdown:
+    """Split dE/dt into -taudot*E1 + E2 + E3 + E4 at the Symmetrizer's time.
 
-
-def dt_energy_breakdown(state, dstate_dt, sym: Symmetrizer, tau: float,
-                        sigma: float, taudot: float) -> EnergyBreakdown:
-    """Split dE/dt into -taudot*E1 + E2 + E3 + E4 at the current time.
-
-    `dstate_dt` is the full discrete right-hand side; the linear
-    transport part is recomputed from the coefficient so the nonlinear
-    contribution E4 is obtained by difference.
+    `transport` and `source` are the two parts of the solver's
+    right-hand side at (sym.t, u), as `solver.rhs_parts` returns them.
     """
-    grid, t = state.grid, state.t
-    v = weight_values(grid, state.u, tau, sigma)
-    v1, v2 = v
+    grid = sym.grid
+    v, bv2 = _weighted(u, sym, tau, sigma)
     B = sym.b_matrix
-    bv2 = B @ v2
-
-    e1_value = _e1(grid, v, B, bv2, sigma)
-
-    du = grid.multiply(state.u, grid.dxi)
-    dx_u1, dx_u2 = du
-    a_vals = sym.sb.coeff.a(t, grid.x)
-
-    # linear transport, conjugated: (d/dx v2, a^(tau) d/dx v1)
-    dx_v1, lin1_w = weight_values(grid, du, tau, sigma)
-    lin2_w = _conjugated_apply(grid, a_vals, dx_v1, tau, sigma)
-    e2_value = (np.real(grid.inner(lin1_w, v1))
-                + np.real(grid.inner(B @ lin2_w, bv2)))
-
-    e3_value = np.real(grid.inner(sym.dt_b_matrix() @ v2, bv2))
-
-    # nonlinear part F(u)u = full rhs minus the linear transport
-    f_w = weight_values(grid, dstate_dt - np.stack((dx_u2, a_vals * dx_u1)),
-                        tau, sigma)
-    e4_value = (np.real(grid.inner(f_w[0], v1))
-                + np.real(grid.inner(B @ f_w[1], bv2)))
-
-    E = 0.5 * (grid.norm2(v1) + grid.norm2(bv2))
-    return EnergyBreakdown(t=t, tau=tau, E=float(E), E1=float(e1_value),
-                           E2=float(e2_value), E3=float(e3_value),
-                           E4=float(e4_value))
+    transport_w, source_w = weight_values(
+        grid, np.stack((transport, source)), tau, sigma)
+    E = 0.5 * (grid.norm2(v[0]) + grid.norm2(bv2))
+    return EnergyBreakdown(
+        t=sym.t, tau=tau, E=float(E), E1=_e1(grid, v, B, bv2, sigma),
+        E2=_pair(grid, transport_w, v, B, bv2),
+        E3=float(np.real(grid.inner(sym.dt_b_matrix() @ v[1], bv2))),
+        E4=_pair(grid, source_w, v, B, bv2))
 
 
-def garding_sign_probe(state, sym: Symmetrizer, tau: float,
+def garding_sign_probe(u: np.ndarray, sym: Symmetrizer, tau: float,
                        sigma: float) -> float:
     """Quadratic form Re<op(g)^2 op(b) v2, op(b) v2>, g = sqrt(dt_a) b.
 
     op(g) is Hermitian (real symbol, Weyl), so the form is a square and
-    must be nonnegative up to roundoff.
+    must be nonnegative up to roundoff.  g, like b, depends on x only
+    through (a, dt_a), so it is sampled on the Symmetrizer's distinct
+    rows.
     """
-    grid = state.grid
-    v2 = weight_values(grid, state.u[1], tau, sigma)
-    x = grid.x_doubled[:, None]
-    xi = grid.xi[None, :]
-    dta = np.maximum(np.asarray(sym.sb.coeff.dt_a(sym.t, x), dtype=float), 0.0)
-    g_samples = np.sqrt(dta) * sym.sb.b(sym.t, x, xi)
-    G = quantize(SymbolField(grid, g_samples.astype(complex), time=sym.t,
-                             label="sqrt(dt a) b"))
-    w = sym.b_matrix @ v2
+    grid = sym.grid
+    g_rows = (np.sqrt(np.maximum(sym._dt_a, 0.0))[:, None]
+              * sym._b_field.samples.real)
+    G = sym._quantize_rows(g_rows, "sqrt(dt a) b")
+    w = sym.b_matrix @ weight_values(grid, u[1], tau, sigma)
     return float(np.real(grid.inner(G @ (G @ w), w)))
 
 

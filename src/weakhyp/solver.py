@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,13 +30,13 @@ from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
 
 __all__ = [
-    "SystemState",
     "NonlinearityF",
     "RunConfig",
     "EnergyTrace",
     "CFLError",
     "SolverBlowupError",
     "wave_packet",
+    "rhs_parts",
     "rhs",
     "step_rk4",
     "run_with_energy",
@@ -52,24 +53,6 @@ class SolverBlowupError(RuntimeError):
     def __init__(self, message: str, last_valid_time: float):
         super().__init__(message)
         self.last_valid_time = last_valid_time
-
-
-@dataclass
-class SystemState:
-    """The pair (u1, u2) of physical-space samples at time t, as u[0], u[1]."""
-
-    grid: Grid
-    u: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=complex)
-        if self.u.shape != (2, self.grid.n):
-            raise ValueError(
-                f"u has shape {self.u.shape}, expected (2, {self.grid.n})"
-            )
-        if not np.all(np.isfinite(self.u)):
-            raise ValueError("SystemState has non-finite entries")
 
 
 @dataclass
@@ -224,7 +207,7 @@ class RunConfig:
             self.nonlinearity = (NonlinearityF.zero() if self.coeff is None
                                  else NonlinearityF.wave_default(self.coeff))
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
         x0 = self.coeff.x0 if self.coeff is not None else self.length / 2.0
         return Grid(self.n, self.length, x0)
@@ -254,12 +237,13 @@ class RunConfig:
             sup_speed = max(1.0, math.sqrt(self.coeff.sup_a()))
         return self.cfl * self.grid.dx / sup_speed
 
-    def initial_state(self) -> SystemState:
+    def initial_state(self) -> np.ndarray:
+        """The (2, n) state u at t = 0: one packet in `packet_component`."""
         grid = self.grid
         u = np.zeros((2, grid.n), dtype=complex)
         u[self.packet_component - 1] = wave_packet(
             grid, grid.x0, self.packet_xi, self.packet_width)
-        return SystemState(grid, u, 0.0)
+        return u
 
     def content_hash(self) -> str:
         return hashlib.sha256(
@@ -275,48 +259,55 @@ class RunConfig:
         return d
 
 
-def rhs(state: SystemState, cfg: RunConfig) -> np.ndarray:
-    """Discrete right-hand side (du1/dt, du2/dt) as a (2, n) array."""
-    grid = state.grid
-    dx_u1, dx_u2 = grid.multiply(state.u, grid.dxi)
-    if cfg.coeff is not None:
-        a_vals = cfg.coeff.a(state.t, grid.x)
+def rhs_parts(cfg: RunConfig, t: float, u: np.ndarray):
+    """The transport (d/dx u2, a d/dx u1) and the source F(u)u at time t.
+
+    Both are (2, n) arrays; the source is zero for a linear system.
+    """
+    grid = cfg.grid
+    dx_u1, dx_u2 = grid.multiply(u, grid.dxi)
+    a_vals = cfg.coeff.a(t, grid.x) if cfg.coeff is not None else 0.0
+    transport = np.stack((dx_u2, a_vals * dx_u1))
+    if cfg.nonlinearity.is_zero():
+        source = np.zeros_like(transport)
     else:
-        a_vals = 0.0
-    du = np.stack((dx_u2, a_vals * dx_u1))
-    if not cfg.nonlinearity.is_zero():
-        du = du + cfg.nonlinearity.apply(state.t, grid.x, state.u,
-                                         cfg.f21_zero)
-    if not np.all(np.isfinite(du)):
-        raise SolverBlowupError(
-            f"non-finite right-hand side at t = {state.t}", state.t
-        )
-    return du
+        source = cfg.nonlinearity.apply(t, grid.x, u, cfg.f21_zero)
+    if not (np.all(np.isfinite(transport)) and np.all(np.isfinite(source))):
+        raise SolverBlowupError(f"non-finite right-hand side at t = {t}", t)
+    return transport, source
 
 
-def step_rk4(state: SystemState, cfg: RunConfig, dt: float) -> SystemState:
-    """One classical RK4 step; enforces the CFL bound."""
+def rhs(cfg: RunConfig, t: float, u: np.ndarray) -> np.ndarray:
+    """Discrete right-hand side (du1/dt, du2/dt) as a (2, n) array."""
+    transport, source = rhs_parts(cfg, t, u)
+    return transport + source
+
+
+def step_rk4(cfg: RunConfig, t: float, u: np.ndarray,
+             dt: float) -> np.ndarray:
+    """One classical RK4 step from (t, u); returns u at t + dt.
+
+    Enforces the CFL bound.
+    """
     limit = cfg.max_dt()
     if abs(dt) > limit * (1.0 + 1e-12):
         raise CFLError(
             f"dt = {dt} violates the CFL bound; required dt <= {limit:.6e}"
         )
-    grid, u, t = state.grid, state.u, state.t
-    k1 = rhs(state, cfg)
-    k2 = rhs(SystemState(grid, u + 0.5 * dt * k1, t + 0.5 * dt), cfg)
-    k3 = rhs(SystemState(grid, u + 0.5 * dt * k2, t + 0.5 * dt), cfg)
-    k4 = rhs(SystemState(grid, u + dt * k3, t + dt), cfg)
-    return SystemState(grid, u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4),
-                       t + dt)
+    k1 = rhs(cfg, t, u)
+    k2 = rhs(cfg, t + 0.5 * dt, u + 0.5 * dt * k1)
+    k3 = rhs(cfg, t + 0.5 * dt, u + 0.5 * dt * k2)
+    k4 = rhs(cfg, t + dt, u + dt * k3)
+    return u + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 @dataclass
 class EnergyTrace:
     """Time series of the energy budget along one run."""
 
+    COLUMNS = ("t", "tau", "E", "E1", "E2", "E3", "E4", "r2", "r3", "r4")
+
     breakdowns: list
-    taudot: float
-    config: dict
     initial_energy: float
     aborted: bool = False
     abort_reason: str = ""
@@ -344,31 +335,37 @@ class EnergyTrace:
 
     def rows(self):
         for b in self.breakdowns:
-            yield {
-                "t": b.t, "tau": b.tau, "E": b.E, "E1": b.E1, "E2": b.E2,
-                "E3": b.E3, "E4": b.E4, "r2": b.r2, "r3": b.r3, "r4": b.r4,
-            }
+            yield {name: getattr(b, name) for name in self.COLUMNS}
 
 
-def run_with_energy(cfg: RunConfig, state: Optional[SystemState] = None) -> EnergyTrace:
-    """Integrate to min(T, tau0/taudot), recording the energy budget.
+def run_with_energy(cfg: RunConfig,
+                    u0: Optional[np.ndarray] = None) -> EnergyTrace:
+    """Integrate from (0, u0) to min(T, tau0/taudot), recording the budget.
 
-    Returns the trace; a blow-up aborts the run but keeps the partial
-    trace with the abort reason recorded.
+    `u0` defaults to `cfg.initial_state()`.  Returns the trace; a blow-up
+    aborts the run but keeps the partial trace with the abort reason
+    recorded.
     """
     if cfg.coeff is None:
         raise ValueError("run_with_energy needs a coefficient field")
     grid = cfg.grid
+    if u0 is None:
+        u = cfg.initial_state()
+    else:
+        u = np.asarray(u0, dtype=complex)
+        if u.shape != (2, grid.n):
+            raise ValueError(
+                f"u0 has shape {u.shape}, expected (2, {grid.n})"
+            )
+        if not np.all(np.isfinite(u)):
+            raise ValueError("u0 has non-finite entries")
     sb = cfg.symbol_b()
-    if state is None:
-        state = cfg.initial_state()
 
     sym0 = Symmetrizer(grid, sb, 0.0)
-    E0 = gevrey_energy(state, sym0, cfg.tau0, cfg.sigma)
+    E0 = gevrey_energy(u, sym0, cfg.tau0, cfg.sigma)
     if cfg.normalize_energy and E0 > 0.0:
-        scale = 1.0 / math.sqrt(E0)
-        state = SystemState(grid, scale * state.u, state.t)
-        E0 = gevrey_energy(state, sym0, cfg.tau0, cfg.sigma)
+        u = (1.0 / math.sqrt(E0)) * u
+        E0 = gevrey_energy(u, sym0, cfg.tau0, cfg.sigma)
 
     t_end = cfg.t_end()
     dt = cfg.dt if cfg.dt is not None else cfg.max_dt()
@@ -380,27 +377,26 @@ def run_with_energy(cfg: RunConfig, state: Optional[SystemState] = None) -> Ener
     aborted = False
     reason = ""
 
-    def record(s: SystemState):
-        sym = sym0 if s.t == sym0.t else Symmetrizer(grid, sb, s.t)
-        tau = cfg.tau_at(s.t)
-        d = rhs(s, cfg)
-        breakdowns.append(
-            dt_energy_breakdown(s, d, sym, tau, cfg.sigma, cfg.taudot)
-        )
+    def record(t: float, u: np.ndarray):
+        sym = sym0 if t == sym0.t else Symmetrizer(grid, sb, t)
+        transport, source = rhs_parts(cfg, t, u)
+        breakdowns.append(dt_energy_breakdown(u, transport, source, sym,
+                                              cfg.tau_at(t), cfg.sigma))
 
+    t = 0.0
     try:
-        record(state)
+        record(t, u)
         for step in range(n_steps):
-            state = step_rk4(state, cfg, dt)
+            u = step_rk4(cfg, t, u, dt)
+            t = t + dt
             if step % cfg.sample_stride == cfg.sample_stride - 1 \
                     or step == n_steps - 1:
-                record(state)
+                record(t, u)
     except SolverBlowupError as err:
         aborted = True
         reason = str(err)
 
-    return EnergyTrace(breakdowns=breakdowns, taudot=cfg.taudot,
-                       config=cfg.describe(), initial_energy=E0,
+    return EnergyTrace(breakdowns=breakdowns, initial_energy=E0,
                        aborted=aborted, abort_reason=reason)
 
 
@@ -419,31 +415,32 @@ def measure_tau_threshold(cfg: RunConfig) -> float:
     return trace.max_ratio_sum()
 
 
-def verify_breakdown_identity(state: SystemState, cfg: RunConfig,
+def verify_breakdown_identity(cfg: RunConfig, t: float, u: np.ndarray,
                               h: Optional[float] = None) -> dict:
     """Centered-difference check of dE/dt = -taudot E1 + E2 + E3 + E4.
 
-    Steps the flow to t +- h with RK4, differences the energy and
-    compares with the assembled budget.  Returns the residual and the
-    magnitude sum E1 + |E2| + |E3| + |E4| used for the relative test.
+    Steps the flow from (t, u) to t +- h with RK4, differences the
+    energy and compares with the assembled budget.  Returns the residual
+    and the magnitude sum E1 + |E2| + |E3| + |E4| used for the relative
+    test.
     """
-    grid = state.grid
+    grid = cfg.grid
     sb = cfg.symbol_b()
     if h is None:
         # small against both the CFL step and the fastest energy
         # oscillation, large against the roundoff floor of E
         h = cfg.max_dt() / 64.0
-    sym = Symmetrizer(grid, sb, state.t)
-    d = rhs(state, cfg)
-    bd = dt_energy_breakdown(state, d, sym, cfg.tau_at(state.t),
-                             cfg.sigma, cfg.taudot)
-    fwd = step_rk4(state, cfg, h)
-    bwd = step_rk4(state, cfg, -h)
-    E_fwd = gevrey_energy(fwd, Symmetrizer(grid, sb, fwd.t),
-                          cfg.tau_at(fwd.t), cfg.sigma)
-    E_bwd = gevrey_energy(bwd, Symmetrizer(grid, sb, bwd.t),
-                          cfg.tau_at(bwd.t), cfg.sigma)
-    fd = (E_fwd - E_bwd) / (2.0 * h)
+    transport, source = rhs_parts(cfg, t, u)
+    bd = dt_energy_breakdown(u, transport, source, Symmetrizer(grid, sb, t),
+                             cfg.tau_at(t), cfg.sigma)
+
+    def energy_after(step: float) -> float:
+        s = t + step
+        return gevrey_energy(step_rk4(cfg, t, u, step),
+                             Symmetrizer(grid, sb, s), cfg.tau_at(s),
+                             cfg.sigma)
+
+    fd = (energy_after(h) - energy_after(-h)) / (2.0 * h)
     predicted = bd.dt_energy(cfg.taudot)
     magnitude = bd.E1 + abs(bd.E2) + abs(bd.E3) + abs(bd.E4)
     return {

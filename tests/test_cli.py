@@ -144,6 +144,23 @@ class TestValidationExitCodes:
                      output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
 
+    @pytest.mark.parametrize("kind, bad",
+                             BAD_VALUES + [("cjs_sweep", {"t_final": 1e9})])
+    def test_invalid_scenario_leaves_no_output_dir(self, tmp_path, kind, bad):
+        s = Scenario(kind=kind, config=bad, output_dir=str(tmp_path / "out"))
+        assert run_scenario(s) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_naming_a_file_exits_2(self, tmp_path):
+        (tmp_path / "out").write_text("")
+        proc = _run_cli(tmp_path, "constraint_table",
+                        {"sigma_min": "0.45", "sigma_max": "0.55",
+                         "step": "0.01"})
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert (tmp_path / "out").read_text() == ""
+
 
 class TestRunVerb:
     def test_duplicate_output_dirs_rejected(self, tmp_path):

@@ -3,10 +3,11 @@ import pytest
 
 from weakhyp.energy import (Symmetrizer, conjugated_matrix,
                             dt_energy_breakdown, e1, energy,
-                            garding_sign_probe, subprincipal_refinement)
+                            garding_sign_probe, subprincipal_refinement,
+                            weight_values)
 from weakhyp.quantize import (SymbolField, hermiticity_defect, quantize,
                               sample_symbol_b)
-from weakhyp.solver import (NonlinearityF, RunConfig, SystemState, rhs,
+from weakhyp.solver import (NonlinearityF, RunConfig, rhs_parts,
                             verify_breakdown_identity, wave_packet)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
@@ -17,10 +18,10 @@ def sym128(sb_c1, grid128):
     return Symmetrizer(grid128, sb_c1, 0.0)
 
 
-def _random_state(grid, rng, t=0.0):
+def _random_state(grid, rng):
     u1 = wave_packet(grid, grid.x0, rng.uniform(5, 30), 0.02)
     u2 = wave_packet(grid, grid.x0, rng.uniform(5, 30), 0.02)
-    return SystemState(grid, [rng.normal() * u1, rng.normal() * u2], t)
+    return np.stack((rng.normal() * u1, rng.normal() * u2))
 
 
 class TestSymmetrizer:
@@ -76,12 +77,12 @@ class TestSymmetrizer:
 
 class TestEnergy:
     def test_zero_state(self, sym128, grid128):
-        st = SystemState(grid128, np.zeros((2, grid128.n)))
+        st = np.zeros((2, grid128.n), dtype=complex)
         assert energy(st, sym128, 0.5, 0.5) == 0.0
 
     def test_tau_zero_first_component_only(self, sym128, grid128, rng):
         u1 = rng.normal(size=grid128.n) + 1j * rng.normal(size=grid128.n)
-        st = SystemState(grid128, [u1, np.zeros(grid128.n)])
+        st = np.stack((u1, np.zeros(grid128.n)))
         assert energy(st, sym128, 0.0, 0.5) == pytest.approx(
             0.5 * grid128.norm2(u1), rel=1e-12)
 
@@ -95,7 +96,7 @@ class TestEnergy:
         xi_star = grid128.xi[k]
         A = 0.7
         u2 = A * np.exp(2j * np.pi * xi_star * grid128.x)
-        st = SystemState(grid128, [np.zeros(grid128.n), u2])
+        st = np.stack((np.zeros(grid128.n), u2))
         expected = 0.5 * A**2 * bracket(xi_star) ** sb.c * grid128.length
         assert energy(st, sym, 0.0, 0.5) == pytest.approx(expected, rel=1e-10)
 
@@ -107,7 +108,7 @@ class TestEnergy:
 
 class TestE1:
     def test_zero_state(self, sym128, grid128):
-        st = SystemState(grid128, np.zeros((2, grid128.n)))
+        st = np.zeros((2, grid128.n), dtype=complex)
         v, eq = e1(st, sym128, 0.2, 0.5)
         assert v == 0.0 and eq == 0.0
 
@@ -115,7 +116,7 @@ class TestE1:
         sigma = 0.5
         k = 12
         u1 = np.exp(2j * np.pi * grid128.xi[k] * grid128.x)
-        st = SystemState(grid128, [u1, np.zeros(grid128.n)])
+        st = np.stack((u1, np.zeros(grid128.n)))
         v, eq = e1(st, sym128, 0.0, sigma)
         expected = bracket(grid128.xi[k]) ** sigma * grid128.norm2(u1)
         assert v == pytest.approx(expected, rel=1e-10)
@@ -181,9 +182,9 @@ class TestBreakdown:
         cfg = RunConfig(n=128, sigma=0.5, coeff=coeff)
         sb = cfg.symbol_b()
         sym = Symmetrizer(grid128, sb, 0.0)
-        st = SystemState(grid128, np.zeros((2, grid128.n)))
-        d = rhs(st, cfg)
-        bd = dt_energy_breakdown(st, d, sym, cfg.tau0, cfg.sigma, 0.0)
+        st = np.zeros((2, grid128.n), dtype=complex)
+        bd = dt_energy_breakdown(st, *rhs_parts(cfg, 0.0, st), sym, cfg.tau0,
+                                 cfg.sigma)
         assert bd.E == bd.E1 == bd.E2 == bd.E3 == bd.E4 == 0.0
 
     def test_linear_run_has_zero_e4(self, grid128, coeff, rng):
@@ -191,15 +192,15 @@ class TestBreakdown:
                         nonlinearity=NonlinearityF.zero())
         sym = Symmetrizer(grid128, cfg.symbol_b(), 0.0)
         st = _random_state(grid128, rng)
-        bd = dt_energy_breakdown(st, rhs(st, cfg), sym, cfg.tau0, cfg.sigma,
-                                 0.0)
+        bd = dt_energy_breakdown(st, *rhs_parts(cfg, 0.0, st), sym, cfg.tau0,
+                                 cfg.sigma)
         assert bd.E4 == 0.0
         assert bd.E1 > 0.0
 
     def test_identity_against_flow_difference(self, coeff, rng):
         cfg = RunConfig(n=128, sigma=0.5, coeff=coeff, taudot=3.0)
         st = cfg.initial_state()
-        res = verify_breakdown_identity(st, cfg)
+        res = verify_breakdown_identity(cfg, 0.0, st)
         assert res["residual"] <= 1e-3 * res["magnitude"]
 
     def test_ratios_finite_on_plateau_config(self, coeff):
@@ -207,8 +208,8 @@ class TestBreakdown:
         grid = cfg.grid
         sym = Symmetrizer(grid, cfg.symbol_b(), 0.0)
         st = cfg.initial_state()
-        bd = dt_energy_breakdown(st, rhs(st, cfg), sym, cfg.tau0, cfg.sigma,
-                                 0.0)
+        bd = dt_energy_breakdown(st, *rhs_parts(cfg, 0.0, st), sym, cfg.tau0,
+                                 cfg.sigma)
         for r in (bd.r2, bd.r3, bd.r4):
             assert np.isfinite(r)
 
@@ -232,17 +233,33 @@ class TestDomination:
 class TestGardingProbe:
     def test_zero_v2(self, sym128, grid128, rng):
         u1 = rng.normal(size=grid128.n)
-        st = SystemState(grid128, [u1, np.zeros(grid128.n)])
+        st = np.stack((u1, np.zeros(grid128.n)))
         assert garding_sign_probe(st, sym128, 0.3, 0.5) == 0.0
 
     def test_nonnegative_on_random_states(self, sym128, grid128, rng):
         for _ in range(30):
             st = _random_state(grid128, rng)
             val = garding_sign_probe(st, sym128, 0.2, 0.5)
-            assert val >= -1e-10 * grid128.norm2(st.u[1])
+            assert val >= -1e-10 * grid128.norm2(st[1])
 
     def test_positive_time_also_nonnegative(self, sb_c1, grid128, rng):
         sym = Symmetrizer(grid128, sb_c1, 0.025)
-        st = _random_state(grid128, rng, t=0.025)
+        st = _random_state(grid128, rng)
         val = garding_sign_probe(st, sym, 0.2, 0.5)
-        assert val >= -1e-10 * grid128.norm2(st.u[1])
+        assert val >= -1e-10 * grid128.norm2(st[1])
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("t", [0.0, 0.01, 0.025, 0.07])
+    def test_distinct_rows_match_full_lattice(self, coeff, rng, n, t):
+        grid = Grid(n, 1.0, 0.5)
+        x = grid.x_doubled[:, None]
+        st = _random_state(grid, rng)
+        for c in (1.0, 0.5):
+            sb = SymbolB(coeff, c=c)
+            sym = Symmetrizer(grid, sb, t)
+            g = np.sqrt(np.maximum(coeff.dt_a(t, x), 0.0)) * sb.b(t, x, grid.xi)
+            G = quantize(SymbolField(grid, g))
+            w = sym.b_matrix @ weight_values(grid, st[1], 0.2, 0.5)
+            reference = float(np.real(grid.inner(G @ (G @ w), w)))
+            assert np.array_equal(garding_sign_probe(st, sym, 0.2, 0.5),
+                                  reference)

@@ -6,7 +6,7 @@ import pytest
 
 from weakhyp.energy import Symmetrizer
 from weakhyp.solver import (CFLError, NonlinearityF, RunConfig,
-                            SolverBlowupError, SystemState, rhs,
+                            SolverBlowupError, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
 from weakhyp.symbols import CoefficientField
 
@@ -20,86 +20,74 @@ def free_cfg():
                      nonlinearity=NonlinearityF.zero(), length=1.0)
 
 
-class TestSystemState:
-    def test_value_shape_must_match(self, grid64):
-        with pytest.raises(ValueError, match="shape"):
-            SystemState(grid64, np.zeros((2, 63)))
-        with pytest.raises(ValueError, match="shape"):
-            SystemState(grid64, np.zeros(grid64.n))
-
-    def test_rejects_non_finite_entries(self, grid64):
-        u = np.zeros((2, grid64.n))
-        u[1, 3] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            SystemState(grid64, u)
-
-
 class TestRhs:
     def test_zero_state(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff)
-        g = cfg.grid
-        st = SystemState(g, np.zeros((2, g.n)))
-        d1, d2 = rhs(st, cfg)
+        d1, d2 = rhs(cfg, 0.0, np.zeros((2, cfg.n), dtype=complex))
         assert np.all(d1 == 0) and np.all(d2 == 0)
 
     def test_nilpotent_structure(self, free_cfg):
         g = free_cfg.grid
         k = 5
         u2 = np.exp(2j * np.pi * g.xi[k] * g.x)
-        st = SystemState(g, [np.zeros(g.n), u2])
-        d1, d2 = rhs(st, free_cfg)
+        d1, d2 = rhs(free_cfg, 0.0, np.stack((np.zeros(g.n), u2)))
         assert np.abs(d1 - 2j * np.pi * g.xi[k] * u2).max() < 1e-12
         assert np.abs(d2).max() == 0.0
 
     def test_blowup_detection(self, coeff):
         bad = NonlinearityF([((0, 0), 0, 0, lambda t, x: np.full_like(x, np.nan))])
         cfg = RunConfig(n=64, coeff=coeff, nonlinearity=bad)
-        g = cfg.grid
-        st = SystemState(g, np.ones((2, g.n)))
         with pytest.raises(SolverBlowupError):
-            rhs(st, cfg)
+            rhs(cfg, 0.0, np.ones((2, cfg.n), dtype=complex))
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    def test_rhs_is_the_sum_of_its_parts(self, coeff, nonlinear):
+        kwargs = {} if nonlinear else {"nonlinearity": NonlinearityF.zero()}
+        cfg = RunConfig(n=64, coeff=coeff, packet_xi=8.0, **kwargs)
+        u = cfg.initial_state()
+        u[0] = 0.3 * u[1] + np.roll(u[1], 5)
+        transport, source = rhs_parts(cfg, 0.02, u)
+        assert np.array_equal(rhs(cfg, 0.02, u), transport + source)
+        assert np.any(source != 0) == nonlinear
 
 
 class TestStepRK4:
     def test_zero_stays_zero(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff)
-        g = cfg.grid
-        st = SystemState(g, np.zeros((2, g.n)))
-        out = step_rk4(st, cfg, cfg.max_dt())
-        assert np.all(out.u == 0)
+        out = step_rk4(cfg, 0.0, np.zeros((2, cfg.n), dtype=complex),
+                       cfg.max_dt())
+        assert np.all(out == 0)
 
     def test_cfl_violation_names_required_dt(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff)
-        g = cfg.grid
-        st = SystemState(g, np.zeros((2, g.n)))
         with pytest.raises(CFLError, match="required dt"):
-            step_rk4(st, cfg, 10.0 * cfg.max_dt())
+            step_rk4(cfg, 0.0, np.zeros((2, cfg.n), dtype=complex),
+                     10.0 * cfg.max_dt())
 
     def test_nilpotent_case_exact_over_100_steps(self, free_cfg):
         g = free_cfg.grid
         k = 3
         u2 = np.exp(2j * np.pi * g.xi[k] * g.x)
-        st = SystemState(g, [np.zeros(g.n), u2])
+        u, t = np.stack((np.zeros(g.n), u2)), 0.0
         dt = free_cfg.max_dt()
         for _ in range(100):
-            st = step_rk4(st, free_cfg, dt)
-        t = st.t
+            u, t = step_rk4(free_cfg, t, u, dt), t + dt
         exact = t * 2j * np.pi * g.xi[k] * u2
-        assert np.abs(st.u[0] - exact).max() < 1e-10
-        assert np.abs(st.u[1] - u2).max() < 1e-10
+        assert np.abs(u[0] - exact).max() < 1e-10
+        assert np.abs(u[1] - u2).max() < 1e-10
 
     def test_fourth_order_convergence(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, nonlinearity=NonlinearityF.zero(),
                         packet_xi=6.0, packet_width=0.03)
-        st0 = cfg.initial_state()
+        u0 = cfg.initial_state()
         t_end = 16 * cfg.max_dt()
 
         def integrate(dt):
             steps = int(round(t_end / dt))
-            st = st0
+            u, t = u0, 0.0
             for _ in range(steps):
-                st = step_rk4(st, cfg, dt)
-            return st.u.ravel()
+                u, t = step_rk4(cfg, t, u, dt), t + dt
+            return u.ravel()
 
         dt = cfg.max_dt()
         u_a, u_b, u_c = integrate(dt), integrate(dt / 2), integrate(dt / 4)
@@ -184,26 +172,45 @@ class TestRunConfig:
 
 
 class TestRunWithEnergy:
+    def test_initial_data_shape_must_match(self, coeff):
+        cfg = RunConfig(n=64, coeff=coeff)
+        with pytest.raises(ValueError, match="shape"):
+            run_with_energy(cfg, np.zeros((2, 63)))
+        with pytest.raises(ValueError, match="shape"):
+            run_with_energy(cfg, np.zeros(cfg.n))
+
+    def test_rejects_non_finite_initial_data(self, coeff):
+        cfg = RunConfig(n=64, coeff=coeff)
+        u = np.zeros((2, cfg.n))
+        u[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            run_with_energy(cfg, u)
+
     def test_zero_initial_data_reports_zero_ratio(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=8,
                         normalize_energy=False)
-        g = cfg.grid
-        zero = SystemState(g, np.zeros((2, g.n)))
-        trace = run_with_energy(cfg, state=zero)
+        trace = run_with_energy(cfg, np.zeros((2, cfg.n)))
         assert trace.max_ratio() == 0.0
+
+    def test_linear_run_has_zero_e4(self, coeff):
+        cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0,
+                        nonlinearity=NonlinearityF.zero())
+        trace = run_with_energy(cfg)
+        assert not trace.aborted and len(trace.breakdowns) > 1
+        assert all(b.E4 == 0.0 for b in trace.breakdowns)
 
     def test_support_control_along_run(self, coeff):
         cfg = RunConfig(n=256, coeff=coeff, packet_xi=24.0, taudot=0.0,
                         sample_stride=16, nonlinearity=NonlinearityF.zero())
-        state = cfg.initial_state()
+        u, t = cfg.initial_state(), 0.0
         g = cfg.grid
         dt = cfg.max_dt()
         steps = int(np.ceil(cfg.t_end() / dt))
         for _ in range(steps):
-            state = step_rk4(state, cfg, dt)
+            u, t = step_rk4(cfg, t, u, dt), t + dt
         outside = np.abs(g.x - g.x0) > coeff.r_outer
-        mass = g.norm2(state.u * outside)
-        total = g.norm2(state.u)
+        mass = g.norm2(u * outside)
+        total = g.norm2(u)
         assert mass < 1e-8 * total
 
     def test_abort_keeps_partial_trace(self, coeff):
@@ -250,20 +257,20 @@ class TestWaveReduction:
         cfg = RunConfig(n=256, coeff=coeff, packet_xi=10.0, packet_width=0.03,
                         packet_component=1, normalize_energy=False)
         g = cfg.grid
-        st = cfg.initial_state()
-        scale = 0.05 / max(np.abs(st.u[0]))
-        st = SystemState(g, [scale * st.u[0], np.zeros(g.n)], 0.0)
+        u = cfg.initial_state()
+        scale = 0.05 / max(np.abs(u[0]))
+        u = np.stack((scale * u[0], np.zeros(g.n)))
         dt = cfg.max_dt() / 4.0
-        back = step_rk4(st, cfg, -dt)
-        fwd = step_rk4(st, cfg, dt)
-        d2t_u1 = (fwd.u[0] - 2 * st.u[0] + back.u[0]) / dt**2
+        back = step_rk4(cfg, 0.0, u, -dt)
+        fwd = step_rk4(cfg, 0.0, u, dt)
+        d2t_u1 = (fwd[0] - 2 * u[0] + back[0]) / dt**2
 
         dxi = 2j * np.pi * g.xi
-        a_vals = coeff.a(st.t, g.x)
-        dx_u1 = np.fft.ifft(dxi * np.fft.fft(st.u[0]))
+        a_vals = coeff.a(0.0, g.x)
+        dx_u1 = np.fft.ifft(dxi * np.fft.fft(u[0]))
         flux = np.fft.ifft(dxi * np.fft.fft(a_vals * dx_u1))
         source = np.fft.ifft(dxi * np.fft.fft(coeff.chi(g.x)
-                                              * st.u[0] ** 2))
+                                              * u[0] ** 2))
         predicted = flux + source
         inner = np.abs(g.x - g.x0) <= coeff.r * 0.9
         err = np.abs(d2t_u1 - predicted)[inner].max()
