@@ -83,20 +83,25 @@ def glaeser_audit_a(coeff: CoefficientField, n_t: int = 24,
     ratio = np.where(tiny_a, 0.0, da2 / np.where(tiny_a, 1.0, a))
     k = np.unravel_index(np.argmax(ratio), ratio.shape)
     C = float(ratio[k])
-    # Gevrey seminorm proxy up to second order, for the comparison flag
-    R = coeff.radius_R
+    # Gevrey seminorm proxy up to second order, for the comparison flag;
+    # in numpy scalars a radius term that overflows is inf, not an error,
+    # and a seminorm that is not finite fails the comparison
+    R = np.float64(coeff.radius_R)
     s = 1.0 / coeff.sigma_coeff
     m0 = float(np.max(np.abs(a)))
     m1 = float(np.max(np.abs(coeff.dx_a(T, X))))
     m2 = float(np.max(np.abs(coeff.dxx_a(T, X))))
-    seminorm = max(m0, m1 / R, m2 / (R**2 * 2.0**s))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        seminorm_R = float(np.max(
+            [m0, m1 / R, m2 / (R**2 * np.float64(2.0)**s)]) * R)
     return AuditReport(
         check="glaeser_a",
         constant=C,
         witness=(T[k], X[k]),
         passed=math.isfinite(C),
-        extras={"sqrt_C": math.sqrt(C), "seminorm_R": seminorm * R,
-                "shrink_ok": math.sqrt(C) <= seminorm * R},
+        extras={"sqrt_C": math.sqrt(C), "seminorm_R": seminorm_R,
+                "shrink_ok": (math.isfinite(seminorm_R)
+                              and math.sqrt(C) <= seminorm_R)},
     )
 
 
@@ -217,6 +222,27 @@ def _sample_phase_points(pm: PhaseMetric, t: float, n_pairs: int,
     return x, xi
 
 
+def _temperance_fit(ratio: np.ndarray, gsig: np.ndarray):
+    """Fit ratio <= C (1 + gsig)^N over sampled pairs.
+
+    N is the least-squares slope of log ratio against log(1 + gsig),
+    rounded up and at least 1; C is the smallest constant that holds
+    with it, attained at pair k.  Returns (C, N, slope, k), with C nan,
+    N None and k 0 when the slope is not finite.
+    """
+    logbase = np.log1p(gsig)
+    logratio = np.log(np.maximum(ratio, 1.0))
+    pos = logbase > 1e-12
+    slope = float(np.sum(logratio[pos] * logbase[pos])
+                  / np.sum(logbase[pos] ** 2))
+    if not math.isfinite(slope):
+        return math.nan, None, slope, 0
+    N = max(1, math.ceil(slope))
+    bound = ratio / (1.0 + gsig) ** N
+    k = int(np.argmax(bound))
+    return float(bound[k]), N, slope, k
+
+
 def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
                                n_pairs: int = 10_000, n_probes: int = 16,
                                xi_max: float = 128.0, r_slow: float = 0.1,
@@ -265,13 +291,7 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
 
     # temperance: fit ratio <= C (1 + g^sigma_X(X-Y))^N over all pairs
     gsig = pm.g_dual(t, (x1, xi1), (x1 - x2, xi1 - xi2))
-    logbase = np.log1p(gsig)
-    logratio = np.log(np.maximum(ratio_sup, 1.0))
-    pos = logbase > 1e-12
-    slope = float(np.sum(logratio[pos] * logbase[pos])
-                  / np.sum(logbase[pos] ** 2))
-    N = max(1, math.ceil(slope))
-    C = float(np.max(ratio_sup / (1.0 + gsig) ** N))
+    C, N, slope, _ = _temperance_fit(ratio_sup, gsig)
     return {
         "slow_variation": AuditReport(
             "slow_variation", slow_constant, (r_slow,),
@@ -299,14 +319,7 @@ def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     by = sb.b(t, x2, xi2)
     ratio = np.maximum(bx / by, by / bx)
     gsig = pm.g_dual(t, (x1, xi1), (x1 - x2, xi1 - xi2))
-    logbase = np.log1p(gsig)
-    logratio = np.log(np.maximum(ratio, 1.0))
-    pos = logbase > 1e-12
-    slope = float(np.sum(logratio[pos] * logbase[pos])
-                  / np.sum(logbase[pos] ** 2))
-    N = max(1, math.ceil(slope))
-    C = float(np.max(ratio / (1.0 + gsig) ** N))
-    k = int(np.argmax(ratio / (1.0 + gsig) ** N))
+    C, N, slope, k = _temperance_fit(ratio, gsig)
     return AuditReport("weight_admissibility", C, (x1[k], xi1[k]),
                        math.isfinite(C),
                        extras={"N": N, "fitted_slope": slope})

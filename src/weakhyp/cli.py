@@ -159,6 +159,9 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
 
     taudot = cfg_raw.get("taudot")
     factor = cfg_raw.get("taudot_factor")
+    # the hash names the configuration: the rate rule as given, not the
+    # rate the pilot measures for it
+    config_hash = cfg.content_hash(taudot=taudot, taudot_factor=factor)
     threshold = None
     if taudot is None or taudot == "auto":
         threshold = measure_tau_threshold(cfg)
@@ -174,7 +177,7 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
         "taudot": cfg.taudot,
         "horizon": cfg.t_end(),
         "aborted": trace.aborted,
-        "config_hash": cfg.content_hash(),
+        "config_hash": config_hash,
         "config": cfg.describe(),
     }
     write_json(os.path.join(out, "summary.json"), summary)
@@ -389,37 +392,18 @@ def _cmd_run(args) -> int:
     return max(run_scenario(s) for s in scenarios)
 
 
-def _cmd_table(args) -> int:
-    scenario = Scenario(
-        kind="constraint_table",
-        config={"sigma_min": args.sigma_min, "sigma_max": args.sigma_max,
-                "step": args.step, "nu": args.nu,
-                "f21_zero": args.f21_zero},
-        output_dir=args.out,
-    )
-    return run_scenario(scenario)
+AUDIT_KINDS = {"symbols": "symbol_audit", "metric": "metric_audit",
+               "quantizer": "quantizer_audit"}
 
 
-def _cmd_audit(args) -> int:
-    kind = {"symbols": "symbol_audit", "metric": "metric_audit",
-            "quantizer": "quantizer_audit"}[args.target]
-    config = {}
-    if args.c is not None:
-        config["c"] = args.c
-    if args.dump_matrices and kind == "quantizer_audit":
-        config["dump_matrices"] = True
-    scenario = Scenario(kind=kind, config=config, output_dir=args.out)
-    return run_scenario(scenario)
-
-
-def _cmd_cjs(args) -> int:
-    config = {"profile": args.profile, "t_final": args.t_final}
-    if args.k is not None:
-        config["k"] = args.k
-    if args.xi_ladder:
-        config["xi_ladder"] = args.xi_ladder
-    scenario = Scenario(kind="cjs_sweep", config=config, output_dir=args.out)
-    return run_scenario(scenario)
+def _cmd_verb(args) -> int:
+    """table, audit and cjs: the flags the user gave are the config."""
+    config = vars(args)
+    del config["command"], config["fn"]
+    output_dir = config.pop("out")
+    kind = config.pop("kind", None) or AUDIT_KINDS[config.pop("target")]
+    return run_scenario(Scenario(kind=kind, config=config,
+                                 output_dir=output_dir))
 
 
 def main(argv=None) -> int:
@@ -433,33 +417,36 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario", nargs="+")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_table = sub.add_parser("table", help="constraint feasibility table")
-    p_table.add_argument("--sigma-min", default="0.3")
-    p_table.add_argument("--sigma-max", default="0.99")
-    p_table.add_argument("--step", default="0.001")
-    p_table.add_argument("--nu", type=int, default=4)
+    # the verbs below pass only the flags given; the runners own the defaults
+    p_table = sub.add_parser("table", help="constraint feasibility table",
+                             argument_default=argparse.SUPPRESS)
+    p_table.add_argument("--sigma-min")
+    p_table.add_argument("--sigma-max")
+    p_table.add_argument("--step")
+    p_table.add_argument("--nu", type=int)
     p_table.add_argument("--f21-zero", action="store_true")
     p_table.add_argument("--out", default="out/table")
-    p_table.set_defaults(fn=_cmd_table)
+    p_table.set_defaults(fn=_cmd_verb, kind="constraint_table")
 
-    p_audit = sub.add_parser("audit", help="run an audit bundle")
-    p_audit.add_argument("target", choices=["symbols", "metric", "quantizer"])
-    p_audit.add_argument("--c", type=float, default=None)
+    p_audit = sub.add_parser("audit", help="run an audit bundle",
+                             argument_default=argparse.SUPPRESS)
+    p_audit.add_argument("target", choices=AUDIT_KINDS)
+    p_audit.add_argument("--c", type=float)
     p_audit.add_argument("--dump-matrices", action="store_true",
                          help="write assembled operators as raw complex128")
     p_audit.add_argument("--out", default="out/audit")
-    p_audit.set_defaults(fn=_cmd_audit)
+    p_audit.set_defaults(fn=_cmd_verb)
 
-    p_cjs = sub.add_parser("cjs", help="scalar-mode growth sweep")
-    p_cjs.add_argument("--k", type=int, default=None)
+    p_cjs = sub.add_parser("cjs", help="scalar-mode growth sweep",
+                           argument_default=argparse.SUPPRESS)
+    p_cjs.add_argument("--k", type=int)
     # a ValueError here is argparse's usage error, exit 2
-    p_cjs.add_argument("--xi-ladder", default=None,
+    p_cjs.add_argument("--xi-ladder",
                        type=lambda s: [float(v) for v in s.split(",")])
-    p_cjs.add_argument("--profile", default="linear",
-                       choices=["linear", "parabola", "constant"])
-    p_cjs.add_argument("--t-final", type=float, default=1.0)
+    p_cjs.add_argument("--profile", choices=CJS_PROFILES)
+    p_cjs.add_argument("--t-final", type=float)
     p_cjs.add_argument("--out", default="out/cjs")
-    p_cjs.set_defaults(fn=_cmd_cjs)
+    p_cjs.set_defaults(fn=_cmd_verb, kind="cjs_sweep")
 
     args = parser.parse_args(argv)
     return args.fn(args)

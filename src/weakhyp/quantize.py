@@ -1,4 +1,4 @@
-"""Discrete Weyl / Kohn-Nirenberg quantization and operator experiments.
+"""Discrete Weyl quantization and operator experiments.
 
 A phase-space symbol p(x, xi) is sampled on the doubled spatial lattice
 (2n half-step points, so every pair midpoint (x_i + y_j)/2 is a sample
@@ -7,8 +7,7 @@ dense kernel
 
     K[i, j] = (1/n) * sum_k exp(2*pi*i*(x_i - y_j)*xi_k) * p(m_ij, xi_k)
 
-with m_ij = (x_i + y_j)/2 for Weyl and m_ij = x_i for Kohn-Nirenberg.
-On the torus the pair (x_i, y_j) is identified through its wrapped
+with the midpoint m_ij = (x_i + y_j)/2.  On the torus the pair (x_i, y_j) is identified through its wrapped
 difference d in (-n/2, n/2] and the midpoint on the short arc, which
 keeps the convention translation-equivariant across the seam.  Per
 midpoint the kernel formula is a single inverse FFT in the difference
@@ -66,10 +65,6 @@ __all__ = [
     "compose_remainder",
     "invert_b",
 ]
-
-WEYL = "weyl"
-KOHN_NIRENBERG = "kohn_nirenberg"
-
 
 @dataclass
 class SymbolField:
@@ -164,8 +159,8 @@ class _SlotMap(NamedTuple):
 def _slot_map(n: int) -> _SlotMap:
     D0, _, Mstar = _wrapped_difference(n)
     anti = np.flatnonzero(D0 == n // 2)
-    # numpy gathers fastest through intp indices, so mid is intp; the
-    # Weyl path only adds diff (d0 < n), whose int32 halves its memory
+    # numpy gathers fastest through intp indices, so mid is intp;
+    # quantize only adds diff (d0 < n), whose int32 halves its memory
     slots = _SlotMap(mid=Mstar.astype(np.intp), diff=D0.astype(np.int32),
                      anti=anti,
                      anti_mid=(Mstar.reshape(-1)[anti] + n) % (2 * n))
@@ -174,7 +169,7 @@ def _slot_map(n: int) -> _SlotMap:
     return slots
 
 
-def quantize(p: SymbolField, mode: str = WEYL) -> np.ndarray:
+def quantize(p: SymbolField) -> np.ndarray:
     """The dense (n, n) kernel of op(p).
 
     The inverse FFT runs over the stored rows of the field only; the
@@ -182,20 +177,14 @@ def quantize(p: SymbolField, mode: str = WEYL) -> np.ndarray:
     """
     n = p.grid.n
     g = _slot_map(n)
-    if mode == WEYL:
-        c = np.fft.ifft(p.samples, axis=1).reshape(-1)
-        # flat slot rows[m*] * n + d0, built in place
-        index = p.rows[g.mid]
-        index *= n
-        index += g.diff
-        K = c[index]
-        Kf = K.reshape(-1)
-        Kf[g.anti] = 0.5 * (Kf[g.anti] + c[p.rows[g.anti_mid] * n + n // 2])
-    elif mode == KOHN_NIRENBERG:
-        c = np.fft.ifft(p.samples[p.rows[::2]], axis=1)
-        K = c[np.arange(n)[:, None], g.diff]
-    else:
-        raise ValueError(f"unknown quantization mode {mode!r}")
+    c = np.fft.ifft(p.samples, axis=1).reshape(-1)
+    # flat slot rows[m*] * n + d0, built in place
+    index = p.rows[g.mid]
+    index *= n
+    index += g.diff
+    K = c[index]
+    Kf = K.reshape(-1)
+    Kf[g.anti] = 0.5 * (Kf[g.anti] + c[p.rows[g.anti_mid] * n + n // 2])
     return K
 
 
@@ -273,19 +262,19 @@ class PowerIterationWarning(UserWarning):
     pass
 
 
-def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200,
-                  seed: int = 7, block: int = 8) -> float:
+def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200) -> float:
     """Largest singular value by blocked power iteration on A* A.
 
     A single power vector stalls on near-degenerate top singular values
     (frequency multipliers routinely have clustered maxima), so a small
-    orthonormal block is iterated and the top Rayleigh-Ritz value
-    tracked until its relative change falls below `tol`.
+    orthonormal block of 8 seeded vectors is iterated and the top
+    Rayleigh-Ritz value tracked until its relative change falls below
+    `tol`.
     """
     A = np.asarray(matrix)
     n = A.shape[0]
-    block = min(block, n)
-    rng = np.random.default_rng(seed)
+    block = min(8, n)
+    rng = np.random.default_rng(7)
     V = rng.normal(size=(n, block)) + 1j * rng.normal(size=(n, block))
     V, _ = np.linalg.qr(V)
     AH = A.conj().T
@@ -334,51 +323,42 @@ def poisson_bracket(p1: SymbolField, p2: SymbolField) -> np.ndarray:
             - _dx_samples(g, p1.samples) * _dxi_samples(g, p2.samples))
 
 
-def compose_remainder(p1: SymbolField, p2: SymbolField, order: int = 1,
-                      mode: str = WEYL, tol: float = 1e-8,
-                      max_iter: int = 50):
+def compose_remainder(p1: SymbolField, p2: SymbolField, order: int = 1):
     """Residuals of the symbolic composition expansion, at operator level.
 
     order 0:  R0 = op(p1) op(p2) - op(p1 p2)
-    order 1:  R1 = R0 - op(first-order correction)
+    order 1:  R1 = R0 - op({p1, p2}/(4*pi*i))
 
-    In the exp(2*pi*i*(x-y)*xi) kernel convention the first-order Weyl
-    correction is {p1, p2}/(4*pi*i) and the Kohn-Nirenberg one is
-    d_xi p1 d_x p2 / (2*pi*i).  Returns (residual matrices dict,
-    norms dict, norm ratio ||R1||/||R0||).
+    {p1, p2}/(4*pi*i) is the first-order Weyl correction in the
+    exp(2*pi*i*(x-y)*xi) kernel convention.  Returns (residual matrices
+    dict, norms dict, norm ratio ||R1||/||R0||).
     """
     if p1.grid is not p2.grid and p1.grid != p2.grid:
         raise ValueError("symbols live on different grids")
     g = p1.grid
-    Q1 = quantize(p1, mode)
-    Q2 = quantize(p2, mode)
     prod = SymbolField(g, p1.samples * p2.samples, time=p1.time,
                        label=f"({p1.label})*({p2.label})")
-    R0 = Q1 @ Q2 - quantize(prod, mode)
-    norms = {"R0": operator_norm(R0, tol=tol, max_iter=max_iter)}
+    R0 = quantize(p1) @ quantize(p2) - quantize(prod)
+    norms = {"R0": operator_norm(R0)}
     residuals = {"R0": R0}
     if order >= 1:
-        if mode == WEYL:
-            corr = poisson_bracket(p1, p2) / (4.0j * np.pi)
-        else:
-            corr = (_dxi_samples(g, p1.samples)
-                    * _dx_samples(g, p2.samples)) / (2.0j * np.pi)
+        corr = poisson_bracket(p1, p2) / (4.0j * np.pi)
         R1 = R0 - quantize(SymbolField(g, corr, time=p1.time,
-                                       label="order-1 correction"),
-                           mode)
+                                       label="order-1 correction"))
         residuals["R1"] = R1
-        norms["R1"] = operator_norm(R1, tol=tol, max_iter=max_iter)
+        norms["R1"] = operator_norm(R1)
     ratio = norms.get("R1", np.nan) / norms["R0"] if norms["R0"] > 0 else 0.0
     return residuals, norms, ratio
 
 
-def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid, mode: str = WEYL):
+def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):
     """Approximate inverse symbol of op(b) by the defect recursion.
 
     c_0 = b^(-1) and c_k = c_{k-1} + b^(-1) (1 - s_k), where s_k is the
-    symbol extracted from the exact matrix product op(b) op(c_{k-1}).
-    Returns (SymbolField c_nu, defects) with
-    defects[k] = || op(b) op(c_k) - Id ||.  A defect increase between
+    symbol extracted from the exact matrix product M_{k-1} =
+    op(b) op(c_{k-1}).  Returns (SymbolField c_nu, defects) with
+    defects[k] = || M_k - Id ||; each M_k is formed once and serves
+    both its defect and the next step.  A defect increase between
     consecutive steps signals the discretization floor and is reported
     via warning, not an exception.
     """
@@ -386,26 +366,21 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid, mode: str = WEYL):
         raise ValueError(f"nu must be in 0..6, got {nu}")
     b_field = sample_symbol_b(sb, grid, t)
     b_samples = b_field.samples
-    B = quantize(b_field, mode)
+    B = quantize(b_field)
     eye = np.eye(grid.n, dtype=complex)
     c = 1.0 / b_samples
-
-    def defect_of(c_samples):
-        Q = quantize(SymbolField(grid, c_samples, time=t, label="c"), mode)
-        return operator_norm(B @ Q - eye)
-
-    defects = [defect_of(c)]
-    for k in range(1, nu + 1):
-        M = B @ quantize(SymbolField(grid, c, time=t, label=f"c_{k-1}"),
-                         mode)
-        s = dequantize(M, grid, time=t, label=f"b#c_{k-1}").samples
-        c = c + (1.0 - s) / b_samples
-        defects.append(defect_of(c))
-        if defects[-1] > defects[-2]:
+    defects = []
+    for k in range(nu + 1):
+        M = B @ quantize(SymbolField(grid, c, time=t, label=f"c_{k}"))
+        defects.append(operator_norm(M - eye))
+        if k and defects[-1] > defects[-2]:
             warnings.warn(
                 f"invert_b defect increased at nu={k} "
                 f"({defects[-2]:.3e} -> {defects[-1]:.3e}); "
                 "discretization floor reached",
                 UserWarning,
             )
+        if k < nu:
+            s = dequantize(M, grid, time=t, label=f"b#c_{k}").samples
+            c = c + (1.0 - s) / b_samples
     return SymbolField(grid, c, time=t, label=f"c_{nu}"), defects

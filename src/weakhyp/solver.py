@@ -245,9 +245,10 @@ class RunConfig:
             grid, grid.x0, self.packet_xi, self.packet_width)
         return u
 
-    def content_hash(self) -> str:
+    def content_hash(self, **spec) -> str:
+        """Hash of `describe()` with the entries of `spec` put over it."""
         return hashlib.sha256(
-            json.dumps(self.describe(), sort_keys=True).encode()
+            json.dumps(self.describe() | spec, sort_keys=True).encode()
         ).hexdigest()[:16]
 
     def describe(self) -> dict:

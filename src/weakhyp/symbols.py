@@ -17,7 +17,9 @@ audits can compare finite differences against exact derivatives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,7 +106,7 @@ class CoefficientField:
         Bump center, plateau radius and support radius (r < r_outer).
     T, T_outer : floats
         Plateau time and support time (T < T_outer).
-    sigma_coeff, radius_R : floats
+    sigma_coeff, radius_R : floats > 0
         Claimed Gevrey class data (sigma, R) of e; only metadata for the
         Gevrey radius floor tau_under = R^(-sigma)/sigma.
     """
@@ -118,15 +120,29 @@ class CoefficientField:
     radius_R: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} = {value!r} must be a finite real")
         if not (0.0 < self.r < self.r_outer):
             raise ValueError("need 0 < r < r_outer")
         if not (0.0 < self.T < self.T_outer):
             raise ValueError("need 0 < T < T_outer")
+        for name in ("sigma_coeff", "radius_R"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} = {getattr(self, name)!r} "
+                                 "must be positive")
 
     @property
     def tau_under(self) -> float:
-        """Gevrey radius floor R^(-sigma)/sigma of the coefficient class."""
-        return self.radius_R ** (-self.sigma_coeff) / self.sigma_coeff
+        """Gevrey radius floor R^(-sigma)/sigma of the coefficient class.
+
+        inf where R^(-sigma) overflows, e.g. for a tiny R.
+        """
+        with np.errstate(over="ignore"):
+            return float(np.float64(self.radius_R) ** (-self.sigma_coeff)
+                         / self.sigma_coeff)
 
     # -- bump factors ------------------------------------------------------
 

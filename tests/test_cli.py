@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import weakhyp
+import weakhyp.cli as cli_module
 
 from weakhyp.cli import Scenario, ScenarioError, load_scenario, main, run_scenario
 
@@ -90,7 +91,8 @@ class TestValidationExitCodes:
                                      {"assert_max_ratio": "x"},
                                      {"nonlinear": "no"},
                                      {"f21_zero": "yes"},
-                                     {"n": 4096, "sigma": 0.9, "tau0": 1.0}])
+                                     {"n": 4096, "sigma": 0.9, "tau0": 1.0},
+                                     {"coeff": {"radius_R": 0}}])
     def test_bad_energy_config_exits_2_without_traceback(self, tmp_path,
                                                          bad):
         proc = _run_cli(tmp_path, "energy_estimate", bad)
@@ -101,10 +103,12 @@ class TestValidationExitCodes:
     @pytest.mark.parametrize("kind", ["energy_estimate", "symbol_audit",
                                       "metric_audit", "quantizer_audit"])
     def test_bad_coeff_exits_2(self, tmp_path, capsys, kind):
-        s = Scenario(kind=kind, config={"coeff": {"T": 0.2}},
-                     output_dir=str(tmp_path / "out"))
-        assert run_scenario(s) == 2
-        assert "config.coeff" in capsys.readouterr().err
+        for coeff in ({"T": 0.2}, {"radius_R": 0}, {"sigma_coeff": 0},
+                      {"radius_R": -1.0}, {"x0": True}, {"r": "x"}):
+            s = Scenario(kind=kind, config={"coeff": coeff},
+                         output_dir=str(tmp_path / "out"))
+            assert run_scenario(s) == 2
+            assert "config.coeff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [
         {"taudot": -1.0}, {"taudot_factor": "fast"},
@@ -132,7 +136,8 @@ class TestValidationExitCodes:
         ("cjs_sweep", {"t_final": -1}),
         ("constraint_table", {"nu": "x"}),
         ("cjs_sweep", {"xi_ladder": [16, 32, 64, 128, 256, 1e6]}),
-        ("cjs_sweep", {"t_final": 1e9})])
+        ("cjs_sweep", {"t_final": 1e9}),
+        ("symbol_audit", {"coeff": {"sigma_coeff": 0}})])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, kind, bad):
         proc = _run_cli(tmp_path, kind, bad)
         assert proc.returncode == 2
@@ -266,6 +271,34 @@ class TestEnergyScenario:
         assert failures[0]["check"] == "max_ratio"
 
 
+    def _summary(self, tmp_path, name, **config):
+        out = tmp_path / name
+        s = Scenario(kind="energy_estimate",
+                     config=dict({"n": 64, "sigma": 0.5, "tau0": 0.5,
+                                  "nonlinear": False, "packet_xi": 10.0,
+                                  "sample_stride": 8}, **config),
+                     output_dir=str(out))
+        assert run_scenario(s) == 0
+        with open(out / "summary.json") as fh:
+            return json.load(fh)
+
+    def test_config_hash_ignores_the_measured_taudot(self, tmp_path,
+                                                     monkeypatch):
+        first = self._summary(tmp_path, "a", taudot="auto")
+        measured = cli_module.measure_tau_threshold
+        monkeypatch.setattr(cli_module, "measure_tau_threshold",
+                            lambda cfg: measured(cfg) * (1 + 1e-15))
+        drifted = self._summary(tmp_path, "b", taudot="auto")
+        assert drifted["taudot"] != first["taudot"]
+        assert drifted["config"]["taudot"] == drifted["taudot"]
+        assert drifted["config_hash"] == first["config_hash"]
+
+    def test_config_hash_tells_rate_rules_apart(self, tmp_path):
+        hashes = {self._summary(tmp_path, str(i), taudot=taudot)["config_hash"]
+                  for i, taudot in enumerate(("auto", 3.0, 4.0))}
+        assert len(hashes) == 3
+
+
 class TestAuditScenarios:
     def test_quantizer_audit_passes(self, tmp_path):
         out = tmp_path / "qa"
@@ -288,6 +321,50 @@ class TestAuditScenarios:
         assert {r["check"] for r in records} >= {
             "slow_variation", "uncertainty", "temperance",
             "weight_admissibility"}
+
+
+    @pytest.mark.parametrize("coeff", [{"radius_R": 1e-300},
+                                       {"sigma_coeff": 1e-4}])
+    def test_extreme_gevrey_data_audit_without_traceback(self, tmp_path,
+                                                         coeff):
+        proc = _run_cli(tmp_path, "symbol_audit",
+                        {"coeff": coeff, "orders": [[0, 0]]})
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        with open(tmp_path / "out" / "audit.json") as fh:
+            glaeser = json.load(fh)["records"][0]
+        if "radius_R" in coeff:
+            # the seminorm overflows, and so fails the comparison
+            assert glaeser["seminorm_R"] == float("inf")
+            assert not glaeser["shrink_ok"]
+
+    def test_overflowing_xi_max_fails_the_fits(self, tmp_path):
+        proc = _run_cli(tmp_path, "metric_audit", {"xi_max": 1e160})
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        with open(tmp_path / "out" / "failures.json") as fh:
+            failed = {f["check"] for f in json.load(fh)["failures"]}
+        assert {"temperance", "weight_admissibility"} <= failed
+        with open(tmp_path / "out" / "metric.json") as fh:
+            records = {r["check"]: r for r in json.load(fh)["records"]}
+        assert records["temperance"]["N"] is None
+        assert records["temperance"]["pass"] is False
+
+
+class TestVerbs:
+    def test_flag_the_kind_lacks_exits_2_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "ma"
+        assert main(["audit", "metric", "--dump-matrices",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_verb_defaults_are_the_runner_defaults(self, tmp_path):
+        assert main(["cjs", "--out", str(tmp_path / "verb")]) == 0
+        assert run_scenario(Scenario("cjs_sweep", {},
+                                     str(tmp_path / "scenario"))) == 0
+        for name in ("cjs.csv", "summary.json"):
+            assert ((tmp_path / "verb" / name).read_bytes()
+                    == (tmp_path / "scenario" / name).read_bytes())
 
 
 class TestCjsScenario:

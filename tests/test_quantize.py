@@ -3,8 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from weakhyp.quantize import (KOHN_NIRENBERG, WEYL, PowerIterationWarning,
-                              SymbolField, _slot_map, _wrapped_difference,
+from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map, _wrapped_difference,
                               compose_remainder, dequantize,
                               hermiticity_defect, invert_b,
                               multiplication_matrix, multiplier_matrix,
@@ -40,12 +39,6 @@ class TestQuantizeReductions:
         for _ in range(10):
             v = rng.normal(size=grid64.n) + 1j * rng.normal(size=grid64.n)
             assert np.abs(K @ v - qv * v).max() < 1e-12 * np.abs(qv * v).max()
-
-    def test_kohn_nirenberg_multiplier_reduction(self, grid64):
-        p = sample_symbol(grid64, lambda x, xi: 1.0 / bracket(xi) + 0 * x)
-        K = quantize(p, KOHN_NIRENBERG)
-        M = multiplier_matrix(grid64, 1.0 / bracket(grid64.xi))
-        assert np.abs(K - M).max() < 1e-12
 
     def test_linearity(self, grid64, rng):
         p1 = sample_symbol(grid64, lambda x, xi:
@@ -116,16 +109,15 @@ def _roll_fill(c):
     return np.where(unseen, fill, c)
 
 
-def _reference_kernels(p):
-    """Weyl and KN kernels gathered directly from `_wrapped_difference`."""
+def _reference_kernel(p):
+    """The Weyl kernel gathered directly from `_wrapped_difference`."""
     n = p.grid.n
     D0, _, Mstar = _wrapped_difference(n)
     c = np.fft.ifft(p.samples, axis=1)
     weyl = c[Mstar, D0]
     anti = D0 == n // 2
     weyl[anti] = 0.5 * (weyl[anti] + c[(Mstar[anti] + n) % (2 * n), n // 2])
-    c_kn = np.fft.ifft(p.samples[::2], axis=1)
-    return weyl, c_kn[np.arange(n)[:, None], D0]
+    return weyl
 
 
 class TestWeylGatherCache:
@@ -135,9 +127,8 @@ class TestWeylGatherCache:
         p = SymbolField(Grid(n, 1.0, 0.5),
                         rng.normal(size=(2 * n, n))
                         + 1j * rng.normal(size=(2 * n, n)))
-        weyl, kn = _reference_kernels(p)
+        weyl = _reference_kernel(p)
         assert np.array_equal(quantize(p), weyl)
-        assert np.array_equal(quantize(p, KOHN_NIRENBERG), kn)
 
     def test_cached_arrays_are_read_only(self):
         slots = _slot_map(16)
@@ -159,7 +150,6 @@ class TestWeylGatherCache:
             p = sample_symbol(grid64, lambda x, xi: np.cos(2 * np.pi * x) + xi)
             first = quantize(p)
             second = quantize(p)
-            quantize(p, KOHN_NIRENBERG)
             dequantize(first, grid64)
         finally:
             _slot_map.cache_clear()
@@ -197,11 +187,9 @@ class TestRowMappedFields:
         samples, rows = _random_row_map(n, 1000 * n + seed)
         mapped = SymbolField(grid, samples, rows=rows)
         expanded = SymbolField(grid, samples[rows])
-        weyl, kn = _reference_kernels(expanded)
-        for mode, reference in ((WEYL, weyl), (KOHN_NIRENBERG, kn)):
-            K = quantize(mapped, mode)
-            assert np.array_equal(K, quantize(expanded, mode))
-            assert np.array_equal(K, reference)
+        K = quantize(mapped)
+        assert np.array_equal(K, quantize(expanded))
+        assert np.array_equal(K, _reference_kernel(expanded))
 
     @pytest.mark.parametrize("n", [4, 64])
     def test_antipodal_midpoints_on_different_rows(self, n):
@@ -313,7 +301,48 @@ class TestComposeRemainder:
         assert ratio == pytest.approx(1.0, abs=5e-2)
 
 
+def reference_invert_b(sb, nu, t, grid):
+    """The defect recursion that forms every op(b) op(c_k) twice."""
+    b_field = sample_symbol_b(sb, grid, t)
+    B = quantize(b_field)
+    eye = np.eye(grid.n, dtype=complex)
+    c = 1.0 / b_field.samples
+
+    def defect_of(c_samples):
+        return operator_norm(B @ quantize(SymbolField(grid, c_samples)) - eye)
+
+    defects = [defect_of(c)]
+    for _ in range(nu):
+        M = B @ quantize(SymbolField(grid, c))
+        s = dequantize(M, grid).samples
+        c = c + (1.0 - s) / b_field.samples
+        defects.append(defect_of(c))
+    return c, defects
+
+
 class TestInvertB:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("nu", [0, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.02])
+    def test_equals_double_product_recursion(self, sb_c1, n, nu, t):
+        grid = Grid(n, 1.0, 0.5)
+        field, defects = invert_b(sb_c1, nu, t, grid)
+        c, reference = reference_invert_b(sb_c1, nu, t, grid)
+        assert np.array_equal(defects, reference)
+        assert np.array_equal(field.samples, c)
+
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_forms_each_product_once(self, sb_c1, grid64, nu, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p.label)
+            return quantize(p)
+
+        monkeypatch.setattr(quantize_module, "quantize", counting)
+        invert_b(sb_c1, nu, 0.0, grid64)
+        assert len(calls) == nu + 2
+
     def test_pure_multiplier_inverts_at_order_zero(self, frozen_zero_coeff, grid64):
         sb = SymbolB(frozen_zero_coeff, c=1.0)
         _, defects = invert_b(sb, 0, 0.0, grid64)

@@ -84,6 +84,18 @@ class TestCoefficientField:
         with pytest.raises(ValueError):
             CoefficientField(r=0.3, r_outer=0.2)
 
+    @pytest.mark.parametrize("bad", [
+        {"radius_R": 0.0}, {"radius_R": -1.0}, {"sigma_coeff": 0.0},
+        {"x0": True}, {"T": "0.05"}, {"r": float("nan")},
+        {"radius_R": float("inf")}])
+    def test_rejects_bad_fields(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            CoefficientField(**bad)
+
+    def test_tau_under_overflows_to_inf(self):
+        assert CoefficientField(radius_R=1e-300, sigma_coeff=2.0).tau_under \
+            == float("inf")
+
 
 class TestSymbolB:
     def test_b_at_corner_zero_frequency(self, sb_c1):
