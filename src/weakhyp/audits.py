@@ -13,6 +13,7 @@ leaves unquantified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -53,9 +54,17 @@ class AuditReport:
         d = {"check": self.check, "constant": self.constant,
              "witness": list(np.atleast_1d(np.asarray(self.witness, dtype=float))),
              "pass": bool(self.passed)}
-        d.update({k: (float(v) if np.isscalar(v) else v)
-                  for k, v in self.extras.items()})
+        d.update({k: _json_scalar(v) for k, v in self.extras.items()})
         return d
+
+
+def _json_scalar(v):
+    """Bools stay bools and ints ints; other scalars become floats."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, numbers.Integral):
+        return int(v)
+    return float(v) if np.isscalar(v) else v
 
 
 def glaeser_audit_a(coeff: CoefficientField, n_t: int = 24,
@@ -114,16 +123,40 @@ _CENTRAL_STENCILS = {
 }
 
 
-def _fd_mixed(fn, x: float, xi: float, alpha: int, beta: int,
-              hx: float, hxi: float) -> float:
-    """Central-difference d_x^alpha d_xi^beta of fn at one point."""
+# The audit's nested differences divide one ulp of b by about
+# eps^(5/6).  A float64 scalar `**` calls libm `pow`, and numpy's array
+# `power` differs from it by one ulp on a few percent of inputs, so the
+# lattice paths take every power of the scalar path through libm.  (The
+# 0-d `** 2` in `bracket` is numpy's `square` there too.)  This goes
+# away when exact Taylor jets replace the finite-difference audit.
+_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _pow(x, y):
+    """x ** y elementwise through libm pow, as float64 scalars round it."""
+    return np.asarray(_LIBM_POW(x, y), dtype=float)
+
+
+def _b_lattice(sb: SymbolB, t: float, x, xi):
+    """`SymbolB.b` on arrays, rounded as its scalar evaluation rounds."""
+    coeff = sb.coeff
+    a = (t + _pow(x - coeff.x0, 2)) * coeff.e(t, x)
+    return _pow(a + _pow(bracket(xi), -sb.c), -0.5)
+
+
+def _fd_mixed(fn, x, xi, alpha: int, beta: int, hx, hxi):
+    """Central-difference d_x^alpha d_xi^beta of fn at points or lattices.
+
+    `fn` maps broadcastable arrays of x and xi to an array; the steps
+    hx and hxi may be scalars or arrays of the same shape.
+    """
     ox, wx = _CENTRAL_STENCILS[alpha]
     oxi, wxi = _CENTRAL_STENCILS[beta]
     total = 0.0
     for dx, cwx in zip(ox, wx):
         for dxi, cwxi in zip(oxi, wxi):
-            total += cwx * cwxi * fn(x + dx * hx, xi + dxi * hxi)
-    return total / (hx**alpha * hxi**beta)
+            total = total + cwx * cwxi * fn(x + dx * hx, xi + dxi * hxi)
+    return total / (_pow(hx, alpha) * _pow(hxi, beta))
 
 
 def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
@@ -133,8 +166,9 @@ def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
 
     Derivatives come from nested central differences of the closed-form
     evaluator, with steps eps^(1/(order+2)) times the local metric
-    scale.  The caller compares the returned constant against its own
-    budget; the audit only asserts finiteness.
+    scale, on the whole (x, xi) lattice at once.  The caller compares
+    the returned constant against its own budget; the audit only
+    asserts finiteness.
     """
     if alpha + beta > 4 or alpha > 4 or beta > 4:
         raise ValueError("central stencils support alpha + beta <= 4")
@@ -146,31 +180,33 @@ def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
         [0.0],
         np.geomspace(1.0, xi_max, n_xi // 2),
     ])
-    worst = -1.0
-    witness = (np.nan, np.nan)
-    for x in xs:
-        for xi in xis:
-            bval = float(sb.b(t, x, xi))
-            hx = eps ** (1.0 / (alpha + 2)) * max(1.0 / bval, 1e-3) \
-                if alpha else 1.0
-            if alpha and abs(x - coeff.x0) + _CENTRAL_STENCILS[alpha][0][-1] * hx > coeff.r_outer:
-                raise ValueError(
-                    f"x-stencil exits the sampled domain at x = {x}"
-                )
-            hxi = eps ** (1.0 / (beta + 2)) * float(bracket(xi)) if beta else 1.0
-            val = _fd_mixed(lambda xx, xxi: float(sb.b(t, xx, xxi)),
-                            x, xi, alpha, beta, hx, hxi)
-            denom = bval ** (1 + alpha) * float(bracket(xi)) ** (-beta)
-            ratio = abs(val) / denom
-            if ratio > worst:
-                worst = ratio
-                witness = (x, xi)
+    x, xi = xs[:, None], xis[None, :]
+    b = _b_lattice(sb, t, x, xi)
+    hx = 1.0
+    if alpha:
+        hx = eps ** (1.0 / (alpha + 2)) * np.maximum(1.0 / b, 1e-3)
+        reach = np.abs(x - coeff.x0) + _CENTRAL_STENCILS[alpha][0][-1] * hx
+        if np.any(reach > coeff.r_outer):
+            i = np.argwhere(reach > coeff.r_outer)[0][0]
+            raise ValueError(
+                f"x-stencil exits the sampled domain at x = {xs[i]}")
+    br = bracket(xi)
+    hxi = eps ** (1.0 / (beta + 2)) * br if beta else 1.0
+    val = _fd_mixed(lambda xx, xxi: _b_lattice(sb, t, xx, xxi),
+                    x, xi, alpha, beta, hx, hxi)
+    ratio = np.abs(val) / (_pow(b, 1 + alpha) * _pow(br, -beta))
+    # the first maximum in x-major order; a NaN ratio is skipped, as the
+    # pointwise loop's strict `>` skipped it
+    ratio = np.where(np.isnan(ratio), -1.0, ratio)
+    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+    worst = float(ratio[i, j])
+    witness = (xs[i], xis[j]) if worst > -1.0 else (np.nan, np.nan)
     return AuditReport(
         check=f"derivative_bound_b_a{alpha}b{beta}",
-        constant=float(worst),
+        constant=worst,
         witness=witness,
         passed=math.isfinite(worst),
-        extras={"alpha": alpha, "beta": beta, "t": t},
+        extras={"alpha": alpha, "beta": beta, "t": float(t)},
     )
 
 
@@ -301,7 +337,7 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
         "uncertainty": AuditReport(
             "uncertainty", min_lambda, (xs[k[0]], xis[k[1]]),
             (min_lambda >= 1.0 - 1e-9) == (sb.c <= 2.0),
-            extras={"c": sb.c}),
+            extras={"c": float(sb.c)}),
         "temperance": AuditReport(
             "temperance", C, (r_slow,), math.isfinite(C) and math.isfinite(slope),
             extras={"N": N, "fitted_slope": slope}),
@@ -331,33 +367,31 @@ def embedding_check(sb: SymbolB, m: float, probe: Callable, t: float = 0.0,
     """Check one symbol-class embedding on a sample lattice.
 
     `probe(alpha, beta, x, xi)` returns d_x^alpha d_xi^beta of the
-    symbol (orders alpha + beta <= 2).  For "flat_to_metric" the
+    symbol (orders alpha + beta <= 2) on the broadcast lattice of the
+    column x and the row xi.  For "flat_to_metric" the
     measured constants of the metric class S(<xi>^m, g) must not grow
     across dyadic frequency bands; for "metric_to_flat" the same test
     runs against the flat class S^m_{1,c/2}.  A symbol of genuinely
     higher order fails by band growth.
     """
+    if mode not in ("flat_to_metric", "metric_to_flat"):
+        raise ValueError(f"unknown embedding mode {mode!r}")
     coeff = sb.coeff
-    xs = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, 31)
-    lo = np.geomspace(1.0, math.sqrt(xi_max), 24)
-    hi = np.geomspace(math.sqrt(xi_max), xi_max, 24)
+    x = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, 31)[:, None]
+    lo = np.geomspace(1.0, math.sqrt(xi_max), 24)[None, :]
+    hi = np.geomspace(math.sqrt(xi_max), xi_max, 24)[None, :]
 
-    def band_constant(xis):
+    def band_constant(xi):
+        br = bracket(xi)
         worst = 0.0
         for alpha in range(0, 3):
             for beta in range(0, 3 - alpha):
-                for x in xs:
-                    d = np.abs(np.asarray(
-                        [probe(alpha, beta, x, xi) for xi in xis]))
-                    br = bracket(xis)
-                    if mode == "flat_to_metric":
-                        denom = br**m * np.asarray(
-                            sb.b(t, x, xis))**alpha * br**(-beta)
-                    elif mode == "metric_to_flat":
-                        denom = br ** (m + alpha * sb.c / 2.0 - beta)
-                    else:
-                        raise ValueError(f"unknown embedding mode {mode!r}")
-                    worst = max(worst, float(np.max(d / denom)))
+                d = np.abs(probe(alpha, beta, x, xi))
+                if mode == "flat_to_metric":
+                    denom = br**m * sb.b(t, x, xi)**alpha * br**(-beta)
+                else:
+                    denom = br ** (m + alpha * sb.c / 2.0 - beta)
+                worst = max(worst, float(np.max(d / denom)))
         return worst
 
     c_lo = band_constant(lo)

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +9,65 @@ from weakhyp.audits import (GlaeserViolationError, derivative_bound_audit,
                             embedding_check, faa_di_bruno_check,
                             glaeser_audit_a, local_glaeser_constant,
                             metric_admissibility_audit,
-                            weight_admissibility_audit, _compositions_count,
-                            _fd_mixed)
+                            weight_admissibility_audit, _b_lattice,
+                            _compositions_count, _fd_mixed,
+                            _CENTRAL_STENCILS)
 from weakhyp.spectral import bracket
-from weakhyp.symbols import PhaseMetric, SymbolB
+from weakhyp.symbols import CoefficientField, PhaseMetric, SymbolB
+
+
+def _audit_lattice(coeff, n_x, n_xi, xi_max=128.0):
+    xs = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, n_x)
+    xis = np.concatenate([-np.geomspace(1.0, xi_max, n_xi // 2), [0.0],
+                          np.geomspace(1.0, xi_max, n_xi // 2)])
+    return xs, xis
+
+
+class _MemoisedCoefficient(CoefficientField):
+    """The default coefficient with `a` memoised per scalar (t, x).
+
+    `a` is a pure function, so the memo changes no value of the scalar
+    `SymbolB.b`; it only spares the pointwise oracle most of its cost.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def a(self, t, x):
+        return super().a(t, x)
+
+
+def reference_derivative_bound_audit(b_at, coeff, alpha, beta, n_x, n_xi):
+    """The pointwise loop that the lattice audit replaced, as its oracle.
+
+    `b_at(x, xi)` is the scalar `float(sb.b(t, x, xi))`, which may be
+    memoised across orders; every power is a scalar power.
+    """
+    eps = np.finfo(float).eps
+    xs, xis = _audit_lattice(coeff, n_x, n_xi)
+    ox, wx = _CENTRAL_STENCILS[alpha]
+    oxi, wxi = _CENTRAL_STENCILS[beta]
+    worst = -1.0
+    witness = (np.nan, np.nan)
+    for x in xs:
+        for xi in xis:
+            bval = b_at(x, xi)
+            hx = eps ** (1.0 / (alpha + 2)) * max(1.0 / bval, 1e-3) \
+                if alpha else 1.0
+            if alpha and abs(x - coeff.x0) + ox[-1] * hx > coeff.r_outer:
+                raise ValueError(
+                    f"x-stencil exits the sampled domain at x = {x}")
+            hxi = eps ** (1.0 / (beta + 2)) * float(bracket(xi)) \
+                if beta else 1.0
+            total = 0.0
+            for dx, cwx in zip(ox, wx):
+                for dxi, cwxi in zip(oxi, wxi):
+                    total += cwx * cwxi * b_at(x + dx * hx, xi + dxi * hxi)
+            val = total / (hx**alpha * hxi**beta)
+            denom = bval ** (1 + alpha) * float(bracket(xi)) ** (-beta)
+            ratio = abs(val) / denom
+            if ratio > worst:
+                worst = ratio
+                witness = (x, xi)
+    return float(worst), witness
 
 
 class TestGlaeserAudit:
@@ -78,6 +135,51 @@ class TestDerivativeBoundAudit:
         with pytest.raises(ValueError):
             derivative_bound_audit(sb_c1, 3, 2)
 
+    @pytest.mark.parametrize("t", [0.0, 0.013, 0.04])
+    def test_lattice_audit_equals_pointwise_loop(self, t):
+        # the one-ulp rounding of each power is amplified by about
+        # eps^(-5/6), so anything but the scalar rounding shows here
+        coeff = _MemoisedCoefficient()
+        for c in (1.0, 0.5):
+            sb = SymbolB(coeff, c=c)
+            b_at = functools.lru_cache(maxsize=None)(
+                lambda x, xi: float(sb.b(t, x, xi)))
+            for n in (11, 21):
+                for alpha, beta in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                    (0, 2), (2, 1), (1, 2), (3, 0), (0, 3)):
+                    constant, witness = reference_derivative_bound_audit(
+                        b_at, coeff, alpha, beta, n, n)
+                    rep = derivative_bound_audit(
+                        SymbolB(CoefficientField(), c=c), alpha, beta, t=t,
+                        n_x=n, n_xi=n)
+                    assert rep.constant == constant, (c, n, alpha, beta)
+                    assert rep.witness == witness, (c, n, alpha, beta)
+
+    def test_lattice_b_equals_scalar_b(self, sb_half):
+        # the default lattice and its shifted x- and xi-stencil points
+        t = 0.013
+        xs, xis = _audit_lattice(sb_half.coeff, 41, 41)
+        x, xi = xs[:, None], xis[None, :]
+        b = _b_lattice(sb_half, t, x, xi)
+        hx = 1e-5 / b
+        hxi = 6e-6 * bracket(xi)
+        for px, pxi in ((x, xi), (x - 2 * hx, xi + hxi),
+                        (x + hx, xi - 2 * hxi)):
+            px, pxi = np.broadcast_arrays(px, pxi)
+            lattice = _b_lattice(sb_half, t, px, pxi)
+            scalar = [float(sb_half.b(t, u, v))
+                      for u, v in zip(px.ravel(), pxi.ravel())]
+            assert lattice.ravel().tolist() == scalar
+
+    def test_stencil_leaving_the_outer_ball_raises(self):
+        # a support radius 1e-7 beyond the plateau: the first x-stencil
+        # in x-major order, at the left plateau edge, leaves it
+        sb = SymbolB(CoefficientField(r=0.12, r_outer=0.12 + 1e-7))
+        xs, _ = _audit_lattice(sb.coeff, 41, 41)
+        message = re.escape(f"exits the sampled domain at x = {xs[0]}")
+        with pytest.raises(ValueError, match=message + "$"):
+            derivative_bound_audit(sb, 1, 0)
+
 
 class TestFaaDiBruno:
     def test_composition_count_small_case(self):
@@ -144,8 +246,8 @@ class TestEmbeddings:
         def probe(alpha, beta, x, xi):
             if alpha > 0:
                 return 0.0
-            h = 1e-4 * float(bracket(xi))
-            return _fd_mixed(lambda _x, _xi: float(bracket(_xi)) ** m,
+            h = 1e-4 * bracket(xi)
+            return _fd_mixed(lambda _x, _xi: bracket(_xi) ** m,
                              x, xi, 0, beta, 1.0, h)
         return probe
 
@@ -163,8 +265,8 @@ class TestEmbeddings:
     def test_b_passes_metric_to_flat_with_m_half_c(self, sb_c1):
         def probe(alpha, beta, x, xi):
             hx = 1e-5 if alpha else 1.0
-            hxi = 1e-4 * float(bracket(xi)) if beta else 1.0
-            return _fd_mixed(lambda _x, _xi: float(sb_c1.b(0.0, _x, _xi)),
+            hxi = 1e-4 * bracket(xi) if beta else 1.0
+            return _fd_mixed(lambda _x, _xi: sb_c1.b(0.0, _x, _xi),
                              x, xi, alpha, beta, hx, hxi)
         rep = embedding_check(sb_c1, sb_c1.c / 2, probe, mode="metric_to_flat")
         assert rep.passed

@@ -322,6 +322,26 @@ class TestAuditScenarios:
             "slow_variation", "uncertainty", "temperance",
             "weight_admissibility"}
 
+    def test_audit_extras_keep_their_json_types(self, tmp_path):
+        assert run_scenario(Scenario("symbol_audit", {"orders": [[1, 2]]},
+                                     str(tmp_path / "sa"))) == 0
+        with open(tmp_path / "sa" / "audit.json") as fh:
+            glaeser, _, bound = json.load(fh)["records"]
+        assert type(glaeser["shrink_ok"]) is bool
+        assert type(glaeser["sqrt_C"]) is float
+        assert (bound["alpha"], bound["beta"]) == (1, 2)
+        assert type(bound["alpha"]) is int and type(bound["beta"]) is int
+        assert type(bound["t"]) is float
+        assert run_scenario(Scenario("metric_audit", {"n_pairs": 2000},
+                                     str(tmp_path / "ma"))) == 0
+        with open(tmp_path / "ma" / "metric.json") as fh:
+            records = {r["check"]: r for r in json.load(fh)["records"]}
+        for check in ("temperance", "weight_admissibility"):
+            assert type(records[check]["N"]) is int
+            assert type(records[check]["fitted_slope"]) is float
+        assert type(records["slow_variation"]["pairs_in_ball"]) is int
+        assert type(records["uncertainty"]["c"]) is float
+
 
     @pytest.mark.parametrize("coeff", [{"radius_R": 1e-300},
                                        {"sigma_coeff": 1e-4}])
