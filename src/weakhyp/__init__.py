@@ -15,9 +15,10 @@ from .quantize import (SymbolField, compose_remainder, dequantize,
 from .energy import (EnergyBreakdown, Symmetrizer, conjugated_matrix,
                      dt_energy_breakdown, e1, energy, garding_sign_probe,
                      subprincipal_refinement)
-from .solver import (EnergyTrace, NonlinearityF, RunConfig,
-                     measure_tau_threshold, rhs, rhs_parts, run_with_energy,
-                     step_rk4, verify_breakdown_identity, wave_packet)
+from .solver import (EnergyTrace, NonlinearityF, RunConfig, Trajectory,
+                     integrate, measure_tau_threshold, observe, rhs,
+                     rhs_parts, run_with_energy, step_rk4,
+                     verify_breakdown_identity, wave_packet)
 from .cjs import (TimeCoefficient, coefficient_constant, coefficient_linear,
                   coefficient_parabola, e_eps, glaeser_l1_check,
                   growth_exponent_fit, integrate_mode, max_energy_growth)

@@ -32,7 +32,8 @@ from .quantize import (SymbolField, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol_b)
 from .reporting import write_csv, write_json
 from .solver import (EnergyTrace, NonlinearityF, RunConfig,
-                     measure_tau_threshold, run_with_energy)
+                     SolverBlowupError, integrate, measure_tau_threshold,
+                     observe, run_with_energy)
 from .spectral import Grid
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
@@ -162,13 +163,22 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     # the hash names the configuration: the rate rule as given, not the
     # rate the pilot measures for it
     config_hash = cfg.content_hash(taudot=taudot, taudot_factor=factor)
-    threshold = None
+    threshold = pilot = None
     if taudot is None or taudot == "auto":
-        threshold = measure_tau_threshold(cfg)
+        # cfg has taudot = 0: its trajectory is the pilot's
+        pilot = integrate(cfg)
+        try:
+            threshold = measure_tau_threshold(pilot)
+        except SolverBlowupError as err:
+            return [{"check": "pilot_completed", "detail": str(err)}]
         taudot = (2.0 if factor in (None, "auto") else factor) * threshold
     cfg = replace(cfg, taudot=float(taudot))
 
-    trace = run_with_energy(cfg)
+    # the pilot ends at T; a rate with tau0 / taudot < T ends earlier
+    if pilot is not None and pilot.covers(cfg):
+        trace = observe(cfg, pilot)
+    else:
+        trace = run_with_energy(cfg)
     write_csv(os.path.join(out, "trace.csv"), trace.rows(),
               EnergyTrace.COLUMNS)
     summary = {
@@ -216,9 +226,14 @@ def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
             for r in reports if not r.passed]
 
 
+# the largest xi_max whose <xi_max>^2 = 1 + xi_max^2 is a finite float
+XI_MAX_CAP = math.sqrt(sys.float_info.max)
 METRIC_RULES = AUDIT_RULES | {
     "n_pairs": (lambda v: _int(v) and v >= 1, "an int >= 1"),
-    "xi_max": POSITIVE, "seed": COUNT,
+    "xi_max": (lambda v: POSITIVE[0](v) and v <= XI_MAX_CAP,
+               f"a finite real > 0 and <= {XI_MAX_CAP:.17g}, above which "
+               "<xi_max>^2 overflows"),
+    "seed": COUNT,
 }
 
 

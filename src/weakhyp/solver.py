@@ -9,7 +9,11 @@ integrated by classical RK4 with spectral d/dx, under the CFL rule
 dt <= CFL * dx / max(1, sup sqrt(a)).  The default nonlinearity places
 u1 times a plateau profile in the (2,1) entry of F, which reproduces
 the wave-like equation d_t^2 u1 = d_x(a d_x u1) + d_x(u1^2) on the
-plateau.  Runs record the Gevrey energy budget along the trajectory.
+plateau.  Runs record the Gevrey energy budget along the trajectory in
+two phases: `integrate` keeps the state at each record, and `observe`
+measures the budget of each record after the RK4 loop has ended.  The
+trajectory does not depend on taudot, so one integration serves every
+rate with the same horizon.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ __all__ = [
     "rhs_parts",
     "rhs",
     "step_rk4",
+    "Trajectory",
+    "integrate",
+    "observe",
     "run_with_energy",
     "measure_tau_threshold",
     "verify_breakdown_identity",
@@ -228,7 +235,11 @@ class RunConfig:
     def tau_at(self, t: float) -> float:
         tau = self.tau0 - self.taudot * t
         if tau < 0.0:
-            raise ValueError(f"tau({t}) = {tau} became negative")
+            # a run to t_end = tau0 / taudot adds up its steps to a t
+            # that can pass t_end by roundoff; that t still has tau = 0
+            if tau < -1e-9 * self.tau0:
+                raise ValueError(f"tau({t}) = {tau} became negative")
+            tau = 0.0
         return tau
 
     def max_dt(self) -> float:
@@ -339,16 +350,52 @@ class EnergyTrace:
             yield {name: getattr(b, name) for name in self.COLUMNS}
 
 
-def run_with_energy(cfg: RunConfig,
-                    u0: Optional[np.ndarray] = None) -> EnergyTrace:
-    """Integrate from (0, u0) to min(T, tau0/taudot), recording the budget.
+def _step_plan(cfg: RunConfig):
+    """(dt, n_steps): equal steps to t_end, none longer than the CFL bound."""
+    t_end = cfg.t_end()
+    dt = cfg.dt if cfg.dt is not None else cfg.max_dt()
+    dt = min(dt, cfg.max_dt())
+    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
+    return t_end / n_steps, n_steps
 
-    `u0` defaults to `cfg.initial_state()`.  Returns the trace; a blow-up
-    aborts the run but keeps the partial trace with the abort reason
-    recorded.
+
+@dataclass
+class Trajectory:
+    """The recorded states of one RK4 run, before any energy is measured.
+
+    `states[k]` is the (2, n) state at `times[k]`: t = 0, every
+    `sample_stride` steps and the last step.  `sym0` is the t = 0
+    Symmetrizer and `initial_energy` the energy E0 it measured.  Neither
+    the flow nor a Symmetrizer depends on taudot, so the trajectory
+    serves every rate whose step plan is the same (`covers`).
+    """
+
+    cfg: RunConfig
+    times: list
+    states: list
+    initial_energy: float
+    sym0: Symmetrizer
+    dt: float
+    n_steps: int
+    aborted: bool = False
+    abort_reason: str = ""
+
+    def covers(self, cfg: RunConfig) -> bool:
+        """Whether `cfg` differs from the run's only in a taudot that
+        keeps the step plan, so observing this trajectory is its run."""
+        return (replace(cfg, taudot=self.cfg.taudot) == self.cfg
+                and _step_plan(cfg) == (self.dt, self.n_steps))
+
+
+def integrate(cfg: RunConfig, u0: Optional[np.ndarray] = None) -> Trajectory:
+    """Integrate from (0, u0) to min(T, tau0/taudot), keeping the records.
+
+    `u0` defaults to `cfg.initial_state()`; with `normalize_energy` it
+    is scaled to unit energy first.  A blow-up ends the trajectory at
+    the last record before it, with the reason kept.
     """
     if cfg.coeff is None:
-        raise ValueError("run_with_energy needs a coefficient field")
+        raise ValueError("integrate needs a coefficient field")
     grid = cfg.grid
     if u0 is None:
         u = cfg.initial_state()
@@ -360,58 +407,91 @@ def run_with_energy(cfg: RunConfig,
             )
         if not np.all(np.isfinite(u)):
             raise ValueError("u0 has non-finite entries")
-    sb = cfg.symbol_b()
 
-    sym0 = Symmetrizer(grid, sb, 0.0)
+    sym0 = Symmetrizer(grid, cfg.symbol_b(), 0.0)
     E0 = gevrey_energy(u, sym0, cfg.tau0, cfg.sigma)
     if cfg.normalize_energy and E0 > 0.0:
         u = (1.0 / math.sqrt(E0)) * u
         E0 = gevrey_energy(u, sym0, cfg.tau0, cfg.sigma)
 
-    t_end = cfg.t_end()
-    dt = cfg.dt if cfg.dt is not None else cfg.max_dt()
-    dt = min(dt, cfg.max_dt())
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
-
-    breakdowns = []
+    dt, n_steps = _step_plan(cfg)
+    t = 0.0
+    times, states = [t], [u]
     aborted = False
     reason = ""
-
-    def record(t: float, u: np.ndarray):
-        sym = sym0 if t == sym0.t else Symmetrizer(grid, sb, t)
-        transport, source = rhs_parts(cfg, t, u)
-        breakdowns.append(dt_energy_breakdown(u, transport, source, sym,
-                                              cfg.tau_at(t), cfg.sigma))
-
-    t = 0.0
     try:
-        record(t, u)
         for step in range(n_steps):
             u = step_rk4(cfg, t, u, dt)
             t = t + dt
             if step % cfg.sample_stride == cfg.sample_stride - 1 \
                     or step == n_steps - 1:
-                record(t, u)
+                times.append(t)
+                states.append(u)
     except SolverBlowupError as err:
         aborted = True
         reason = str(err)
+    return Trajectory(cfg=cfg, times=times, states=states, initial_energy=E0,
+                      sym0=sym0, dt=dt, n_steps=n_steps, aborted=aborted,
+                      abort_reason=reason)
 
-    return EnergyTrace(breakdowns=breakdowns, initial_energy=E0,
+
+def observe(cfg: RunConfig, traj: Trajectory) -> EnergyTrace:
+    """The energy budget of every record of `traj` at the rate of `cfg`.
+
+    `cfg` must be covered by the trajectory.  The records are observed
+    back to back, each with its own Symmetrizer (t = 0 reuses the
+    trajectory's).  A record whose right-hand side is not finite ends
+    the trace there; otherwise the trace keeps the trajectory's abort.
+    """
+    if not traj.covers(cfg):
+        raise ValueError("the trajectory was integrated for another run")
+    grid = cfg.grid
+    sb = cfg.symbol_b()
+    sym0 = traj.sym0
+    breakdowns = []
+    aborted, reason = traj.aborted, traj.abort_reason
+    try:
+        for t, u in zip(traj.times, traj.states):
+            sym = sym0 if t == sym0.t else Symmetrizer(grid, sb, t)
+            transport, source = rhs_parts(cfg, t, u)
+            breakdowns.append(dt_energy_breakdown(u, transport, source, sym,
+                                                  cfg.tau_at(t), cfg.sigma))
+    except SolverBlowupError as err:
+        aborted = True
+        reason = str(err)
+    return EnergyTrace(breakdowns=breakdowns,
+                       initial_energy=traj.initial_energy,
                        aborted=aborted, abort_reason=reason)
 
 
-def measure_tau_threshold(cfg: RunConfig) -> float:
-    """Pilot run with taudot = 0 measuring max (|E2|+|E3|+|E4|)/E1.
+def run_with_energy(cfg: RunConfig,
+                    u0: Optional[np.ndarray] = None) -> EnergyTrace:
+    """Integrate from (0, u0) to min(T, tau0/taudot), recording the budget.
 
-    Any taudot above this threshold makes the energy budget strictly
-    dissipative; callers typically take twice the measured value.
+    `observe(cfg, integrate(cfg, u0))`: the RK4 run first, then the
+    budget of each record.  `u0` defaults to `cfg.initial_state()`.  A
+    blow-up aborts the run but keeps the partial trace with the abort
+    reason recorded.
     """
-    pilot = replace(cfg, taudot=0.0)
-    trace = run_with_energy(pilot)
+    return observe(cfg, integrate(cfg, u0))
+
+
+def measure_tau_threshold(run) -> float:
+    """max_t (|E2|+|E3|+|E4|)/E1 of a pilot trajectory at taudot = 0.
+
+    `run` is a Trajectory integrated to T, or a RunConfig to integrate
+    one for, with its taudot set to 0.  Any taudot above the threshold
+    makes the energy budget strictly dissipative; callers typically take
+    twice the measured value and observe the same trajectory again at
+    that rate.  Raises SolverBlowupError if the pilot aborted.
+    """
+    if isinstance(run, RunConfig):
+        run = integrate(replace(run, taudot=0.0))
+    trace = observe(replace(run.cfg, taudot=0.0), run)
     if trace.aborted:
+        last = trace.times[-1] if trace.breakdowns else 0.0
         raise SolverBlowupError(
-            f"pilot run aborted: {trace.abort_reason}", trace.times[-1]
+            f"pilot run aborted: {trace.abort_reason}", last
         )
     return trace.max_ratio_sum()
 

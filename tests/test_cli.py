@@ -1,14 +1,22 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import weakhyp
 import weakhyp.cli as cli_module
+import weakhyp.solver as solver_module
 
 from weakhyp.cli import Scenario, ScenarioError, load_scenario, main, run_scenario
+from weakhyp.reporting import write_csv
+from weakhyp.solver import (EnergyTrace, NonlinearityF, RunConfig, integrate,
+                            measure_tau_threshold, run_with_energy)
+from weakhyp.symbols import CoefficientField
 
 
 def _write_scenario(path, payload):
@@ -293,6 +301,83 @@ class TestEnergyScenario:
         assert drifted["config"]["taudot"] == drifted["taudot"]
         assert drifted["config_hash"] == first["config_hash"]
 
+    PILOT = {"n": 64, "sigma": 0.5, "tau0": 0.5, "packet_xi": 10.0,
+             "sample_stride": 8}
+
+    def _run_auto(self, tmp_path, monkeypatch, **config):
+        """An auto-rate run: (its exit code, its output dir, its RK4 steps)."""
+        steps = []
+        step = solver_module.step_rk4
+
+        def counting(*args):
+            steps.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(solver_module, "step_rk4", counting)
+        out = tmp_path / "auto"
+        code = run_scenario(Scenario(
+            "energy_estimate", dict(self.PILOT, taudot="auto", **config),
+            str(out)))
+        monkeypatch.undo()
+        return code, out, len(steps)
+
+    def _reference(self, tmp_path, factor):
+        """measure_tau_threshold, then run_with_energy at factor times it."""
+        cfg = RunConfig(coeff=CoefficientField(), **self.PILOT)
+        threshold = measure_tau_threshold(cfg)
+        final = replace(cfg, taudot=factor * threshold)
+        path = tmp_path / "reference.csv"
+        write_csv(str(path), run_with_energy(final).rows(),
+                  EnergyTrace.COLUMNS)
+        return cfg, final, threshold, path.read_bytes()
+
+    def _check_against(self, out, reference):
+        _, final, threshold, trace_bytes = reference
+        assert (out / "trace.csv").read_bytes() == trace_bytes
+        with open(out / "summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["threshold"] == threshold
+        assert summary["taudot"] == final.taudot
+        assert summary["horizon"] == final.t_end()
+
+    def test_auto_rate_observes_the_pilot_trajectory_again(self, tmp_path,
+                                                           monkeypatch):
+        code, out, steps = self._run_auto(tmp_path, monkeypatch)
+        assert code == 0
+        cfg, final, _, _ = reference = self._reference(tmp_path, 2.0)
+        self._check_against(out, reference)
+        # the final run ends at T with the pilot's steps: no second run
+        assert final.t_end() == cfg.t_end()
+        assert steps == integrate(cfg).n_steps
+
+    def test_shorter_horizon_integrates_the_final_rate_again(self, tmp_path,
+                                                             monkeypatch):
+        code, out, steps = self._run_auto(tmp_path, monkeypatch,
+                                          taudot_factor=8.0)
+        assert code == 0
+        cfg, final, _, _ = reference = self._reference(tmp_path, 8.0)
+        self._check_against(out, reference)
+        assert final.t_end() == final.tau0 / final.taudot < cfg.t_end()
+        assert steps == integrate(cfg).n_steps + integrate(final).n_steps
+
+    @pytest.mark.parametrize("t_blowup", [0.01, -1.0])
+    def test_aborted_pilot_exits_1_naming_its_reason(self, tmp_path,
+                                                     monkeypatch, t_blowup):
+        # -1: the right-hand side is not finite at the first record
+        explode = NonlinearityF([((0, 0), 0, 0, lambda t, x: np.where(
+            t > t_blowup, np.nan, 0.0))])
+        monkeypatch.setattr(NonlinearityF, "wave_default",
+                            staticmethod(lambda coeff: explode))
+        out = tmp_path / "pilot"
+        s = Scenario("energy_estimate", dict(self.PILOT, taudot="auto"),
+                     str(out))
+        assert run_scenario(s) == 1
+        with open(out / "failures.json") as fh:
+            (failure,) = json.load(fh)["failures"]
+        assert failure["check"] == "pilot_completed"
+        assert failure["detail"].startswith(
+            "pilot run aborted: non-finite right-hand side at t = ")
+
     def test_config_hash_tells_rate_rules_apart(self, tmp_path):
         hashes = {self._summary(tmp_path, str(i), taudot=taudot)["config_hash"]
                   for i, taudot in enumerate(("auto", 3.0, 4.0))}
@@ -358,17 +443,26 @@ class TestAuditScenarios:
             assert glaeser["seminorm_R"] == float("inf")
             assert not glaeser["shrink_ok"]
 
-    def test_overflowing_xi_max_fails_the_fits(self, tmp_path):
-        proc = _run_cli(tmp_path, "metric_audit", {"xi_max": 1e160})
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        with open(tmp_path / "out" / "failures.json") as fh:
-            failed = {f["check"] for f in json.load(fh)["failures"]}
-        assert {"temperance", "weight_admissibility"} <= failed
+    def test_xi_max_at_the_cap_audits_cleanly(self, tmp_path):
+        proc = _run_cli(tmp_path, "metric_audit",
+                        {"xi_max": cli_module.XI_MAX_CAP, "n_pairs": 200})
+        assert proc.returncode == 0
+        assert proc.stderr == ""
         with open(tmp_path / "out" / "metric.json") as fh:
-            records = {r["check"]: r for r in json.load(fh)["records"]}
-        assert records["temperance"]["N"] is None
-        assert records["temperance"]["pass"] is False
+            records = json.load(fh)["records"]
+        assert all(r["pass"] and math.isfinite(r["constant"])
+                   for r in records)
+
+    def test_xi_max_past_the_cap_exits_2(self, tmp_path):
+        # <xi_max>^2 overflows just above the cap
+        for xi_max in (math.nextafter(cli_module.XI_MAX_CAP, math.inf),
+                       1e160):
+            proc = _run_cli(tmp_path, "metric_audit", {"xi_max": xi_max})
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: xi_max = ")
+            assert "Traceback" not in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+            assert not (tmp_path / "out").exists()
 
 
 class TestVerbs:

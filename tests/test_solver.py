@@ -1,12 +1,14 @@
 import importlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weakhyp.energy import Symmetrizer
 from weakhyp.solver import (CFLError, NonlinearityF, RunConfig,
-                            SolverBlowupError, rhs, rhs_parts,
+                            SolverBlowupError, integrate,
+                            measure_tau_threshold, observe, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
 from weakhyp.symbols import CoefficientField
 
@@ -248,6 +250,51 @@ class TestRunWithEnergy:
             for r in rows:
                 buf.write(",".join("%.17g" % r[c] for c in cols) + "\n")
         assert buf1.getvalue() == buf2.getvalue()
+
+
+class TestTrajectory:
+    @pytest.fixture()
+    def pilot_cfg(self, coeff):
+        return RunConfig(n=64, sigma=0.5, tau0=0.5, coeff=coeff,
+                         packet_xi=10.0, sample_stride=4)
+
+    def test_one_trajectory_serves_every_rate_with_its_step_plan(
+            self, pilot_cfg):
+        traj = integrate(pilot_cfg)
+        assert measure_tau_threshold(traj) == measure_tau_threshold(pilot_cfg)
+        for taudot in (0.0, 1.0, 5.0):
+            cfg = replace(pilot_cfg, taudot=taudot)
+            assert traj.covers(cfg)
+            observed = observe(cfg, traj)
+            direct = run_with_energy(cfg)
+            assert observed.initial_energy == direct.initial_energy
+            assert list(observed.rows()) == list(direct.rows())
+
+    @pytest.mark.parametrize("change", [{"taudot": 40.0}, {"sigma": 0.6},
+                                        {"sample_stride": 2}])
+    def test_observe_rejects_a_run_the_trajectory_does_not_cover(
+            self, pilot_cfg, change):
+        traj = integrate(pilot_cfg)
+        cfg = replace(pilot_cfg, **change)
+        assert not traj.covers(cfg)
+        with pytest.raises(ValueError, match="another run"):
+            observe(cfg, traj)
+
+    def test_threshold_needs_a_pilot_to_the_full_horizon(self, pilot_cfg):
+        traj = integrate(replace(pilot_cfg, taudot=40.0))
+        with pytest.raises(ValueError, match="another run"):
+            measure_tau_threshold(traj)
+
+    def test_rate_capped_run_ends_at_tau_zero(self, pilot_cfg):
+        # the steps add up to a t that passes tau0 / taudot by roundoff
+        cfg = replace(pilot_cfg, sample_stride=8, taudot=25.357796607084754)
+        assert cfg.t_end() == cfg.tau0 / cfg.taudot
+        trace = run_with_energy(cfg)
+        assert not trace.aborted
+        assert trace.times[-1] > cfg.t_end()
+        assert trace.breakdowns[-1].tau == 0.0
+        with pytest.raises(ValueError, match="became negative"):
+            cfg.tau_at(1.01 * cfg.t_end())
 
 
 class TestWaveReduction:
