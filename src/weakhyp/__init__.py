@@ -3,15 +3,14 @@
 The package simulates the degenerate first-order system, builds the
 anisotropic pseudo-differential symmetrizer, tracks the Gevrey energy
 and its four-term budget, and numerically audits the analytic
-inequalities (Glaeser, symbol bounds, metric admissibility,
-composition remainders) the construction rests on.
+inequalities (Glaeser, symbol bounds, metric admissibility) the
+construction rests on.
 """
 
 from .spectral import Grid, bracket
 from .symbols import CoefficientField, PhaseMetric, SymbolB
-from .quantize import (SymbolField, compose_remainder, dequantize,
-                       hermiticity_defect, invert_b, operator_norm, quantize,
-                       sample_symbol, sample_symbol_b)
+from .quantize import (SymbolField, dequantize, hermiticity_defect, invert_b,
+                       operator_norm, quantize, sample_symbol, sample_symbol_b)
 from .energy import (EnergyBreakdown, Symmetrizer, conjugated_matrix,
                      dt_energy_breakdown, e1, energy, garding_sign_probe,
                      subprincipal_refinement)
@@ -20,8 +19,8 @@ from .solver import (EnergyTrace, NonlinearityF, RunConfig, Trajectory,
                      rhs_parts, run_with_energy, step_rk4,
                      verify_breakdown_identity, wave_packet)
 from .cjs import (TimeCoefficient, coefficient_constant, coefficient_linear,
-                  coefficient_parabola, e_eps, glaeser_l1_check,
-                  growth_exponent_fit, integrate_mode, max_energy_growth)
+                  coefficient_parabola, growth_exponent_fit, integrate_mode,
+                  max_energy_growth)
 from .constraints import (ConstraintRecord, constraint_record,
                           constraint_table, minimal_feasible_sigma)
 

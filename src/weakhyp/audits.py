@@ -3,11 +3,9 @@
 Every analytic inequality the construction relies on is re-checked
 here on sample lattices: the Glaeser inequality for the coefficient,
 the derivative bounds for b, the Faa di Bruno combinatorics (exact
-rational arithmetic), admissibility of the phase-space metric and of
-the weight b, the embeddings between flat and metric symbol classes,
-and the explicit local Glaeser constant.  Audits return measured
-constants with witnesses; they never assert values the analysis
-leaves unquantified.
+rational arithmetic), and admissibility of the phase-space metric and
+of the weight b.  Audits return measured constants with witnesses;
+they never assert values the analysis leaves unquantified.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,8 +28,6 @@ __all__ = [
     "faa_di_bruno_check",
     "metric_admissibility_audit",
     "weight_admissibility_audit",
-    "embedding_check",
-    "local_glaeser_constant",
 ]
 
 ZERO_OVER_ZERO_FLOOR = 1e-14
@@ -74,7 +69,10 @@ def glaeser_audit_a(coeff: CoefficientField, n_t: int = 24,
     0/0 is resolved to 0 only when numerator and denominator both sit
     below 1e-14; a vanishing a with non-vanishing slope raises.  The
     report also carries both sides of the shrink-free comparison
-    sqrt(C) <= |a| R used by the derivative-bound proof.
+    sqrt(C) <= |a| R used by the derivative-bound proof, and its result
+    as `shrink_ok`.  That flag is a note, not a check: `pass` asks only
+    for a finite C.  On the default coefficient the flag reads false
+    (sqrt_C 2.0 against seminorm_R 0.5) while the record passes.
     """
     ts = np.linspace(0.0, coeff.T, n_t)
     xs = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, n_x)
@@ -359,94 +357,3 @@ def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     return AuditReport("weight_admissibility", C, (x1[k], xi1[k]),
                        math.isfinite(C),
                        extras={"N": N, "fitted_slope": slope})
-
-
-def embedding_check(sb: SymbolB, m: float, probe: Callable, t: float = 0.0,
-                    xi_max: float = 128.0, growth_cap: float = 2.0,
-                    mode: str = "metric_to_flat") -> AuditReport:
-    """Check one symbol-class embedding on a sample lattice.
-
-    `probe(alpha, beta, x, xi)` returns d_x^alpha d_xi^beta of the
-    symbol (orders alpha + beta <= 2) on the broadcast lattice of the
-    column x and the row xi.  For "flat_to_metric" the
-    measured constants of the metric class S(<xi>^m, g) must not grow
-    across dyadic frequency bands; for "metric_to_flat" the same test
-    runs against the flat class S^m_{1,c/2}.  A symbol of genuinely
-    higher order fails by band growth.
-    """
-    if mode not in ("flat_to_metric", "metric_to_flat"):
-        raise ValueError(f"unknown embedding mode {mode!r}")
-    coeff = sb.coeff
-    x = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, 31)[:, None]
-    lo = np.geomspace(1.0, math.sqrt(xi_max), 24)[None, :]
-    hi = np.geomspace(math.sqrt(xi_max), xi_max, 24)[None, :]
-
-    def band_constant(xi):
-        br = bracket(xi)
-        worst = 0.0
-        for alpha in range(0, 3):
-            for beta in range(0, 3 - alpha):
-                d = np.abs(probe(alpha, beta, x, xi))
-                if mode == "flat_to_metric":
-                    denom = br**m * sb.b(t, x, xi)**alpha * br**(-beta)
-                else:
-                    denom = br ** (m + alpha * sb.c / 2.0 - beta)
-                worst = max(worst, float(np.max(d / denom)))
-        return worst
-
-    c_lo = band_constant(lo)
-    c_hi = band_constant(hi)
-    passed = c_hi <= growth_cap * c_lo and math.isfinite(c_hi)
-    return AuditReport(f"embedding_{mode}", c_hi, (m,), passed,
-                       extras={"low_band": c_lo, "high_band": c_hi,
-                               "m": m})
-
-
-def local_glaeser_constant(f: Callable, x0: float, r_inner: float,
-                           r_outer: float, df: Optional[Callable] = None,
-                           d2f: Optional[Callable] = None,
-                           n_samples: int = 4097) -> AuditReport:
-    """Explicit local Glaeser constant and the pointwise verification.
-
-    G = 2 M2(f; B_r) + 4/(r - r') M1(f; annulus) + 4/(r - r')^2
-    M0(f; annulus), with the sup norms measured by dense sampling
-    (derivatives by central differences when not supplied).  Verifies
-    |f'|^2 <= G f on the inner ball and reports the measured pointwise
-    constant max |f'|^2 / f.
-    """
-    if not (0.0 < r_inner < r_outer):
-        raise ValueError("need 0 < r_inner < r_outer")
-    xs_outer = np.linspace(x0 - r_outer, x0 + r_outer, n_samples)
-    fv = np.asarray([f(x) for x in xs_outer], dtype=float)
-    if np.any(fv < -1e-12):
-        raise ValueError("f must be nonnegative on the outer ball")
-    h = xs_outer[1] - xs_outer[0]
-    dfv = (np.asarray([df(x) for x in xs_outer]) if df is not None
-           else np.gradient(fv, h))
-    d2fv = (np.asarray([d2f(x) for x in xs_outer]) if d2f is not None
-            else np.gradient(dfv, h))
-    dist = np.abs(xs_outer - x0)
-    annulus = (dist > r_inner) & (dist < r_outer)
-    inner = dist <= r_inner
-    M2 = float(np.max(np.abs(d2fv)))
-    M1 = float(np.max(np.abs(dfv[annulus]))) if np.any(annulus) else 0.0
-    M0 = float(np.max(np.abs(fv[annulus]))) if np.any(annulus) else 0.0
-    gap = r_outer - r_inner
-    G = 2.0 * M2 + 4.0 / gap * M1 + 4.0 / gap**2 * M0
-
-    fi = fv[inner]
-    dfi = dfv[inner]
-    tiny = fi < ZERO_OVER_ZERO_FLOOR
-    bad = tiny & (dfi**2 >= ZERO_OVER_ZERO_FLOOR)
-    if np.any(bad):
-        xw = xs_outer[inner][np.argmax(bad)]
-        raise GlaeserViolationError(
-            f"local Glaeser violation at x = {xw}: f = 0 but f' != 0"
-        )
-    ratio = np.where(tiny, 0.0, dfi**2 / np.where(tiny, 1.0, fi))
-    k = int(np.argmax(ratio))
-    pointwise = float(ratio[k])
-    holds = bool(np.all(dfi**2 <= G * fi + 1e-12 * max(G, 1.0)))
-    return AuditReport("local_glaeser", G, (xs_outer[inner][k],), holds,
-                       extras={"pointwise_max": pointwise,
-                               "M0": M0, "M1": M1, "M2": M2})

@@ -33,11 +33,9 @@ __all__ = [
     "coefficient_linear",
     "coefficient_parabola",
     "coefficient_constant",
-    "e_eps",
     "integrate_mode",
     "max_energy_growth",
     "growth_exponent_fit",
-    "glaeser_l1_check",
     "StepBudgetError",
 ]
 
@@ -56,11 +54,10 @@ def _on_array(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeCoefficient:
-    """Nonnegative coefficient a(t) on [0, T], its derivative and C^k class."""
+    """Nonnegative coefficient a(t) on [0, T] and its C^k class."""
 
     fn: Callable[[float], float]
     k: int
-    dfn: Callable[[float], float]
     name: str = ""
 
     def sup_a(self, T: float, samples: int = 4096) -> float:
@@ -68,35 +65,26 @@ class TimeCoefficient:
 
 
 def coefficient_linear() -> TimeCoefficient:
-    return TimeCoefficient(fn=lambda t: t, k=1, name="a(t)=t",
-                           dfn=lambda t: 1.0)
+    return TimeCoefficient(fn=lambda t: t, k=1, name="a(t)=t")
 
 
 def coefficient_parabola(t_star: float = 0.5) -> TimeCoefficient:
     return TimeCoefficient(fn=lambda t: (t - t_star) ** 2, k=2,
-                           name=f"a(t)=(t-{t_star})^2",
-                           dfn=lambda t: 2.0 * (t - t_star))
+                           name=f"a(t)=(t-{t_star})^2")
 
 
 def coefficient_constant(value: float = 1.0) -> TimeCoefficient:
-    return TimeCoefficient(fn=lambda t: value, k=1, name=f"a(t)={value}",
-                           dfn=lambda t: 0.0)
-
-
-def e_eps(w, dw_dt, xi, a_val, eps):
-    """Regularized energy |w'|^2 + (a + eps) |xi|^2 |w|^2, elementwise."""
-    if np.any(np.asarray(eps) <= 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    return np.abs(dw_dt) ** 2 + (a_val + eps) * xi ** 2 * np.abs(w) ** 2
+    return TimeCoefficient(fn=lambda t: value, k=1, name=f"a(t)={value}")
 
 
 def _mode_dt(tc: TimeCoefficient, xi: float, T: float) -> float:
     dt = min(1e-3, 0.05 / (abs(xi) * math.sqrt(tc.sup_a(T) + 1.0)))
-    steps = int(math.ceil(T / dt))
-    if steps > STEP_BUDGET:
-        raise StepBudgetError(f"{steps} steps exceed the budget "
+    # counted in floats: T / dt can overflow to inf, and dt underflow to 0
+    steps = T / dt if dt > 0.0 else math.inf
+    if not steps <= STEP_BUDGET:
+        raise StepBudgetError(f"{steps:.6g} steps exceed the budget "
                               f"{STEP_BUDGET} for xi={xi}, T={T}")
-    return T / steps
+    return T / math.ceil(steps)
 
 
 def _propagator(tc: TimeCoefficient, xi: float, T: float,
@@ -200,36 +188,3 @@ def growth_exponent_fit(tc: TimeCoefficient, xi_list: Sequence[float],
     rms = float(np.sqrt(np.mean((logG - A @ coef) ** 2)))
     return {"k": k_eff, "slope": float(coef[0]), "intercept": float(coef[1]),
             "residual": rms, "rows": rows, "no_growth": False}
-
-
-def glaeser_l1_check(tc: TimeCoefficient, eps_list: Sequence[float],
-                     T: float, k: Optional[int] = None,
-                     n_quad: int = 20001, rtol: float = 1e-4) -> dict:
-    """L1 norm of d/dt (a + eps)^(1/k) on [0, T] for each eps.
-
-    The quadrature is Richardson-checked by halving the sampling; the
-    values must stay bounded as eps decreases (no doubling between
-    consecutive entries of a 10x-refining eps list).
-    """
-    k_eff = tc.k if k is None else k
-
-    def l1(eps: float, m: int) -> float:
-        ts = np.linspace(0.0, T, m)
-        avals = _on_array(tc.fn, ts)
-        davals = _on_array(tc.dfn, ts)
-        integrand = np.abs(davals / k_eff * (avals + eps) ** (1.0 / k_eff - 1.0))
-        return float(np.trapezoid(integrand, ts))
-
-    values = []
-    for eps in eps_list:
-        full = l1(eps, n_quad)
-        half = l1(eps, (n_quad + 1) // 2)
-        if abs(full - half) > rtol * max(abs(full), 1.0):
-            raise RuntimeError(
-                f"quadrature not converged for eps={eps}: "
-                f"{full} vs {half} at half sampling"
-            )
-        values.append(full)
-    bounded = all(values[i + 1] <= 2.0 * values[i] + 1e-12
-                  for i in range(len(values) - 1))
-    return {"k": k_eff, "eps": list(eps_list), "l1": values, "bounded": bounded}

@@ -34,7 +34,7 @@ from .reporting import write_csv, write_json
 from .solver import (EnergyTrace, NonlinearityF, RunConfig,
                      SolverBlowupError, integrate, measure_tau_threshold,
                      observe, run_with_energy)
-from .spectral import Grid
+from .spectral import SQUARE_CAP, Grid
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
@@ -208,8 +208,11 @@ ORDERS = (lambda v: isinstance(v, list) and all(
     "a list of [alpha, beta] pairs of ints >= 0 with alpha + beta <= 4")
 
 
+SYMBOL_RULES = AUDIT_RULES | {"orders": ORDERS}
+
+
 def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
-    _check_config(cfg_raw, AUDIT_RULES | {"orders": ORDERS})
+    _check_config(cfg_raw, SYMBOL_RULES)
     sb = _symbol_b(cfg_raw, 1.0)
     coeff = sb.coeff
     t = cfg_raw.get("t", 0.0)
@@ -227,7 +230,7 @@ def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
 
 
 # the largest xi_max whose <xi_max>^2 = 1 + xi_max^2 is a finite float
-XI_MAX_CAP = math.sqrt(sys.float_info.max)
+XI_MAX_CAP = SQUARE_CAP
 METRIC_RULES = AUDIT_RULES | {
     "n_pairs": (lambda v: _int(v) and v >= 1, "an int >= 1"),
     "xi_max": (lambda v: POSITIVE[0](v) and v <= XI_MAX_CAP,
@@ -266,10 +269,14 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
     t = cfg_raw.get("t", 0.0)
     sizes = cfg_raw.get("sizes", [128, 256])
     dump = cfg_raw.get("dump_matrices", False)
+    try:
+        grids = [Grid(n, 1.0, coeff.x0) for n in sizes]
+    except ValueError as err:   # x0 outside the unit period
+        raise ScenarioError(f"config.coeff: {err}") from err
     records = []
     comp_norms = []
-    for n in sizes:
-        grid = Grid(n, 1.0, coeff.x0)
+    for grid in grids:
+        n = grid.n
         bf = sample_symbol_b(sb, grid, t)
         B = quantize(bf)
         if dump:
@@ -288,8 +295,7 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
         records.append({"check": "compose_norm_decreases",
                         "constant": hi / lo, "pass": hi < lo})
 
-    grid = Grid(sizes[-1], 1.0, coeff.x0)
-    _, defects = invert_b(sb, 2, t, grid)
+    _, defects = invert_b(sb, 2, t, grids[-1])
     records.append({"check": "invert_defects", "constant": defects[-1],
                     "pass": defects[0] >= defects[1] >= defects[2],
                     "defects": defects})
@@ -339,9 +345,13 @@ def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
     return []
 
 
+# constraint_table validates the sigma range and step
+TABLE_RULES = {"sigma_min": None, "sigma_max": None, "step": None,
+               "nu": COUNT, "f21_zero": BOOL}
+
+
 def _run_constraint_table(cfg_raw: dict, out: str) -> list:
-    _check_config(cfg_raw, {"sigma_min": None, "sigma_max": None,
-                            "step": None, "nu": COUNT, "f21_zero": BOOL})
+    _check_config(cfg_raw, TABLE_RULES)
     try:
         records = constraint_table(
             str(cfg_raw.get("sigma_min", "0.3")),
@@ -352,6 +362,8 @@ def _run_constraint_table(cfg_raw: dict, out: str) -> list:
         )
     except ValueError as err:
         raise ScenarioError(str(err)) from err
+    if not records:
+        raise ScenarioError("the sigma range is empty: sigma_min > sigma_max")
     rows = [r.as_dict() for r in records]
     fields = list(rows[0].keys())
     write_csv(os.path.join(out, "table.csv"), rows, fields)

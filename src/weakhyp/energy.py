@@ -98,11 +98,6 @@ class Symmetrizer:
         return quantize(SymbolField(self.grid, samples, time=self.t,
                                     label=label, rows=self._b_field.rows))
 
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Hermitian part of op(b)."""
-        H = 0.5 * (self.b_matrix + self.b_matrix.conj().T)
-        return float(np.linalg.eigvalsh(H)[0])
-
 
 @dataclass
 class EnergyBreakdown:

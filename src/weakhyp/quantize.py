@@ -54,6 +54,7 @@ from .symbols import SymbolB
 __all__ = [
     "SymbolField",
     "sample_symbol",
+    "sample_symbol_b",
     "quantize",
     "dequantize",
     "hermiticity_defect",
@@ -61,8 +62,6 @@ __all__ = [
     "multiplication_matrix",
     "operator_norm",
     "PowerIterationWarning",
-    "poisson_bracket",
-    "compose_remainder",
     "invert_b",
 ]
 
@@ -249,8 +248,8 @@ def dequantize(matrix: np.ndarray, grid: Grid,
 def multiplier_matrix(grid: Grid, m) -> np.ndarray:
     """Dense matrix of the Fourier multiplier m(xi) (exact)."""
     mv = np.asarray(m(grid.xi) if callable(m) else m, dtype=complex)
-    eye = np.eye(grid.n, dtype=complex)
-    return np.fft.ifft(mv[:, None] * np.fft.fft(eye, axis=0), axis=0)
+    # row j of the product is the image of e_j, i.e. column j of the matrix
+    return grid.multiply(np.eye(grid.n, dtype=complex), mv).T
 
 
 def multiplication_matrix(q_values: np.ndarray) -> np.ndarray:
@@ -297,58 +296,6 @@ def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200) -> float:
         PowerIterationWarning,
     )
     return sigma
-
-
-def _dxi_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """d/dxi by central differences on the (sorted) frequency lattice."""
-    order = np.argsort(grid.xi)
-    inv = np.argsort(order)
-    s_sorted = samples[:, order]
-    d_sorted = np.gradient(s_sorted, grid.xi[order], axis=1)
-    return d_sorted[:, inv]
-
-
-def _dx_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    """d/dx by spectral differentiation on the doubled periodic lattice."""
-    n2 = 2 * grid.n
-    freqs = np.fft.fftfreq(n2, d=grid.dx / 2.0)
-    return np.fft.ifft(2.0j * np.pi * freqs[:, None]
-                       * np.fft.fft(samples, axis=0), axis=0)
-
-
-def poisson_bracket(p1: SymbolField, p2: SymbolField) -> np.ndarray:
-    """{p1, p2} = d_xi p1 d_x p2 - d_x p1 d_xi p2 on the sample lattice."""
-    g = p1.grid
-    return (_dxi_samples(g, p1.samples) * _dx_samples(g, p2.samples)
-            - _dx_samples(g, p1.samples) * _dxi_samples(g, p2.samples))
-
-
-def compose_remainder(p1: SymbolField, p2: SymbolField, order: int = 1):
-    """Residuals of the symbolic composition expansion, at operator level.
-
-    order 0:  R0 = op(p1) op(p2) - op(p1 p2)
-    order 1:  R1 = R0 - op({p1, p2}/(4*pi*i))
-
-    {p1, p2}/(4*pi*i) is the first-order Weyl correction in the
-    exp(2*pi*i*(x-y)*xi) kernel convention.  Returns (residual matrices
-    dict, norms dict, norm ratio ||R1||/||R0||).
-    """
-    if p1.grid is not p2.grid and p1.grid != p2.grid:
-        raise ValueError("symbols live on different grids")
-    g = p1.grid
-    prod = SymbolField(g, p1.samples * p2.samples, time=p1.time,
-                       label=f"({p1.label})*({p2.label})")
-    R0 = quantize(p1) @ quantize(p2) - quantize(prod)
-    norms = {"R0": operator_norm(R0)}
-    residuals = {"R0": R0}
-    if order >= 1:
-        corr = poisson_bracket(p1, p2) / (4.0j * np.pi)
-        R1 = R0 - quantize(SymbolField(g, corr, time=p1.time,
-                                       label="order-1 correction"))
-        residuals["R1"] = R1
-        norms["R1"] = operator_norm(R1)
-    ratio = norms.get("R1", np.nan) / norms["R0"] if norms["R0"] > 0 else 0.0
-    return residuals, norms, ratio
 
 
 def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):

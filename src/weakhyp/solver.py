@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spectral import DEFAULT_MAX_EXPONENT, Grid, bracket
+from .spectral import DEFAULT_MAX_EXPONENT, SQUARE_CAP, Grid, bracket
 from .symbols import CoefficientField, SymbolB
 from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
@@ -170,6 +170,13 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ValueError(f"{name} = {value!r} must be positive")
+        # the coefficient squares x - x0 and the packet its width
+        for name in ("length", "packet_width"):
+            value = getattr(self, name)
+            if value > SQUARE_CAP:
+                raise ValueError(f"{name} = {value!r} must be <= "
+                                 f"{SQUARE_CAP:.17g}, above which its "
+                                 "square overflows")
         for name in ("tau0", "horizon"):
             value = getattr(self, name)
             if value is not None and value < 0.0:

@@ -18,6 +18,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +34,9 @@ __all__ = [
 
 #: exponent cap for exp(tau * <xi>^sigma); doubles overflow near exp(709)
 DEFAULT_MAX_EXPONENT = 700.0
+
+#: the largest float whose square is finite
+SQUARE_CAP = math.sqrt(sys.float_info.max)
 
 
 class GevreyOverflowError(OverflowError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectral import bracket
+from .spectral import SQUARE_CAP, bracket
 
 __all__ = [
     "smoothstep",
@@ -125,6 +125,11 @@ class CoefficientField:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{f.name} = {value!r} must be a finite real")
+            # the bumps square their widths, and the coefficient x - x0
+            if abs(value) > SQUARE_CAP:
+                raise ValueError(f"{f.name} = {value!r} must be at most "
+                                 f"{SQUARE_CAP:.17g} in magnitude, above "
+                                 "which its square overflows")
         if not (0.0 < self.r < self.r_outer):
             raise ValueError("need 0 < r < r_outer")
         if not (0.0 < self.T < self.T_outer):

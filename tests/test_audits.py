@@ -5,13 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from weakhyp.audits import (GlaeserViolationError, derivative_bound_audit,
-                            embedding_check, faa_di_bruno_check,
-                            glaeser_audit_a, local_glaeser_constant,
-                            metric_admissibility_audit,
+from weakhyp.audits import (derivative_bound_audit, faa_di_bruno_check,
+                            glaeser_audit_a, metric_admissibility_audit,
                             weight_admissibility_audit, _b_lattice,
-                            _compositions_count, _fd_mixed,
-                            _CENTRAL_STENCILS)
+                            _compositions_count, _CENTRAL_STENCILS)
 from weakhyp.spectral import bracket
 from weakhyp.symbols import CoefficientField, PhaseMetric, SymbolB
 
@@ -238,67 +235,3 @@ class TestMetricAdmissibility:
         assert rep.passed
         assert rep.constant < np.inf
         assert rep.extras["N"] >= 1
-
-
-class TestEmbeddings:
-    @staticmethod
-    def _bracket_probe(m):
-        def probe(alpha, beta, x, xi):
-            if alpha > 0:
-                return 0.0
-            h = 1e-4 * bracket(xi)
-            return _fd_mixed(lambda _x, _xi: bracket(_xi) ** m,
-                             x, xi, 0, beta, 1.0, h)
-        return probe
-
-    def test_bracket_power_passes_flat_to_metric(self, sb_c1):
-        m = 0.7
-        rep = embedding_check(sb_c1, m, self._bracket_probe(m),
-                              mode="flat_to_metric")
-        assert rep.passed
-
-    def test_higher_order_symbol_fails_budget(self, sb_c1):
-        rep = embedding_check(sb_c1, 0.7, self._bracket_probe(1.7),
-                              mode="flat_to_metric")
-        assert not rep.passed
-
-    def test_b_passes_metric_to_flat_with_m_half_c(self, sb_c1):
-        def probe(alpha, beta, x, xi):
-            hx = 1e-5 if alpha else 1.0
-            hxi = 1e-4 * bracket(xi) if beta else 1.0
-            return _fd_mixed(lambda _x, _xi: sb_c1.b(0.0, _x, _xi),
-                             x, xi, alpha, beta, hx, hxi)
-        rep = embedding_check(sb_c1, sb_c1.c / 2, probe, mode="metric_to_flat")
-        assert rep.passed
-
-
-class TestLocalGlaeser:
-    def test_constant_function(self):
-        rep = local_glaeser_constant(lambda x: 1.0, 0.0, 0.5, 1.0)
-        assert rep.passed
-        assert rep.extras["M1"] == pytest.approx(0.0, abs=1e-9)
-        assert rep.extras["pointwise_max"] == pytest.approx(0.0, abs=1e-9)
-
-    def test_linear_function_pointwise_constant(self):
-        # f(x) = x on the window [x0, x0 + 1]: max of 1/x is 1/x0
-        x0 = 2.0
-        rep = local_glaeser_constant(lambda x: x, x0 + 0.5, 0.5, 0.8,
-                                     df=lambda x: 1.0, d2f=lambda x: 0.0)
-        assert rep.extras["pointwise_max"] == pytest.approx(1.0 / x0, rel=1e-6)
-        assert rep.passed
-
-    def test_quadratic_saturates_global_constant(self):
-        # brute-force max of |f'|^2 / f for f = (x - 1)^2 is exactly 4
-        rep = local_glaeser_constant(lambda x: (x - 1.0) ** 2, 1.0, 0.5, 1.0,
-                                     df=lambda x: 2.0 * (x - 1.0),
-                                     d2f=lambda x: 2.0)
-        assert rep.extras["pointwise_max"] == pytest.approx(4.0, rel=1e-9)
-        assert rep.constant >= 4.0
-        assert rep.passed
-
-    def test_violation_detected(self):
-        # f touching zero with nonzero slope breaks the inequality
-        with pytest.raises(GlaeserViolationError):
-            local_glaeser_constant(lambda x: abs(x), 0.0, 0.5, 1.0,
-                                   df=lambda x: 1.0,
-                                   d2f=lambda x: 0.0)

@@ -6,9 +6,8 @@ import pytest
 from weakhyp import cjs
 from weakhyp.cjs import (StepBudgetError, TimeCoefficient,
                          coefficient_constant, coefficient_linear,
-                         coefficient_parabola, e_eps, glaeser_l1_check,
-                         growth_exponent_fit, integrate_mode,
-                         max_energy_growth)
+                         coefficient_parabola, growth_exponent_fit,
+                         integrate_mode, max_energy_growth)
 
 LADDER = [2.0**j for j in range(4, 11)]
 
@@ -16,8 +15,7 @@ LADDER = [2.0**j for j in range(4, 11)]
 def coefficient_cos():
     """A positive coefficient written with the scalar `math` functions."""
     return TimeCoefficient(fn=lambda t: 1.5 + 0.5 * math.cos(2 * math.pi * t),
-                           k=1, name="cos",
-                           dfn=lambda t: -math.pi * math.sin(2 * math.pi * t))
+                           k=1, name="cos")
 
 
 COEFFICIENTS = [coefficient_linear, coefficient_parabola,
@@ -52,27 +50,6 @@ def reference_growth(tc, xi, T, eps):
         cols.append(np.stack((dw, omega * w), axis=-1))
     top = np.linalg.svd(np.stack(cols, axis=-1), compute_uv=False)[:, 0]
     return float(np.max(top * top)), len(t) - 1
-
-
-class TestEnergyFormula:
-    def test_zero_state(self):
-        assert e_eps(0.0, 0.0, xi=3.0, a_val=1.0, eps=0.5) == 0.0
-
-    def test_plug_in_example(self):
-        assert e_eps(1.0, 0.0, xi=1.0, a_val=0.0, eps=1.0) == 1.0
-
-    def test_monotone_in_eps(self, rng):
-        for _ in range(50):
-            w, dw, xi = (rng.normal() + 1j * rng.normal(), rng.normal(),
-                         rng.uniform(1, 50))
-            a = rng.uniform(0, 2)
-            e1 = e_eps(w, dw, xi, a, 0.1)
-            e2 = e_eps(w, dw, xi, a, 0.3)
-            assert e1 <= e2
-
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            e_eps(1.0, 0.0, 1.0, 0.0, 0.0)
 
 
 class TestIntegrateMode:
@@ -176,34 +153,8 @@ class TestGrowthFit:
         # a bounded below: amplification is controlled by the
         # equivalence constant (sup a + eps) / a_min
         tc = TimeCoefficient(fn=lambda t: 1.5 + 0.5 * math.cos(2 * math.pi * t),
-                             k=1, name="positive",
-                             dfn=lambda t: -math.pi * math.sin(2 * math.pi * t))
+                             k=1, name="positive")
         a_min, a_sup = 1.0, 2.0
         eps = a_min
         ratio, _ = max_energy_growth(tc, xi=32.0, T=1.0, eps=eps)
         assert ratio <= (a_sup + eps) / a_min * 1.05
-
-
-class TestGlaeserL1:
-    def test_constant_coefficient_zero(self):
-        rep = glaeser_l1_check(coefficient_constant(1.0),
-                               [1e-1, 1e-2, 1e-3], T=1.0, k=1)
-        assert max(rep["l1"]) < 1e-12
-        assert rep["bounded"]
-
-    def test_linear_coefficient_exactly_T(self):
-        # ((t + eps)^1)' = 1, so the L1 norm is T for every eps
-        rep = glaeser_l1_check(coefficient_linear(), [1e-1, 1e-3, 1e-5],
-                               T=1.0, k=1)
-        assert np.allclose(rep["l1"], 1.0, rtol=1e-6)
-        assert rep["bounded"]
-
-    def test_quadratic_against_antiderivative(self):
-        # d/dt sqrt(t^2 + eps) integrates to sqrt(T^2+eps) - sqrt(eps)
-        tc = TimeCoefficient(fn=lambda t: t * t, k=2, name="t^2",
-                             dfn=lambda t: 2.0 * t)
-        eps_list = [1e-1, 1e-2, 1e-3, 1e-4]
-        rep = glaeser_l1_check(tc, eps_list, T=1.0, k=2)
-        exact = [math.sqrt(1.0 + e) - math.sqrt(e) for e in eps_list]
-        assert np.allclose(rep["l1"], exact, rtol=1e-4)
-        assert rep["bounded"]

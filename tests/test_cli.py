@@ -123,7 +123,8 @@ class TestValidationExitCodes:
         {"taudot_factor": True}, {"packet_component": 7},
         {"sample_stride": 0}, {"assert_max_ratio": "x"},
         {"nonlinear": "no"}, {"f21_zero": "yes"}, {"tau0": -0.5},
-        {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9}])
+        {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9},
+        {"packet_width": 1e308}, {"length": 1e300}])
     def test_bad_rate_or_run_key_exits_2(self, tmp_path, capsys, bad):
         s = Scenario(kind="energy_estimate", config=dict({"n": 64}, **bad),
                      output_dir=str(tmp_path / "out"))
@@ -157,8 +158,14 @@ class TestValidationExitCodes:
                      output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
 
-    @pytest.mark.parametrize("kind, bad",
-                             BAD_VALUES + [("cjs_sweep", {"t_final": 1e9})])
+    @pytest.mark.parametrize("kind, bad", BAD_VALUES + [
+        ("cjs_sweep", {"t_final": 1e9}), ("cjs_sweep", {"t_final": 1e308}),
+        ("constraint_table", {"sigma_max": 0.2}),
+        ("constraint_table", {"sigma_min": 1e308}),
+        ("constraint_table", {"sigma_max": 0}),
+        ("constraint_table", {"sigma_max": -1}),
+        ("symbol_audit", {"coeff": {"r_outer": 1e308}}),
+        ("quantizer_audit", {"coeff": {"x0": 0}})])
     def test_invalid_scenario_leaves_no_output_dir(self, tmp_path, kind, bad):
         s = Scenario(kind=kind, config=bad, output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
@@ -470,6 +477,17 @@ class TestVerbs:
         out = tmp_path / "ma"
         assert main(["audit", "metric", "--dump-matrices",
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--sigma-max", "0.2"], ["table", "--sigma-min", "1e308"],
+        ["table", "--sigma-max", "0"], ["table", "--sigma-max", "-1"],
+        ["cjs", "--t-final", "1e308"]])
+    def test_empty_table_or_overlong_run_exits_2(self, tmp_path, capsys,
+                                                 argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_verb_defaults_are_the_runner_defaults(self, tmp_path):

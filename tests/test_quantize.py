@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map, _wrapped_difference,
-                              compose_remainder, dequantize,
-                              hermiticity_defect, invert_b,
+                              dequantize, hermiticity_defect, invert_b,
                               multiplication_matrix, multiplier_matrix,
                               operator_norm, quantize, sample_symbol,
                               sample_symbol_b)
@@ -268,37 +267,10 @@ class TestOperatorNorm:
 class TestComposeRemainder:
     def test_multipliers_compose_exactly(self, grid64):
         p = sample_symbol(grid64, lambda x, xi: 1.0 / bracket(xi) + 0 * x)
-        _, norms, _ = compose_remainder(p, p, order=1)
-        assert norms["R0"] < 1e-12
-        assert norms["R1"] < 1e-12
+        R0 = quantize(p) @ quantize(p) - quantize(
+            SymbolField(grid64, p.samples**2))
+        assert operator_norm(R0) < 1e-12
 
-    def test_first_order_correction_helps(self):
-        # x-cutoff against a xi-multiplier with nonzero bracket
-        for n in (128, 256):
-            g = Grid(n, 1.0, 0.5)
-            p1 = sample_symbol(g, lambda x, xi:
-                               np.exp(-40 * (x - 0.5) ** 2) + 0 * xi)
-            p2 = sample_symbol(g, lambda x, xi: xi / bracket(xi) ** 2 + 0 * x)
-            _, norms, ratio = compose_remainder(p1, p2, order=1)
-            assert norms["R1"] < norms["R0"]
-            assert ratio < 1.0
-
-    def test_b_squared_remainder_shrinks_under_refinement(self, sb_half):
-        # {b, b} = 0, so the residual is pure second order; at c = 1/2 the
-        # lattice-edge artifact decays and the full norm decreases
-        norms = []
-        for n in (128, 256):
-            g = Grid(n, 1.0, 0.5)
-            bf = sample_symbol_b(sb_half, g, 0.0)
-            _, nd, _ = compose_remainder(bf, bf, order=0)
-            norms.append(nd["R0"])
-        assert norms[1] < norms[0]
-
-    def test_b_bracket_vanishes_so_r1_equals_r0(self, sb_half, grid64):
-        bf = sample_symbol_b(sb_half, grid64, 0.0)
-        _, norms, ratio = compose_remainder(bf, bf, order=1)
-        # {b, b} = 0 up to finite-difference noise
-        assert ratio == pytest.approx(1.0, abs=5e-2)
 
 
 def reference_invert_b(sb, nu, t, grid):

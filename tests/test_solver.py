@@ -1,5 +1,6 @@
 import importlib
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from weakhyp.solver import (CFLError, NonlinearityF, RunConfig,
                             SolverBlowupError, integrate,
                             measure_tau_threshold, observe, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
+from weakhyp.spectral import SQUARE_CAP
 from weakhyp.symbols import CoefficientField
 
 solver_module = importlib.import_module("weakhyp.solver")
@@ -158,6 +160,13 @@ class TestRunConfig:
     def test_rejects_mistyped_values(self, coeff, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(coeff=coeff, **bad)
+
+    @pytest.mark.parametrize("name", ["length", "packet_width"])
+    def test_square_cap_bounds_length_and_width(self, coeff, name):
+        RunConfig(coeff=coeff, **{name: SQUARE_CAP})
+        with pytest.raises(ValueError, match="square overflows"):
+            RunConfig(coeff=coeff,
+                      **{name: math.nextafter(SQUARE_CAP, math.inf)})
 
     def test_rejects_bump_center_outside_domain(self):
         with pytest.raises(ValueError, match="x0 = 1.5"):

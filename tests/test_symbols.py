@@ -87,7 +87,7 @@ class TestCoefficientField:
     @pytest.mark.parametrize("bad", [
         {"radius_R": 0.0}, {"radius_R": -1.0}, {"sigma_coeff": 0.0},
         {"x0": True}, {"T": "0.05"}, {"r": float("nan")},
-        {"radius_R": float("inf")}])
+        {"radius_R": float("inf")}, {"r_outer": 1e308}, {"x0": -1e300}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             CoefficientField(**bad)
