@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 ZERO_OVER_ZERO_FLOOR = 1e-14
+XI_MAX = 128.0    # the largest |xi| the symbol and metric audits sample
+R_SLOW = 0.1      # radius of the slow-variation ball
 
 
 class GlaeserViolationError(ArithmeticError):
@@ -158,8 +160,8 @@ def _fd_mixed(fn, x, xi, alpha: int, beta: int, hx, hxi):
 
 
 def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
-                           t: float = 0.0, n_x: int = 41, n_xi: int = 41,
-                           xi_max: float = 128.0) -> AuditReport:
+                           t: float = 0.0, n_x: int = 41,
+                           n_xi: int = 41) -> AuditReport:
     """Measured sup of |d_x^a d_xi^b b| / (b^(1+a) <xi>^(-b)).
 
     Derivatives come from nested central differences of the closed-form
@@ -174,9 +176,9 @@ def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
     eps = np.finfo(float).eps
     xs = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, n_x)
     xis = np.concatenate([
-        -np.geomspace(1.0, xi_max, n_xi // 2),
+        -np.geomspace(1.0, XI_MAX, n_xi // 2),
         [0.0],
-        np.geomspace(1.0, xi_max, n_xi // 2),
+        np.geomspace(1.0, XI_MAX, n_xi // 2),
     ])
     x, xi = xs[:, None], xis[None, :]
     b = _b_lattice(sb, t, x, xi)
@@ -218,23 +220,23 @@ def _compositions_count(total: int, parts: int) -> int:
     return count
 
 
-def faa_di_bruno_check(k_max: int = 8, alpha_max: int = 8) -> AuditReport:
+def faa_di_bruno_check() -> AuditReport:
     """Exact checks of the composition-count and square-root coefficients.
 
+    For alpha and k up to 8:
     (i)   N(alpha, k) = binom(alpha - 1, k - 1) against enumeration;
     (ii)  the k-th derivative of y^(-1/2) is c_k y^(-1/2-k) with
           c_k = (-1/4)^k (2k)!/k!;
     (iii) |c_k| <= k!.
     """
-    if not (1 <= k_max <= 8 and 1 <= alpha_max <= 8):
-        raise ValueError("k_max and alpha_max must lie in 1..8")
+    order = 8
     ok = True
-    for a in range(1, alpha_max + 1):
-        for k in range(1, k_max + 1):
+    for a in range(1, order + 1):
+        for k in range(1, order + 1):
             if _compositions_count(a, k) != math.comb(a - 1, k - 1):
                 ok = False
     c = Fraction(1)
-    for k in range(1, k_max + 1):
+    for k in range(1, order + 1):
         c *= Fraction(-1, 2) - (k - 1)       # d/dy brings down (-1/2 - (k-1))
         closed = Fraction(-1, 4) ** k * Fraction(math.factorial(2 * k),
                                                  math.factorial(k))
@@ -242,8 +244,8 @@ def faa_di_bruno_check(k_max: int = 8, alpha_max: int = 8) -> AuditReport:
             ok = False
         if abs(c) > math.factorial(k):
             ok = False
-    return AuditReport(check="faa_di_bruno", constant=float(k_max),
-                       witness=(k_max, alpha_max), passed=ok)
+    return AuditReport(check="faa_di_bruno", constant=float(order),
+                       witness=(order, order), passed=ok)
 
 
 def _sample_phase_points(pm: PhaseMetric, t: float, n_pairs: int,
@@ -278,13 +280,12 @@ def _temperance_fit(ratio: np.ndarray, gsig: np.ndarray):
 
 
 def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
-                               n_pairs: int = 10_000, n_probes: int = 16,
-                               xi_max: float = 128.0, r_slow: float = 0.1,
+                               n_pairs: int = 10_000, xi_max: float = XI_MAX,
                                seed: int = 11) -> dict:
     """Slow variation, uncertainty and temperance, measured on samples.
 
     Returns the three findings: the slow-variation constant over pairs
-    with g_X(X - Y) <= r_slow^2 (max over random probe directions and
+    with g_X(X - Y) <= R_SLOW^2 (max over random probe directions and
     also the closed-form supremum), the minimal gain lambda over the
     lattice, and the fitted temperance pair (C, N).
     """
@@ -296,7 +297,7 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     # ball g_X(X - Y) <= r^2 is well populated
     half = n_pairs // 2
     anat = np.asarray(sb.a_natural(t, x1[:half], xi1[:half]))
-    scale = rng.uniform(0.0, r_slow, size=half)
+    scale = rng.uniform(0.0, R_SLOW, size=half)
     angle = rng.uniform(0.0, 2.0 * np.pi, size=half)
     x2[:half] = x1[:half] + scale * np.cos(angle) * np.sqrt(anat)
     xi2[:half] = xi1[:half] + scale * np.sin(angle) * bracket(xi1[:half])
@@ -305,14 +306,14 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     ratio_sup = pm.sup_ratio(t, (x1, xi1), (x2, xi2))
     ratio_sup = np.maximum(ratio_sup, pm.sup_ratio(t, (x2, xi2), (x1, xi1)))
 
-    probes = rng.normal(size=(n_probes, 2))
+    probes = rng.normal(size=(16, 2))
     probe_ratio = np.zeros(n_pairs)
     for p1, p2 in probes:
         gx = pm.g(t, (x1, xi1), (p1, p2))
         gy = pm.g(t, (x2, xi2), (p1, p2))
         probe_ratio = np.maximum(probe_ratio, np.maximum(gx / gy, gy / gx))
 
-    near = gX_sep <= r_slow**2
+    near = gX_sep <= R_SLOW**2
     slow_constant = float(np.max(ratio_sup[near])) if np.any(near) else 1.0
     slow_probe_constant = float(np.max(probe_ratio[near])) if np.any(near) else 1.0
 
@@ -328,7 +329,7 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     C, N, slope, _ = _temperance_fit(ratio_sup, gsig)
     return {
         "slow_variation": AuditReport(
-            "slow_variation", slow_constant, (r_slow,),
+            "slow_variation", slow_constant, (R_SLOW,),
             math.isfinite(slow_constant),
             extras={"probe_constant": slow_probe_constant,
                     "pairs_in_ball": int(np.sum(near))}),
@@ -337,13 +338,13 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
             (min_lambda >= 1.0 - 1e-9) == (sb.c <= 2.0),
             extras={"c": float(sb.c)}),
         "temperance": AuditReport(
-            "temperance", C, (r_slow,), math.isfinite(C) and math.isfinite(slope),
+            "temperance", C, (R_SLOW,), math.isfinite(C) and math.isfinite(slope),
             extras={"N": N, "fitted_slope": slope}),
     }
 
 
 def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
-                               n_pairs: int = 10_000, xi_max: float = 128.0,
+                               n_pairs: int = 10_000, xi_max: float = XI_MAX,
                                seed: int = 13) -> AuditReport:
     """Fit b(X)/b(Y) <= C (1 + g^sigma_X(X - Y))^N over sampled pairs."""
     sb = pm.sb

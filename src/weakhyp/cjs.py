@@ -60,8 +60,8 @@ class TimeCoefficient:
     k: int
     name: str = ""
 
-    def sup_a(self, T: float, samples: int = 4096) -> float:
-        return float(np.max(_on_array(self.fn, np.linspace(0.0, T, samples))))
+    def sup_a(self, T: float) -> float:
+        return float(np.max(_on_array(self.fn, np.linspace(0.0, T, 4096))))
 
 
 def coefficient_linear() -> TimeCoefficient:

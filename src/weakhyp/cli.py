@@ -151,7 +151,8 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     passed = {f.name for f in fields(RunConfig)} - {"coeff", "taudot"}
     kwargs = {k: v for k, v in cfg_raw.items() if k in passed}
     kwargs["coeff"] = coeff
-    if not cfg_raw.get("nonlinear", True):
+    # the default F has only its F21 entry, so f21_zero leaves F = 0
+    if not cfg_raw.get("nonlinear", True) or cfg_raw.get("f21_zero", False):
         kwargs["nonlinearity"] = NonlinearityF.zero()
     try:
         cfg = RunConfig(**kwargs)

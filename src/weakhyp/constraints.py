@@ -9,6 +9,7 @@ is evaluated in rational arithmetic so grid sweeps are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,6 +21,9 @@ __all__ = [
     "constraint_table",
     "minimal_feasible_sigma",
 ]
+
+MAX_TABLE_ROWS = 100_000  # the most rows one table may have
+
 
 def as_fraction(x) -> Fraction:
     """Exact rational from int, Fraction, decimal string, or float.
@@ -82,15 +86,15 @@ def constraint_slacks(sigma: Fraction, c: Fraction, nu: int,
     return slacks
 
 
-def constraint_record(sigma, nu: int = 4, f21_zero: bool = False,
-                      c=None) -> ConstraintRecord:
-    """Evaluate one parameter point; c defaults to the coupling 2(1-sigma)."""
+def constraint_record(sigma, nu: int = 4,
+                      f21_zero: bool = False) -> ConstraintRecord:
+    """Evaluate one parameter point at the coupling c = 2(1 - sigma)."""
     sigma = as_fraction(sigma)
     if not (0 < sigma < 1):
         raise ValueError(f"sigma = {sigma} must lie in (0, 1)")
     if nu < 0:
         raise ValueError(f"nu = {nu} must be >= 0")
-    c = 2 * (1 - sigma) if c is None else as_fraction(c)
+    c = 2 * (1 - sigma)
     slacks = constraint_slacks(sigma, c, nu, f21_zero)
     feasible = all(s <= 0 for s in slacks.values())
     return ConstraintRecord(sigma=sigma, c=c, nu=nu, f21_zero=f21_zero,
@@ -99,17 +103,18 @@ def constraint_record(sigma, nu: int = 4, f21_zero: bool = False,
 
 def constraint_table(sigma_min, sigma_max, step, nu: int = 4,
                      f21_zero: bool = False) -> list:
-    """One ConstraintRecord per sigma on the rational grid."""
+    """One ConstraintRecord per sigma on the rational grid; a grid of
+    more than MAX_TABLE_ROWS points raises ValueError before any row."""
     lo, hi, st = (as_fraction(sigma_min), as_fraction(sigma_max),
                   as_fraction(step))
     if st <= 0:
         raise ValueError("step must be positive")
-    records = []
-    sigma = lo
-    while sigma <= hi:
-        records.append(constraint_record(sigma, nu=nu, f21_zero=f21_zero))
-        sigma += st
-    return records
+    n_rows = max(0, math.floor((hi - lo) / st) + 1)
+    if n_rows > MAX_TABLE_ROWS:
+        raise ValueError(f"the table would have {n_rows} rows, more than "
+                         f"{MAX_TABLE_ROWS}; raise step or narrow the range")
+    return [constraint_record(lo + k * st, nu=nu, f21_zero=f21_zero)
+            for k in range(n_rows)]
 
 
 def minimal_feasible_sigma(records: Sequence[ConstraintRecord]) -> Optional[Fraction]:

@@ -212,12 +212,11 @@ def garding_sign_probe(u: np.ndarray, sym: Symmetrizer, tau: float,
 
 
 def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
-                            ns=(128, 256, 512), t: float = 0.0,
-                            length: float = 1.0, x0: float = 0.5):
-    """Refinement study of the conjugated-coefficient expansion.
+                            ns=(128, 256, 512)):
+    """Refinement study of the conjugated-coefficient expansion at t = 0.
 
-    For each grid size, measures on the top frequency octave (the band
-    that refinement pushes outward)
+    For each grid size on the unit period, measures on the top frequency
+    octave (the band that refinement pushes outward)
 
         N0 = || (a^(tau) - op(a)) P ||
         N1 = || (a^(tau) - op(a) - op(s1)) P ||
@@ -230,15 +229,15 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
     coeff = sb.coeff
     results = []
     for n in ns:
-        grid = Grid(n, length, x0)
-        a_vals = coeff.a(t, grid.x).astype(complex)
+        grid = Grid(n)
+        a_vals = coeff.a(0.0, grid.x).astype(complex)
         conj = conjugated_matrix(grid, a_vals, tau, sigma)
         op_a = np.diag(a_vals)
         x = grid.x_doubled[:, None]
         xi = grid.xi[None, :]
         s1 = (tau / (2.0j * np.pi)) * (sigma * xi * bracket(xi) ** (sigma - 2.0)
-                                       ) * coeff.dx_a(t, x)
-        op_s1 = quantize(SymbolField(grid, s1.astype(complex), time=t,
+                                       ) * coeff.dx_a(0.0, x)
+        op_s1 = quantize(SymbolField(grid, s1.astype(complex), time=0.0,
                                      label="subprincipal"))
         # right product with the octave projection (the mask is even in xi)
         mask = (np.abs(grid.xi) >= grid.xi_max / 2.0).astype(float)

@@ -7,6 +7,8 @@ import json
 import os
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = ["format_float", "write_csv", "write_json"]
 
 #: 17 significant digits round-trip doubles exactly
@@ -39,16 +41,12 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def _coerce(obj):
-    try:
-        import numpy as np
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    except ImportError:
-        pass
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if hasattr(obj, "as_dict"):
         return obj.as_dict()
     raise TypeError(f"not JSON serializable: {type(obj)}")

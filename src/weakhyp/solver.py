@@ -52,19 +52,21 @@ __all__ = [
 ]
 
 
+CFL = 0.25         # the step as a fraction of dx / max(1, sup sqrt(a))
+PACKET_CUT = 5.0   # a packet keeps the frequencies within this many widths
+
+
 class CFLError(ValueError):
     pass
 
 
 class SolverBlowupError(RuntimeError):
-    def __init__(self, message: str, last_valid_time: float):
-        super().__init__(message)
-        self.last_valid_time = last_valid_time
+    pass
 
 
 @dataclass
 class NonlinearityF:
-    """F(t,x,u) = sum_k F_k(t,x) u^k, truncated at |k| <= k_max.
+    """F(t,x,u) = sum_k F_k(t,x) u^k over finitely many terms.
 
     Terms are (k, i, j, profile) tuples: multi-index k = (k1, k2),
     matrix entry (i, j) in {0, 1}^2 and a spatial profile callable
@@ -73,14 +75,11 @@ class NonlinearityF:
     """
 
     terms: Sequence[tuple] = field(default_factory=list)
-    k_max: int = 4
 
     def __post_init__(self):
         for k, i, j, _ in self.terms:
             if len(k) != 2 or min(k) < 0:
                 raise ValueError(f"bad multi-index {k}")
-            if sum(k) > self.k_max:
-                raise ValueError(f"term {k} exceeds k_max={self.k_max}")
             if not (i in (0, 1) and j in (0, 1)):
                 raise ValueError(f"bad matrix entry ({i},{j})")
 
@@ -98,37 +97,40 @@ class NonlinearityF:
     def is_zero(self) -> bool:
         return len(self.terms) == 0
 
-    def apply(self, t: float, x: np.ndarray, u: np.ndarray,
-              f21_zero: bool = False) -> np.ndarray:
+    def apply(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """F(t,x,u) u as a (2, n) array."""
         u1, u2 = u
         n = x.shape[0]
         F = np.zeros((2, 2, n), dtype=complex)
         for k, i, j, profile in self.terms:
-            if f21_zero and (i, j) == (1, 0):
-                continue
             F[i, j] += np.asarray(profile(t, x), dtype=complex) \
                 * u1 ** k[0] * u2 ** k[1]
         return np.stack((F[0, 0] * u1 + F[0, 1] * u2,
                          F[1, 0] * u1 + F[1, 1] * u2))
 
 
+def _packet_window(grid: Grid, xi_center: float, width: float) -> np.ndarray:
+    """The frequencies a packet keeps: |xi - xi_center| <= PACKET_CUT
+    spectral widths 1 / (2 pi width)."""
+    spec_width = 1.0 / (2.0 * np.pi * width)
+    return np.abs(grid.xi - xi_center) <= PACKET_CUT * spec_width
+
+
 def wave_packet(grid: Grid, center: float, xi_center: float,
-                width: float, n_sigma_cut: float = 5.0) -> np.ndarray:
+                width: float) -> np.ndarray:
     """Gaussian packet modulated at xi_center, spectrally truncated.
 
-    The hard truncation at n_sigma_cut spectral widths keeps the
-    Gevrey-weighted norm meaningful and the support tails below 1e-8.
+    The hard truncation to `_packet_window` keeps the Gevrey-weighted
+    norm meaningful and the support tails below 1e-8.
     """
     x = grid.x
     env = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
     vals = env * np.exp(2.0j * np.pi * xi_center * (x - center))
-    spec_width = 1.0 / (2.0 * np.pi * width)
     # unitary pair, not Grid.multiply: that rounds the packet differently
     # and moves the recorded traces by up to ~3e-11 relative
     vh = np.fft.fft(vals, norm="ortho")
-    keep = np.abs(grid.xi - xi_center) <= n_sigma_cut * spec_width
-    return np.fft.ifft(vh * keep, norm="ortho")
+    return np.fft.ifft(vh * _packet_window(grid, xi_center, width),
+                       norm="ortho")
 
 
 @dataclass
@@ -141,43 +143,37 @@ class RunConfig:
     c: Optional[float] = None          # defaults to the coupling 2(1 - sigma)
     tau0: float = 1.0
     taudot: float = 0.0
-    coeff: Optional[CoefficientField] = field(default_factory=CoefficientField)
+    coeff: CoefficientField = field(default_factory=CoefficientField)
     nonlinearity: Optional[NonlinearityF] = None
-    f21_zero: bool = False
-    cfl: float = 0.25
-    dt: Optional[float] = None
     horizon: Optional[float] = None
     sample_stride: int = 1
     packet_xi: float = 24.0
     packet_width: float = 0.02
     packet_component: int = 2
-    normalize_energy: bool = True
 
     def __post_init__(self):
         n = self.n
         if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
                 or n <= 0 or n & (n - 1) != 0):
             raise ValueError(f"n = {n!r} must be a positive power-of-two int")
-        for name in ("length", "sigma", "tau0", "c", "cfl", "dt", "horizon",
+        for name in ("length", "sigma", "tau0", "taudot", "c", "horizon",
                      "packet_xi", "packet_width"):
             value = getattr(self, name)
-            if value is None and name in ("c", "dt", "horizon"):
+            if value is None and name in ("c", "horizon"):
                 continue  # optional; c defaults to the coupling below
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{name} = {value!r} must be a finite real number")
-        for name in ("length", "cfl", "dt", "packet_width"):
-            value = getattr(self, name)
-            if value is not None and value <= 0.0:
-                raise ValueError(f"{name} = {value!r} must be positive")
         # the coefficient squares x - x0 and the packet its width
         for name in ("length", "packet_width"):
             value = getattr(self, name)
+            if value <= 0.0:
+                raise ValueError(f"{name} = {value!r} must be positive")
             if value > SQUARE_CAP:
                 raise ValueError(f"{name} = {value!r} must be <= "
                                  f"{SQUARE_CAP:.17g}, above which its "
                                  "square overflows")
-        for name in ("tau0", "horizon"):
+        for name in ("tau0", "taudot", "horizon"):
             value = getattr(self, name)
             if value is not None and value < 0.0:
                 raise ValueError(f"{name} = {value!r} must be >= 0")
@@ -189,8 +185,6 @@ class RunConfig:
             raise ValueError(
                 f"c = {self.c} violates the uncertainty-principle bound c <= 2"
             )
-        if self.taudot < 0.0:
-            raise ValueError(f"taudot = {self.taudot} must be >= 0")
         comp, stride = self.packet_component, self.sample_stride
         if (isinstance(comp, bool) or not isinstance(comp, numbers.Integral)
                 or comp not in (1, 2)):
@@ -198,17 +192,16 @@ class RunConfig:
         if (isinstance(stride, bool) or not isinstance(stride, numbers.Integral)
                 or stride <= 0):
             raise ValueError(f"sample_stride = {stride!r} must be a positive int")
-        if self.coeff is not None:
-            if self.tau0 >= self.coeff.tau_under:
-                raise ValueError(
-                    f"tau0 = {self.tau0} must stay below the coefficient's "
-                    f"Gevrey radius {self.coeff.tau_under}"
-                )
-            if 2.0 * self.coeff.r_outer > self.length / 2.0:
-                raise ValueError(
-                    "coefficient support diameter exceeds half the period; "
-                    "wrap-around would not be negligible"
-                )
+        if self.tau0 >= self.coeff.tau_under:
+            raise ValueError(
+                f"tau0 = {self.tau0} must stay below the coefficient's "
+                f"Gevrey radius {self.coeff.tau_under}"
+            )
+        if 2.0 * self.coeff.r_outer > self.length / 2.0:
+            raise ValueError(
+                "coefficient support diameter exceeds half the period; "
+                "wrap-around would not be negligible"
+            )
         # the bump center must lie inside the domain, and the largest
         # Gevrey weight exp(tau0 <xi_max>^sigma) must stay below the cap
         exponent = self.tau0 * float(bracket(self.grid.xi_max)) ** self.sigma
@@ -217,22 +210,25 @@ class RunConfig:
                 f"tau0 * <xi_max>^sigma = {exponent:.4g} exceeds the Gevrey "
                 f"weight cap {DEFAULT_MAX_EXPONENT:g}; lower n, sigma or tau0"
             )
+        if not np.any(_packet_window(self.grid, self.packet_xi,
+                                    self.packet_width)):
+            raise ValueError(
+                f"packet_xi = {self.packet_xi!r} with packet_width = "
+                f"{self.packet_width!r} keeps no frequency of the n = "
+                f"{self.n} grid (|xi| <= {self.grid.xi_max:g})"
+            )
         if self.nonlinearity is None:
-            self.nonlinearity = (NonlinearityF.zero() if self.coeff is None
-                                 else NonlinearityF.wave_default(self.coeff))
+            self.nonlinearity = NonlinearityF.wave_default(self.coeff)
 
     @cached_property
     def grid(self) -> Grid:
-        x0 = self.coeff.x0 if self.coeff is not None else self.length / 2.0
-        return Grid(self.n, self.length, x0)
+        return Grid(self.n, self.length, self.coeff.x0)
 
     def symbol_b(self) -> SymbolB:
-        if self.coeff is None:
-            raise ValueError("no coefficient field configured")
         return SymbolB(self.coeff, c=self.c)
 
     def t_end(self) -> float:
-        T = self.coeff.T if self.coeff is not None else math.inf
+        T = self.coeff.T
         if self.horizon is not None:
             return min(self.horizon, T)
         if self.taudot > 0.0:
@@ -250,10 +246,8 @@ class RunConfig:
         return tau
 
     def max_dt(self) -> float:
-        sup_speed = 1.0
-        if self.coeff is not None:
-            sup_speed = max(1.0, math.sqrt(self.coeff.sup_a()))
-        return self.cfl * self.grid.dx / sup_speed
+        sup_speed = max(1.0, math.sqrt(self.coeff.sup_a()))
+        return CFL * self.grid.dx / sup_speed
 
     def initial_state(self) -> np.ndarray:
         """The (2, n) state u at t = 0: one packet in `packet_component`."""
@@ -273,8 +267,7 @@ class RunConfig:
         d = {f.name: getattr(self, f.name) for f in fields(self)
              if f.name not in ("coeff", "nonlinearity")}
         d["nonlinear"] = not self.nonlinearity.is_zero()
-        if self.coeff is not None:
-            d["coeff"] = asdict(self.coeff)
+        d["coeff"] = asdict(self.coeff)
         return d
 
 
@@ -285,14 +278,13 @@ def rhs_parts(cfg: RunConfig, t: float, u: np.ndarray):
     """
     grid = cfg.grid
     dx_u1, dx_u2 = grid.multiply(u, grid.dxi)
-    a_vals = cfg.coeff.a(t, grid.x) if cfg.coeff is not None else 0.0
-    transport = np.stack((dx_u2, a_vals * dx_u1))
+    transport = np.stack((dx_u2, cfg.coeff.a(t, grid.x) * dx_u1))
     if cfg.nonlinearity.is_zero():
         source = np.zeros_like(transport)
     else:
-        source = cfg.nonlinearity.apply(t, grid.x, u, cfg.f21_zero)
+        source = cfg.nonlinearity.apply(t, grid.x, u)
     if not (np.all(np.isfinite(transport)) and np.all(np.isfinite(source))):
-        raise SolverBlowupError(f"non-finite right-hand side at t = {t}", t)
+        raise SolverBlowupError(f"non-finite right-hand side at t = {t}")
     return transport, source
 
 
@@ -360,8 +352,7 @@ class EnergyTrace:
 def _step_plan(cfg: RunConfig):
     """(dt, n_steps): equal steps to t_end, none longer than the CFL bound."""
     t_end = cfg.t_end()
-    dt = cfg.dt if cfg.dt is not None else cfg.max_dt()
-    dt = min(dt, cfg.max_dt())
+    dt = cfg.max_dt()
     n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
     return t_end / n_steps, n_steps
 
@@ -397,12 +388,10 @@ class Trajectory:
 def integrate(cfg: RunConfig, u0: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate from (0, u0) to min(T, tau0/taudot), keeping the records.
 
-    `u0` defaults to `cfg.initial_state()`; with `normalize_energy` it
-    is scaled to unit energy first.  A blow-up ends the trajectory at
-    the last record before it, with the reason kept.
+    `u0` defaults to `cfg.initial_state()`; a nonzero u0 is scaled to
+    unit energy first.  A blow-up ends the trajectory at the last record
+    before it, with the reason kept.
     """
-    if cfg.coeff is None:
-        raise ValueError("integrate needs a coefficient field")
     grid = cfg.grid
     if u0 is None:
         u = cfg.initial_state()
@@ -417,7 +406,7 @@ def integrate(cfg: RunConfig, u0: Optional[np.ndarray] = None) -> Trajectory:
 
     sym0 = Symmetrizer(grid, cfg.symbol_b(), 0.0)
     E0 = gevrey_energy(u, sym0, cfg.tau0, cfg.sigma)
-    if cfg.normalize_energy and E0 > 0.0:
+    if E0 > 0.0:
         u = (1.0 / math.sqrt(E0)) * u
         E0 = gevrey_energy(u, sym0, cfg.tau0, cfg.sigma)
 
@@ -496,15 +485,12 @@ def measure_tau_threshold(run) -> float:
         run = integrate(replace(run, taudot=0.0))
     trace = observe(replace(run.cfg, taudot=0.0), run)
     if trace.aborted:
-        last = trace.times[-1] if trace.breakdowns else 0.0
-        raise SolverBlowupError(
-            f"pilot run aborted: {trace.abort_reason}", last
-        )
+        raise SolverBlowupError(f"pilot run aborted: {trace.abort_reason}")
     return trace.max_ratio_sum()
 
 
-def verify_breakdown_identity(cfg: RunConfig, t: float, u: np.ndarray,
-                              h: Optional[float] = None) -> dict:
+def verify_breakdown_identity(cfg: RunConfig, t: float,
+                              u: np.ndarray) -> dict:
     """Centered-difference check of dE/dt = -taudot E1 + E2 + E3 + E4.
 
     Steps the flow from (t, u) to t +- h with RK4, differences the
@@ -514,10 +500,9 @@ def verify_breakdown_identity(cfg: RunConfig, t: float, u: np.ndarray,
     """
     grid = cfg.grid
     sb = cfg.symbol_b()
-    if h is None:
-        # small against both the CFL step and the fastest energy
-        # oscillation, large against the roundoff floor of E
-        h = cfg.max_dt() / 64.0
+    # small against both the CFL step and the fastest energy oscillation,
+    # large against the roundoff floor of E
+    h = cfg.max_dt() / 64.0
     transport, source = rhs_parts(cfg, t, u)
     bd = dt_energy_breakdown(u, transport, source, Symmetrizer(grid, sb, t),
                              cfg.tau_at(t), cfg.sigma)

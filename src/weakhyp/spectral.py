@@ -129,12 +129,11 @@ def gevrey_multiplier(
     tau: float,
     sigma: float,
     direction: int = +1,
-    max_exponent: float = DEFAULT_MAX_EXPONENT,
 ) -> np.ndarray:
     """Values of exp(+-tau * <xi>^sigma) on the lattice, overflow-guarded.
 
     Exponents are formed in log space and exponentiated once; if
-    tau * <xi>^sigma exceeds `max_exponent` anywhere the offending
+    tau * <xi>^sigma exceeds DEFAULT_MAX_EXPONENT anywhere the offending
     frequency is named in the raised :class:`GevreyOverflowError`.
     """
     if tau < 0:
@@ -145,9 +144,9 @@ def gevrey_multiplier(
         raise ValueError(f"direction must be +1 or -1, got {direction}")
     exponents = tau * bracket(grid.xi) ** sigma
     worst = int(np.argmax(exponents))
-    if exponents[worst] > max_exponent:
+    if exponents[worst] > DEFAULT_MAX_EXPONENT:
         raise GevreyOverflowError(
             f"Gevrey overflow: tau*<xi>^sigma = {exponents[worst]:.3g} exceeds "
-            f"cap {max_exponent:.3g} at xi = {grid.xi[worst]}"
+            f"cap {DEFAULT_MAX_EXPONENT:.3g} at xi = {grid.xi[worst]}"
         )
     return np.exp(direction * exponents)

@@ -193,18 +193,18 @@ class CoefficientField:
         q = t + (x - self.x0) ** 2
         return self.chi(x) * (self.eta(t) + q * self.eta(t, 1))
 
-    def sup_a(self, n_samples: int = 2048) -> float:
+    def sup_a(self) -> float:
         """Sup of a over the support, by dense sampling (memoised)."""
-        return _sup_a(self, n_samples)
+        return _sup_a(self)
 
 
 @functools.lru_cache(maxsize=16)
-def _sup_a(coeff: CoefficientField, n_samples: int) -> float:
+def _sup_a(coeff: CoefficientField) -> float:
     # a depends only on the class and the frozen field values, and the
     # dataclass equality compares both, so the field itself is the key
     ts = np.linspace(0.0, coeff.T_outer, 64)
     xs = np.linspace(coeff.x0 - coeff.r_outer, coeff.x0 + coeff.r_outer,
-                     n_samples)
+                     2048)
     return float(np.max(coeff.a(ts[:, None], xs[None, :])))
 
 

@@ -194,11 +194,7 @@ class TestFaaDiBruno:
                                                      math.factorial(2))
 
     def test_full_check_passes(self):
-        assert faa_di_bruno_check(k_max=8, alpha_max=8).passed
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            faa_di_bruno_check(k_max=9)
+        assert faa_di_bruno_check().passed
 
 
 class TestMetricAdmissibility:

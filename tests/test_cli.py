@@ -165,7 +165,10 @@ class TestValidationExitCodes:
         ("constraint_table", {"sigma_max": 0}),
         ("constraint_table", {"sigma_max": -1}),
         ("symbol_audit", {"coeff": {"r_outer": 1e308}}),
-        ("quantizer_audit", {"coeff": {"x0": 0}})])
+        ("quantizer_audit", {"coeff": {"x0": 0}}),
+        ("energy_estimate", {"n": 32, "packet_xi": 100}),
+        ("energy_estimate", {"packet_xi": 24.5, "packet_width": 10}),
+        ("energy_estimate", {"n": 32, "packet_xi": 1e308})])
     def test_invalid_scenario_leaves_no_output_dir(self, tmp_path, kind, bad):
         s = Scenario(kind=kind, config=bad, output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
@@ -239,6 +242,13 @@ class TestConstraintTableScenario:
         with open(out / "summary.json") as fh:
             summary = json.load(fh)
         assert 0.333 <= summary["min_feasible_sigma"] <= 0.334
+
+    def test_table_over_the_row_cap_exits_2_at_once(self, tmp_path,
+                                                   capsys):
+        out = tmp_path / "t"
+        assert main(["table", "--step", "1e-9", "--out", str(out)]) == 2
+        assert "690000001 rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["table", "--sigma-min", "0.4", "--sigma-max", "0.6",
@@ -384,6 +394,15 @@ class TestEnergyScenario:
         assert failure["check"] == "pilot_completed"
         assert failure["detail"].startswith(
             "pilot run aborted: non-finite right-hand side at t = ")
+
+    def test_f21_zero_is_the_linear_run(self, tmp_path):
+        # the default F is its F21 entry alone, so f21_zero leaves F = 0
+        runs = [self._summary(tmp_path, "f21", nonlinear=True, f21_zero=True),
+                self._summary(tmp_path, "linear", nonlinear=False)]
+        assert runs[0] == runs[1]
+        assert runs[0]["config"]["nonlinear"] is False
+        assert ((tmp_path / "f21" / "trace.csv").read_bytes()
+                == (tmp_path / "linear" / "trace.csv").read_bytes())
 
     def test_config_hash_tells_rate_rules_apart(self, tmp_path):
         hashes = {self._summary(tmp_path, str(i), taudot=taudot)["config_hash"]

@@ -55,7 +55,7 @@ def scenarios(draw):
     return kind, config
 
 
-# each of these raised a traceback before its value was rejected
+# each of these raised a traceback, or ran, before its value was rejected
 REPRODUCTIONS = [
     ("constraint_table", {"sigma_max": 0.2}),
     ("constraint_table", {"sigma_min": 1e308}),
@@ -66,6 +66,10 @@ REPRODUCTIONS = [
     ("energy_estimate", {"length": 1e300}),
     ("symbol_audit", {"coeff": {"r_outer": 1e308}}),
     ("quantizer_audit", {"coeff": {"x0": 0}}),
+    # these three ran on a packet the grid cannot hold
+    ("energy_estimate", {"n": 32, "packet_xi": 100}),
+    ("energy_estimate", {"n": 64, "packet_xi": 24.5, "packet_width": 10}),
+    ("energy_estimate", {"n": 32, "packet_xi": 1e308}),
 ]
 
 

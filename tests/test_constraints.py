@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakhyp import constraints
 from weakhyp.constraints import (as_fraction, constraint_record,
                                  constraint_table, minimal_feasible_sigma)
 
@@ -56,6 +57,20 @@ class TestTable:
     def test_empty_when_all_infeasible(self):
         recs = constraint_table("0.30", "0.40", "0.01", nu=4, f21_zero=False)
         assert minimal_feasible_sigma(recs) is None
+
+    @pytest.mark.parametrize("step, rows", [
+        ("0.01", 11), ("0.0099", 11), ("0.1", 2), ("0.2", 1)])
+    def test_counts_rows_exactly_up_to_the_cap(self, monkeypatch, step, rows):
+        monkeypatch.setattr(constraints, "MAX_TABLE_ROWS", 11)
+        recs = constraint_table("0.4", "0.5", step)
+        assert [r.sigma for r in recs] == [
+            Fraction("0.4") + k * Fraction(step) for k in range(rows)]
+
+    def test_rejects_a_table_over_the_cap_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(constraints, "MAX_TABLE_ROWS", 11)
+        monkeypatch.setattr(constraints, "constraint_record", None)
+        with pytest.raises(ValueError, match="12 rows"):
+            constraint_table("0.4", "0.5", "0.009")
 
     @settings(max_examples=200, deadline=None)
     @given(

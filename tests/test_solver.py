@@ -18,9 +18,10 @@ solver_module = importlib.import_module("weakhyp.solver")
 
 
 @pytest.fixture()
-def free_cfg():
-    """a == 0, F == 0: the nilpotent constant-coefficient system."""
-    return RunConfig(n=64, sigma=0.5, tau0=0.5, coeff=None,
+def free_cfg(coeff):
+    """F == 0, and a == 0 from t = T_outer on: there the system is the
+    nilpotent constant-coefficient one."""
+    return RunConfig(n=64, sigma=0.5, tau0=0.5, coeff=coeff,
                      nonlinearity=NonlinearityF.zero(), length=1.0)
 
 
@@ -34,7 +35,8 @@ class TestRhs:
         g = free_cfg.grid
         k = 5
         u2 = np.exp(2j * np.pi * g.xi[k] * g.x)
-        d1, d2 = rhs(free_cfg, 0.0, np.stack((np.zeros(g.n), u2)))
+        d1, d2 = rhs(free_cfg, free_cfg.coeff.T_outer,
+                     np.stack((np.zeros(g.n), u2)))
         assert np.abs(d1 - 2j * np.pi * g.xi[k] * u2).max() < 1e-12
         assert np.abs(d2).max() == 0.0
 
@@ -72,11 +74,12 @@ class TestStepRK4:
         g = free_cfg.grid
         k = 3
         u2 = np.exp(2j * np.pi * g.xi[k] * g.x)
-        u, t = np.stack((np.zeros(g.n), u2)), 0.0
+        t0 = free_cfg.coeff.T_outer
+        u, t = np.stack((np.zeros(g.n), u2)), t0
         dt = free_cfg.max_dt()
         for _ in range(100):
             u, t = step_rk4(free_cfg, t, u, dt), t + dt
-        exact = t * 2j * np.pi * g.xi[k] * u2
+        exact = (t - t0) * 2j * np.pi * g.xi[k] * u2
         assert np.abs(u[0] - exact).max() < 1e-10
         assert np.abs(u[1] - u2).max() < 1e-10
 
@@ -155,8 +158,8 @@ class TestRunConfig:
         {"packet_xi": "x"}, {"packet_xi": float("inf")},
         {"packet_width": "x"}, {"packet_width": -0.02},
         {"packet_width": 0.0}, {"horizon": "x"}, {"horizon": -1.0},
-        {"horizon": float("nan")}, {"cfl": 0.0}, {"cfl": None},
-        {"dt": -1.0}, {"dt": "0.1"}])
+        {"horizon": float("nan")}, {"taudot": float("nan")},
+        {"taudot": float("inf")}, {"taudot": "1"}])
     def test_rejects_mistyped_values(self, coeff, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(coeff=coeff, **bad)
@@ -167,6 +170,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="square overflows"):
             RunConfig(coeff=coeff,
                       **{name: math.nextafter(SQUARE_CAP, math.inf)})
+
+    @pytest.mark.parametrize("packet", [
+        {"n": 32, "packet_xi": 100.0}, {"n": 32, "packet_xi": 1e308},
+        {"n": 64, "packet_xi": 24.5, "packet_width": 10.0}])
+    def test_rejects_packet_the_grid_cannot_hold(self, coeff, packet):
+        with pytest.raises(ValueError, match="keeps no frequency"):
+            RunConfig(coeff=coeff, **packet)
+
+    def test_accepts_a_packet_at_the_window_edge(self, coeff):
+        # xi = 16, 4.99 of the 5 kept spectral widths away, is kept alone
+        cfg = RunConfig(n=64, coeff=coeff, packet_width=10.0,
+                        packet_xi=16.0 + 4.99 / (2.0 * np.pi * 10.0))
+        assert np.any(cfg.initial_state()[1] != 0)
 
     def test_rejects_bump_center_outside_domain(self):
         with pytest.raises(ValueError, match="x0 = 1.5"):
@@ -198,8 +214,7 @@ class TestRunWithEnergy:
             run_with_energy(cfg, u)
 
     def test_zero_initial_data_reports_zero_ratio(self, coeff):
-        cfg = RunConfig(n=64, coeff=coeff, sample_stride=8,
-                        normalize_energy=False)
+        cfg = RunConfig(n=64, coeff=coeff, sample_stride=8)
         trace = run_with_energy(cfg, np.zeros((2, cfg.n)))
         assert trace.max_ratio() == 0.0
 
@@ -311,7 +326,7 @@ class TestWaveReduction:
         # on the plateau the default nonlinearity gives
         # d_t^2 u1 = d_x(a d_x u1) + d_x(u1^2)
         cfg = RunConfig(n=256, coeff=coeff, packet_xi=10.0, packet_width=0.03,
-                        packet_component=1, normalize_energy=False)
+                        packet_component=1)
         g = cfg.grid
         u = cfg.initial_state()
         scale = 0.05 / max(np.abs(u[0]))
