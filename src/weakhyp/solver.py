@@ -352,8 +352,7 @@ class EnergyTrace:
 def _step_plan(cfg: RunConfig):
     """(dt, n_steps): equal steps to t_end, none longer than the CFL bound."""
     t_end = cfg.t_end()
-    dt = cfg.max_dt()
-    n_steps = max(1, int(math.ceil(t_end / dt - 1e-12)))
+    n_steps = max(1, int(math.ceil(t_end / cfg.max_dt() - 1e-12)))
     return t_end / n_steps, n_steps
 
 
