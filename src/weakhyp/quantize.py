@@ -36,7 +36,10 @@ caller-supplied prior symbol (zero if absent), which keeps
 
 The index maps of the slot map depend on n only; they are built once
 per n and cached (read-only) for every later `quantize` and
-`dequantize` at that size.
+`dequantize` at that size.  So is the n^2 flat index
+`rows[m*] * n + d0` that the gather reads, for the last row map seen:
+the two kernels of a Symmetrizer record share their row map, and the
+full-field callers all share the identity map.
 """
 
 from __future__ import annotations
@@ -168,22 +171,57 @@ def _slot_map(n: int) -> _SlotMap:
     return slots
 
 
+class _FlatIndex(NamedTuple):
+    """The flat slots of one row map in the (u * n) difference profiles.
+
+    Entry (i, j) reads `index[i, j]` = rows[m*] * n + d0, and antipodal
+    entry k of `_SlotMap.anti` also reads `anti[k]` = rows[m* + n] * n
+    + n/2, its other torus midpoint.
+    """
+
+    rows: np.ndarray
+    index: np.ndarray
+    anti: np.ndarray
+
+
+_last_flat_index: Optional[_FlatIndex] = None
+
+
+def _flat_index(rows: np.ndarray) -> _FlatIndex:
+    """The flat slots of the row map `rows` (read-only), kept for the
+    last map seen."""
+    global _last_flat_index
+    hit = _last_flat_index
+    if hit is not None and np.array_equal(hit.rows, rows):
+        return hit
+    # the old index goes first, so two are never held at once
+    _last_flat_index = None
+    n = rows.shape[0] // 2
+    g = _slot_map(n)
+    # built in place
+    index = rows[g.mid]
+    index *= n
+    index += g.diff
+    flat = _FlatIndex(rows=rows.copy(), index=index,
+                      anti=rows[g.anti_mid] * n + n // 2)
+    for arr in flat:
+        arr.setflags(write=False)
+    _last_flat_index = flat
+    return flat
+
+
 def quantize(p: SymbolField) -> np.ndarray:
     """The dense (n, n) kernel of op(p).
 
     The inverse FFT runs over the stored rows of the field only; the
     kernel equals that of the expanded field `samples[rows]`.
     """
-    n = p.grid.n
-    g = _slot_map(n)
+    anti = _slot_map(p.grid.n).anti
+    flat = _flat_index(p.rows)
     c = np.fft.ifft(p.samples, axis=1).reshape(-1)
-    # flat slot rows[m*] * n + d0, built in place
-    index = p.rows[g.mid]
-    index *= n
-    index += g.diff
-    K = c[index]
+    K = c[flat.index]
     Kf = K.reshape(-1)
-    Kf[g.anti] = 0.5 * (Kf[g.anti] + c[p.rows[g.anti_mid] * n + n // 2])
+    Kf[anti] = 0.5 * (Kf[anti] + c[flat.anti])
     return K
 
 
@@ -226,15 +264,16 @@ def dequantize(matrix: np.ndarray, grid: Grid,
         c = np.fft.ifft(prior, axis=1)
     else:
         c = np.zeros((2 * n, n), dtype=complex)
-    g = _slot_map(n)
+    anti = _slot_map(n).anti
+    flat = _flat_index(np.arange(2 * n))
     cf = c.reshape(-1)
-    cf[g.mid * n + g.diff] = matrix
+    cf[flat.index] = matrix
     mf = matrix.reshape(-1)
     # the transpose of flat position i * n + j is j * n + i
-    anti_t = (g.anti % n) * n + g.anti // n
-    sym = 0.5 * (mf[g.anti] + mf[anti_t])
-    cf[g.mid.reshape(-1)[g.anti] * n + n // 2] = sym
-    cf[g.anti_mid * n + n // 2] = sym
+    anti_t = (anti % n) * n + anti // n
+    sym = 0.5 * (mf[anti] + mf[anti_t])
+    cf[flat.index.reshape(-1)[anti]] = sym
+    cf[flat.anti] = sym
     if prior is None:
         # an unseen slot (row and residue of unlike parity) is the mean of
         # the seen slots in the midpoint rows before and after it

@@ -54,8 +54,10 @@ def smoothstep(s, order: int = 0):
 
     psi(s) = f(1-s) / (f(1-s) + f(s)) with f the exponential bump.
     `order` selects the value (0), first (1) or second (2) derivative.
+    The step is flat outside [0, 1], so s is clipped to it first, which
+    keeps the bump's powers of a huge s from overflowing.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
     u, up_raw, upp_raw = _exp_bump(1.0 - s)
     w, wp, wpp = _exp_bump(s)
     up = -up_raw       # d/ds f(1-s)
@@ -151,15 +153,21 @@ class CoefficientField:
 
     # -- bump factors ------------------------------------------------------
 
+    # A run evaluates the bump factors on the same lattices and times over
+    # and over, so chi on a 1-d lattice and eta at a scalar time are
+    # cached; the cached arrays are read-only.
+
     def chi(self, x, order: int = 0):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return _chi_lattice(self, x.tobytes(), order)
         return plateau_bump(x, self.x0, self.r, self.r_outer, order)
 
     def eta(self, t, order: int = 0):
         t = np.asarray(t, dtype=float)
-        s = (t - self.T) / (self.T_outer - self.T)
-        if order == 0:
-            return smoothstep(s, 0)
-        return smoothstep(s, order) / (self.T_outer - self.T) ** order
+        if t.ndim == 0:
+            return _eta_scalar(self, float(t), order)
+        return _eta(self, t, order)
 
     def e(self, t, x):
         return self.eta(t) * self.chi(x)
@@ -196,6 +204,32 @@ class CoefficientField:
     def sup_a(self) -> float:
         """Sup of a over the support, by dense sampling (memoised)."""
         return _sup_a(self)
+
+
+# The caches key on the field itself, as `_sup_a` does, so two fields
+# share an entry only when their values are equal.
+
+@functools.lru_cache(maxsize=16)
+def _chi_lattice(coeff: CoefficientField, x: bytes, order: int) -> np.ndarray:
+    out = plateau_bump(np.frombuffer(x), coeff.x0, coeff.r, coeff.r_outer,
+                       order)
+    out.setflags(write=False)
+    return out
+
+
+def _eta(coeff: CoefficientField, t, order: int):
+    # the step is flat outside [T, T_outer]; clipping t keeps a huge t
+    # from overflowing the division
+    t = np.clip(t, coeff.T, coeff.T_outer)
+    width = coeff.T_outer - coeff.T
+    s = (t - coeff.T) / width
+    if order == 0:
+        return smoothstep(s, 0)
+    return smoothstep(s, order) / width ** order
+
+
+# room for the RK4 stage times and the record times of a run
+_eta_scalar = functools.lru_cache(maxsize=1024)(_eta)
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -432,6 +433,20 @@ class TestAuditScenarios:
         assert {r["check"] for r in records} >= {
             "slow_variation", "uncertainty", "temperance",
             "weight_admissibility"}
+
+    def test_metric_audit_at_huge_time_is_flat_without_warnings(self,
+                                                                  tmp_path):
+        records = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e308, 1e10):
+                out = tmp_path / f"ma{t:g}"
+                assert run_scenario(Scenario(
+                    "metric_audit", {"t": t, "n_pairs": 2000},
+                    str(out))) == 0
+                with open(out / "metric.json") as fh:
+                    records.append(json.load(fh)["records"])
+        assert records[0] == records[1]
 
     def test_audit_extras_keep_their_json_types(self, tmp_path):
         assert run_scenario(Scenario("symbol_audit", {"orders": [[1, 2]]},

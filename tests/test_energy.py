@@ -71,8 +71,8 @@ class TestSymmetrizer:
             # by bits: a signed zero of dt_a is a row of its own
             pairs = {(a.hex(), d.hex())
                      for a, d in zip(coeff.a(t, x), coeff.dt_a(t, x))}
-            field = Symmetrizer(grid128, SymbolB(coeff), t)._b_field
-            assert field.samples.shape == (len(pairs), grid128.n)
+            b_rows = Symmetrizer(grid128, SymbolB(coeff), t)._b
+            assert b_rows.shape == (len(pairs), grid128.n)
             assert len(pairs) < grid128.n
 
 

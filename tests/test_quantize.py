@@ -229,6 +229,43 @@ class TestRowMappedFields:
             SymbolField(grid64, samples, rows=np.zeros(128, dtype=int))
 
 
+class TestFlatIndexCache:
+    @pytest.mark.parametrize("n", [4, 64, 256])
+    def test_alternating_row_maps(self, n):
+        # two fields at one n, each with its own map, quantized in turn:
+        # every call replaces the cached index of the other map
+        grid = Grid(n, 1.0, 0.5)
+        fields = []
+        for seed in (7 * n, 7 * n + 1):
+            samples, rows = _random_row_map(n, seed)
+            fields.append(SymbolField(grid, samples, rows=rows))
+        assert not np.array_equal(fields[0].rows, fields[1].rows)
+        for _ in range(3):
+            for p in fields:
+                expanded = SymbolField(grid, p.samples[p.rows])
+                K = quantize(p)
+                assert np.array_equal(K, _reference_kernel(expanded))
+                assert np.array_equal(K, quantize(expanded))
+
+    def test_cached_index_is_read_only(self, grid64):
+        samples, rows = _random_row_map(64, 5)
+        quantize(SymbolField(grid64, samples, rows=rows))
+        flat = quantize_module._flat_index(rows)
+        for arr in flat:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            flat.index[0, 0] = 0
+
+    def test_keyed_by_row_map_content(self, grid64):
+        samples, rows = _random_row_map(64, 9)
+        p = SymbolField(grid64, samples, rows=rows)
+        quantize(p)
+        p.rows[::2] = 0
+        assert np.array_equal(quantize(p),
+                              _reference_kernel(SymbolField(
+                                  grid64, samples[p.rows])))
+
+
 class TestOperatorNorm:
     def test_identity(self):
         assert operator_norm(np.eye(32)) == pytest.approx(1.0, rel=1e-8)

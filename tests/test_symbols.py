@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from weakhyp.spectral import bracket
+from weakhyp.solver import NonlinearityF
+from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import (CoefficientField, PhaseMetric, SymbolB,
                              plateau_bump, smoothstep)
 
@@ -95,6 +98,87 @@ class TestCoefficientField:
     def test_tau_under_overflows_to_inf(self):
         assert CoefficientField(radius_R=1e-300, sigma_coeff=2.0).tau_under \
             == float("inf")
+
+
+def _uncached(coeff, t, x):
+    """a, dt_a and chi at (t, x) straight from `plateau_bump`."""
+    width = coeff.T_outer - coeff.T
+    s = (t - coeff.T) / width
+    eta, eta1 = smoothstep(s), smoothstep(s, 1) / width
+    chi = plateau_bump(x, coeff.x0, coeff.r, coeff.r_outer)
+    q = t + (x - coeff.x0) ** 2
+    return q * (eta * chi), chi * (eta + q * eta1), chi
+
+
+class TestCoefficientCache:
+    TIMES = (0.0, 0.03, 0.05, 0.07, 0.1, 0.5)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_lattice_values_equal_uncached_bump(self, coeff, n):
+        grid = Grid(n)
+        f21 = NonlinearityF.wave_default(coeff).terms[0][3]
+        for _ in range(2):      # the second round reads the cache
+            for t in self.TIMES:
+                for x in (grid.x, grid.x_doubled):
+                    a, dt_a, chi = _uncached(coeff, t, x)
+                    assert np.array_equal(coeff.a(t, x), a)
+                    assert np.array_equal(coeff.dt_a(t, x), dt_a)
+                    assert np.array_equal(f21(t, x), chi)
+                    for order in (1, 2):
+                        assert np.array_equal(
+                            coeff.chi(x, order),
+                            plateau_bump(x, coeff.x0, coeff.r,
+                                         coeff.r_outer, order))
+
+    def test_scalar_eta_equals_array_eta(self, coeff):
+        ts = np.linspace(-0.1, 0.2, 61)
+        for order in (0, 1, 2):
+            for t, ref in zip(ts, coeff.eta(ts, order)):
+                assert coeff.eta(t, order) == ref
+                assert coeff.eta(float(t), order) == ref
+
+    def test_cached_arrays_are_read_only(self, coeff, grid64):
+        chi = coeff.chi(grid64.x)
+        assert chi is coeff.chi(grid64.x)
+        assert not chi.flags.writeable
+        with pytest.raises(ValueError):
+            chi[0] = 2.0
+
+    def test_keyed_by_lattice_content(self, coeff, grid64):
+        x = grid64.x.copy()
+        before = coeff.chi(x)
+        x += 0.25
+        assert np.array_equal(coeff.chi(x),
+                              plateau_bump(x, coeff.x0, coeff.r,
+                                           coeff.r_outer))
+        assert not np.array_equal(coeff.chi(x), before)
+
+    def test_fields_never_share_an_entry(self, coeff, grid64):
+        narrow = CoefficientField(r=0.06, T=0.02)
+        for _ in range(2):
+            for field in (coeff, narrow):
+                for t in self.TIMES:
+                    a, dt_a, chi = _uncached(field, t, grid64.x)
+                    assert np.array_equal(field.chi(grid64.x), chi)
+                    assert np.array_equal(field.a(t, grid64.x), a)
+                    assert np.array_equal(field.dt_a(t, grid64.x), dt_a)
+        assert not np.array_equal(coeff.chi(grid64.x), narrow.chi(grid64.x))
+
+    def test_huge_times_are_flat_without_warnings(self, coeff, grid64):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order in (0, 1, 2):
+                assert coeff.eta(1e308, order) == coeff.eta(1e10, order)
+                assert coeff.eta(-1e308, order) == coeff.eta(-1e10, order)
+                assert np.array_equal(coeff.eta(np.array([1e308, -1e308]),
+                                                order),
+                                      coeff.eta(np.array([1e10, -1e10]),
+                                                order))
+                assert smoothstep(1e300, order) == smoothstep(2.0, order)
+            for x in (grid64.x, grid64.x_doubled):
+                assert np.array_equal(coeff.a(1e308, x), coeff.a(1e10, x))
+                assert np.array_equal(coeff.dt_a(1e308, x),
+                                      coeff.dt_a(1e10, x))
 
 
 class TestSymbolB:
