@@ -12,15 +12,14 @@ from .symbols import CoefficientField, PhaseMetric, SymbolB
 from .quantize import (SymbolField, dequantize, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol, sample_symbol_b)
 from .energy import (EnergyBreakdown, Symmetrizer, conjugated_matrix,
-                     dt_energy_breakdown, e1, energy, garding_sign_probe,
+                     dt_energy_breakdown, energy, garding_sign_probe,
                      subprincipal_refinement)
 from .solver import (EnergyTrace, NonlinearityF, RunConfig, Trajectory,
                      integrate, measure_tau_threshold, observe, rhs,
                      rhs_parts, run_with_energy, step_rk4,
                      verify_breakdown_identity, wave_packet)
 from .cjs import (TimeCoefficient, coefficient_constant, coefficient_linear,
-                  coefficient_parabola, growth_exponent_fit, integrate_mode,
-                  max_energy_growth)
+                  coefficient_parabola, growth_exponent_fit, max_energy_growth)
 from .constraints import (ConstraintRecord, constraint_record,
                           constraint_table, minimal_feasible_sigma)
 

@@ -33,7 +33,6 @@ __all__ = [
     "coefficient_linear",
     "coefficient_parabola",
     "coefficient_constant",
-    "integrate_mode",
     "max_energy_growth",
     "growth_exponent_fit",
     "StepBudgetError",
@@ -120,20 +119,6 @@ def _propagator(tc: TimeCoefficient, xi: float, T: float,
             shift *= 2
         Phi[start + 1:stop + 1] = Phi[start] + X @ Phi[start]
     return t, a, Phi
-
-
-def integrate_mode(tc: TimeCoefficient, xi: float, T: float,
-                   initial=(1.0, 0.0), stride: int = 1,
-                   dt: Optional[float] = None):
-    """RK4 trajectory of a single mode; returns arrays (t, w, dw_dt).
-
-    The step defaults to the resolution rule min(1e-3, 0.05/(|xi|
-    sqrt(sup a + 1))); an explicit `dt` supports refinement studies.
-    """
-    t, _, Phi = _propagator(tc, xi, T, dt)
-    samples = np.unique(np.r_[0:len(t):stride, len(t) - 1])
-    y = Phi[samples] @ np.asarray(initial, dtype=complex)
-    return t[samples], y[:, 0], y[:, 1]
 
 
 def max_energy_growth(tc: TimeCoefficient, xi: float, T: float, eps: float):

@@ -36,17 +36,6 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-#: names, in report order
-CONSTRAINT_NAMES = (
-    "transport_error",      # 1 - c/2 - sigma <= 0
-    "calculus_remainder",   # c/2 - 1 + (1 - sigma)/(3 + nu) <= 0
-    "conjugation_error",    # c/2 + sigma - 1 <= 0
-    "symmetrizer_dt",       # c - sigma - 1 <= 0
-    "symmetrizer_dt_tail",  # c(4 + nu)/2 - sigma - nu - 2 <= 0
-    "nonlinear_coupling",   # c/2 - sigma <= 0 (dropped when F21 == 0)
-)
-
-
 @dataclass(frozen=True)
 class ConstraintRecord:
     sigma: Fraction

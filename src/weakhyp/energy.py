@@ -37,7 +37,6 @@ __all__ = [
     "EnergyBreakdown",
     "weight_values",
     "energy",
-    "e1",
     "conjugated_matrix",
     "dt_energy_breakdown",
     "garding_sign_probe",
@@ -124,12 +123,6 @@ class EnergyBreakdown:
         return -taudot * self.E1 + self.E2 + self.E3 + self.E4
 
 
-def _weighted(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float):
-    """v = exp(tau D^sigma) u and op(b) v2."""
-    v = weight_values(sym.grid, u, tau, sigma)
-    return v, sym.b_matrix @ v[1]
-
-
 def _pair(grid: Grid, w: np.ndarray, v: np.ndarray, bw2: np.ndarray,
           bv2: np.ndarray) -> float:
     """Re<w1, v1> + Re<op(b) w2, op(b) v2>, the S^2 pairing of w with v,
@@ -140,24 +133,9 @@ def _pair(grid: Grid, w: np.ndarray, v: np.ndarray, bw2: np.ndarray,
 
 def energy(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float) -> float:
     """E = 1/2 (||v1||^2 + ||op(b) v2||^2) with v = exp(tau D^sigma) u."""
-    v, bv2 = _weighted(u, sym, tau, sigma)
+    v = weight_values(sym.grid, u, tau, sigma)
+    bv2 = sym.b_matrix @ v[1]
     return 0.5 * (sym.grid.norm2(v[0]) + sym.grid.norm2(bv2))
-
-
-def e1(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float):
-    """E1 and its equivalent square-norm form, for ratio monitoring.
-
-    value      = Re<D^sigma v1, v1> + Re<op(b) D^sigma v2, op(b) v2>
-    equivalent = ||D^(sigma/2) v1||^2 + ||D^(sigma/2) op(b) v2||^2
-    """
-    grid = sym.grid
-    v, bv2 = _weighted(u, sym, tau, sigma)
-    dv = grid.multiply(v, bracket(grid.xi) ** sigma)
-    half = grid.multiply(np.stack((v[0], bv2)),
-                         bracket(grid.xi) ** (sigma / 2.0))
-    equivalent = grid.norm2(half[0]) + grid.norm2(half[1])
-    return (_pair(grid, dv, v, sym.b_matrix @ dv[1], bv2),
-            float(equivalent))
 
 
 def conjugated_matrix(grid: Grid, m_values: np.ndarray, tau: float,

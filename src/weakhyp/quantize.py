@@ -30,9 +30,8 @@ difference) slots, FFT in x - y.  The slot map (i, j) <-> (m, d) is a
 bijection, so `quantize(dequantize(K)) == K` holds for every matrix
 that is symmetric on the antipodal column d = n/2 (every image of
 `quantize` is); each midpoint row only observes difference residues of
-its own parity, and the unobserved components are filled from a
-caller-supplied prior symbol (zero if absent), which keeps
-`dequantize(quantize(p), prior=p) == p` exact.
+its own parity, and the unobserved components are interpolated from
+the neighboring midpoint rows.
 
 The index maps of the slot map depend on n only; they are built once
 per n and cached (read-only) for every later `quantize` and
@@ -106,14 +105,12 @@ class SymbolField:
             raise ValueError(f"symbol '{self.label}' has non-finite samples")
 
 
-def sample_symbol(grid: Grid, fn, time: float = 0.0,
-                  label: str = "") -> SymbolField:
+def sample_symbol(grid: Grid, fn) -> SymbolField:
     """Sample fn(x, xi) on the doubled lattice; fn must broadcast."""
     x = grid.x_doubled[:, None]
     xi = grid.xi[None, :]
     return SymbolField(grid, np.broadcast_to(np.asarray(fn(x, xi), dtype=complex),
-                                             (2 * grid.n, grid.n)).copy(),
-                       time=time, label=label)
+                                             (2 * grid.n, grid.n)).copy())
 
 
 def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
@@ -233,9 +230,7 @@ def hermiticity_defect(K: np.ndarray) -> float:
     return float(np.linalg.norm(K - K.conj().T) / scale)
 
 
-def dequantize(matrix: np.ndarray, grid: Grid,
-               prior: Optional[np.ndarray] = None,
-               time: float = 0.0, label: str = "") -> SymbolField:
+def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     """Weyl symbol of a kernel: invert the kernel formula per midpoint.
 
     Every kernel entry (i, j) determines the difference profile c_m at
@@ -247,23 +242,15 @@ def dequantize(matrix: np.ndarray, grid: Grid,
 
     Each midpoint only observes difference residues of its own parity.
     The complementary slots never influence `quantize`, but they do
-    shape the extracted symbol: with `prior` given they are copied from
-    it, otherwise they are interpolated from the two neighboring
-    midpoints, which keeps the symbol free of midpoint-Nyquist ripple.
+    shape the extracted symbol: they are interpolated from the two
+    neighboring midpoints, which keeps the symbol free of
+    midpoint-Nyquist ripple.
     """
     n = grid.n
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (n, n):
         raise ValueError(f"matrix has shape {matrix.shape}, expected {(n, n)}")
-    if prior is not None:
-        prior = np.asarray(prior, dtype=complex)
-        if prior.shape != (2 * n, n):
-            raise ValueError(
-                f"prior has shape {prior.shape}, expected {(2 * n, n)}"
-            )
-        c = np.fft.ifft(prior, axis=1)
-    else:
-        c = np.zeros((2 * n, n), dtype=complex)
+    c = np.zeros((2 * n, n), dtype=complex)
     anti = _slot_map(n).anti
     flat = _flat_index(np.arange(2 * n))
     cf = c.reshape(-1)
@@ -274,14 +261,13 @@ def dequantize(matrix: np.ndarray, grid: Grid,
     sym = 0.5 * (mf[anti] + mf[anti_t])
     cf[flat.index.reshape(-1)[anti]] = sym
     cf[flat.anti] = sym
-    if prior is None:
-        # an unseen slot (row and residue of unlike parity) is the mean of
-        # the seen slots in the midpoint rows before and after it
-        for fill, seen, step in ((c[0::2, 1::2], c[1::2, 1::2], 1),
-                                 (c[1::2, 0::2], c[0::2, 0::2], -1)):
-            np.add(seen, np.roll(seen, step, axis=0), out=fill)
-            fill *= 0.5
-    return SymbolField(grid, np.fft.fft(c, axis=1), time=time, label=label)
+    # an unseen slot (row and residue of unlike parity) is the mean of
+    # the seen slots in the midpoint rows before and after it
+    for fill, seen, step in ((c[0::2, 1::2], c[1::2, 1::2], 1),
+                             (c[1::2, 0::2], c[0::2, 0::2], -1)):
+        np.add(seen, np.roll(seen, step, axis=0), out=fill)
+        fill *= 0.5
+    return SymbolField(grid, np.fft.fft(c, axis=1))
 
 
 def multiplier_matrix(grid: Grid, m) -> np.ndarray:
@@ -367,6 +353,6 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):
                 UserWarning,
             )
         if k < nu:
-            s = dequantize(M, grid, time=t, label=f"b#c_{k}").samples
+            s = dequantize(M, grid).samples
             c = c + (1.0 - s) / b_samples
     return SymbolField(grid, c, time=t, label=f"c_{nu}"), defects

@@ -22,9 +22,10 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,47 +67,35 @@ class SolverBlowupError(RuntimeError):
 
 @dataclass
 class NonlinearityF:
-    """F(t,x,u) = sum_k F_k(t,x) u^k over finitely many terms.
+    """F(t,x,u) with the one entry (F)_21 = profile(t, x) * u1.
 
-    Terms are (k, i, j, profile) tuples: multi-index k = (k1, k2),
-    matrix entry (i, j) in {0, 1}^2 and a spatial profile callable
-    profile(t, x).  Entry profiles should be supported inside the outer
+    The paper allows any F entire in u; this is the entry whose
+    constraint c/2 - sigma <= 0 makes sigma = 1/2 sharp.  With no
+    `profile`, F = 0.  The profile should be supported inside the outer
     bump ball so the source respects the compact-support setup.
     """
 
-    terms: Sequence[tuple] = field(default_factory=list)
-
-    def __post_init__(self):
-        for k, i, j, _ in self.terms:
-            if len(k) != 2 or min(k) < 0:
-                raise ValueError(f"bad multi-index {k}")
-            if not (i in (0, 1) and j in (0, 1)):
-                raise ValueError(f"bad matrix entry ({i},{j})")
+    profile: Optional[Callable] = None
 
     @staticmethod
     def zero() -> "NonlinearityF":
-        return NonlinearityF([])
+        return NonlinearityF()
 
     @staticmethod
     def wave_default(coeff: CoefficientField) -> "NonlinearityF":
         """F with (F)_{21} = u1 * plateau, the wave-equation source."""
         def profile(t, x):
             return coeff.chi(x)
-        return NonlinearityF([((1, 0), 1, 0, profile)])
+        return NonlinearityF(profile)
 
     def is_zero(self) -> bool:
-        return len(self.terms) == 0
+        return self.profile is None
 
     def apply(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F(t,x,u) u as a (2, n) array."""
-        u1, u2 = u
-        n = x.shape[0]
-        F = np.zeros((2, 2, n), dtype=complex)
-        for k, i, j, profile in self.terms:
-            F[i, j] += np.asarray(profile(t, x), dtype=complex) \
-                * u1 ** k[0] * u2 ** k[1]
-        return np.stack((F[0, 0] * u1 + F[0, 1] * u2,
-                         F[1, 0] * u1 + F[1, 1] * u2))
+        """F(t,x,u) u as a (2, n) array: (0, profile * u1 * u1)."""
+        source = np.zeros_like(u)
+        source[1] = self.profile(t, x) * u[0] * u[0]
+        return source
 
 
 def _packet_window(grid: Grid, xi_center: float, width: float) -> np.ndarray:
@@ -173,6 +162,12 @@ class RunConfig:
                 raise ValueError(f"{name} = {value!r} must be <= "
                                  f"{SQUARE_CAP:.17g}, above which its "
                                  "square overflows")
+        # the packet divides by its width squared, which must not be 0
+        floor = math.sqrt(sys.float_info.min)
+        if self.packet_width < floor:
+            raise ValueError(f"packet_width = {self.packet_width!r} must be "
+                             f">= {floor:.17g}, below which its square "
+                             "underflows")
         for name in ("tau0", "taudot", "horizon"):
             value = getattr(self, name)
             if value is not None and value < 0.0:
@@ -324,10 +319,6 @@ class EnergyTrace:
     abort_reason: str = ""
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([b.t for b in self.breakdowns])
-
-    @property
     def energies(self) -> np.ndarray:
         return np.array([b.E for b in self.breakdowns])
 
@@ -384,25 +375,15 @@ class Trajectory:
                 and _step_plan(cfg) == (self.dt, self.n_steps))
 
 
-def integrate(cfg: RunConfig, u0: Optional[np.ndarray] = None) -> Trajectory:
+def integrate(cfg: RunConfig) -> Trajectory:
     """Integrate from (0, u0) to min(T, tau0/taudot), keeping the records.
 
-    `u0` defaults to `cfg.initial_state()`; a nonzero u0 is scaled to
-    unit energy first.  A blow-up ends the trajectory at the last record
-    before it, with the reason kept.
+    u0 is `cfg.initial_state()`, scaled to unit energy first.  A
+    blow-up ends the trajectory at the last record before it, with the
+    reason kept.
     """
     grid = cfg.grid
-    if u0 is None:
-        u = cfg.initial_state()
-    else:
-        u = np.asarray(u0, dtype=complex)
-        if u.shape != (2, grid.n):
-            raise ValueError(
-                f"u0 has shape {u.shape}, expected (2, {grid.n})"
-            )
-        if not np.all(np.isfinite(u)):
-            raise ValueError("u0 has non-finite entries")
-
+    u = cfg.initial_state()
     sym0 = Symmetrizer(grid, cfg.symbol_b(), 0.0)
     E0 = gevrey_energy(u, sym0, cfg.tau0, cfg.sigma)
     if E0 > 0.0:
@@ -459,16 +440,14 @@ def observe(cfg: RunConfig, traj: Trajectory) -> EnergyTrace:
                        aborted=aborted, abort_reason=reason)
 
 
-def run_with_energy(cfg: RunConfig,
-                    u0: Optional[np.ndarray] = None) -> EnergyTrace:
-    """Integrate from (0, u0) to min(T, tau0/taudot), recording the budget.
+def run_with_energy(cfg: RunConfig) -> EnergyTrace:
+    """Integrate from t = 0 to min(T, tau0/taudot), recording the budget.
 
-    `observe(cfg, integrate(cfg, u0))`: the RK4 run first, then the
-    budget of each record.  `u0` defaults to `cfg.initial_state()`.  A
-    blow-up aborts the run but keeps the partial trace with the abort
-    reason recorded.
+    `observe(cfg, integrate(cfg))`: the RK4 run first, then the budget
+    of each record.  A blow-up aborts the run but keeps the partial
+    trace with the abort reason recorded.
     """
-    return observe(cfg, integrate(cfg, u0))
+    return observe(cfg, integrate(cfg))
 
 
 def measure_tau_threshold(run) -> float:

@@ -116,9 +116,6 @@ class Grid:
         """Squared L2 norm with quadrature weight dx."""
         return float(self.dx * np.sum(np.abs(values) ** 2))
 
-    def norm(self, values: np.ndarray) -> float:
-        return float(np.sqrt(self.norm2(values)))
-
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """L2 inner product <f, g> = dx * sum f * conj(g)."""
         return complex(self.dx * np.sum(f * np.conj(g)))

@@ -278,11 +278,6 @@ class SymbolB:
     def dx_b(self, t, x, xi):
         return -0.5 * np.asarray(self.coeff.dx_a(t, x)) * self.b(t, x, xi) ** 3
 
-    def dxi_b(self, t, x, xi):
-        xi = np.asarray(xi, dtype=float)
-        dxi_anat = -self.c * xi * bracket(xi) ** (-self.c - 2.0)
-        return -0.5 * dxi_anat * self.b(t, x, xi) ** 3
-
     def dt_b(self, t, x, xi):
         return -0.5 * np.asarray(self.coeff.dt_a(t, x)) * self.b(t, x, xi) ** 3
 

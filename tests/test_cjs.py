@@ -7,7 +7,7 @@ from weakhyp import cjs
 from weakhyp.cjs import (StepBudgetError, TimeCoefficient,
                          coefficient_constant, coefficient_linear,
                          coefficient_parabola, growth_exponent_fit,
-                         integrate_mode, max_energy_growth)
+                         max_energy_growth)
 
 LADDER = [2.0**j for j in range(4, 11)]
 
@@ -40,6 +40,13 @@ def reference_rk4(tc, xi, T, w, dw):
     return map(np.array, zip(*out))
 
 
+def mode(tc, xi, T, initial=(1.0, 0.0), dt=None):
+    """(t, w, dw_dt) of the mode from y(0) = initial, by its propagator."""
+    t, _, Phi = cjs._propagator(tc, xi, T, dt=dt)
+    y = Phi @ np.asarray(initial)
+    return t, y[:, 0], y[:, 1]
+
+
 def reference_growth(tc, xi, T, eps):
     """Largest squared singular value of the energy-coordinate matrix."""
     omega0 = math.sqrt(tc.fn(0.0) + eps) * abs(xi)
@@ -52,16 +59,16 @@ def reference_growth(tc, xi, T, eps):
     return float(np.max(top * top)), len(t) - 1
 
 
-class TestIntegrateMode:
+class TestPropagator:
     def test_free_particle_exact(self):
         tc = coefficient_constant(0.0)
-        ts, ws, dws = integrate_mode(tc, xi=5.0, T=1.0, initial=(1.0, 0.5))
+        ts, ws, dws = mode(tc, xi=5.0, T=1.0, initial=(1.0, 0.5))
         exact = 1.0 + 0.5 * ts
         assert np.abs(ws - exact).max() < 1e-12
 
     def test_harmonic_oscillator_matches_cosine(self):
         tc = coefficient_constant(1.0)
-        ts, ws, _ = integrate_mode(tc, xi=1.0, T=1.0, initial=(1.0, 0.0))
+        ts, ws, _ = mode(tc, xi=1.0, T=1.0, initial=(1.0, 0.0))
         assert abs(ws[-1] - math.cos(1.0)) < 1e-8
 
     def test_energy_conserved_for_constant_coefficient(self):
@@ -70,7 +77,7 @@ class TestIntegrateMode:
         # is conserved only if the ODE uses a0 + eps; instead check the
         # exact invariant |w'|^2 + a0 xi^2 |w|^2
         tc = coefficient_constant(2.0)
-        ts, ws, dws = integrate_mode(tc, xi=4.0, T=1.0, initial=(1.0, 0.0))
+        ts, ws, dws = mode(tc, xi=4.0, T=1.0, initial=(1.0, 0.0))
         E = np.abs(dws) ** 2 + 2.0 * 16.0 * np.abs(ws) ** 2
         assert np.abs(E - E[0]).max() < 1e-8 * E[0]
 
@@ -79,20 +86,20 @@ class TestIntegrateMode:
         tc = coefficient_linear()
         from weakhyp.cjs import _mode_dt
         dt = _mode_dt(tc, 100.0, 1.0)
-        _, w1, _ = integrate_mode(tc, xi=100.0, T=1.0, dt=dt)
-        _, w2, _ = integrate_mode(tc, xi=100.0, T=1.0, dt=dt / 2, stride=2)
+        _, w1, _ = mode(tc, xi=100.0, T=1.0, dt=dt)
+        _, w2, _ = mode(tc, xi=100.0, T=1.0, dt=dt / 2)
         assert np.all(np.isfinite(w1))
         assert abs(w1[-1] - w2[-1]) < 1e-6 * abs(w2[-1])
 
     def test_step_budget_enforced(self):
         with pytest.raises(StepBudgetError):
-            integrate_mode(coefficient_constant(1.0), xi=1e7, T=10.0)
+            cjs._propagator(coefficient_constant(1.0), xi=1e7, T=10.0)
 
     @pytest.mark.parametrize("make", COEFFICIENTS)
     @pytest.mark.parametrize("xi", [1.0, 16.0, 100.0, 1024.0])
     def test_matches_scalar_reference(self, make, xi):
         tc = make()
-        ts, ws, dws = integrate_mode(tc, xi, T=1.0, initial=(1.0, 0.5))
+        ts, ws, dws = mode(tc, xi, T=1.0, initial=(1.0, 0.5))
         t_ref, w_ref, dw_ref = reference_rk4(tc, xi, 1.0, 1.0, 0.5)
         assert np.array_equal(ts, t_ref)
         assert np.abs(ws - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
@@ -115,8 +122,7 @@ class TestIntegrateMode:
         tc = coefficient_constant(1.0)
         errs = []
         for nsteps in (100, 200):
-            _, ws, _ = integrate_mode(tc, xi=1.0, T=1.0, initial=(1.0, 0.0),
-                                      dt=1.0 / nsteps, stride=nsteps)
+            _, ws, _ = mode(tc, xi=1.0, T=1.0, dt=1.0 / nsteps)
             errs.append(abs(ws[-1] - math.cos(1.0)))
         order = math.log2(errs[0] / errs[1])
         assert order >= 3.5

@@ -95,6 +95,7 @@ class TestValidationExitCodes:
                                      {"packet_xi": "x"},
                                      {"packet_width": "x"},
                                      {"packet_width": -0.02},
+                                     {"packet_width": 1e-200},
                                      {"horizon": "x"}, {"horizon": -1.0},
                                      {"coeff": {"x0": 1.5}},
                                      {"assert_max_ratio": "x"},
@@ -382,8 +383,8 @@ class TestEnergyScenario:
     def test_aborted_pilot_exits_1_naming_its_reason(self, tmp_path,
                                                      monkeypatch, t_blowup):
         # -1: the right-hand side is not finite at the first record
-        explode = NonlinearityF([((0, 0), 0, 0, lambda t, x: np.where(
-            t > t_blowup, np.nan, 0.0))])
+        explode = NonlinearityF(lambda t, x: np.where(
+            t > t_blowup, np.nan, 0.0))
         monkeypatch.setattr(NonlinearityF, "wave_default",
                             staticmethod(lambda coeff: explode))
         out = tmp_path / "pilot"
@@ -422,6 +423,28 @@ class TestAuditScenarios:
         assert "compose_norm_decreases" in names
         assert "invert_defects" in names
         assert all(r["pass"] for r in records)
+
+    @pytest.mark.parametrize("sizes, ratio", [([128, 256], math.inf),
+                                               ([128, 128], math.nan)])
+    def test_quantizer_audit_at_vanishing_c_keeps_ieee_ratio(
+            self, tmp_path, sizes, ratio):
+        # at c = 1e-17, <xi>^(-c) rounds to 1: op(b) multiplies by b(x)
+        # and its n = 128 composition remainder is exactly 0
+        out = tmp_path / "qa"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_scenario(Scenario("quantizer_audit",
+                                       {"c": 1e-17, "sizes": sizes},
+                                       str(out)))
+        assert rc == 1
+        with open(out / "quantizer.json") as fh:
+            records = json.load(fh)["records"]
+        (decrease,) = [r for r in records
+                       if r["check"] == "compose_norm_decreases"]
+        assert records[1]["constant"] == 0.0
+        assert not decrease["pass"]
+        assert (math.isnan(decrease["constant"]) if math.isnan(ratio)
+                else decrease["constant"] == ratio)
 
     def test_metric_audit_passes(self, tmp_path):
         out = tmp_path / "ma"

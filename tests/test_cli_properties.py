@@ -17,7 +17,8 @@ from weakhyp import cli
 from weakhyp.cli import Scenario, run_scenario
 from weakhyp.symbols import CoefficientField
 
-POOL = ("x", [], {}, None, True, math.nan, math.inf, -math.inf, 0, -1, 1e308)
+POOL = ("x", [], {}, None, True, math.nan, math.inf, -math.inf, 0, -1, 1e308,
+        1e-200, 5e-324)
 
 RULES = {
     "energy_estimate": cli.ENERGY_RULES,
@@ -70,6 +71,10 @@ REPRODUCTIONS = [
     ("energy_estimate", {"n": 32, "packet_xi": 100}),
     ("energy_estimate", {"n": 64, "packet_xi": 24.5, "packet_width": 10}),
     ("energy_estimate", {"n": 32, "packet_xi": 1e308}),
+    # a width whose square underflows divided 0 by 0 at the packet centre
+    ("energy_estimate", {"packet_width": 1e-200}),
+    # both composition remainders are exactly 0 at so small a c
+    ("quantizer_audit", {"c": 1e-17}),
 ]
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from weakhyp.energy import (Symmetrizer, conjugated_matrix,
-                            dt_energy_breakdown, e1, energy,
+                            dt_energy_breakdown, energy,
                             garding_sign_probe, subprincipal_refinement,
                             weight_values)
 from weakhyp.quantize import (SymbolField, hermiticity_defect, quantize,
@@ -107,10 +107,22 @@ class TestEnergy:
             assert energy(st, sym128, 0.3, 0.5) > 0.0
 
 
+def _e1(st, sym, tau, sigma):
+    """E1 of the budget and its square-norm form
+    ||D^(sigma/2) v1||^2 + ||D^(sigma/2) op(b) v2||^2."""
+    zero = np.zeros_like(st)
+    value = dt_energy_breakdown(st, zero, zero, sym, tau, sigma).E1
+    grid = sym.grid
+    v = weight_values(grid, st, tau, sigma)
+    half = grid.multiply(np.stack((v[0], sym.b_matrix @ v[1])),
+                         bracket(grid.xi) ** (sigma / 2.0))
+    return value, grid.norm2(half[0]) + grid.norm2(half[1])
+
+
 class TestE1:
     def test_zero_state(self, sym128, grid128):
         st = np.zeros((2, grid128.n), dtype=complex)
-        v, eq = e1(st, sym128, 0.2, 0.5)
+        v, eq = _e1(st, sym128, 0.2, 0.5)
         assert v == 0.0 and eq == 0.0
 
     def test_single_mode_first_component(self, sym128, grid128):
@@ -118,7 +130,7 @@ class TestE1:
         k = 12
         u1 = np.exp(2j * np.pi * grid128.xi[k] * grid128.x)
         st = np.stack((u1, np.zeros(grid128.n)))
-        v, eq = e1(st, sym128, 0.0, sigma)
+        v, eq = _e1(st, sym128, 0.0, sigma)
         expected = bracket(grid128.xi[k]) ** sigma * grid128.norm2(u1)
         assert v == pytest.approx(expected, rel=1e-10)
         assert eq == pytest.approx(expected, rel=1e-10)
@@ -128,7 +140,7 @@ class TestE1:
         ratios = []
         for _ in range(100):
             st = _random_state(grid128, rng)
-            v, eq = e1(st, sym128, 0.3, 0.5)
+            v, eq = _e1(st, sym128, 0.3, 0.5)
             ratios.append(v / eq)
         kappa = max(max(ratios), 1.0 / min(ratios))
         assert 0 < min(ratios)
@@ -143,7 +155,7 @@ class TestE1:
             r = np.random.default_rng(1)
             for _ in range(40):
                 st = _random_state(g, r)
-                v, eq = e1(st, sym, 0.3, 0.5)
+                v, eq = _e1(st, sym, 0.3, 0.5)
                 ratios.append(v / eq)
             kappas.append(max(max(ratios), 1.0 / min(ratios)))
         assert abs(kappas[1] - kappas[0]) <= 0.2 * kappas[0]
