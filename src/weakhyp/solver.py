@@ -22,14 +22,14 @@ import hashlib
 import json
 import math
 import numbers
-import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import DEFAULT_MAX_EXPONENT, SQUARE_CAP, Grid, bracket
+from .spectral import (DEFAULT_MAX_EXPONENT, SQUARE_CAP, SQUARE_FLOOR,
+                       Grid, bracket)
 from .symbols import CoefficientField, SymbolB
 from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
@@ -94,7 +94,8 @@ class NonlinearityF:
     def apply(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """F(t,x,u) u as a (2, n) array: (0, profile * u1 * u1)."""
         source = np.zeros_like(u)
-        source[1] = self.profile(t, x) * u[0] * u[0]
+        if self.profile is not None:
+            source[1] = self.profile(t, x) * u[0] * u[0]
         return source
 
 
@@ -163,11 +164,10 @@ class RunConfig:
                                  f"{SQUARE_CAP:.17g}, above which its "
                                  "square overflows")
         # the packet divides by its width squared, which must not be 0
-        floor = math.sqrt(sys.float_info.min)
-        if self.packet_width < floor:
+        if self.packet_width < SQUARE_FLOOR:
             raise ValueError(f"packet_width = {self.packet_width!r} must be "
-                             f">= {floor:.17g}, below which its square "
-                             "underflows")
+                             f">= {SQUARE_FLOOR:.17g}, below which its "
+                             "square underflows")
         for name in ("tau0", "taudot", "horizon"):
             value = getattr(self, name)
             if value is not None and value < 0.0:
@@ -274,10 +274,7 @@ def rhs_parts(cfg: RunConfig, t: float, u: np.ndarray):
     grid = cfg.grid
     dx_u1, dx_u2 = grid.multiply(u, grid.dxi)
     transport = np.stack((dx_u2, cfg.coeff.a(t, grid.x) * dx_u1))
-    if cfg.nonlinearity.is_zero():
-        source = np.zeros_like(transport)
-    else:
-        source = cfg.nonlinearity.apply(t, grid.x, u)
+    source = cfg.nonlinearity.apply(t, grid.x, u)
     if not (np.all(np.isfinite(transport)) and np.all(np.isfinite(source))):
         raise SolverBlowupError(f"non-finite right-hand side at t = {t}")
     return transport, source

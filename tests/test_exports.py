@@ -31,7 +31,6 @@ def test_package_imports_only_listed_names():
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = ROOT / "src" / "weakhyp"
 
 
 def _referenced_names(path: pathlib.Path, skip_own: bool) -> set:
@@ -61,7 +60,7 @@ def _referenced_names(path: pathlib.Path, skip_own: bool) -> set:
 def test_every_listed_name_has_a_caller():
     # a caller is another definition in the package, the benchmark, the
     # console entry point or the acceptance suite; other tests do not count
-    used = set().union(*(_referenced_names(SOURCES / f"{name}.py", True)
+    used = set().union(*(_referenced_names(PACKAGE / f"{name}.py", True)
                          for name in MODULES))
     for path in [*(ROOT / "perfbench").glob("*.py"),
                  ROOT / "tests" / "test_acceptance.py"]:

@@ -1,7 +1,6 @@
 import importlib
 import io
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,7 @@ from weakhyp.solver import (CFLError, NonlinearityF, RunConfig,
                             SolverBlowupError, integrate,
                             measure_tau_threshold, observe, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
-from weakhyp.spectral import SQUARE_CAP
+from weakhyp.spectral import SQUARE_CAP, SQUARE_FLOOR
 from weakhyp.symbols import CoefficientField
 
 solver_module = importlib.import_module("weakhyp.solver")
@@ -173,9 +172,8 @@ class TestRunConfig:
                       **{name: math.nextafter(SQUARE_CAP, math.inf)})
 
     def test_rejects_packet_width_whose_square_underflows(self, coeff):
-        floor = math.sqrt(sys.float_info.min)
-        RunConfig(coeff=coeff, packet_width=floor)
-        for width in (math.nextafter(floor, 0.0), 1e-200, 5e-324):
+        RunConfig(coeff=coeff, packet_width=SQUARE_FLOOR)
+        for width in (math.nextafter(SQUARE_FLOOR, 0.0), 1e-200, 5e-324):
             with pytest.raises(ValueError, match="square underflows"):
                 RunConfig(coeff=coeff, packet_width=width)
 
@@ -207,6 +205,16 @@ class TestRunConfig:
 
 
 class TestRunWithEnergy:
+    def test_zero_initial_data_reports_zero_ratio(self, coeff):
+        # x0 = 0.3 is no grid point, so every sample of a packet this
+        # narrow underflows to 0 and the initial energy is 0
+        cfg = RunConfig(n=64, coeff=replace(coeff, x0=0.3),
+                        packet_width=1e-5, sample_stride=8)
+        assert not np.any(cfg.initial_state())
+        trace = run_with_energy(cfg)
+        assert trace.initial_energy == 0.0
+        assert trace.max_ratio() == 0.0
+
     def test_linear_run_has_zero_e4(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0,
                         nonlinearity=NonlinearityF.zero())
