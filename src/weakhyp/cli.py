@@ -109,6 +109,8 @@ def load_scenario(path: str) -> Scenario:
     for key in ("kind", "output_dir"):
         if key not in raw:
             raise ScenarioError(f"scenario {path} is missing {key!r}")
+    if not isinstance(raw["output_dir"], str):
+        raise ScenarioError(f"scenario {path}: output_dir must be a string")
     return Scenario(kind=raw["kind"], config=raw.get("config", {}),
                     output_dir=raw["output_dir"])
 
@@ -146,6 +148,11 @@ ENERGY_RULES = dict.fromkeys(
 
 def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, ENERGY_RULES)
+    taudot = cfg_raw.get("taudot")
+    factor = cfg_raw.get("taudot_factor")
+    if "taudot_factor" in cfg_raw and taudot not in (None, "auto"):
+        raise ScenarioError("taudot_factor scales only a measured taudot "
+                            f"(\"auto\" or null), not taudot = {taudot!r}")
     coeff = _coeff_from_config(cfg_raw.get("coeff"))
     # the RunConfig fields among the keys are passed through as given
     passed = {f.name for f in fields(RunConfig)} - {"coeff", "taudot"}
@@ -159,8 +166,6 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     except (TypeError, ValueError) as err:
         raise ScenarioError(str(err)) from err
 
-    taudot = cfg_raw.get("taudot")
-    factor = cfg_raw.get("taudot_factor")
     # the hash names the configuration: the rate rule as given, not the
     # rate the pilot measures for it
     config_hash = cfg.content_hash(taudot=taudot, taudot_factor=factor)

@@ -54,6 +54,8 @@ __all__ = [
 
 
 CFL = 0.25         # the step as a fraction of dx / max(1, sup sqrt(a))
+TAU0_BOUND = 2.0   # tau0 < R^(-s)/s of the coefficient's claimed Gevrey
+                   # class (s, R) = (1/2, 1); not a measured radius
 PACKET_CUT = 5.0   # a packet keeps the frequencies within this many widths
 
 
@@ -187,10 +189,10 @@ class RunConfig:
         if (isinstance(stride, bool) or not isinstance(stride, numbers.Integral)
                 or stride <= 0):
             raise ValueError(f"sample_stride = {stride!r} must be a positive int")
-        if self.tau0 >= self.coeff.tau_under:
+        if self.tau0 >= TAU0_BOUND:
             raise ValueError(
                 f"tau0 = {self.tau0} must stay below the coefficient's "
-                f"Gevrey radius {self.coeff.tau_under}"
+                f"Gevrey radius {TAU0_BOUND}"
             )
         if 2.0 * self.coeff.r_outer > self.length / 2.0:
             raise ValueError(

@@ -35,33 +35,30 @@ __all__ = [
 
 
 def _exp_bump(s):
-    """f(s) = exp(-1/s) for s > 0, else 0; returns (f, f', f'')."""
+    """f(s) = exp(-1/s) for s > 0, else 0; returns (f, f')."""
     s = np.asarray(s, dtype=float)
     pos = s > 0.0
     f = np.zeros_like(s)
     fp = np.zeros_like(s)
-    fpp = np.zeros_like(s)
     sp = np.where(pos, s, 1.0)
     val = np.exp(-1.0 / sp)
     f[pos] = val[pos]
     fp[pos] = (val / sp**2)[pos]
-    fpp[pos] = (val * (1.0 - 2.0 * sp) / sp**4)[pos]
-    return f, fp, fpp
+    return f, fp
 
 
 def smoothstep(s, order: int = 0):
     """C-infinity step: 1 for s <= 0, 0 for s >= 1, monotone between.
 
     psi(s) = f(1-s) / (f(1-s) + f(s)) with f the exponential bump.
-    `order` selects the value (0), first (1) or second (2) derivative.
+    `order` selects the value (0) or the first derivative (1).
     The step is flat outside [0, 1], so s is clipped to it first, which
     keeps the bump's powers of a huge s from overflowing.
     """
     s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-    u, up_raw, upp_raw = _exp_bump(1.0 - s)
-    w, wp, wpp = _exp_bump(s)
+    u, up_raw = _exp_bump(1.0 - s)
+    w, wp = _exp_bump(s)
     up = -up_raw       # d/ds f(1-s)
-    upp = upp_raw      # d2/ds2 f(1-s)
     tot = u + w
     # on s <= 0 or s >= 1 one of u, w vanishes with all derivatives
     tot = np.where(tot == 0.0, 1.0, tot)
@@ -69,17 +66,15 @@ def smoothstep(s, order: int = 0):
         out = u / tot
     elif order == 1:
         out = (up * w - u * wp) / tot**2
-    elif order == 2:
-        out = ((upp * w - u * wpp) * tot - 2.0 * (up * w - u * wp) * (up + wp)) / tot**3
     else:
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+        raise ValueError(f"order must be 0 or 1, got {order}")
     return out if out.shape else float(out)
 
 
 def plateau_bump(x, center: float, r_inner: float, r_outer: float, order: int = 0):
     """Bump equal to 1 on |x-center| <= r_inner, 0 outside r_outer.
 
-    Derivatives in x up to second order are closed-form.
+    The first x-derivative is closed-form.
     """
     if not (0.0 < r_inner < r_outer):
         raise ValueError("need 0 < r_inner < r_outer")
@@ -92,10 +87,7 @@ def plateau_bump(x, center: float, r_inner: float, r_outer: float, order: int = 
     sgn = np.sign(d)
     if order == 1:
         return smoothstep(s, 1) * sgn / width
-    if order == 2:
-        # |d| is smooth away from d = 0, and s < 0 there anyway
-        return smoothstep(s, 2) / width**2
-    raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    raise ValueError(f"order must be 0 or 1, got {order}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +100,6 @@ class CoefficientField:
         Bump center, plateau radius and support radius (r < r_outer).
     T, T_outer : floats
         Plateau time and support time (T < T_outer).
-    sigma_coeff, radius_R : floats > 0
-        Claimed Gevrey class data (sigma, R) of e; only metadata for the
-        Gevrey radius floor tau_under = R^(-sigma)/sigma.
     """
 
     x0: float = 0.5
@@ -118,8 +107,6 @@ class CoefficientField:
     r_outer: float = 0.24
     T: float = 0.05
     T_outer: float = 0.1
-    sigma_coeff: float = 0.5
-    radius_R: float = 1.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -127,7 +114,7 @@ class CoefficientField:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{f.name} = {value!r} must be a finite real")
-            # the bumps square their widths, and the coefficient x - x0
+            # the coefficient squares x - x0, which reaches r_outer
             if abs(value) > SQUARE_CAP:
                 raise ValueError(f"{f.name} = {value!r} must be at most "
                                  f"{SQUARE_CAP:.17g} in magnitude, above "
@@ -136,20 +123,6 @@ class CoefficientField:
             raise ValueError("need 0 < r < r_outer")
         if not (0.0 < self.T < self.T_outer):
             raise ValueError("need 0 < T < T_outer")
-        for name in ("sigma_coeff", "radius_R"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} = {getattr(self, name)!r} "
-                                 "must be positive")
-
-    @property
-    def tau_under(self) -> float:
-        """Gevrey radius floor R^(-sigma)/sigma of the coefficient class.
-
-        inf where R^(-sigma) overflows, e.g. for a tiny R.
-        """
-        with np.errstate(over="ignore"):
-            return float(np.float64(self.radius_R) ** (-self.sigma_coeff)
-                         / self.sigma_coeff)
 
     # -- bump factors ------------------------------------------------------
 
@@ -184,16 +157,6 @@ class CoefficientField:
         x = np.asarray(x, dtype=float)
         q = t + (x - self.x0) ** 2
         return self.eta(t) * (2.0 * (x - self.x0) * self.chi(x) + q * self.chi(x, 1))
-
-    def dxx_a(self, t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        q = t + (x - self.x0) ** 2
-        return self.eta(t) * (
-            2.0 * self.chi(x)
-            + 4.0 * (x - self.x0) * self.chi(x, 1)
-            + q * self.chi(x, 2)
-        )
 
     def dt_a(self, t, x):
         t = np.asarray(t, dtype=float)

@@ -3,6 +3,7 @@
 Every scenario kind runs with its config keys set to values from one
 fixed pool of wrong JSON types and extreme numbers.  A run returns 0, 1
 or 2 and never raises, and a run that exits 2 leaves no output_dir.
+Each reproduced case also exits with the code pinned to it.
 """
 
 import math
@@ -10,6 +11,7 @@ import os
 import tempfile
 from dataclasses import fields
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -56,25 +58,29 @@ def scenarios(draw):
     return kind, config
 
 
-# each of these raised a traceback, or ran, before its value was rejected
+# each of these raised a traceback, or ran, before its value was rejected;
+# the last entry is the exit code it must give
 REPRODUCTIONS = [
-    ("constraint_table", {"sigma_max": 0.2}),
-    ("constraint_table", {"sigma_min": 1e308}),
-    ("constraint_table", {"sigma_max": 0}),
-    ("constraint_table", {"sigma_max": -1}),
-    ("cjs_sweep", {"t_final": 1e308}),
-    ("energy_estimate", {"packet_width": 1e308}),
-    ("energy_estimate", {"length": 1e300}),
-    ("symbol_audit", {"coeff": {"r_outer": 1e308}}),
-    ("quantizer_audit", {"coeff": {"x0": 0}}),
+    ("constraint_table", {"sigma_max": 0.2}, 2),
+    ("constraint_table", {"sigma_min": 1e308}, 2),
+    ("constraint_table", {"sigma_max": 0}, 2),
+    ("constraint_table", {"sigma_max": -1}, 2),
+    ("cjs_sweep", {"t_final": 1e308}, 2),
+    ("energy_estimate", {"packet_width": 1e308}, 2),
+    ("energy_estimate", {"length": 1e300}, 2),
+    ("symbol_audit", {"coeff": {"r_outer": 1e308}}, 2),
+    ("quantizer_audit", {"coeff": {"x0": 0}}, 2),
     # these three ran on a packet the grid cannot hold
-    ("energy_estimate", {"n": 32, "packet_xi": 100}),
-    ("energy_estimate", {"n": 64, "packet_xi": 24.5, "packet_width": 10}),
-    ("energy_estimate", {"n": 32, "packet_xi": 1e308}),
+    ("energy_estimate", {"n": 32, "packet_xi": 100}, 2),
+    ("energy_estimate", {"n": 64, "packet_xi": 24.5, "packet_width": 10}, 2),
+    ("energy_estimate", {"n": 32, "packet_xi": 1e308}, 2),
     # a width whose square underflows divided 0 by 0 at the packet centre
-    ("energy_estimate", {"packet_width": 1e-200}),
-    # both composition remainders are exactly 0 at so small a c
-    ("quantizer_audit", {"c": 1e-17}),
+    ("energy_estimate", {"packet_width": 1e-200}, 2),
+    # both composition remainders are exactly 0 at so small a c, so the
+    # strict decrease fails: a roundoff finding, not yet a validity record
+    ("quantizer_audit", {"c": 1e-17}, 1),
+    # a factor that cannot scale a given rate changed only the hash
+    ("energy_estimate", {"taudot": 0, "taudot_factor": 2}, 2),
 ]
 
 
@@ -95,6 +101,13 @@ def test_any_config_exits_0_1_or_2(case):
             assert not os.path.exists(out)
 
 
-for _case in REPRODUCTIONS:
-    test_any_config_exits_0_1_or_2 = example(_case)(
+for _kind, _config, _ in REPRODUCTIONS:
+    test_any_config_exits_0_1_or_2 = example((_kind, _config))(
         test_any_config_exits_0_1_or_2)
+
+
+@pytest.mark.parametrize("kind, config, code", REPRODUCTIONS)
+def test_reproduction_exits_its_own_code(kind, config, code):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        assert run_scenario(Scenario(kind, BASE[kind] | config, out)) == code

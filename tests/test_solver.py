@@ -139,9 +139,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="uncertainty"):
             RunConfig(c=3.0, coeff=coeff)
 
-    def test_rejects_tau0_above_radius(self, coeff):
-        with pytest.raises(ValueError, match="Gevrey radius"):
-            RunConfig(tau0=5.0, coeff=coeff)
+    @pytest.mark.parametrize("tau0", [2.0, 5.0])
+    def test_rejects_tau0_above_radius(self, coeff, tau0):
+        with pytest.raises(ValueError, match="Gevrey radius 2.0"):
+            RunConfig(tau0=tau0, coeff=coeff)
 
     def test_rejects_wide_support(self):
         cf = CoefficientField(r=0.2, r_outer=0.3)

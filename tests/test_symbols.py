@@ -22,8 +22,6 @@ class TestSmoothstep:
         h = 1e-6
         fd1 = (smoothstep(s + h) - smoothstep(s - h)) / (2 * h)
         assert np.abs(fd1 - smoothstep(s, 1)).max() < 1e-6 * (1 + np.abs(fd1).max())
-        fd2 = (smoothstep(s + h) - 2 * smoothstep(s) + smoothstep(s - h)) / h**2
-        assert np.abs(fd2 - smoothstep(s, 2)).max() < 1e-3 * (1 + np.abs(fd2).max())
 
     def test_bump_plateau_and_support(self):
         x = np.linspace(-1, 1, 401)
@@ -71,33 +69,23 @@ class TestCoefficientField:
         assert np.abs(fd_x - coeff.dx_a(ts, xs)).max() < 1e-5
         fd_t = (coeff.a(ts + h, xs) - coeff.a(ts - h, xs)) / (2 * h)
         assert np.abs(fd_t - coeff.dt_a(ts, xs)).max() < 1e-5
-        fd_xx = (coeff.dx_a(ts, xs + h) - coeff.dx_a(ts, xs - h)) / (2 * h)
-        assert np.abs(fd_xx - coeff.dxx_a(ts, xs)).max() < 1e-4
 
     def test_dt_a_nonnegative_before_plateau_time(self, coeff):
         ts = np.linspace(0.0, coeff.T, 9)
         xs = np.linspace(0.0, 1.0, 257)
         assert np.min(coeff.dt_a(ts[:, None], xs[None, :])) >= 0.0
 
-    def test_tau_under(self):
-        cf = CoefficientField(sigma_coeff=0.5, radius_R=4.0)
-        assert cf.tau_under == pytest.approx(4.0 ** (-0.5) / 0.5)
-
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
             CoefficientField(r=0.3, r_outer=0.2)
 
     @pytest.mark.parametrize("bad", [
-        {"radius_R": 0.0}, {"radius_R": -1.0}, {"sigma_coeff": 0.0},
+        {"r": 0.0}, {"T": -1.0}, {"T_outer": 0.01},
         {"x0": True}, {"T": "0.05"}, {"r": float("nan")},
-        {"radius_R": float("inf")}, {"r_outer": 1e308}, {"x0": -1e300}])
+        {"T_outer": float("inf")}, {"r_outer": 1e308}, {"x0": -1e300}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             CoefficientField(**bad)
-
-    def test_tau_under_overflows_to_inf(self):
-        assert CoefficientField(radius_R=1e-300, sigma_coeff=2.0).tau_under \
-            == float("inf")
 
 
 def _uncached(coeff, t, x):
@@ -124,15 +112,13 @@ class TestCoefficientCache:
                     assert np.array_equal(coeff.a(t, x), a)
                     assert np.array_equal(coeff.dt_a(t, x), dt_a)
                     assert np.array_equal(f21(t, x), chi)
-                    for order in (1, 2):
-                        assert np.array_equal(
-                            coeff.chi(x, order),
-                            plateau_bump(x, coeff.x0, coeff.r,
-                                         coeff.r_outer, order))
+                    assert np.array_equal(
+                        coeff.chi(x, 1),
+                        plateau_bump(x, coeff.x0, coeff.r, coeff.r_outer, 1))
 
     def test_scalar_eta_equals_array_eta(self, coeff):
         ts = np.linspace(-0.1, 0.2, 61)
-        for order in (0, 1, 2):
+        for order in (0, 1):
             for t, ref in zip(ts, coeff.eta(ts, order)):
                 assert coeff.eta(t, order) == ref
                 assert coeff.eta(float(t), order) == ref
@@ -167,7 +153,7 @@ class TestCoefficientCache:
     def test_huge_times_are_flat_without_warnings(self, coeff, grid64):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for order in (0, 1, 2):
+            for order in (0, 1):
                 assert coeff.eta(1e308, order) == coeff.eta(1e10, order)
                 assert coeff.eta(-1e308, order) == coeff.eta(-1e10, order)
                 assert np.array_equal(coeff.eta(np.array([1e308, -1e308]),
