@@ -292,9 +292,10 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
         herm = hermiticity_defect(B)
         records.append({"check": f"hermiticity_n{n}", "constant": herm,
                         "pass": herm <= 1e-10})
-        R = B @ B - quantize(
-            SymbolField(grid, bf.samples**2, time=t, label="b^2"))
+        R = B @ B - quantize(SymbolField(grid, bf.samples**2, time=t,
+                                         label="b^2", rows=bf.rows))
         comp_norms.append(operator_norm(R))
+        del B, R   # free this size's kernels before the next size
         records.append({"check": f"compose_norm_n{n}",
                         "constant": comp_norms[-1], "pass": True})
     for lo, hi in zip(comp_norms, comp_norms[1:]):
@@ -399,9 +400,12 @@ def run_scenario(scenario: Scenario) -> int:
     """Execute one scenario. 0 = pass, 1 = failed checks, 2 = invalid.
 
     The writers make the output directory, so a scenario that does not
-    validate leaves none behind; one that cannot be written exits 2.
+    validate leaves none behind.  An output directory that cannot be
+    written exits 2, and so does an empty one: it names the working one.
     """
     try:
+        if not scenario.output_dir:
+            raise ScenarioError("output_dir must not be empty")
         failures = _RUNNERS[scenario.kind](scenario.config,
                                            scenario.output_dir)
         if failures:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Grid, bracket, gevrey_multiplier
-from .quantize import SymbolField, operator_norm, quantize
+from .quantize import SymbolField, distinct_rows, operator_norm, quantize
 from .symbols import SymbolB
 
 __all__ = [
@@ -71,11 +71,8 @@ class Symmetrizer:
         x2 = self.grid.x_doubled
         coeff = self.sb.coeff
         pairs = np.stack((coeff.a(self.t, x2), coeff.dt_a(self.t, x2)))
-        # pairs are told apart by their bits, so a signed zero keeps its row
-        _, first, rows = np.unique(pairs.view(np.int64), axis=1,
-                                   return_index=True, return_inverse=True)
+        first, self._rows = distinct_rows(pairs)
         self._dt_a = pairs[1, first]
-        self._rows = rows.reshape(-1)
         # b is real: its rows are kept as real, contiguous samples, which
         # the powers in dt_b_matrix read fastest
         self._b = self.sb.b(self.t, x2[first][:, None], self.grid.xi[None, :])

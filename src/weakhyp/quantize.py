@@ -18,12 +18,12 @@ Every symbol field carries a row map: `samples` holds u rows, shape
 (u, n), and `rows` maps each of the 2n doubled-lattice points to its
 sample row, so the field stands for the full (2n, n) field
 `samples[rows]`.  By default u = 2n and `rows` is the identity.
-Symbols that depend on x only through a few values, such as b through
-a(t, x), store far fewer rows than the lattice has points; the inverse
-FFT then runs over the u stored rows only, and the gather reads row
-`rows[m]` for midpoint m, which gives the kernel of the expanded field
-bit for bit.  `quantize` returns that kernel as a plain (n, n) complex
-array.
+`sample_symbol_b` returns such a row-mapped field: b depends on x only
+through a(t, x), so it stores one row per distinct value of a (492
+rows for 2048 points at n = 1024, t = 0).  The inverse FFT runs over
+the u stored rows only, and the gather reads row `rows[m]` for
+midpoint m, which gives the kernel of the expanded field bit for bit.
+`quantize` returns that kernel as a plain (n, n) complex array.
 
 De-quantization inverts the kernel formula along the (midpoint,
 difference) slots, FFT in x - y.  The slot map (i, j) <-> (m, d) is a
@@ -57,6 +57,7 @@ __all__ = [
     "SymbolField",
     "sample_symbol",
     "sample_symbol_b",
+    "distinct_rows",
     "quantize",
     "dequantize",
     "hermiticity_defect",
@@ -113,12 +114,25 @@ def sample_symbol(grid: Grid, fn) -> SymbolField:
                                              (2 * grid.n, grid.n)).copy())
 
 
+def distinct_rows(keys: np.ndarray):
+    """(first, rows): the first column of each bitwise-distinct column
+    of the float rows `keys` (a signed zero keeps its own), and the
+    index into `first` of every column."""
+    bits = np.atleast_2d(keys).view(np.int64)
+    order = np.lexsort(bits)
+    ranked = bits[:, order]
+    new = np.r_[True, np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)]
+    rows = np.empty_like(order)
+    rows[order] = np.cumsum(new) - 1
+    return order[new], rows
+
+
 def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
-    """Sample b(t, x, xi) on the doubled lattice."""
-    x = grid.x_doubled[:, None]
-    xi = grid.xi[None, :]
-    return SymbolField(grid, sb.b(t, x, xi).astype(complex), time=t,
-                       label="b")
+    """b(t, x, xi) on the doubled lattice, one row per value of a(t, x)."""
+    x2 = grid.x_doubled
+    first, rows = distinct_rows(sb.coeff.a(t, x2))
+    return SymbolField(grid, sb.b(t, x2[first][:, None], grid.xi[None, :]),
+                       time=t, label="b", rows=rows)
 
 
 def _wrapped_difference(n: int):
@@ -132,10 +146,9 @@ def _wrapped_difference(n: int):
     over them, which keeps real symbols exactly Hermitian.
     """
     i = np.arange(n)
-    I, J = np.meshgrid(i, i, indexing="ij")
-    D0 = (I - J) % n
+    D0 = (i[:, None] - i[None, :]) % n
     Dstar = np.where(D0 <= n // 2, D0, D0 - n)
-    Mstar = (2 * J + Dstar) % (2 * n)
+    Mstar = (2 * i[None, :] + Dstar) % (2 * n)
     return D0, Dstar, Mstar
 
 
@@ -336,15 +349,13 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):
     """
     if nu < 0 or nu > 6:
         raise ValueError(f"nu must be in 0..6, got {nu}")
-    b_field = sample_symbol_b(sb, grid, t)
-    b_samples = b_field.samples
-    B = quantize(b_field)
-    eye = np.eye(grid.n, dtype=complex)
-    c = 1.0 / b_samples
+    b = sample_symbol_b(sb, grid, t)
+    B = quantize(b)
+    c = SymbolField(grid, 1.0 / b.samples, time=t, label="c_0", rows=b.rows)
     defects = []
     for k in range(nu + 1):
-        M = B @ quantize(SymbolField(grid, c, time=t, label=f"c_{k}"))
-        defects.append(operator_norm(M - eye))
+        M = B @ quantize(c)
+        defects.append(operator_norm(M - np.eye(grid.n)))
         if k and defects[-1] > defects[-2]:
             warnings.warn(
                 f"invert_b defect increased at nu={k} "
@@ -353,6 +364,10 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):
                 UserWarning,
             )
         if k < nu:
-            s = dequantize(M, grid).samples
-            c = c + (1.0 - s) / b_samples
-    return SymbolField(grid, c, time=t, label=f"c_{nu}"), defects
+            # c + (1 - s) / b, in place: IEEE addition commutes
+            upd = 1.0 - dequantize(M, grid).samples
+            del M
+            upd /= b.samples[b.rows]
+            upd += c.samples[c.rows]
+            c = SymbolField(grid, upd, time=t, label=f"c_{k + 1}")
+    return c, defects

@@ -207,7 +207,7 @@ def test_criterion_7_quantizer_properties():
         gg = Grid(n, 1.0, coeff.x0)
         bf = sample_symbol_b(sb_half, gg, 0.0)
         R = quantize(bf) @ quantize(bf) - quantize(
-            SymbolField(gg, bf.samples**2, label="b^2"))
+            SymbolField(gg, bf.samples**2, label="b^2", rows=bf.rows))
         norms.append(operator_norm(R))
     comp_ok = norms[1] < norms[0]
     details.append(f"|op(b)^2-op(b^2)|: {norms[0]:.3e} -> {norms[1]:.3e}")

@@ -85,6 +85,19 @@ class TestScenarioLoading:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "output_dir" in err
 
+    def test_empty_output_dir_exits_2_writing_nothing(self, tmp_path,
+                                                      capsys, monkeypatch):
+        p = _write_scenario(tmp_path / "s.json",
+                            {"kind": "constraint_table",
+                             "config": {"step": "0.1"}, "output_dir": ""})
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["run", p]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "output_dir" in err
+        assert os.listdir(work) == []
+
 
 class TestValidationExitCodes:
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -550,6 +563,17 @@ class TestVerbs:
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--step", "0.1"], ["audit", "symbols"], ["audit", "metric"],
+        ["audit", "quantizer"], ["cjs"]])
+    def test_empty_out_exits_2_writing_nothing(self, tmp_path, capsys,
+                                               monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "output_dir" in err
+        assert os.listdir(tmp_path) == []
 
     def test_verb_defaults_are_the_runner_defaults(self, tmp_path):
         assert main(["cjs", "--out", str(tmp_path / "verb")]) == 0

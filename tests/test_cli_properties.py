@@ -81,6 +81,9 @@ REPRODUCTIONS = [
     ("quantizer_audit", {"c": 1e-17}, 1),
     # a factor that cannot scale a given rate changed only the hash
     ("energy_estimate", {"taudot": 0, "taudot_factor": 2}, 2),
+    # `weakhyp table --step 0.1 --out ""` wrote into the working
+    # directory; an optional fourth entry is the output_dir
+    ("constraint_table", {}, 2, ""),
 ]
 
 
@@ -101,13 +104,18 @@ def test_any_config_exits_0_1_or_2(case):
             assert not os.path.exists(out)
 
 
-for _kind, _config, _ in REPRODUCTIONS:
+for _kind, _config, *_ in REPRODUCTIONS:
     test_any_config_exits_0_1_or_2 = example((_kind, _config))(
         test_any_config_exits_0_1_or_2)
 
 
-@pytest.mark.parametrize("kind, config, code", REPRODUCTIONS)
-def test_reproduction_exits_its_own_code(kind, config, code):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        assert run_scenario(Scenario(kind, BASE[kind] | config, out)) == code
+@pytest.mark.parametrize("kind, config, code, out",
+                         [r if len(r) == 4 else (*r, "out")
+                          for r in REPRODUCTIONS])
+def test_reproduction_exits_its_own_code(kind, config, code, out, tmp_path,
+                                         monkeypatch):
+    # the output_dir is relative to an empty working directory
+    monkeypatch.chdir(tmp_path)
+    assert run_scenario(Scenario(kind, BASE[kind] | config, out)) == code
+    if code == 2:
+        assert os.listdir(tmp_path) == []

@@ -6,7 +6,7 @@ from weakhyp.energy import (Symmetrizer, conjugated_matrix,
                             garding_sign_probe, subprincipal_refinement,
                             weight_values)
 from weakhyp.quantize import (SymbolField, hermiticity_defect, quantize,
-                              sample_symbol_b)
+                              sample_symbol)
 from weakhyp.solver import (NonlinearityF, RunConfig, rhs_parts,
                             verify_breakdown_identity, wave_packet)
 from weakhyp.spectral import Grid, bracket
@@ -58,7 +58,7 @@ class TestSymmetrizer:
         for c in (1.0, 0.5):
             sb = SymbolB(coeff, c=c)
             sym = Symmetrizer(grid, sb, t)
-            full_b = sample_symbol_b(sb, grid, t)
+            full_b = sample_symbol(grid, lambda x, xi: sb.b(t, x, xi))
             assert np.array_equal(sym.b_matrix, quantize(full_b))
             dt_b = -0.5 * coeff.dt_a(t, x) * full_b.samples.real ** 3
             assert np.array_equal(sym.dt_b_matrix(),

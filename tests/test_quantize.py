@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map, _wrapped_difference,
-                              dequantize, hermiticity_defect, invert_b,
-                              multiplication_matrix, multiplier_matrix,
-                              operator_norm, quantize, sample_symbol,
-                              sample_symbol_b)
+                              dequantize, distinct_rows, hermiticity_defect,
+                              invert_b, multiplication_matrix,
+                              multiplier_matrix, operator_norm, quantize,
+                              sample_symbol, sample_symbol_b)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
 
@@ -74,7 +74,8 @@ class TestDequantize:
         p = sample_symbol_b(sb_c1, grid64, 0.02)
         K = quantize(p)
         back = dequantize(K, grid64)
-        rel = np.abs(back.samples - p.samples).max() / np.abs(p.samples).max()
+        full = p.samples[p.rows]
+        rel = np.abs(back.samples - full).max() / np.abs(full).max()
         assert rel < 5e-2
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
@@ -112,6 +113,16 @@ def _reference_kernel(p):
 
 
 class TestWeylGatherCache:
+    @pytest.mark.parametrize("n", [2, 4, 64, 256])
+    def test_wrapped_difference_equals_meshgrid_maps(self, n):
+        I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        D0 = (I - J) % n
+        Dstar = np.where(D0 <= n // 2, D0, D0 - n)
+        Mstar = (2 * J + Dstar) % (2 * n)
+        for got, ref in zip(_wrapped_difference(n), (D0, Dstar, Mstar)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
     def test_cached_kernels_equal_direct_gather(self, n):
         rng = np.random.default_rng(n)
@@ -220,6 +231,33 @@ class TestRowMappedFields:
             SymbolField(grid64, samples, rows=np.zeros(128, dtype=int))
 
 
+class TestSampleSymbolB:
+    @pytest.mark.parametrize("n", [2, 4, 64, 256])
+    @pytest.mark.parametrize("t", [0.0, 0.07])
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_kernel_equals_full_lattice_sampling(self, coeff, n, t, c):
+        grid = Grid(n, 1.0, 0.5)
+        sb = SymbolB(coeff, c=c)
+        field = sample_symbol_b(sb, grid, t)
+        full = sample_symbol(grid, lambda x, xi: sb.b(t, x, xi))
+        assert np.array_equal(field.samples[field.rows], full.samples)
+        assert np.array_equal(quantize(field), quantize(full))
+        # one row per bit pattern of a(t, x2), a signed zero included
+        patterns = {a.hex() for a in coeff.a(t, grid.x_doubled)}
+        assert field.samples.shape == (len(patterns), n)
+        assert len(patterns) < 2 * n
+
+    def test_distinct_rows_tells_signed_zeros_apart(self):
+        keys = np.array([[0.0, -0.0, 1.5, 0.0, -0.0, 1.5, 2.0],
+                         [3.0, 3.0, 3.0, 3.0, 3.0, -1.0, 3.0]])
+        first, rows = distinct_rows(keys)
+        assert np.array_equal(keys[:, first][:, rows].view(np.int64),
+                              keys.view(np.int64))
+        assert len(first) == 5
+        # the first column of each distinct one
+        assert sorted(first) == [0, 1, 2, 5, 6]
+
+
 class TestFlatIndexCache:
     @pytest.mark.parametrize("n", [4, 64, 256])
     def test_alternating_row_maps(self, n):
@@ -301,8 +339,9 @@ class TestComposeRemainder:
 
 
 def reference_invert_b(sb, nu, t, grid):
-    """The defect recursion that forms every op(b) op(c_k) twice."""
-    b_field = sample_symbol_b(sb, grid, t)
+    """The defect recursion that forms every op(b) op(c_k) twice, on
+    the full-lattice sampling of b."""
+    b_field = sample_symbol(grid, lambda x, xi: sb.b(t, x, xi))
     B = quantize(b_field)
     eye = np.eye(grid.n, dtype=complex)
     c = 1.0 / b_field.samples
@@ -328,7 +367,7 @@ class TestInvertB:
         field, defects = invert_b(sb_c1, nu, t, grid)
         c, reference = reference_invert_b(sb_c1, nu, t, grid)
         assert np.array_equal(defects, reference)
-        assert np.array_equal(field.samples, c)
+        assert np.array_equal(field.samples[field.rows], c)
 
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_forms_each_product_once(self, sb_c1, grid64, nu, monkeypatch):
