@@ -300,10 +300,11 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
                         "constant": comp_norms[-1], "pass": True})
     for lo, hi in zip(comp_norms, comp_norms[1:]):
         # at c near 0 op(b) composes exactly and both norms can be 0:
-        # the ratio is IEEE's, nan for 0/0 and inf for x/0
+        # ratio and margin are IEEE's, nan for 0/0 and +-inf for x/0
         ratio = hi / lo if lo else (math.nan if hi == 0.0 else math.inf)
+        margin = (lo - hi) / lo if lo else -ratio
         records.append({"check": "compose_norm_decreases",
-                        "constant": ratio, "pass": hi < lo})
+                        "constant": ratio, "margin": margin, "pass": hi < lo})
 
     _, defects = invert_b(sb, 2, t, grids[-1])
     records.append({"check": "invert_defects", "constant": defects[-1],

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Grid, bracket, gevrey_multiplier
-from .quantize import SymbolField, distinct_rows, operator_norm, quantize
+from .quantize import (SymbolField, apply, distinct_rows, operator_norm,
+                       quantize)
 from .symbols import SymbolB
 
 __all__ = [
@@ -131,7 +132,7 @@ def _pair(grid: Grid, w: np.ndarray, v: np.ndarray, bw2: np.ndarray,
 def energy(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float) -> float:
     """E = 1/2 (||v1||^2 + ||op(b) v2||^2) with v = exp(tau D^sigma) u."""
     v = weight_values(sym.grid, u, tau, sigma)
-    bv2 = sym.b_matrix @ v[1]
+    bv2 = apply(sym.b_matrix, v[1])
     return 0.5 * (sym.grid.norm2(v[0]) + sym.grid.norm2(bv2))
 
 
@@ -160,13 +161,13 @@ def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
     dv = grid.multiply(v, bracket(grid.xi) ** sigma)
     transport_w, source_w = weight_values(
         grid, np.stack((transport, source)), tau, sigma)
-    bv2, bdv2, btransport2, bsource2 = (sym.b_matrix @ np.stack(
-        (v[1], dv[1], transport_w[1], source_w[1])).T).T
+    bv2, bdv2, btransport2, bsource2 = apply(sym.b_matrix, np.stack(
+        (v[1], dv[1], transport_w[1], source_w[1]), axis=1)).T
     E = 0.5 * (grid.norm2(v[0]) + grid.norm2(bv2))
     return EnergyBreakdown(
         t=sym.t, tau=tau, E=float(E), E1=_pair(grid, dv, v, bdv2, bv2),
         E2=_pair(grid, transport_w, v, btransport2, bv2),
-        E3=float(np.real(grid.inner(sym.dt_b_matrix() @ v[1], bv2))),
+        E3=float(np.real(grid.inner(apply(sym.dt_b_matrix(), v[1]), bv2))),
         E4=_pair(grid, source_w, v, bsource2, bv2))
 
 
@@ -182,8 +183,8 @@ def garding_sign_probe(u: np.ndarray, sym: Symmetrizer, tau: float,
     grid = sym.grid
     g_rows = np.sqrt(np.maximum(sym._dt_a, 0.0))[:, None] * sym._b
     G = sym._quantize_rows(g_rows, "sqrt(dt a) b")
-    w = sym.b_matrix @ weight_values(grid, u[1], tau, sigma)
-    return float(np.real(grid.inner(G @ (G @ w), w)))
+    w = apply(sym.b_matrix, weight_values(grid, u[1], tau, sigma))
+    return float(np.real(grid.inner(apply(G, apply(G, w)), w)))
 
 
 def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,

@@ -23,7 +23,12 @@ through a(t, x), so it stores one row per distinct value of a (492
 rows for 2048 points at n = 1024, t = 0).  The inverse FFT runs over
 the u stored rows only, and the gather reads row `rows[m]` for
 midpoint m, which gives the kernel of the expanded field bit for bit.
-`quantize` returns that kernel as a plain (n, n) complex array.
+
+A symbol with p(x, -xi) = conj p(x, xi) has a real kernel: when the
+samples are conjugate-even, s[:, -k] == conj(s[:, k]) exactly for every
+column k, `quantize` takes the profiles from `irfft` of the columns
+0..n/2 and returns a float64 kernel, else the complex one of `ifft`.
+b, its powers, dt b and the corrections of `invert_b` are all conjugate-even.
 
 De-quantization inverts the kernel formula along the (midpoint,
 difference) slots, FFT in x - y.  The slot map (i, j) <-> (m, d) is a
@@ -31,7 +36,8 @@ bijection, so `quantize(dequantize(K)) == K` holds for every matrix
 that is symmetric on the antipodal column d = n/2 (every image of
 `quantize` is); each midpoint row only observes difference residues of
 its own parity, and the unobserved components are interpolated from
-the neighboring midpoint rows.
+the neighboring midpoint rows.  A real matrix takes `rfft` and its
+mirrored conjugate, so its symbol is exactly conjugate-even.
 
 The index maps of the slot map depend on n only; they are built once
 per n and cached (read-only) for every later `quantize` and
@@ -64,6 +70,7 @@ __all__ = [
     "multiplier_matrix",
     "multiplication_matrix",
     "operator_norm",
+    "apply",
     "PowerIterationWarning",
     "invert_b",
 ]
@@ -84,7 +91,8 @@ class SymbolField:
     rows: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        s = np.asarray(self.samples)
+        self.samples = s if s.dtype == float else s.astype(complex, copy=False)
         n = self.grid.n
         rows = np.asarray(self.rows if self.rows is not None
                           else np.arange(2 * n))
@@ -220,15 +228,27 @@ def _flat_index(rows: np.ndarray) -> _FlatIndex:
     return flat
 
 
+def _conjugate_even(s: np.ndarray) -> bool:
+    """s[:, -k] == conj(s[:, k]) for every column k, compared exactly."""
+    h = s.shape[1] // 2
+    pos, neg = s[:, 1:h], s[:, :h:-1]
+    if not np.iscomplexobj(s):
+        return np.array_equal(pos, neg)
+    return (not s[:, [0, h]].imag.any() and np.array_equal(pos.real, neg.real)
+            and np.array_equal(pos.imag, -neg.imag))
+
+
 def quantize(p: SymbolField) -> np.ndarray:
-    """The dense (n, n) kernel of op(p).
+    """The dense (n, n) kernel of op(p), real for a conjugate-even p.
 
     The inverse FFT runs over the stored rows of the field only; the
     kernel equals that of the expanded field `samples[rows]`.
     """
-    anti = _slot_map(p.grid.n).anti
+    n, s = p.grid.n, p.samples
+    anti = _slot_map(n).anti
     flat = _flat_index(p.rows)
-    c = np.fft.ifft(p.samples, axis=1).reshape(-1)
+    c = (np.fft.irfft(s[:, :n // 2 + 1], n, axis=1) if _conjugate_even(s)
+         else np.fft.ifft(s, axis=1)).reshape(-1)
     K = c[flat.index]
     Kf = K.reshape(-1)
     Kf[anti] = 0.5 * (Kf[anti] + c[flat.anti])
@@ -260,10 +280,11 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     midpoint-Nyquist ripple.
     """
     n = grid.n
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix,
+                        dtype=complex if np.iscomplexobj(matrix) else float)
     if matrix.shape != (n, n):
         raise ValueError(f"matrix has shape {matrix.shape}, expected {(n, n)}")
-    c = np.zeros((2 * n, n), dtype=complex)
+    c = np.zeros((2 * n, n), dtype=matrix.dtype)
     anti = _slot_map(n).anti
     flat = _flat_index(np.arange(2 * n))
     cf = c.reshape(-1)
@@ -280,7 +301,12 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
                              (c[1::2, 0::2], c[0::2, 0::2], -1)):
         np.add(seen, np.roll(seen, step, axis=0), out=fill)
         fill *= 0.5
-    return SymbolField(grid, np.fft.fft(c, axis=1))
+    if np.iscomplexobj(c):
+        return SymbolField(grid, np.fft.fft(c, axis=1))
+    s = np.empty((2 * n, n), dtype=complex)
+    s[:, :n // 2 + 1] = np.fft.rfft(c, axis=1)
+    np.conjugate(s[:, n // 2 - 1:0:-1], out=s[:, n // 2 + 1:])
+    return SymbolField(grid, s)
 
 
 def multiplier_matrix(grid: Grid, m) -> np.ndarray:
@@ -295,6 +321,15 @@ def multiplication_matrix(q_values: np.ndarray) -> np.ndarray:
     return np.diag(np.asarray(q_values, dtype=complex))
 
 
+def apply(K: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K @ X; a real K meets a complex X as one real product on its
+    interleaved real and imaginary parts (numpy would copy K to complex)."""
+    if np.iscomplexobj(K) or not np.iscomplexobj(X):
+        return K @ X
+    cols = np.ascontiguousarray(X, dtype=complex).reshape(len(X), -1)
+    return (K @ cols.view(np.float64)).view(complex).reshape(X.shape)
+
+
 class PowerIterationWarning(UserWarning):
     pass
 
@@ -306,13 +341,16 @@ def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200) -> float:
     (frequency multipliers routinely have clustered maxima), so a small
     orthonormal block of 8 seeded vectors is iterated and the top
     Rayleigh-Ritz value tracked until its relative change falls below
-    `tol`.
+    `tol`.  A real matrix starts from the real part of the block only, so
+    its products stay real.
     """
     A = np.asarray(matrix)
     n = A.shape[0]
     block = min(8, n)
     rng = np.random.default_rng(7)
-    V = rng.normal(size=(n, block)) + 1j * rng.normal(size=(n, block))
+    V = rng.normal(size=(n, block))
+    if np.iscomplexobj(A):
+        V = V + 1j * rng.normal(size=(n, block))
     V, _ = np.linalg.qr(V)
     AH = A.conj().T
     est = -1.0

@@ -246,7 +246,9 @@ class TestRunVerb:
         assert (tmp_path / "y" / "table.csv").exists()
 
     def test_quantizer_dump_flag_writes_raw_matrices(self, tmp_path):
-        import numpy as np
+        from weakhyp.quantize import quantize, sample_symbol_b
+        from weakhyp.spectral import Grid
+        from weakhyp.symbols import SymbolB
         out = tmp_path / "dump"
         rc = main(["audit", "quantizer", "--dump-matrices", "--out", str(out)])
         assert rc == 0
@@ -254,6 +256,15 @@ class TestRunVerb:
         assert raw.shape == (128 * 128,)
         mat = raw.reshape(128, 128)
         assert np.abs(mat - mat.conj().T).max() < 1e-12
+        # op(b) is a real kernel, written as complex doubles
+        sb = SymbolB(CoefficientField(), c=0.5)
+        for n in (128, 256):
+            raw = np.fromfile(out / f"op_b_n{n}.bin", dtype="<c16")
+            assert raw.shape == (n * n,)
+            # every imaginary part is +0.0, bit for bit
+            assert not raw.imag.view(np.int64).any()
+            B = quantize(sample_symbol_b(sb, Grid(n, 1.0, sb.coeff.x0), 0.0))
+            assert np.array_equal(raw.real.reshape(n, n), B)
 
 
 class TestConstraintTableScenario:
@@ -458,6 +469,11 @@ class TestAuditScenarios:
         assert "compose_norm_decreases" in names
         assert "invert_defects" in names
         assert all(r["pass"] for r in records)
+        # the decrease record carries its margin (lo - hi) / lo
+        by_name = {r["check"]: r for r in records}
+        lo = by_name["compose_norm_n128"]["constant"]
+        hi = by_name["compose_norm_n256"]["constant"]
+        assert by_name["compose_norm_decreases"]["margin"] == (lo - hi) / lo
 
     @pytest.mark.parametrize("sizes, ratio", [([128, 256], math.inf),
                                                ([128, 128], math.nan)])
@@ -480,6 +496,9 @@ class TestAuditScenarios:
         assert not decrease["pass"]
         assert (math.isnan(decrease["constant"]) if math.isnan(ratio)
                 else decrease["constant"] == ratio)
+        # (lo - hi) / lo: nan for 0/0, -inf for x/0
+        assert (math.isnan(decrease["margin"]) if math.isnan(ratio)
+                else decrease["margin"] == -math.inf)
 
     def test_metric_audit_passes(self, tmp_path):
         out = tmp_path / "ma"

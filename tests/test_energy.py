@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,15 @@ from weakhyp.energy import (Symmetrizer, conjugated_matrix,
                             dt_energy_breakdown, energy,
                             garding_sign_probe, subprincipal_refinement,
                             weight_values)
-from weakhyp.quantize import (SymbolField, hermiticity_defect, quantize,
-                              sample_symbol)
+from weakhyp.quantize import (SymbolField, apply, hermiticity_defect,
+                              quantize, sample_symbol)
 from weakhyp.solver import (NonlinearityF, RunConfig, rhs_parts,
                             verify_breakdown_identity, wave_packet)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
+
+# the package re-exports the function `energy` under the module's name
+energy_module = importlib.import_module("weakhyp.energy")
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +68,22 @@ class TestSymmetrizer:
             dt_b = -0.5 * coeff.dt_a(t, x) * full_b.samples.real ** 3
             assert np.array_equal(sym.dt_b_matrix(),
                                   quantize(SymbolField(grid, dt_b)))
+
+    def test_kernels_are_real(self, sb_c1, grid128, rng, monkeypatch):
+        dtypes = []
+
+        def recording(p):
+            K = quantize(p)
+            dtypes.append(K.dtype)
+            return K
+
+        monkeypatch.setattr(energy_module, "quantize", recording)
+        sym = Symmetrizer(grid128, sb_c1, 0.07)
+        sym.dt_b_matrix()
+        garding_sign_probe(_random_state(grid128, rng), sym, 0.2, 0.5)
+        # op(b), op(dt b) and op(sqrt(dt a) b)
+        assert dtypes == [np.float64] * 3
+        assert sym.b_matrix.dtype == np.float64
 
     def test_samples_one_row_per_distinct_coefficient_pair(self, coeff,
                                                            grid128):
@@ -272,7 +293,7 @@ class TestGardingProbe:
             sym = Symmetrizer(grid, sb, t)
             g = np.sqrt(np.maximum(coeff.dt_a(t, x), 0.0)) * sb.b(t, x, grid.xi)
             G = quantize(SymbolField(grid, g))
-            w = sym.b_matrix @ weight_values(grid, st[1], 0.2, 0.5)
-            reference = float(np.real(grid.inner(G @ (G @ w), w)))
+            w = apply(sym.b_matrix, weight_values(grid, st[1], 0.2, 0.5))
+            reference = float(np.real(grid.inner(apply(G, apply(G, w)), w)))
             assert np.array_equal(garding_sign_probe(st, sym, 0.2, 0.5),
                                   reference)

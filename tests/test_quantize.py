@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map, _wrapped_difference,
-                              dequantize, distinct_rows, hermiticity_defect,
+                              apply, dequantize, distinct_rows,
+                              hermiticity_defect,
                               invert_b, multiplication_matrix,
                               multiplier_matrix, operator_norm, quantize,
                               sample_symbol, sample_symbol_b)
@@ -170,6 +171,128 @@ class TestWeylGatherCache:
         grid = Grid(n, 1.0, 0.5)
         back = quantize(dequantize(K, grid))
         assert np.abs(back - K).max() < 1e-13 * np.abs(K).max()
+
+
+EPS = np.finfo(float).eps
+
+
+def _mirror(n):
+    """The column (-k) mod n of every frequency column k."""
+    return (-np.arange(n)) % n
+
+
+def _conjugate_even_field(n, seed):
+    """Random samples with s[:, -k] == conj(s[:, k]) bit for bit."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(2 * n, n)) + 1j * rng.normal(size=(2 * n, n))
+    # a + conj(b) and b + conj(a) are conjugate: IEEE addition commutes
+    return s + s[:, _mirror(n)].conj()
+
+
+def _flip_last_bit(samples, index):
+    """A copy of `samples` with the last bit of one float flipped."""
+    flipped = samples.copy()
+    flipped.view(np.int64)[index] ^= 1
+    return flipped
+
+
+class TestRealKernels:
+    @pytest.mark.parametrize("n", [2, 4, 64, 256])
+    def test_conjugate_even_field_gives_real_kernel(self, n):
+        for samples in (_conjugate_even_field(n, n),
+                        _conjugate_even_field(n, n + 1).real):
+            p = SymbolField(Grid(n, 1.0, 0.5), samples)
+            K = quantize(p)
+            assert K.dtype == np.float64
+            weyl = _reference_kernel(p)
+            scale = np.abs(K).max()
+            assert np.abs(K - weyl.real).max() <= 4 * EPS * scale
+            assert np.abs(weyl.imag).max() <= 4 * EPS * scale
+
+    def test_real_samples_keep_their_dtype(self, grid64):
+        for dtype, kept in ((np.float64, np.float64), (np.float32, complex),
+                            (np.int64, complex), (complex, complex)):
+            p = SymbolField(grid64, np.ones((2, 64), dtype=dtype),
+                            rows=np.zeros(128, dtype=int))
+            assert p.samples.dtype == kept
+
+    @pytest.mark.parametrize("n", [4, 64, 256])
+    def test_other_fields_keep_the_complex_path(self, n):
+        even = _conjugate_even_field(n, n)
+        rng = np.random.default_rng(n)
+        # (row, float) positions in the (2n, 2n) float view: the real
+        # part of column 1, the imaginary parts of columns 0 and n/2 and
+        # the real part of the last column
+        fields = [rng.normal(size=(2 * n, n)) + 1j * rng.normal(size=(2 * n, n)),
+                  _flip_last_bit(even, (3, 2)),
+                  _flip_last_bit(even, (0, 1)),
+                  _flip_last_bit(even, (n // 3, n + 1)),
+                  _flip_last_bit(even, (2 * n - 1, 2 * n - 2)),
+                  _flip_last_bit(even.real.copy(), (5, n - 1))]
+        for samples in fields:
+            p = SymbolField(Grid(n, 1.0, 0.5), samples)
+            K = quantize(p)
+            assert np.iscomplexobj(K)
+            assert np.array_equal(K, _reference_kernel(p))
+
+    @pytest.mark.parametrize("n", [2, 4, 64, 256])
+    def test_dequantize_of_real_kernel_is_conjugate_even(self, sb_c1, n):
+        grid = Grid(n, 1.0, 0.5)
+        K = quantize(sample_symbol_b(sb_c1, grid, 0.02))
+        assert K.dtype == np.float64
+        s = dequantize(K, grid).samples
+        assert np.array_equal(s[:, _mirror(n)], s.conj())
+        back = quantize(dequantize(K, grid))
+        assert back.dtype == np.float64
+        assert np.abs(back - K).max() <= 1e-13 * np.abs(K).max()
+        # the complex path extracts the same symbol to roundoff
+        full = dequantize(K.astype(complex), grid).samples
+        assert np.abs(s - full).max() <= 1e-13 * np.abs(full).max()
+
+    def test_invert_b_forms_real_kernels(self, sb_c1, grid64, monkeypatch):
+        dtypes = []
+
+        def recording(p):
+            K = quantize(p)
+            dtypes.append(K.dtype)
+            return K
+
+        monkeypatch.setattr(quantize_module, "quantize", recording)
+        invert_b(sb_c1, 2, 0.02, grid64)
+        assert dtypes == [np.float64] * 4
+
+    def test_norm_of_real_matrix_is_top_singular_value(self, rng):
+        A = rng.normal(size=(48, 48))
+        sigma = np.linalg.svd(A, compute_uv=False)[0]
+        assert operator_norm(A, max_iter=2000) == pytest.approx(sigma,
+                                                                rel=1e-6)
+
+
+class TestApply:
+    @pytest.mark.parametrize("shape", [(64,), (64, 4)])
+    def test_matches_complex_product(self, rng, shape):
+        K = rng.normal(size=(64, 64))
+        X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = apply(K, X)
+        ref = K.astype(complex) @ X
+        assert got.shape == ref.shape and got.dtype == complex
+        # a few ulps of the sum of |K| |X| that each entry rounds
+        bound = 8 * EPS * (np.abs(K) @ (np.abs(X.real) + np.abs(X.imag)))
+        assert np.all(np.abs(got.real - ref.real) <= bound)
+        assert np.all(np.abs(got.imag - ref.imag) <= bound)
+
+    def test_reads_strided_right_hand_sides(self, rng):
+        K = rng.normal(size=(32, 32))
+        rows = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
+        assert np.array_equal(apply(K, rows.T), apply(K, rows.T.copy()))
+
+    def test_other_dtypes_take_the_plain_product(self, rng):
+        K = rng.normal(size=(16, 16))
+        x = rng.normal(size=16)
+        assert np.array_equal(apply(K, x), K @ x)
+        Kc = K + 1j * rng.normal(size=(16, 16))
+        xc = x + 1j * rng.normal(size=16)
+        assert np.array_equal(apply(Kc, xc), Kc @ xc)
 
 
 def _random_row_map(n, seed):
@@ -343,7 +466,9 @@ def reference_invert_b(sb, nu, t, grid):
     the full-lattice sampling of b."""
     b_field = sample_symbol(grid, lambda x, xi: sb.b(t, x, xi))
     B = quantize(b_field)
-    eye = np.eye(grid.n, dtype=complex)
+    # B and every op(c_k) are real kernels; a real identity keeps the
+    # defects real, as in invert_b
+    eye = np.eye(grid.n)
     c = 1.0 / b_field.samples
 
     def defect_of(c_samples):
