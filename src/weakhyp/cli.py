@@ -31,9 +31,8 @@ from .constraints import constraint_table, minimal_feasible_sigma
 from .quantize import (SymbolField, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol_b)
 from .reporting import write_csv, write_json
-from .solver import (EnergyTrace, NonlinearityF, RunConfig,
-                     SolverBlowupError, integrate, measure_tau_threshold,
-                     observe, run_with_energy)
+from .solver import (EnergyTrace, RunConfig, SolverBlowupError, integrate,
+                     measure_tau_threshold, observe, run_with_energy)
 from .spectral import SQUARE_CAP, Grid
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
@@ -138,9 +137,9 @@ def _symbol_b(cfg_raw: dict, default_c: float) -> SymbolB:
 # RunConfig validates the keys without a rule
 ENERGY_RULES = dict.fromkeys(
     ("n", "length", "sigma", "c", "tau0", "packet_xi", "packet_width",
-     "packet_component", "sample_stride", "horizon", "coeff")) | {
+     "packet_component", "sample_stride", "horizon", "nonlinear",
+     "coeff")) | {
     "taudot": RATE, "taudot_factor": RATE,
-    "nonlinear": BOOL, "f21_zero": BOOL,
     "assert_max_ratio": (lambda v: v is None or _real(v),
                          "null or a finite real"),
 }
@@ -158,9 +157,6 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     passed = {f.name for f in fields(RunConfig)} - {"coeff", "taudot"}
     kwargs = {k: v for k, v in cfg_raw.items() if k in passed}
     kwargs["coeff"] = coeff
-    # the default F has only its F21 entry, so f21_zero leaves F = 0
-    if not cfg_raw.get("nonlinear", True) or cfg_raw.get("f21_zero", False):
-        kwargs["nonlinearity"] = NonlinearityF.zero()
     try:
         cfg = RunConfig(**kwargs)
     except (TypeError, ValueError) as err:
@@ -403,6 +399,7 @@ def run_scenario(scenario: Scenario) -> int:
     The writers make the output directory, so a scenario that does not
     validate leaves none behind.  An output directory that cannot be
     written exits 2, and so does an empty one: it names the working one.
+    A size whose arrays cannot be allocated exits 2 as well.
     """
     try:
         if not scenario.output_dir:
@@ -412,7 +409,7 @@ def run_scenario(scenario: Scenario) -> int:
         if failures:
             write_json(os.path.join(scenario.output_dir, "failures.json"),
                        {"failures": failures})
-    except (ScenarioError, OSError) as err:
+    except (ScenarioError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 1 if failures else 0

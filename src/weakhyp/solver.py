@@ -6,8 +6,8 @@ The system is
     d/dt u2 = a(t,x) d/dx u1 + (F(t,x,u) u)_2
 
 integrated by classical RK4 with spectral d/dx, under the CFL rule
-dt <= CFL * dx / max(1, sup sqrt(a)).  The default nonlinearity places
-u1 times a plateau profile in the (2,1) entry of F, which reproduces
+dt <= CFL * dx / max(1, sup sqrt(a)).  A nonlinear run places u1
+times the plateau profile chi in the (2,1) entry of F, which reproduces
 the wave-like equation d_t^2 u1 = d_x(a d_x u1) + d_x(u1^2) on the
 plateau.  Runs record the Gevrey energy budget along the trajectory in
 two phases: `integrate` keeps the state at each record, and `observe`
@@ -24,7 +24,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
 
 __all__ = [
-    "NonlinearityF",
     "RunConfig",
     "EnergyTrace",
     "CFLError",
@@ -65,40 +64,6 @@ class CFLError(ValueError):
 
 class SolverBlowupError(RuntimeError):
     pass
-
-
-@dataclass
-class NonlinearityF:
-    """F(t,x,u) with the one entry (F)_21 = profile(t, x) * u1.
-
-    The paper allows any F entire in u; this is the entry whose
-    constraint c/2 - sigma <= 0 makes sigma = 1/2 sharp.  With no
-    `profile`, F = 0.  The profile should be supported inside the outer
-    bump ball so the source respects the compact-support setup.
-    """
-
-    profile: Optional[Callable] = None
-
-    @staticmethod
-    def zero() -> "NonlinearityF":
-        return NonlinearityF()
-
-    @staticmethod
-    def wave_default(coeff: CoefficientField) -> "NonlinearityF":
-        """F with (F)_{21} = u1 * plateau, the wave-equation source."""
-        def profile(t, x):
-            return coeff.chi(x)
-        return NonlinearityF(profile)
-
-    def is_zero(self) -> bool:
-        return self.profile is None
-
-    def apply(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F(t,x,u) u as a (2, n) array: (0, profile * u1 * u1)."""
-        source = np.zeros_like(u)
-        if self.profile is not None:
-            source[1] = self.profile(t, x) * u[0] * u[0]
-        return source
 
 
 def _packet_window(grid: Grid, xi_center: float, width: float) -> np.ndarray:
@@ -136,7 +101,7 @@ class RunConfig:
     tau0: float = 1.0
     taudot: float = 0.0
     coeff: CoefficientField = field(default_factory=CoefficientField)
-    nonlinearity: Optional[NonlinearityF] = None
+    nonlinear: bool = True             # F has (F)_21 = u1 * chi(x), else F = 0
     horizon: Optional[float] = None
     sample_stride: int = 1
     packet_xi: float = 24.0
@@ -182,6 +147,8 @@ class RunConfig:
             raise ValueError(
                 f"c = {self.c} violates the uncertainty-principle bound c <= 2"
             )
+        if not isinstance(self.nonlinear, bool):
+            raise ValueError(f"nonlinear = {self.nonlinear!r} must be a bool")
         comp, stride = self.packet_component, self.sample_stride
         if (isinstance(comp, bool) or not isinstance(comp, numbers.Integral)
                 or comp not in (1, 2)):
@@ -214,8 +181,6 @@ class RunConfig:
                 f"{self.packet_width!r} keeps no frequency of the n = "
                 f"{self.n} grid (|xi| <= {self.grid.xi_max:g})"
             )
-        if self.nonlinearity is None:
-            self.nonlinearity = NonlinearityF.wave_default(self.coeff)
 
     @cached_property
     def grid(self) -> Grid:
@@ -262,8 +227,7 @@ class RunConfig:
 
     def describe(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("coeff", "nonlinearity")}
-        d["nonlinear"] = not self.nonlinearity.is_zero()
+             if f.name != "coeff"}
         d["coeff"] = asdict(self.coeff)
         return d
 
@@ -271,12 +235,15 @@ class RunConfig:
 def rhs_parts(cfg: RunConfig, t: float, u: np.ndarray):
     """The transport (d/dx u2, a d/dx u1) and the source F(u)u at time t.
 
-    Both are (2, n) arrays; the source is zero for a linear system.
+    Both are (2, n) arrays; the source is (0, chi * u1 * u1), or zero
+    for a linear system.
     """
     grid = cfg.grid
     dx_u1, dx_u2 = grid.multiply(u, grid.dxi)
     transport = np.stack((dx_u2, cfg.coeff.a(t, grid.x) * dx_u1))
-    source = cfg.nonlinearity.apply(t, grid.x, u)
+    source = np.zeros_like(u)
+    if cfg.nonlinear:
+        source[1] = cfg.coeff.chi(grid.x) * u[0] * u[0]
     if not (np.all(np.isfinite(transport)) and np.all(np.isfinite(source))):
         raise SolverBlowupError(f"non-finite right-hand side at t = {t}")
     return transport, source
@@ -449,17 +416,15 @@ def run_with_energy(cfg: RunConfig) -> EnergyTrace:
     return observe(cfg, integrate(cfg))
 
 
-def measure_tau_threshold(run) -> float:
+def measure_tau_threshold(run: Trajectory) -> float:
     """max_t (|E2|+|E3|+|E4|)/E1 of a pilot trajectory at taudot = 0.
 
-    `run` is a Trajectory integrated to T, or a RunConfig to integrate
-    one for, with its taudot set to 0.  Any taudot above the threshold
-    makes the energy budget strictly dissipative; callers typically take
-    twice the measured value and observe the same trajectory again at
-    that rate.  Raises SolverBlowupError if the pilot aborted.
+    `run` is a Trajectory integrated to T.  Any taudot above the
+    threshold makes the energy budget strictly dissipative; callers
+    typically take twice the measured value and observe the same
+    trajectory again at that rate.  Raises SolverBlowupError if the
+    pilot aborted.
     """
-    if isinstance(run, RunConfig):
-        run = integrate(replace(run, taudot=0.0))
     trace = observe(replace(run.cfg, taudot=0.0), run)
     if trace.aborted:
         raise SolverBlowupError(f"pilot run aborted: {trace.abort_reason}")

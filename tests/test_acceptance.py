@@ -22,8 +22,8 @@ from weakhyp.quantize import (SymbolField, hermiticity_defect, invert_b,
                               multiplication_matrix, multiplier_matrix,
                               operator_norm, quantize, sample_symbol,
                               sample_symbol_b)
-from weakhyp.solver import (NonlinearityF, RunConfig,
-                            measure_tau_threshold, run_with_energy, step_rk4,
+from weakhyp.solver import (RunConfig, integrate, measure_tau_threshold,
+                            run_with_energy, step_rk4,
                             verify_breakdown_identity)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import CoefficientField, PhaseMetric, SymbolB
@@ -61,12 +61,9 @@ def test_criterion_2_energy_estimate_shadow():
     runs = [(s, nl) for nl in (False, True) for s in (0.5, 0.6, 0.75)]
     for sigma, nonlinear in runs:
         t0 = time.time()
-        kwargs = dict(n=256, sigma=sigma, tau0=1.0, coeff=coeff,
-                      sample_stride=2, packet_xi=24.0)
-        if not nonlinear:
-            kwargs["nonlinearity"] = NonlinearityF.zero()
-        cfg = RunConfig(**kwargs)
-        threshold = measure_tau_threshold(cfg)
+        cfg = RunConfig(n=256, sigma=sigma, tau0=1.0, coeff=coeff,
+                        sample_stride=2, packet_xi=24.0, nonlinear=nonlinear)
+        threshold = measure_tau_threshold(integrate(cfg))
         cfg = replace(cfg, taudot=2.0 * threshold)
         trace = run_with_energy(cfg)
         ratio = trace.max_ratio()
@@ -84,8 +81,7 @@ def test_criterion_3_decay_term_necessity():
     ratios = []
     for n in (128, 256):
         cfg = RunConfig(n=n, sigma=0.75, tau0=1.0, coeff=coeff, taudot=0.0,
-                        sample_stride=8, packet_xi=32.0,
-                        nonlinearity=NonlinearityF.zero())
+                        sample_stride=8, packet_xi=32.0, nonlinear=False)
         ratios.append(run_with_energy(cfg).max_ratio())
     grew = max(ratios) > 2.0
     monotone = ratios[1] > ratios[0]

@@ -15,7 +15,7 @@ import weakhyp.solver as solver_module
 
 from weakhyp.cli import Scenario, ScenarioError, load_scenario, main, run_scenario
 from weakhyp.reporting import write_csv
-from weakhyp.solver import (EnergyTrace, NonlinearityF, RunConfig, integrate,
+from weakhyp.solver import (EnergyTrace, RunConfig, integrate,
                             measure_tau_threshold, run_with_energy)
 from weakhyp.symbols import CoefficientField
 
@@ -123,7 +123,7 @@ class TestValidationExitCodes:
                                      {"coeff": {"x0": 1.5}},
                                      {"assert_max_ratio": "x"},
                                      {"nonlinear": "no"},
-                                     {"f21_zero": "yes"},
+                                     {"nonlinear": 1},
                                      {"n": 4096, "sigma": 0.9, "tau0": 1.0},
                                      {"coeff": {"T_outer": float("inf")}}])
     def test_bad_energy_config_exits_2_without_traceback(self, tmp_path,
@@ -147,7 +147,7 @@ class TestValidationExitCodes:
         {"taudot": -1.0}, {"taudot_factor": "fast"},
         {"taudot_factor": True}, {"packet_component": 7},
         {"sample_stride": 0}, {"assert_max_ratio": "x"},
-        {"nonlinear": "no"}, {"f21_zero": "yes"}, {"tau0": -0.5},
+        {"nonlinear": "no"}, {"nonlinear": 1}, {"tau0": -0.5},
         {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9},
         {"packet_width": 1e308}, {"length": 1e300},
         # a factor scales only the measured rate, not a given one
@@ -389,7 +389,7 @@ class TestEnergyScenario:
     def _reference(self, tmp_path, factor):
         """measure_tau_threshold, then run_with_energy at factor times it."""
         cfg = RunConfig(coeff=CoefficientField(), **self.PILOT)
-        threshold = measure_tau_threshold(cfg)
+        threshold = measure_tau_threshold(integrate(cfg))
         final = replace(cfg, taudot=factor * threshold)
         path = tmp_path / "reference.csv"
         write_csv(str(path), run_with_energy(final).rows(),
@@ -428,11 +428,11 @@ class TestEnergyScenario:
     @pytest.mark.parametrize("t_blowup", [0.01, -1.0])
     def test_aborted_pilot_exits_1_naming_its_reason(self, tmp_path,
                                                      monkeypatch, t_blowup):
-        # -1: the right-hand side is not finite at the first record
-        explode = NonlinearityF(lambda t, x: np.where(
-            t > t_blowup, np.nan, 0.0))
-        monkeypatch.setattr(NonlinearityF, "wave_default",
-                            staticmethod(lambda coeff: explode))
+        # every right-hand side past t_blowup sees a NaN state; at -1
+        # the right-hand side is not finite at the first record
+        parts = solver_module.rhs_parts
+        monkeypatch.setattr(solver_module, "rhs_parts", lambda cfg, t, u: parts(
+            cfg, t, u if t <= t_blowup else np.full_like(u, np.nan)))
         out = tmp_path / "pilot"
         s = Scenario("energy_estimate", dict(self.PILOT, taudot="auto"),
                      str(out))
@@ -443,14 +443,13 @@ class TestEnergyScenario:
         assert failure["detail"].startswith(
             "pilot run aborted: non-finite right-hand side at t = ")
 
-    def test_f21_zero_is_the_linear_run(self, tmp_path):
-        # the default F is its F21 entry alone, so f21_zero leaves F = 0
-        runs = [self._summary(tmp_path, "f21", nonlinear=True, f21_zero=True),
-                self._summary(tmp_path, "linear", nonlinear=False)]
-        assert runs[0] == runs[1]
-        assert runs[0]["config"]["nonlinear"] is False
-        assert ((tmp_path / "f21" / "trace.csv").read_bytes()
-                == (tmp_path / "linear" / "trace.csv").read_bytes())
+    def test_f21_zero_is_no_energy_key(self, tmp_path, capsys):
+        # `nonlinear: false` is the one key that switches F off
+        s = Scenario("energy_estimate", dict(self.PILOT, f21_zero=True),
+                     str(tmp_path / "out"))
+        assert run_scenario(s) == 2
+        assert "unknown keys in config: f21_zero" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_hash_tells_rate_rules_apart(self, tmp_path):
         hashes = {self._summary(tmp_path, str(i), taudot=taudot)["config_hash"]

@@ -19,8 +19,10 @@ from weakhyp import cli
 from weakhyp.cli import Scenario, run_scenario
 from weakhyp.symbols import CoefficientField
 
+# 2**50 doubles exceed the 48-bit address space, so an array of that
+# size fails to allocate at once, whatever the overcommit policy
 POOL = ("x", [], {}, None, True, math.nan, math.inf, -math.inf, 0, -1, 1e308,
-        1e-200, 5e-324)
+        1e-200, 5e-324, 2**50)
 
 RULES = {
     "energy_estimate": cli.ENERGY_RULES,
@@ -81,6 +83,10 @@ REPRODUCTIONS = [
     ("quantizer_audit", {"c": 1e-17}, 1),
     # a factor that cannot scale a given rate changed only the hash
     ("energy_estimate", {"taudot": 0, "taudot_factor": 2}, 2),
+    # sizes whose arrays cannot be allocated raised MemoryError
+    ("energy_estimate", {"n": 2**50}, 2),
+    ("metric_audit", {"n_pairs": 2**50}, 2),
+    ("quantizer_audit", {"sizes": [2**50]}, 2),
     # `weakhyp table --step 0.1 --out ""` wrote into the working
     # directory; an optional fourth entry is the output_dir
     ("constraint_table", {}, 2, ""),

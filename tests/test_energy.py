@@ -9,8 +9,8 @@ from weakhyp.energy import (Symmetrizer, conjugated_matrix,
                             weight_values)
 from weakhyp.quantize import (SymbolField, apply, hermiticity_defect,
                               quantize, sample_symbol)
-from weakhyp.solver import (NonlinearityF, RunConfig, rhs_parts,
-                            verify_breakdown_identity, wave_packet)
+from weakhyp.solver import (RunConfig, rhs_parts, verify_breakdown_identity,
+                            wave_packet)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
 
@@ -222,8 +222,7 @@ class TestBreakdown:
         assert bd.E == bd.E1 == bd.E2 == bd.E3 == bd.E4 == 0.0
 
     def test_linear_run_has_zero_e4(self, grid128, coeff, rng):
-        cfg = RunConfig(n=128, sigma=0.5, coeff=coeff,
-                        nonlinearity=NonlinearityF.zero())
+        cfg = RunConfig(n=128, sigma=0.5, coeff=coeff, nonlinear=False)
         sym = Symmetrizer(grid128, cfg.symbol_b(), 0.0)
         st = _random_state(grid128, rng)
         bd = dt_energy_breakdown(st, *rhs_parts(cfg, 0.0, st), sym, cfg.tau0,
@@ -258,7 +257,7 @@ class TestDomination:
                         (512, 40.0)):
             cfg = RunConfig(n=n, sigma=0.5, tau0=1.0, coeff=coeff,
                             taudot=0.0, sample_stride=8, packet_xi=xi_c,
-                            nonlinearity=NonlinearityF.zero())
+                            nonlinear=False)
             vals.append(run_with_energy(cfg).max_ratio_sum())
         assert max(vals) <= 6.0
         assert max(vals) <= 2.0 * min(vals)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weakhyp.energy import Symmetrizer
-from weakhyp.solver import (CFLError, NonlinearityF, RunConfig,
+from weakhyp.solver import (CFLError, RunConfig,
                             SolverBlowupError, integrate,
                             measure_tau_threshold, observe, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
@@ -22,7 +22,7 @@ def free_cfg(coeff):
     """F == 0, and a == 0 from t = T_outer on: there the system is the
     nilpotent constant-coefficient one."""
     return RunConfig(n=64, sigma=0.5, tau0=0.5, coeff=coeff,
-                     nonlinearity=NonlinearityF.zero(), length=1.0)
+                     nonlinear=False, length=1.0)
 
 
 class TestRhs:
@@ -40,16 +40,19 @@ class TestRhs:
         assert np.abs(d1 - 2j * np.pi * g.xi[k] * u2).max() < 1e-12
         assert np.abs(d2).max() == 0.0
 
-    def test_blowup_detection(self, coeff):
-        bad = NonlinearityF(lambda t, x: np.full_like(x, np.nan))
-        cfg = RunConfig(n=64, coeff=coeff, nonlinearity=bad)
-        with pytest.raises(SolverBlowupError):
-            rhs(cfg, 0.0, np.ones((2, cfg.n), dtype=complex))
+    # a NaN in u1 reaches the transport; u1 = 1e200 is constant, so its
+    # derivative is 0 and only the source u1 * u1 overflows
+    @pytest.mark.parametrize("u1", [np.nan, 1e200])
+    def test_blowup_detection(self, coeff, u1):
+        cfg = RunConfig(n=64, coeff=coeff)
+        u = np.zeros((2, cfg.n), dtype=complex)
+        u[0] = u1
+        with np.errstate(over="ignore"), pytest.raises(SolverBlowupError):
+            rhs(cfg, 0.0, u)
 
     @pytest.mark.parametrize("nonlinear", [False, True])
     def test_rhs_is_the_sum_of_its_parts(self, coeff, nonlinear):
-        kwargs = {} if nonlinear else {"nonlinearity": NonlinearityF.zero()}
-        cfg = RunConfig(n=64, coeff=coeff, packet_xi=8.0, **kwargs)
+        cfg = RunConfig(n=64, coeff=coeff, packet_xi=8.0, nonlinear=nonlinear)
         u = cfg.initial_state()
         u[0] = 0.3 * u[1] + np.roll(u[1], 5)
         transport, source = rhs_parts(cfg, 0.02, u)
@@ -84,7 +87,7 @@ class TestStepRK4:
         assert np.abs(u[1] - u2).max() < 1e-10
 
     def test_fourth_order_convergence(self, coeff):
-        cfg = RunConfig(n=64, coeff=coeff, nonlinearity=NonlinearityF.zero(),
+        cfg = RunConfig(n=64, coeff=coeff, nonlinear=False,
                         packet_xi=6.0, packet_width=0.03)
         u0 = cfg.initial_state()
         t_end = 16 * cfg.max_dt()
@@ -135,6 +138,10 @@ class TestRunConfig:
             cfg = RunConfig(sigma=sigma, coeff=coeff)
             assert cfg.c == pytest.approx(2 * (1 - sigma))
 
+    def test_configs_built_apart_are_equal(self):
+        assert RunConfig(n=64) == RunConfig(n=64)
+        assert RunConfig(n=64) != RunConfig(n=64, nonlinear=False)
+
     def test_rejects_c_above_two(self, coeff):
         with pytest.raises(ValueError, match="uncertainty"):
             RunConfig(c=3.0, coeff=coeff)
@@ -160,7 +167,8 @@ class TestRunConfig:
         {"packet_width": "x"}, {"packet_width": -0.02},
         {"packet_width": 0.0}, {"horizon": "x"}, {"horizon": -1.0},
         {"horizon": float("nan")}, {"taudot": float("nan")},
-        {"taudot": float("inf")}, {"taudot": "1"}])
+        {"taudot": float("inf")}, {"taudot": "1"}, {"nonlinear": "yes"},
+        {"nonlinear": 1}])
     def test_rejects_mistyped_values(self, coeff, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(coeff=coeff, **bad)
@@ -218,14 +226,14 @@ class TestRunWithEnergy:
 
     def test_linear_run_has_zero_e4(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0,
-                        nonlinearity=NonlinearityF.zero())
+                        nonlinear=False)
         trace = run_with_energy(cfg)
         assert not trace.aborted and len(trace.breakdowns) > 1
         assert all(b.E4 == 0.0 for b in trace.breakdowns)
 
     def test_support_control_along_run(self, coeff):
         cfg = RunConfig(n=256, coeff=coeff, packet_xi=24.0, taudot=0.0,
-                        sample_stride=16, nonlinearity=NonlinearityF.zero())
+                        sample_stride=16, nonlinear=False)
         u, t = cfg.initial_state(), 0.0
         g = cfg.grid
         dt = cfg.max_dt()
@@ -237,10 +245,12 @@ class TestRunWithEnergy:
         total = g.norm2(u)
         assert mass < 1e-8 * total
 
-    def test_abort_keeps_partial_trace(self, coeff):
-        explode = NonlinearityF(lambda t, x: np.where(t > 0.01, np.nan, 0.0))
-        cfg = RunConfig(n=64, coeff=coeff, nonlinearity=explode,
-                        sample_stride=1)
+    def test_abort_keeps_partial_trace(self, coeff, monkeypatch):
+        # every right-hand side past t = 0.01 sees a NaN state
+        parts = solver_module.rhs_parts
+        monkeypatch.setattr(solver_module, "rhs_parts", lambda cfg, t, u: parts(
+            cfg, t, u if t <= 0.01 else np.full_like(u, np.nan)))
+        cfg = RunConfig(n=64, coeff=coeff, sample_stride=1)
         trace = run_with_energy(cfg)
         assert trace.aborted
         assert len(trace.breakdowns) >= 1
@@ -282,7 +292,8 @@ class TestTrajectory:
     def test_one_trajectory_serves_every_rate_with_its_step_plan(
             self, pilot_cfg):
         traj = integrate(pilot_cfg)
-        assert measure_tau_threshold(traj) == measure_tau_threshold(pilot_cfg)
+        assert (measure_tau_threshold(traj)
+                == run_with_energy(pilot_cfg).max_ratio_sum())
         for taudot in (0.0, 1.0, 5.0):
             cfg = replace(pilot_cfg, taudot=taudot)
             assert traj.covers(cfg)
@@ -290,6 +301,11 @@ class TestTrajectory:
             direct = run_with_energy(cfg)
             assert observed.initial_energy == direct.initial_energy
             assert list(observed.rows()) == list(direct.rows())
+
+    def test_observe_accepts_an_equal_config_built_apart(self):
+        traj = integrate(RunConfig(n=64, sample_stride=8))
+        trace = observe(RunConfig(n=64, sample_stride=8), traj)
+        assert len(trace.breakdowns) == len(traj.states)
 
     @pytest.mark.parametrize("change", [{"taudot": 40.0}, {"sigma": 0.6},
                                         {"sample_stride": 2}])
