@@ -46,21 +46,19 @@ class StepBudgetError(RuntimeError):
     pass
 
 
-def _on_array(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
-    """A scalar callable applied to every entry of `t`."""
-    return np.vectorize(fn, otypes=[float])(t)
-
-
 @dataclass(frozen=True)
 class TimeCoefficient:
-    """Nonnegative coefficient a(t) on [0, T] and its C^k class."""
+    """Nonnegative coefficient a(t) on [0, T] and its C^k class.
 
-    fn: Callable[[float], float]
+    `fn` maps an array of times to the array of values of a.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     k: int
     name: str = ""
 
     def sup_a(self, T: float) -> float:
-        return float(np.max(_on_array(self.fn, np.linspace(0.0, T, 4096))))
+        return float(np.max(self.fn(np.linspace(0.0, T, 4096))))
 
 
 def coefficient_linear() -> TimeCoefficient:
@@ -73,7 +71,8 @@ def coefficient_parabola(t_star: float = 0.5) -> TimeCoefficient:
 
 
 def coefficient_constant(value: float = 1.0) -> TimeCoefficient:
-    return TimeCoefficient(fn=lambda t: value, k=1, name=f"a(t)={value}")
+    return TimeCoefficient(fn=lambda t: np.full(np.shape(t), value), k=1,
+                           name=f"a(t)={value}")
 
 
 def _mode_dt(tc: TimeCoefficient, xi: float, T: float) -> float:
@@ -97,7 +96,7 @@ def _propagator(tc: TimeCoefficient, xi: float, T: float,
         dt = _mode_dt(tc, xi, T)
     steps = int(round(T / dt))
     t = np.add.accumulate(np.r_[0.0, np.full(steps, dt)])   # as t += dt
-    a = _on_array(tc.fn, t)
+    a = tc.fn(t)
     # the generator A(t) = [[0, 1], [-a(t) xi^2, 0]] is N - a(t) xi^2 E
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     E = N.T
@@ -106,7 +105,7 @@ def _propagator(tc: TimeCoefficient, xi: float, T: float,
     for start in range(0, steps, BLOCK):
         stop = min(start + BLOCK, steps)
         A = N - np.multiply.outer(xi * xi * a[start:stop + 1], E)
-        a_mid = _on_array(tc.fn, t[start:stop] + 0.5 * dt)
+        a_mid = tc.fn(t[start:stop] + 0.5 * dt)
         Am = N - np.multiply.outer(xi * xi * a_mid, E)
         K1 = A[:-1]
         K2 = Am + 0.5 * dt * (Am @ K1)

@@ -31,9 +31,10 @@ from .constraints import constraint_table, minimal_feasible_sigma
 from .quantize import (SymbolField, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol_b)
 from .reporting import write_csv, write_json
-from .solver import (EnergyTrace, RunConfig, SolverBlowupError, integrate,
-                     measure_tau_threshold, observe, run_with_energy)
-from .spectral import SQUARE_CAP, Grid
+from .solver import (RATE_FACTOR, EnergyTrace, RunConfig, SolverBlowupError,
+                     integrate, measure_tau_threshold, observe,
+                     run_with_energy)
+from .spectral import Grid
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
@@ -82,8 +83,8 @@ NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a finite real >= 0")
 POSITIVE = (lambda v: _real(v) and v > 0, "a finite real > 0")
 COUNT = (lambda v: _int(v) and v >= 0, "an int >= 0")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
-RATE = (lambda v: v is None or v == "auto" or NONNEGATIVE[0](v),
-        '"auto", null or a finite real >= 0')
+RATE = (lambda v: v == "auto" or NONNEGATIVE[0](v),
+        '"auto" or a finite real >= 0')
 
 
 def _check_config(section: dict, rules: dict) -> None:
@@ -136,10 +137,9 @@ def _symbol_b(cfg_raw: dict, default_c: float) -> SymbolB:
 
 # RunConfig validates the keys without a rule
 ENERGY_RULES = dict.fromkeys(
-    ("n", "length", "sigma", "c", "tau0", "packet_xi", "packet_width",
-     "packet_component", "sample_stride", "horizon", "nonlinear",
+    ("n", "sigma", "tau0", "packet_xi", "sample_stride", "nonlinear",
      "coeff")) | {
-    "taudot": RATE, "taudot_factor": RATE,
+    "taudot": RATE,
     "assert_max_ratio": (lambda v: v is None or _real(v),
                          "null or a finite real"),
 }
@@ -147,11 +147,7 @@ ENERGY_RULES = dict.fromkeys(
 
 def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, ENERGY_RULES)
-    taudot = cfg_raw.get("taudot")
-    factor = cfg_raw.get("taudot_factor")
-    if "taudot_factor" in cfg_raw and taudot not in (None, "auto"):
-        raise ScenarioError("taudot_factor scales only a measured taudot "
-                            f"(\"auto\" or null), not taudot = {taudot!r}")
+    taudot = cfg_raw.get("taudot", "auto")
     coeff = _coeff_from_config(cfg_raw.get("coeff"))
     # the RunConfig fields among the keys are passed through as given
     passed = {f.name for f in fields(RunConfig)} - {"coeff", "taudot"}
@@ -164,16 +160,16 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
 
     # the hash names the configuration: the rate rule as given, not the
     # rate the pilot measures for it
-    config_hash = cfg.content_hash(taudot=taudot, taudot_factor=factor)
+    config_hash = cfg.content_hash(taudot=taudot)
     threshold = pilot = None
-    if taudot is None or taudot == "auto":
+    if taudot == "auto":
         # cfg has taudot = 0: its trajectory is the pilot's
         pilot = integrate(cfg)
         try:
             threshold = measure_tau_threshold(pilot)
         except SolverBlowupError as err:
             return [{"check": "pilot_completed", "detail": str(err)}]
-        taudot = (2.0 if factor in (None, "auto") else factor) * threshold
+        taudot = RATE_FACTOR * threshold
     cfg = replace(cfg, taudot=float(taudot))
 
     # the pilot ends at T; a rate with tau0 / taudot < T ends earlier
@@ -231,13 +227,8 @@ def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
             for r in reports if not r.passed]
 
 
-# the largest xi_max whose <xi_max>^2 = 1 + xi_max^2 is a finite float
-XI_MAX_CAP = SQUARE_CAP
 METRIC_RULES = AUDIT_RULES | {
     "n_pairs": (lambda v: _int(v) and v >= 1, "an int >= 1"),
-    "xi_max": (lambda v: POSITIVE[0](v) and v <= XI_MAX_CAP,
-               f"a finite real > 0 and <= {XI_MAX_CAP:.17g}, above which "
-               "<xi_max>^2 overflows"),
     "seed": COUNT,
 }
 
@@ -245,7 +236,7 @@ METRIC_RULES = AUDIT_RULES | {
 def _run_metric_audit(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, METRIC_RULES)
     pm = PhaseMetric(_symbol_b(cfg_raw, 1.0))
-    kwargs = {k: cfg_raw[k] for k in ("t", "n_pairs", "xi_max", "seed")
+    kwargs = {k: cfg_raw[k] for k in ("t", "n_pairs", "seed")
               if k in cfg_raw}
     reports = audits.metric_admissibility_audit(pm, **kwargs)
     weight = audits.weight_admissibility_audit(
@@ -277,14 +268,13 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
         raise ScenarioError(f"config.coeff: {err}") from err
     records = []
     comp_norms = []
+    dumps = []
     for grid in grids:
         n = grid.n
         bf = sample_symbol_b(sb, grid, t)
         B = quantize(bf)
         if dump:
-            # raw row-major complex doubles, little-endian
-            os.makedirs(out, exist_ok=True)
-            B.astype("<c16").tofile(os.path.join(out, f"op_b_n{n}.bin"))
+            dumps.append((n, B))
         herm = hermiticity_defect(B)
         records.append({"check": f"hermiticity_n{n}", "constant": herm,
                         "pass": herm <= 1e-10})
@@ -307,6 +297,10 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
                     "pass": defects[0] >= defects[1] >= defects[2],
                     "defects": defects})
     write_json(os.path.join(out, "quantizer.json"), {"records": records})
+    # raw row-major complex doubles, little-endian, written next to
+    # quantizer.json: a size that fails leaves no dump behind
+    for n, B in dumps:
+        B.astype("<c16").tofile(os.path.join(out, f"op_b_n{n}.bin"))
     return [{"check": r["check"], "detail": "failed"}
             for r in records if not r["pass"]]
 

@@ -24,12 +24,10 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .spectral import (DEFAULT_MAX_EXPONENT, SQUARE_CAP, SQUARE_FLOOR,
-                       Grid, bracket)
+from .spectral import DEFAULT_MAX_EXPONENT, Grid, bracket
 from .symbols import CoefficientField, SymbolB
 from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
@@ -52,10 +50,12 @@ __all__ = [
 ]
 
 
-CFL = 0.25         # the step as a fraction of dx / max(1, sup sqrt(a))
-TAU0_BOUND = 2.0   # tau0 < R^(-s)/s of the coefficient's claimed Gevrey
-                   # class (s, R) = (1/2, 1); not a measured radius
-PACKET_CUT = 5.0   # a packet keeps the frequencies within this many widths
+CFL = 0.25           # the step as a fraction of dx / max(1, sup sqrt(a))
+TAU0_BOUND = 2.0     # tau0 < R^(-s)/s of the coefficient's claimed Gevrey
+                     # class (s, R) = (1/2, 1); not a measured radius
+PACKET_WIDTH = 0.02  # the Gaussian width of the initial packet in u2
+PACKET_CUT = 5.0     # a packet keeps the frequencies within this many widths
+RATE_FACTOR = 2.0    # an "auto" taudot is this multiple of the threshold
 
 
 class CFLError(ValueError):
@@ -66,28 +66,26 @@ class SolverBlowupError(RuntimeError):
     pass
 
 
-def _packet_window(grid: Grid, xi_center: float, width: float) -> np.ndarray:
+def _packet_window(grid: Grid, xi_center: float) -> np.ndarray:
     """The frequencies a packet keeps: |xi - xi_center| <= PACKET_CUT
-    spectral widths 1 / (2 pi width)."""
-    spec_width = 1.0 / (2.0 * np.pi * width)
+    spectral widths 1 / (2 pi PACKET_WIDTH)."""
+    spec_width = 1.0 / (2.0 * np.pi * PACKET_WIDTH)
     return np.abs(grid.xi - xi_center) <= PACKET_CUT * spec_width
 
 
-def wave_packet(grid: Grid, center: float, xi_center: float,
-                width: float) -> np.ndarray:
+def wave_packet(grid: Grid, center: float, xi_center: float) -> np.ndarray:
     """Gaussian packet modulated at xi_center, spectrally truncated.
 
     The hard truncation to `_packet_window` keeps the Gevrey-weighted
     norm meaningful and the support tails below 1e-8.
     """
     x = grid.x
-    env = np.exp(-((x - center) ** 2) / (2.0 * width ** 2))
+    env = np.exp(-((x - center) ** 2) / (2.0 * PACKET_WIDTH ** 2))
     vals = env * np.exp(2.0j * np.pi * xi_center * (x - center))
     # unitary pair, not Grid.multiply: that rounds the packet differently
     # and moves the recorded traces by up to ~3e-11 relative
     vh = np.fft.fft(vals, norm="ortho")
-    return np.fft.ifft(vh * _packet_window(grid, xi_center, width),
-                       norm="ortho")
+    return np.fft.ifft(vh * _packet_window(grid, xi_center), norm="ortho")
 
 
 @dataclass
@@ -95,64 +93,33 @@ class RunConfig:
     """Everything one trajectory needs; validates the admissible ranges."""
 
     n: int = 256
-    length: float = 1.0
     sigma: float = 0.5
-    c: Optional[float] = None          # defaults to the coupling 2(1 - sigma)
     tau0: float = 1.0
     taudot: float = 0.0
     coeff: CoefficientField = field(default_factory=CoefficientField)
     nonlinear: bool = True             # F has (F)_21 = u1 * chi(x), else F = 0
-    horizon: Optional[float] = None
     sample_stride: int = 1
     packet_xi: float = 24.0
-    packet_width: float = 0.02
-    packet_component: int = 2
 
     def __post_init__(self):
         n = self.n
         if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
                 or n <= 0 or n & (n - 1) != 0):
             raise ValueError(f"n = {n!r} must be a positive power-of-two int")
-        for name in ("length", "sigma", "tau0", "taudot", "c", "horizon",
-                     "packet_xi", "packet_width"):
+        for name in ("sigma", "tau0", "taudot", "packet_xi"):
             value = getattr(self, name)
-            if value is None and name in ("c", "horizon"):
-                continue  # optional; c defaults to the coupling below
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValueError(f"{name} = {value!r} must be a finite real number")
-        # the coefficient squares x - x0 and the packet its width
-        for name in ("length", "packet_width"):
+        for name in ("tau0", "taudot"):
             value = getattr(self, name)
-            if value <= 0.0:
-                raise ValueError(f"{name} = {value!r} must be positive")
-            if value > SQUARE_CAP:
-                raise ValueError(f"{name} = {value!r} must be <= "
-                                 f"{SQUARE_CAP:.17g}, above which its "
-                                 "square overflows")
-        # the packet divides by its width squared, which must not be 0
-        if self.packet_width < SQUARE_FLOOR:
-            raise ValueError(f"packet_width = {self.packet_width!r} must be "
-                             f">= {SQUARE_FLOOR:.17g}, below which its "
-                             "square underflows")
-        for name in ("tau0", "taudot", "horizon"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
+            if value < 0.0:
                 raise ValueError(f"{name} = {value!r} must be >= 0")
-        if self.c is None:
-            self.c = 2.0 * (1.0 - self.sigma)
         if not (0.0 < self.sigma < 1.0):
             raise ValueError(f"sigma = {self.sigma} must lie in (0, 1)")
-        if not (0.0 < self.c <= 2.0):
-            raise ValueError(
-                f"c = {self.c} violates the uncertainty-principle bound c <= 2"
-            )
         if not isinstance(self.nonlinear, bool):
             raise ValueError(f"nonlinear = {self.nonlinear!r} must be a bool")
-        comp, stride = self.packet_component, self.sample_stride
-        if (isinstance(comp, bool) or not isinstance(comp, numbers.Integral)
-                or comp not in (1, 2)):
-            raise ValueError(f"packet_component = {comp!r} must be 1 or 2")
+        stride = self.sample_stride
         if (isinstance(stride, bool) or not isinstance(stride, numbers.Integral)
                 or stride <= 0):
             raise ValueError(f"sample_stride = {stride!r} must be a positive int")
@@ -161,7 +128,7 @@ class RunConfig:
                 f"tau0 = {self.tau0} must stay below the coefficient's "
                 f"Gevrey radius {TAU0_BOUND}"
             )
-        if 2.0 * self.coeff.r_outer > self.length / 2.0:
+        if 2.0 * self.coeff.r_outer > 0.5:
             raise ValueError(
                 "coefficient support diameter exceeds half the period; "
                 "wrap-around would not be negligible"
@@ -174,25 +141,22 @@ class RunConfig:
                 f"tau0 * <xi_max>^sigma = {exponent:.4g} exceeds the Gevrey "
                 f"weight cap {DEFAULT_MAX_EXPONENT:g}; lower n, sigma or tau0"
             )
-        if not np.any(_packet_window(self.grid, self.packet_xi,
-                                    self.packet_width)):
+        if not np.any(_packet_window(self.grid, self.packet_xi)):
             raise ValueError(
-                f"packet_xi = {self.packet_xi!r} with packet_width = "
-                f"{self.packet_width!r} keeps no frequency of the n = "
-                f"{self.n} grid (|xi| <= {self.grid.xi_max:g})"
+                f"packet_xi = {self.packet_xi!r} keeps no frequency of the "
+                f"n = {self.n} grid (|xi| <= {self.grid.xi_max:g})"
             )
 
     @cached_property
     def grid(self) -> Grid:
-        return Grid(self.n, self.length, self.coeff.x0)
+        return Grid(self.n, 1.0, self.coeff.x0)
 
     def symbol_b(self) -> SymbolB:
-        return SymbolB(self.coeff, c=self.c)
+        """b with the coupling c = 2(1 - sigma) of the estimate."""
+        return SymbolB(self.coeff, c=2.0 * (1.0 - self.sigma))
 
     def t_end(self) -> float:
         T = self.coeff.T
-        if self.horizon is not None:
-            return min(self.horizon, T)
         if self.taudot > 0.0:
             return min(T, self.tau0 / self.taudot)
         return T
@@ -212,11 +176,10 @@ class RunConfig:
         return CFL * self.grid.dx / sup_speed
 
     def initial_state(self) -> np.ndarray:
-        """The (2, n) state u at t = 0: one packet in `packet_component`."""
+        """The (2, n) state u at t = 0: one packet in u2."""
         grid = self.grid
         u = np.zeros((2, grid.n), dtype=complex)
-        u[self.packet_component - 1] = wave_packet(
-            grid, grid.x0, self.packet_xi, self.packet_width)
+        u[1] = wave_packet(grid, grid.x0, self.packet_xi)
         return u
 
     def content_hash(self, **spec) -> str:
@@ -420,9 +383,9 @@ def measure_tau_threshold(run: Trajectory) -> float:
     """max_t (|E2|+|E3|+|E4|)/E1 of a pilot trajectory at taudot = 0.
 
     `run` is a Trajectory integrated to T.  Any taudot above the
-    threshold makes the energy budget strictly dissipative; callers
-    typically take twice the measured value and observe the same
-    trajectory again at that rate.  Raises SolverBlowupError if the
+    threshold makes the energy budget strictly dissipative; an "auto"
+    rate is RATE_FACTOR times the measured value, observed on the same
+    trajectory again.  Raises SolverBlowupError if the
     pilot aborted.
     """
     trace = observe(replace(run.cfg, taudot=0.0), run)

@@ -38,9 +38,6 @@ DEFAULT_MAX_EXPONENT = 700.0
 #: the largest float whose square is finite
 SQUARE_CAP = math.sqrt(sys.float_info.max)
 
-#: the smallest float whose square is a normal float, not 0
-SQUARE_FLOOR = math.sqrt(sys.float_info.min)
-
 
 class GevreyOverflowError(OverflowError):
     """Gevrey weight exponent exceeded the configured cap."""

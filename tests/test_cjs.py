@@ -13,8 +13,8 @@ LADDER = [2.0**j for j in range(4, 11)]
 
 
 def coefficient_cos():
-    """A positive coefficient written with the scalar `math` functions."""
-    return TimeCoefficient(fn=lambda t: 1.5 + 0.5 * math.cos(2 * math.pi * t),
+    """A positive coefficient that is no polynomial in t."""
+    return TimeCoefficient(fn=lambda t: 1.5 + 0.5 * np.cos(2 * np.pi * t),
                            k=1, name="cos")
 
 
@@ -57,6 +57,15 @@ def reference_growth(tc, xi, T, eps):
         cols.append(np.stack((dw, omega * w), axis=-1))
     top = np.linalg.svd(np.stack(cols, axis=-1), compute_uv=False)[:, 0]
     return float(np.max(top * top)), len(t) - 1
+
+
+@pytest.mark.parametrize("make", COEFFICIENTS)
+def test_profile_maps_an_array_of_times_to_its_values(make):
+    fn = make().fn
+    t = np.linspace(0.0, 1.0, 9)
+    values = fn(t)
+    assert values.shape == t.shape
+    assert np.array_equal(values, [fn(s) for s in t])
 
 
 class TestPropagator:
@@ -158,7 +167,7 @@ class TestGrowthFit:
     def test_energy_equivalence_bound_for_positive_a(self):
         # a bounded below: amplification is controlled by the
         # equivalence constant (sup a + eps) / a_min
-        tc = TimeCoefficient(fn=lambda t: 1.5 + 0.5 * math.cos(2 * math.pi * t),
+        tc = TimeCoefficient(fn=lambda t: 1.5 + 0.5 * np.cos(2 * np.pi * t),
                              k=1, name="positive")
         a_min, a_sup = 1.0, 2.0
         eps = a_min

@@ -107,7 +107,7 @@ class TestValidationExitCodes:
         assert run_scenario(s) == 2
 
     def test_c_above_two_exits_2_citing_uncertainty(self, tmp_path, capsys):
-        s = Scenario(kind="energy_estimate", config={"c": 3.0, "n": 64},
+        s = Scenario(kind="symbol_audit", config={"c": 3.0},
                      output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
         err = capsys.readouterr().err
@@ -116,10 +116,6 @@ class TestValidationExitCodes:
     @pytest.mark.parametrize("bad", [{"n": 100}, {"sigma": "0.5"},
                                      {"taudot": "fast"}, {"taudot": True},
                                      {"packet_xi": "x"},
-                                     {"packet_width": "x"},
-                                     {"packet_width": -0.02},
-                                     {"packet_width": 1e-200},
-                                     {"horizon": "x"}, {"horizon": -1.0},
                                      {"coeff": {"x0": 1.5}},
                                      {"assert_max_ratio": "x"},
                                      {"nonlinear": "no"},
@@ -144,20 +140,32 @@ class TestValidationExitCodes:
             assert "config.coeff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [
-        {"taudot": -1.0}, {"taudot_factor": "fast"},
-        {"taudot_factor": True}, {"packet_component": 7},
-        {"sample_stride": 0}, {"assert_max_ratio": "x"},
+        {"taudot": -1.0}, {"sample_stride": 0}, {"assert_max_ratio": "x"},
         {"nonlinear": "no"}, {"nonlinear": 1}, {"tau0": -0.5},
-        {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9},
-        {"packet_width": 1e308}, {"length": 1e300},
-        # a factor scales only the measured rate, not a given one
-        {"taudot_factor": 5, "taudot": 3.0},
-        {"taudot_factor": 2, "taudot": 0}])
+        {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9}])
     def test_bad_rate_or_run_key_exits_2(self, tmp_path, capsys, bad):
         s = Scenario(kind="energy_estimate", config=dict({"n": 64}, **bad),
                      output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
         assert next(iter(bad)) in capsys.readouterr().err
+
+    # settings that no run varied are constants; their keys ran before
+    @pytest.mark.parametrize("kind, key, value", [
+        ("energy_estimate", "length", 1.0),
+        ("energy_estimate", "c", 1.0),
+        ("energy_estimate", "horizon", 0.01),
+        ("energy_estimate", "packet_width", 0.02),
+        ("energy_estimate", "packet_component", 2),
+        ("energy_estimate", "taudot_factor", 2.0),
+        ("energy_estimate", "taudot", None),
+        ("metric_audit", "xi_max", 128.0)])
+    def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, kind,
+                                           key, value):
+        out = tmp_path / "out"
+        assert run_scenario(Scenario(kind, {key: value}, str(out))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
 
     def test_removed_gevrey_class_key_exits_2(self, tmp_path, capsys):
         for kind in ("energy_estimate", "symbol_audit", "metric_audit",
@@ -204,7 +212,6 @@ class TestValidationExitCodes:
         ("symbol_audit", {"coeff": {"r_outer": 1e308}}),
         ("quantizer_audit", {"coeff": {"x0": 0}}),
         ("energy_estimate", {"n": 32, "packet_xi": 100}),
-        ("energy_estimate", {"packet_xi": 24.5, "packet_width": 10}),
         ("energy_estimate", {"n": 32, "packet_xi": 1e308})])
     def test_invalid_scenario_leaves_no_output_dir(self, tmp_path, kind, bad):
         s = Scenario(kind=kind, config=bad, output_dir=str(tmp_path / "out"))
@@ -386,11 +393,11 @@ class TestEnergyScenario:
         monkeypatch.undo()
         return code, out, len(steps)
 
-    def _reference(self, tmp_path, factor):
-        """measure_tau_threshold, then run_with_energy at factor times it."""
-        cfg = RunConfig(coeff=CoefficientField(), **self.PILOT)
+    def _reference(self, tmp_path, **config):
+        """measure_tau_threshold, then run_with_energy at twice it."""
+        cfg = RunConfig(coeff=CoefficientField(), **dict(self.PILOT, **config))
         threshold = measure_tau_threshold(integrate(cfg))
-        final = replace(cfg, taudot=factor * threshold)
+        final = replace(cfg, taudot=2.0 * threshold)
         path = tmp_path / "reference.csv"
         write_csv(str(path), run_with_energy(final).rows(),
                   EnergyTrace.COLUMNS)
@@ -409,7 +416,7 @@ class TestEnergyScenario:
                                                            monkeypatch):
         code, out, steps = self._run_auto(tmp_path, monkeypatch)
         assert code == 0
-        cfg, final, _, _ = reference = self._reference(tmp_path, 2.0)
+        cfg, final, _, _ = reference = self._reference(tmp_path)
         self._check_against(out, reference)
         # the final run ends at T with the pilot's steps: no second run
         assert final.t_end() == cfg.t_end()
@@ -417,10 +424,10 @@ class TestEnergyScenario:
 
     def test_shorter_horizon_integrates_the_final_rate_again(self, tmp_path,
                                                              monkeypatch):
-        code, out, steps = self._run_auto(tmp_path, monkeypatch,
-                                          taudot_factor=8.0)
+        # a smaller tau0 ends the final run at tau0 / taudot < T
+        code, out, steps = self._run_auto(tmp_path, monkeypatch, tau0=0.2)
         assert code == 0
-        cfg, final, _, _ = reference = self._reference(tmp_path, 8.0)
+        cfg, final, _, _ = reference = self._reference(tmp_path, tau0=0.2)
         self._check_against(out, reference)
         assert final.t_end() == final.tau0 / final.taudot < cfg.t_end()
         assert steps == integrate(cfg).n_steps + integrate(final).n_steps
@@ -450,6 +457,12 @@ class TestEnergyScenario:
         assert run_scenario(s) == 2
         assert "unknown keys in config: f21_zero" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_missing_taudot_is_the_auto_rate(self, tmp_path):
+        assert self._summary(tmp_path, "a") == self._summary(
+            tmp_path, "b", taudot="auto")
+        assert ((tmp_path / "a" / "trace.csv").read_bytes()
+                == (tmp_path / "b" / "trace.csv").read_bytes())
 
     def test_config_hash_tells_rate_rules_apart(self, tmp_path):
         hashes = {self._summary(tmp_path, str(i), taudot=taudot)["config_hash"]
@@ -541,27 +554,6 @@ class TestAuditScenarios:
             assert type(records[check]["fitted_slope"]) is float
         assert type(records["slow_variation"]["pairs_in_ball"]) is int
         assert type(records["uncertainty"]["c"]) is float
-
-    def test_xi_max_at_the_cap_audits_cleanly(self, tmp_path):
-        proc = _run_cli(tmp_path, "metric_audit",
-                        {"xi_max": cli_module.XI_MAX_CAP, "n_pairs": 200})
-        assert proc.returncode == 0
-        assert proc.stderr == ""
-        with open(tmp_path / "out" / "metric.json") as fh:
-            records = json.load(fh)["records"]
-        assert all(r["pass"] and math.isfinite(r["constant"])
-                   for r in records)
-
-    def test_xi_max_past_the_cap_exits_2(self, tmp_path):
-        # <xi_max>^2 overflows just above the cap
-        for xi_max in (math.nextafter(cli_module.XI_MAX_CAP, math.inf),
-                       1e160):
-            proc = _run_cli(tmp_path, "metric_audit", {"xi_max": xi_max})
-            assert proc.returncode == 2
-            assert proc.stderr.startswith("error: xi_max = ")
-            assert "Traceback" not in proc.stderr
-            assert "RuntimeWarning" not in proc.stderr
-            assert not (tmp_path / "out").exists()
 
 
 class TestVerbs:

@@ -24,8 +24,8 @@ def sym128(sb_c1, grid128):
 
 
 def _random_state(grid, rng):
-    u1 = wave_packet(grid, grid.x0, rng.uniform(5, 30), 0.02)
-    u2 = wave_packet(grid, grid.x0, rng.uniform(5, 30), 0.02)
+    u1 = wave_packet(grid, grid.x0, rng.uniform(5, 30))
+    u2 = wave_packet(grid, grid.x0, rng.uniform(5, 30))
     return np.stack((rng.normal() * u1, rng.normal() * u2))
 
 

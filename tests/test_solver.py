@@ -1,17 +1,15 @@
 import importlib
 import io
-import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from weakhyp.energy import Symmetrizer
-from weakhyp.solver import (CFLError, RunConfig,
+from weakhyp.solver import (PACKET_WIDTH, CFLError, RunConfig,
                             SolverBlowupError, integrate,
                             measure_tau_threshold, observe, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
-from weakhyp.spectral import SQUARE_CAP, SQUARE_FLOOR
 from weakhyp.symbols import CoefficientField
 
 solver_module = importlib.import_module("weakhyp.solver")
@@ -22,7 +20,7 @@ def free_cfg(coeff):
     """F == 0, and a == 0 from t = T_outer on: there the system is the
     nilpotent constant-coefficient one."""
     return RunConfig(n=64, sigma=0.5, tau0=0.5, coeff=coeff,
-                     nonlinear=False, length=1.0)
+                     nonlinear=False)
 
 
 class TestRhs:
@@ -87,8 +85,7 @@ class TestStepRK4:
         assert np.abs(u[1] - u2).max() < 1e-10
 
     def test_fourth_order_convergence(self, coeff):
-        cfg = RunConfig(n=64, coeff=coeff, nonlinear=False,
-                        packet_xi=6.0, packet_width=0.03)
+        cfg = RunConfig(n=64, coeff=coeff, nonlinear=False, packet_xi=6.0)
         u0 = cfg.initial_state()
         t_end = 16 * cfg.max_dt()
 
@@ -112,39 +109,40 @@ class TestWavePacket:
     def test_unit_energy_normalization_possible(self, coeff):
         cfg = RunConfig(n=128, coeff=coeff)
         g = cfg.grid
-        p = wave_packet(g, g.x0, 20.0, 0.02)
+        p = wave_packet(g, g.x0, 20.0)
         assert np.isfinite(p).all()
         assert g.norm2(p) > 0
 
     def test_spectral_truncation(self, grid128):
-        p = wave_packet(grid128, 0.5, 20.0, 0.02)
+        p = wave_packet(grid128, 0.5, 20.0)
         ph = np.fft.fft(p, norm="ortho")
-        spec_width = 1.0 / (2 * np.pi * 0.02)
+        spec_width = 1.0 / (2 * np.pi * PACKET_WIDTH)
         outside = np.abs(grid128.xi - 20.0) > 5.0 * spec_width
         assert np.abs(ph[outside]).max() < 1e-14 * np.abs(ph).max()
 
     def test_support_localized(self, coeff):
         cfg = RunConfig(n=256, coeff=coeff, packet_xi=24.0)
         g = cfg.grid
-        p = wave_packet(g, g.x0, 24.0, 0.02)
+        p = wave_packet(g, g.x0, 24.0)
         outside = np.abs(g.x - g.x0) > coeff.r_outer
         frac = g.norm2(p * outside) / g.norm2(p)
         assert frac < 1e-8
 
 
 class TestRunConfig:
-    def test_c_defaults_to_coupling(self, coeff):
+    def test_b_has_the_coupling(self, coeff):
         for sigma in (0.5, 0.6, 0.75):
             cfg = RunConfig(sigma=sigma, coeff=coeff)
-            assert cfg.c == pytest.approx(2 * (1 - sigma))
+            assert cfg.symbol_b().c == pytest.approx(2 * (1 - sigma))
+
+    def test_fields_are_the_run_settings(self):
+        assert [f.name for f in fields(RunConfig)] == [
+            "n", "sigma", "tau0", "taudot", "coeff", "nonlinear",
+            "sample_stride", "packet_xi"]
 
     def test_configs_built_apart_are_equal(self):
         assert RunConfig(n=64) == RunConfig(n=64)
         assert RunConfig(n=64) != RunConfig(n=64, nonlinear=False)
-
-    def test_rejects_c_above_two(self, coeff):
-        with pytest.raises(ValueError, match="uncertainty"):
-            RunConfig(c=3.0, coeff=coeff)
 
     @pytest.mark.parametrize("tau0", [2.0, 5.0])
     def test_rejects_tau0_above_radius(self, coeff, tau0):
@@ -154,57 +152,38 @@ class TestRunConfig:
     def test_rejects_wide_support(self):
         cf = CoefficientField(r=0.2, r_outer=0.3)
         with pytest.raises(ValueError, match="support"):
-            RunConfig(coeff=cf, length=1.0)
+            RunConfig(coeff=cf)
 
     @pytest.mark.parametrize("bad", [
         {"n": 100}, {"n": 64.0}, {"n": True}, {"sigma": "0.5"},
-        {"tau0": float("nan")}, {"c": "1"},
-        {"packet_component": 7}, {"packet_component": 1.0},
-        {"packet_component": True}, {"sample_stride": 0},
+        {"tau0": float("nan")}, {"sample_stride": 0},
         {"sample_stride": 2.0}, {"sample_stride": True},
-        {"length": "1"}, {"length": True}, {"length": 0.0},
         {"packet_xi": "x"}, {"packet_xi": float("inf")},
-        {"packet_width": "x"}, {"packet_width": -0.02},
-        {"packet_width": 0.0}, {"horizon": "x"}, {"horizon": -1.0},
-        {"horizon": float("nan")}, {"taudot": float("nan")},
+        {"taudot": float("nan")},
         {"taudot": float("inf")}, {"taudot": "1"}, {"nonlinear": "yes"},
         {"nonlinear": 1}])
     def test_rejects_mistyped_values(self, coeff, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             RunConfig(coeff=coeff, **bad)
 
-    @pytest.mark.parametrize("name", ["length", "packet_width"])
-    def test_square_cap_bounds_length_and_width(self, coeff, name):
-        RunConfig(coeff=coeff, **{name: SQUARE_CAP})
-        with pytest.raises(ValueError, match="square overflows"):
-            RunConfig(coeff=coeff,
-                      **{name: math.nextafter(SQUARE_CAP, math.inf)})
-
-    def test_rejects_packet_width_whose_square_underflows(self, coeff):
-        RunConfig(coeff=coeff, packet_width=SQUARE_FLOOR)
-        for width in (math.nextafter(SQUARE_FLOOR, 0.0), 1e-200, 5e-324):
-            with pytest.raises(ValueError, match="square underflows"):
-                RunConfig(coeff=coeff, packet_width=width)
-
+    # 5 spectral widths 1 / (2 pi PACKET_WIDTH) past the n = 64 grid's
+    # largest frequency xi = 31, a packet keeps nothing
     @pytest.mark.parametrize("packet", [
         {"n": 32, "packet_xi": 100.0}, {"n": 32, "packet_xi": 1e308},
-        {"n": 64, "packet_xi": 24.5, "packet_width": 10.0}])
+        {"n": 64, "packet_xi": 31.0 + 5.01 / (2.0 * np.pi * PACKET_WIDTH)}])
     def test_rejects_packet_the_grid_cannot_hold(self, coeff, packet):
         with pytest.raises(ValueError, match="keeps no frequency"):
             RunConfig(coeff=coeff, **packet)
 
     def test_accepts_a_packet_at_the_window_edge(self, coeff):
-        # xi = 16, 4.99 of the 5 kept spectral widths away, is kept alone
-        cfg = RunConfig(n=64, coeff=coeff, packet_width=10.0,
-                        packet_xi=16.0 + 4.99 / (2.0 * np.pi * 10.0))
+        # xi = 31, 4.99 of the 5 kept spectral widths away, is kept alone
+        cfg = RunConfig(n=64, coeff=coeff, packet_xi=31.0 + 4.99 / (
+            2.0 * np.pi * PACKET_WIDTH))
         assert np.any(cfg.initial_state()[1] != 0)
 
     def test_rejects_bump_center_outside_domain(self):
         with pytest.raises(ValueError, match="x0 = 1.5"):
             RunConfig(coeff=CoefficientField(x0=1.5))
-
-    def test_zero_horizon_accepted(self, coeff):
-        assert RunConfig(coeff=coeff, horizon=0.0).t_end() == 0.0
 
     def test_horizon_capped_by_tau(self, coeff):
         cfg = RunConfig(coeff=coeff, tau0=1.0, taudot=40.0)
@@ -214,12 +193,10 @@ class TestRunConfig:
 
 
 class TestRunWithEnergy:
-    def test_zero_initial_data_reports_zero_ratio(self, coeff):
-        # x0 = 0.3 is no grid point, so every sample of a packet this
-        # narrow underflows to 0 and the initial energy is 0
-        cfg = RunConfig(n=64, coeff=replace(coeff, x0=0.3),
-                        packet_width=1e-5, sample_stride=8)
-        assert not np.any(cfg.initial_state())
+    def test_zero_initial_data_reports_zero_ratio(self, coeff, monkeypatch):
+        cfg = RunConfig(n=64, coeff=coeff, sample_stride=8)
+        monkeypatch.setattr(RunConfig, "initial_state",
+                            lambda self: np.zeros((2, self.n), dtype=complex))
         trace = run_with_energy(cfg)
         assert trace.initial_energy == 0.0
         assert trace.max_ratio() == 0.0
@@ -338,12 +315,10 @@ class TestWaveReduction:
     def test_second_order_form_matches(self, coeff):
         # on the plateau the default nonlinearity gives
         # d_t^2 u1 = d_x(a d_x u1) + d_x(u1^2)
-        cfg = RunConfig(n=256, coeff=coeff, packet_xi=10.0, packet_width=0.03,
-                        packet_component=1)
+        cfg = RunConfig(n=256, coeff=coeff)
         g = cfg.grid
-        u = cfg.initial_state()
-        scale = 0.05 / max(np.abs(u[0]))
-        u = np.stack((scale * u[0], np.zeros(g.n)))
+        u1 = wave_packet(g, g.x0, 10.0)
+        u = np.stack((0.05 / max(np.abs(u1)) * u1, np.zeros(g.n)))
         dt = cfg.max_dt() / 4.0
         back = step_rk4(cfg, 0.0, u, -dt)
         fwd = step_rk4(cfg, 0.0, u, dt)
