@@ -68,6 +68,12 @@ def test_profile_maps_an_array_of_times_to_its_values(make):
     assert np.array_equal(values, [fn(s) for s in t])
 
 
+def test_constant_profile_keeps_the_shape_of_its_times():
+    fn = coefficient_constant(0.25).fn
+    assert fn(0.5) == 0.25 and np.shape(fn(0.5)) == ()
+    assert np.array_equal(fn(np.zeros((2, 3))), np.full((2, 3), 0.25))
+
+
 class TestPropagator:
     def test_free_particle_exact(self):
         tc = coefficient_constant(0.0)

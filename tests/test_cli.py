@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,8 +15,9 @@ import weakhyp.solver as solver_module
 
 from weakhyp.cli import Scenario, ScenarioError, load_scenario, main, run_scenario
 from weakhyp.reporting import write_csv
-from weakhyp.solver import (EnergyTrace, RunConfig, integrate,
+from weakhyp.solver import (RATE_FACTOR, EnergyTrace, RunConfig, integrate,
                             measure_tau_threshold, run_with_energy)
+from weakhyp.spectral import SQUARE_CAP
 from weakhyp.symbols import CoefficientField
 
 
@@ -140,7 +141,8 @@ class TestValidationExitCodes:
             assert "config.coeff" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [
-        {"taudot": -1.0}, {"sample_stride": 0}, {"assert_max_ratio": "x"},
+        {"taudot": -1.0}, {"taudot": math.inf}, {"taudot": math.nan},
+        {"taudot": "AUTO"}, {"sample_stride": 0}, {"assert_max_ratio": "x"},
         {"nonlinear": "no"}, {"nonlinear": 1}, {"tau0": -0.5},
         {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9}])
     def test_bad_rate_or_run_key_exits_2(self, tmp_path, capsys, bad):
@@ -149,22 +151,39 @@ class TestValidationExitCodes:
         assert run_scenario(s) == 2
         assert next(iter(bad)) in capsys.readouterr().err
 
-    # settings that no run varied are constants; their keys ran before
-    @pytest.mark.parametrize("kind, key, value", [
-        ("energy_estimate", "length", 1.0),
-        ("energy_estimate", "c", 1.0),
-        ("energy_estimate", "horizon", 0.01),
-        ("energy_estimate", "packet_width", 0.02),
-        ("energy_estimate", "packet_component", 2),
-        ("energy_estimate", "taudot_factor", 2.0),
-        ("energy_estimate", "taudot", None),
-        ("metric_audit", "xi_max", 128.0)])
+    # settings that no run varied are constants; their keys ran before at
+    # the old default, and the old value checks caught the other values
+    @pytest.mark.parametrize("kind, config", [
+        ("energy_estimate", {"length": 1.0}),
+        ("energy_estimate", {"length": 1e300}),
+        ("energy_estimate", {"c": 1.0}),
+        ("energy_estimate", {"horizon": 0.01}),
+        ("energy_estimate", {"horizon": "x"}),
+        ("energy_estimate", {"horizon": -1.0}),
+        ("energy_estimate", {"packet_width": 0.02}),
+        ("energy_estimate", {"packet_width": "x"}),
+        ("energy_estimate", {"packet_width": -0.02}),
+        ("energy_estimate", {"packet_width": 1e-200}),
+        ("energy_estimate", {"packet_width": 1e308}),
+        ("energy_estimate", {"packet_width": 10, "packet_xi": 24.5}),
+        ("energy_estimate", {"packet_component": 2}),
+        ("energy_estimate", {"packet_component": 7}),
+        ("energy_estimate", {"taudot_factor": 2.0}),
+        ("energy_estimate", {"taudot_factor": "fast"}),
+        ("energy_estimate", {"taudot_factor": True}),
+        ("energy_estimate", {"taudot_factor": 5, "taudot": 3.0}),
+        ("energy_estimate", {"taudot_factor": 2, "taudot": 0}),
+        ("energy_estimate", {"taudot": None}),
+        ("metric_audit", {"xi_max": 128.0}),
+        ("metric_audit", {"xi_max": math.nextafter(SQUARE_CAP, math.inf)}),
+        ("metric_audit", {"xi_max": 1e160})])
     def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, kind,
-                                           key, value):
+                                           config):
         out = tmp_path / "out"
-        assert run_scenario(Scenario(kind, {key: value}, str(out))) == 2
+        assert run_scenario(Scenario(kind, config, str(out))) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        assert err.startswith("error: ") and next(iter(config)) in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_removed_gevrey_class_key_exits_2(self, tmp_path, capsys):
@@ -464,6 +483,23 @@ class TestEnergyScenario:
         assert ((tmp_path / "a" / "trace.csv").read_bytes()
                 == (tmp_path / "b" / "trace.csv").read_bytes())
 
+    def test_auto_rate_is_rate_factor_times_the_threshold(self, tmp_path):
+        summary = self._summary(tmp_path, "a", taudot="auto")
+        assert summary["threshold"] > 0
+        assert summary["taudot"] == RATE_FACTOR * summary["threshold"]
+
+    @pytest.mark.parametrize("taudot", [0, 2.5, 40])
+    def test_given_rate_is_run_as_given(self, tmp_path, taudot):
+        summary = self._summary(tmp_path, "a", taudot=taudot)
+        assert summary["threshold"] is None
+        assert summary["taudot"] == taudot
+        cfg = RunConfig(coeff=CoefficientField(), tau0=0.5, taudot=taudot)
+        assert summary["horizon"] == cfg.t_end()
+
+    def test_summary_config_is_the_run_settings(self, tmp_path):
+        config = self._summary(tmp_path, "a")["config"]
+        assert set(config) == {f.name for f in fields(RunConfig)}
+
     def test_config_hash_tells_rate_rules_apart(self, tmp_path):
         hashes = {self._summary(tmp_path, str(i), taudot=taudot)["config_hash"]
                   for i, taudot in enumerate(("auto", 3.0, 4.0))}
@@ -471,6 +507,24 @@ class TestEnergyScenario:
 
 
 class TestAuditScenarios:
+    def test_metric_audit_samples_up_to_xi_max(self, tmp_path):
+        from weakhyp import audits
+        from weakhyp.reporting import write_json
+        from weakhyp.symbols import PhaseMetric, SymbolB
+
+        out = tmp_path / "out"
+        assert run_scenario(Scenario("metric_audit", {"n_pairs": 200},
+                                     str(out))) == 0
+        pm = PhaseMetric(SymbolB(CoefficientField(), c=1.0))
+        reports = audits.metric_admissibility_audit(pm, n_pairs=200,
+                                                    xi_max=audits.XI_MAX)
+        weight = audits.weight_admissibility_audit(pm, n_pairs=200,
+                                                   xi_max=audits.XI_MAX)
+        expected = tmp_path / "expected.json"
+        write_json(str(expected), {"records": [
+            r.as_dict() for r in reports.values()] + [weight.as_dict()]})
+        assert (out / "metric.json").read_bytes() == expected.read_bytes()
+
     def test_quantizer_audit_passes(self, tmp_path):
         out = tmp_path / "qa"
         rc = main(["audit", "quantizer", "--out", str(out)])

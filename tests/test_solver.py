@@ -140,6 +140,17 @@ class TestRunConfig:
             "n", "sigma", "tau0", "taudot", "coeff", "nonlinear",
             "sample_stride", "packet_xi"]
 
+    def test_grid_has_the_unit_period_around_the_bump(self):
+        for x0 in (0.5, 0.3):
+            cfg = RunConfig(n=64, coeff=CoefficientField(x0=x0))
+            assert cfg.grid.length == 1.0 and cfg.grid.x0 == x0
+
+    def test_packet_sits_in_u2(self, coeff):
+        cfg = RunConfig(n=64, coeff=coeff, packet_xi=10.0)
+        u = cfg.initial_state()
+        assert not np.any(u[0])
+        assert np.array_equal(u[1], wave_packet(cfg.grid, coeff.x0, 10.0))
+
     def test_configs_built_apart_are_equal(self):
         assert RunConfig(n=64) == RunConfig(n=64)
         assert RunConfig(n=64) != RunConfig(n=64, nonlinear=False)
