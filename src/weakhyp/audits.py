@@ -227,12 +227,11 @@ def faa_di_bruno_check() -> AuditReport:
                        witness=(order, order), passed=ok)
 
 
-def _sample_phase_points(pm: PhaseMetric, t: float, n_pairs: int,
-                         xi_max: float, seed: int):
+def _sample_phase_points(pm: PhaseMetric, t: float, n_pairs: int, seed: int):
     coeff = pm.sb.coeff
     rng = np.random.default_rng(seed)
     x = coeff.x0 + rng.uniform(-coeff.r, coeff.r, size=n_pairs)
-    mag = np.exp(rng.uniform(0.0, np.log(xi_max + 1.0), size=n_pairs)) - 1.0
+    mag = np.exp(rng.uniform(0.0, np.log(XI_MAX + 1.0), size=n_pairs)) - 1.0
     xi = np.where(rng.random(n_pairs) < 0.5, -mag, mag)
     return x, xi
 
@@ -259,8 +258,7 @@ def _temperance_fit(ratio: np.ndarray, gsig: np.ndarray):
 
 
 def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
-                               n_pairs: int = 10_000, xi_max: float = XI_MAX,
-                               seed: int = 11) -> dict:
+                               n_pairs: int = 10_000, seed: int = 11) -> dict:
     """Slow variation, uncertainty and temperance, measured on samples.
 
     Returns the three findings: the slow-variation constant over pairs
@@ -269,8 +267,8 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     lattice, and the fitted temperance pair (C, N).
     """
     sb = pm.sb
-    x1, xi1 = _sample_phase_points(pm, t, n_pairs, xi_max, seed)
-    x2, xi2 = _sample_phase_points(pm, t, n_pairs, xi_max, seed + 1)
+    x1, xi1 = _sample_phase_points(pm, t, n_pairs, seed)
+    x2, xi2 = _sample_phase_points(pm, t, n_pairs, seed + 1)
     rng = np.random.default_rng(seed + 2)
     # half the partners are g-scaled perturbations, so the slow-variation
     # ball g_X(X - Y) <= r^2 is well populated
@@ -298,7 +296,7 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
 
     # uncertainty: min lambda over a lattice including the worst corner
     xs = np.linspace(sb.coeff.x0 - sb.coeff.r, sb.coeff.x0 + sb.coeff.r, 101)
-    xis = np.linspace(-xi_max, xi_max, 257)
+    xis = np.linspace(-XI_MAX, XI_MAX, 257)
     lam = sb.lam(t, xs[:, None], xis[None, :])
     k = np.unravel_index(np.argmin(lam), lam.shape)
     min_lambda = float(lam[k])
@@ -323,12 +321,12 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
 
 
 def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
-                               n_pairs: int = 10_000, xi_max: float = XI_MAX,
+                               n_pairs: int = 10_000,
                                seed: int = 13) -> AuditReport:
     """Fit b(X)/b(Y) <= C (1 + g^sigma_X(X - Y))^N over sampled pairs."""
     sb = pm.sb
-    x1, xi1 = _sample_phase_points(pm, t, n_pairs, xi_max, seed)
-    x2, xi2 = _sample_phase_points(pm, t, n_pairs, xi_max, seed + 1)
+    x1, xi1 = _sample_phase_points(pm, t, n_pairs, seed)
+    x2, xi2 = _sample_phase_points(pm, t, n_pairs, seed + 1)
     bx = sb.b(t, x1, xi1)
     by = sb.b(t, x2, xi2)
     ratio = np.maximum(bx / by, by / bx)

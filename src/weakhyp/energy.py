@@ -74,9 +74,10 @@ class Symmetrizer:
         pairs = np.stack((coeff.a(self.t, x2), coeff.dt_a(self.t, x2)))
         first, self._rows = distinct_rows(pairs)
         self._dt_a = pairs[1, first]
-        # b is real: its rows are kept as real, contiguous samples, which
-        # the powers in dt_b_matrix read fastest
-        self._b = self.sb.b(self.t, x2[first][:, None], self.grid.xi[None, :])
+        # b is real and even in xi: its rows are kept as real, contiguous
+        # half spectra, which the powers in dt_b_matrix read fastest
+        xi = self.grid.xi[None, :self.grid.n // 2 + 1]
+        self._b = self.sb.b(self.t, x2[first][:, None], xi)
         self.b_matrix = self._quantize_rows(self._b, "b")
 
     def dt_b_matrix(self) -> np.ndarray:

@@ -24,11 +24,14 @@ rows for 2048 points at n = 1024, t = 0).  The inverse FFT runs over
 the u stored rows only, and the gather reads row `rows[m]` for
 midpoint m, which gives the kernel of the expanded field bit for bit.
 
-A symbol with p(x, -xi) = conj p(x, xi) has a real kernel: when the
-samples are conjugate-even, s[:, -k] == conj(s[:, k]) exactly for every
-column k, `quantize` takes the profiles from `irfft` of the columns
-0..n/2 and returns a float64 kernel, else the complex one of `ifft`.
-b, its powers, dt b and the corrections of `invert_b` are all conjugate-even.
+A symbol with p(x, -xi) = conj p(x, xi) has a real kernel, fixed by its
+half spectrum, the n/2 + 1 columns 0..n/2 (all n columns for n <= 2).
+A field may store just these, with columns 0 and n/2 real, and
+`quantize` hands them straight to `irfft` for a float64 kernel.  A full
+field takes that path when s[:, -k] == conj(s[:, k]) exactly for every
+column k, else the complex one of `ifft`.  b, its powers, dt b and the
+corrections of `invert_b` are conjugate-even, and `sample_symbol_b`, the
+`Symmetrizer` and `dequantize` of a real kernel write them as halves.
 
 De-quantization inverts the kernel formula along the (midpoint,
 difference) slots, FFT in x - y.  The slot map (i, j) <-> (m, d) is a
@@ -36,8 +39,8 @@ bijection, so `quantize(dequantize(K)) == K` holds for every matrix
 that is symmetric on the antipodal column d = n/2 (every image of
 `quantize` is); each midpoint row only observes difference residues of
 its own parity, and the unobserved components are interpolated from
-the neighboring midpoint rows.  A real matrix takes `rfft` and its
-mirrored conjugate, so its symbol is exactly conjugate-even.
+the neighboring midpoint rows.  A real matrix takes `rfft`, whose half
+spectrum is its exactly conjugate-even symbol.
 
 The index maps of the slot map depend on n only; they are built once
 per n and cached (read-only) for every later `quantize` and
@@ -81,7 +84,9 @@ class SymbolField:
 
     `samples` holds u rows, shape (u, n), and the doubled-lattice point
     m carries the row `samples[rows[m]]`; `rows` defaults to the
-    identity map of a full (2n, n) field.
+    identity map of a full (2n, n) field.  A conjugate-even field may
+    hold only its half spectrum, shape (u, n // 2 + 1), the columns of
+    xi >= 0 (column n/2 is xi = -n/2), whose columns 0 and n/2 are real.
     """
 
     grid: Grid
@@ -106,10 +111,11 @@ class SymbolField:
             raise ValueError(f"rows must lie in [0, {u}), got "
                              f"[{rows.min()}, {rows.max()}]")
         self.rows = rows.astype(np.intp)
-        if self.samples.shape != (u, n):
-            raise ValueError(
-                f"samples have shape {self.samples.shape}, expected {(u, n)}"
-            )
+        s, h = self.samples, n // 2 + 1
+        if s.shape not in ((u, n), (u, h)) or (
+                s.shape[1] == h < n and s[:, [0, -1]].imag.any()):
+            raise ValueError(f"samples have shape {s.shape}, expected {(u, n)}"
+                             f" or {(u, h)} with real columns 0 and n/2")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"symbol '{self.label}' has non-finite samples")
 
@@ -136,11 +142,12 @@ def distinct_rows(keys: np.ndarray):
 
 
 def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
-    """b(t, x, xi) on the doubled lattice, one row per value of a(t, x)."""
+    """The half spectrum of b(t, x, xi), one row per value of a(t, x)."""
     x2 = grid.x_doubled
     first, rows = distinct_rows(sb.coeff.a(t, x2))
-    return SymbolField(grid, sb.b(t, x2[first][:, None], grid.xi[None, :]),
-                       time=t, label="b", rows=rows)
+    xi = grid.xi[None, :grid.n // 2 + 1]
+    return SymbolField(grid, sb.b(t, x2[first][:, None], xi), time=t,
+                       label="b", rows=rows)
 
 
 def _wrapped_difference(n: int):
@@ -178,11 +185,12 @@ class _SlotMap(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def _slot_map(n: int) -> _SlotMap:
     D0, _, Mstar = _wrapped_difference(n)
-    anti = np.flatnonzero(D0 == n // 2)
+    # row i meets d0 = n/2 at column j = (i + n/2) mod n
+    i = np.arange(n)
+    anti = i * n + (i + n // 2) % n
     # numpy gathers fastest through intp indices, so mid is intp;
     # quantize only adds diff (d0 < n), whose int32 halves its memory
-    slots = _SlotMap(mid=Mstar.astype(np.intp), diff=D0.astype(np.int32),
-                     anti=anti,
+    slots = _SlotMap(mid=Mstar, diff=D0.astype(np.int32), anti=anti,
                      anti_mid=(Mstar.reshape(-1)[anti] + n) % (2 * n))
     for arr in slots:
         arr.setflags(write=False)
@@ -247,7 +255,8 @@ def quantize(p: SymbolField) -> np.ndarray:
     n, s = p.grid.n, p.samples
     anti = _slot_map(n).anti
     flat = _flat_index(p.rows)
-    c = (np.fft.irfft(s[:, :n // 2 + 1], n, axis=1) if _conjugate_even(s)
+    real = s.shape[1] < n or _conjugate_even(s)
+    c = (np.fft.irfft(s[:, :n // 2 + 1], n, axis=1) if real
          else np.fft.ifft(s, axis=1)).reshape(-1)
     K = c[flat.index]
     Kf = K.reshape(-1)
@@ -277,7 +286,8 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     The complementary slots never influence `quantize`, but they do
     shape the extracted symbol: they are interpolated from the two
     neighboring midpoints, which keeps the symbol free of
-    midpoint-Nyquist ripple.
+    midpoint-Nyquist ripple.  The symbol of a real matrix is
+    conjugate-even and comes as its half spectrum.
     """
     n = grid.n
     matrix = np.asarray(matrix,
@@ -301,12 +311,8 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
                              (c[1::2, 0::2], c[0::2, 0::2], -1)):
         np.add(seen, np.roll(seen, step, axis=0), out=fill)
         fill *= 0.5
-    if np.iscomplexobj(c):
-        return SymbolField(grid, np.fft.fft(c, axis=1))
-    s = np.empty((2 * n, n), dtype=complex)
-    s[:, :n // 2 + 1] = np.fft.rfft(c, axis=1)
-    np.conjugate(s[:, n // 2 - 1:0:-1], out=s[:, n // 2 + 1:])
-    return SymbolField(grid, s)
+    fft = np.fft.fft if np.iscomplexobj(c) else np.fft.rfft
+    return SymbolField(grid, fft(c, axis=1))
 
 
 def multiplier_matrix(grid: Grid, m) -> np.ndarray:

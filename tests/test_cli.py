@@ -516,10 +516,9 @@ class TestAuditScenarios:
         assert run_scenario(Scenario("metric_audit", {"n_pairs": 200},
                                      str(out))) == 0
         pm = PhaseMetric(SymbolB(CoefficientField(), c=1.0))
-        reports = audits.metric_admissibility_audit(pm, n_pairs=200,
-                                                    xi_max=audits.XI_MAX)
-        weight = audits.weight_admissibility_audit(pm, n_pairs=200,
-                                                   xi_max=audits.XI_MAX)
+        # both audits sample |xi| up to audits.XI_MAX
+        reports = audits.metric_admissibility_audit(pm, n_pairs=200)
+        weight = audits.weight_admissibility_audit(pm, n_pairs=200)
         expected = tmp_path / "expected.json"
         write_json(str(expected), {"records": [
             r.as_dict() for r in reports.values()] + [weight.as_dict()]})

@@ -92,9 +92,15 @@ class TestSymmetrizer:
             # by bits: a signed zero of dt_a is a row of its own
             pairs = {(a.hex(), d.hex())
                      for a, d in zip(coeff.a(t, x), coeff.dt_a(t, x))}
-            b_rows = Symmetrizer(grid128, SymbolB(coeff), t)._b
-            assert b_rows.shape == (len(pairs), grid128.n)
+            sb = SymbolB(coeff)
+            sym = Symmetrizer(grid128, sb, t)
+            # b is stored as its half spectrum, the columns xi >= 0
+            assert sym._b.shape == (len(pairs), grid128.n // 2 + 1)
             assert len(pairs) < grid128.n
+            full = sample_symbol(grid128, lambda x, xi: sb.b(t, x, xi))
+            assert np.array_equal(sym._b[sym._rows],
+                                  full.samples.real[:, :grid128.n // 2 + 1])
+            assert np.array_equal(sym.b_matrix, quantize(full))
 
 
 class TestEnergy:

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,14 @@ def _conjugate_even_field(n, seed):
     return s + s[:, _mirror(n)].conj()
 
 
+def _mirrored(half, n):
+    """The full (u, n) field of a half spectrum: s[:, -k] = conj(s[:, k])."""
+    full = np.empty((len(half), n), dtype=complex)
+    full[:, :n // 2 + 1] = half
+    np.conjugate(half[:, n // 2 - 1:0:-1], out=full[:, n // 2 + 1:])
+    return full
+
+
 def _flip_last_bit(samples, index):
     """A copy of `samples` with the last bit of one float flipped."""
     flipped = samples.copy()
@@ -240,7 +249,10 @@ class TestRealKernels:
         grid = Grid(n, 1.0, 0.5)
         K = quantize(sample_symbol_b(sb_c1, grid, 0.02))
         assert K.dtype == np.float64
+        # a real kernel's symbol comes as its half spectrum
         s = dequantize(K, grid).samples
+        assert s.shape == (2 * n, n // 2 + 1)
+        s = _mirrored(s, n)
         assert np.array_equal(s[:, _mirror(n)], s.conj())
         back = quantize(dequantize(K, grid))
         assert back.dtype == np.float64
@@ -266,6 +278,67 @@ class TestRealKernels:
         sigma = np.linalg.svd(A, compute_uv=False)[0]
         assert operator_norm(A, max_iter=2000) == pytest.approx(sigma,
                                                                 rel=1e-6)
+
+
+def _random_half(n, seed, dtype):
+    """Random half spectrum (2n, n/2 + 1) with real columns 0 and n/2."""
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=(2 * n, n // 2 + 1)).astype(dtype)
+    if dtype is complex:
+        half[:, 1:n // 2] += 1j * rng.normal(size=(2 * n, n // 2 - 1))
+    return half
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("n", [4, 8, 64, 256])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_quantize_equals_mirrored_full_field(self, n, dtype, mapped):
+        grid = Grid(n, 1.0, 0.5)
+        half = _random_half(n, n, dtype)
+        rows = (np.random.default_rng(n + 1).integers(0, 2 * n, size=2 * n)
+                if mapped else None)
+        full = _mirrored(half, n)
+        if dtype is float:
+            full = full.real.copy()
+        K = quantize(SymbolField(grid, half, rows=rows))
+        assert K.dtype == np.float64
+        assert np.array_equal(K, quantize(SymbolField(grid, full, rows=rows)))
+
+    @pytest.mark.parametrize("width", [1, 32, 34, 63, 65, 128])
+    def test_rejects_other_widths(self, grid64, width):
+        with pytest.raises(ValueError, match="expected"):
+            SymbolField(grid64, np.ones((2, width)),
+                        rows=np.zeros(128, dtype=int))
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("column", [0, -1])
+    def test_rejects_imaginary_column_zero_and_nyquist(self, n, column):
+        half = _random_half(n, n, complex)
+        half[3, column] += 1e-300j
+        with pytest.raises(ValueError, match="real columns 0 and n/2"):
+            SymbolField(Grid(n, 1.0, 0.5), half)
+
+    def test_two_point_fields_keep_the_general_path(self):
+        # at n = 2 the half is all n columns: an imaginary Nyquist
+        # column makes a complex kernel, not an error
+        samples = np.ones((4, 2), dtype=complex)
+        samples[:, 1] += 1j
+        K = quantize(SymbolField(Grid(2, 1.0, 0.5), samples))
+        assert np.iscomplexobj(K)
+
+    def test_invert_b_peak_memory(self, sb_c1):
+        # the recursion runs on (2n, n/2 + 1) half spectra; a full-width
+        # recursion peaks at about 15.5 n^2 doubles
+        grid = Grid(256)
+        invert_b(sb_c1, 2, 0.0, grid)   # builds the index caches
+        tracemalloc.start()
+        try:
+            invert_b(sb_c1, 2, 0.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * grid.n ** 2
 
 
 class TestApply:
@@ -363,11 +436,13 @@ class TestSampleSymbolB:
         sb = SymbolB(coeff, c=c)
         field = sample_symbol_b(sb, grid, t)
         full = sample_symbol(grid, lambda x, xi: sb.b(t, x, xi))
-        assert np.array_equal(field.samples[field.rows], full.samples)
+        # the stored half spectrum is the full sampling's columns 0..n/2
+        assert np.array_equal(field.samples[field.rows],
+                              full.samples[:, :n // 2 + 1])
         assert np.array_equal(quantize(field), quantize(full))
         # one row per bit pattern of a(t, x2), a signed zero included
         patterns = {a.hex() for a in coeff.a(t, grid.x_doubled)}
-        assert field.samples.shape == (len(patterns), n)
+        assert field.samples.shape == (len(patterns), n // 2 + 1)
         assert len(patterns) < 2 * n
 
     def test_distinct_rows_tells_signed_zeros_apart(self):
@@ -463,7 +538,7 @@ class TestComposeRemainder:
 
 def reference_invert_b(sb, nu, t, grid):
     """The defect recursion that forms every op(b) op(c_k) twice, on
-    the full-lattice sampling of b."""
+    the full-lattice sampling of b and full-width symbols."""
     b_field = sample_symbol(grid, lambda x, xi: sb.b(t, x, xi))
     B = quantize(b_field)
     # B and every op(c_k) are real kernels; a real identity keeps the
@@ -477,7 +552,8 @@ def reference_invert_b(sb, nu, t, grid):
     defects = [defect_of(c)]
     for _ in range(nu):
         M = B @ quantize(SymbolField(grid, c))
-        s = dequantize(M, grid).samples
+        # M is real, so its symbol comes as a half spectrum
+        s = _mirrored(dequantize(M, grid).samples, grid.n)
         c = c + (1.0 - s) / b_field.samples
         defects.append(defect_of(c))
     return c, defects
@@ -492,7 +568,10 @@ class TestInvertB:
         field, defects = invert_b(sb_c1, nu, t, grid)
         c, reference = reference_invert_b(sb_c1, nu, t, grid)
         assert np.array_equal(defects, reference)
-        assert np.array_equal(field.samples[field.rows], c)
+        # invert_b keeps the half spectrum of the full-width oracle
+        assert np.array_equal(field.samples[field.rows], c[:, :n // 2 + 1])
+        assert np.array_equal(quantize(field),
+                              quantize(SymbolField(grid, c)))
 
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_forms_each_product_once(self, sb_c1, grid64, nu, monkeypatch):
