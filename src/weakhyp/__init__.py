@@ -11,9 +11,8 @@ from .spectral import Grid, bracket
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 from .quantize import (SymbolField, dequantize, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol, sample_symbol_b)
-from .energy import (EnergyBreakdown, Symmetrizer, conjugated_matrix,
-                     dt_energy_breakdown, energy, garding_sign_probe,
-                     subprincipal_refinement)
+from .energy import (Symmetrizer, conjugated_matrix, dt_energy_breakdown,
+                     energy, garding_sign_probe, subprincipal_refinement)
 from .solver import (EnergyTrace, RunConfig, Trajectory, integrate,
                      measure_tau_threshold, observe, rhs, rhs_parts,
                      run_with_energy, step_rk4, verify_breakdown_identity,

@@ -19,7 +19,9 @@ unweight-reweight round trip, whose roundoff the large weights amplify.
 All four terms are evaluated with exact grid-level operators, so the
 identity holds to the accuracy of the time discretization only.  The
 state is the (2, n) array u; its grid and time are those of the
-Symmetrizer.
+Symmetrizer.  `dt_energy_breakdown` returns the budget as the float64
+array (E, E1, E2, E3, E4), which `solver.EnergyTrace` stacks into one
+table per run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .symbols import SymbolB
 
 __all__ = [
     "Symmetrizer",
-    "EnergyBreakdown",
     "weight_values",
     "energy",
     "conjugated_matrix",
@@ -96,32 +97,6 @@ class Symmetrizer:
                                     label=label, rows=self._rows))
 
 
-@dataclass
-class EnergyBreakdown:
-    t: float
-    tau: float
-    E: float
-    E1: float
-    E2: float
-    E3: float
-    E4: float
-
-    @property
-    def r2(self) -> float:
-        return abs(self.E2) / self.E1 if self.E1 > 0 else 0.0
-
-    @property
-    def r3(self) -> float:
-        return abs(self.E3) / self.E1 if self.E1 > 0 else 0.0
-
-    @property
-    def r4(self) -> float:
-        return abs(self.E4) / self.E1 if self.E1 > 0 else 0.0
-
-    def dt_energy(self, taudot: float) -> float:
-        return -taudot * self.E1 + self.E2 + self.E3 + self.E4
-
-
 def _pair(grid: Grid, w: np.ndarray, v: np.ndarray, bw2: np.ndarray,
           bv2: np.ndarray) -> float:
     """Re<w1, v1> + Re<op(b) w2, op(b) v2>, the S^2 pairing of w with v,
@@ -148,14 +123,15 @@ def conjugated_matrix(grid: Grid, m_values: np.ndarray, tau: float,
 
 def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
                         source: np.ndarray, sym: Symmetrizer, tau: float,
-                        sigma: float) -> EnergyBreakdown:
+                        sigma: float) -> np.ndarray:
     """Split dE/dt into -taudot*E1 + E2 + E3 + E4 at the Symmetrizer's time.
 
-    `transport` and `source` are the two parts of the solver's
-    right-hand side at (sym.t, u), as `solver.rhs_parts` returns them.
-    op(b) meets four second rows, of v, D^sigma v and the two weighted
-    parts; one matrix product applies it to all four, which rounds
-    within a few ulps of four matrix-vector products.
+    Returns the float64 array (E, E1, E2, E3, E4).  `transport` and
+    `source` are the two parts of the solver's right-hand side at
+    (sym.t, u), as `solver.rhs_parts` returns them.  op(b) meets four
+    second rows, of v, D^sigma v and the two weighted parts; one matrix
+    product applies it to all four, which rounds within a few ulps of
+    four matrix-vector products.
     """
     grid = sym.grid
     v = weight_values(grid, u, tau, sigma)
@@ -164,12 +140,12 @@ def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
         grid, np.stack((transport, source)), tau, sigma)
     bv2, bdv2, btransport2, bsource2 = apply(sym.b_matrix, np.stack(
         (v[1], dv[1], transport_w[1], source_w[1]), axis=1)).T
-    E = 0.5 * (grid.norm2(v[0]) + grid.norm2(bv2))
-    return EnergyBreakdown(
-        t=sym.t, tau=tau, E=float(E), E1=_pair(grid, dv, v, bdv2, bv2),
-        E2=_pair(grid, transport_w, v, btransport2, bv2),
-        E3=float(np.real(grid.inner(apply(sym.dt_b_matrix(), v[1]), bv2))),
-        E4=_pair(grid, source_w, v, bsource2, bv2))
+    return np.array([
+        0.5 * (grid.norm2(v[0]) + grid.norm2(bv2)),
+        _pair(grid, dv, v, bdv2, bv2),
+        _pair(grid, transport_w, v, btransport2, bv2),
+        np.real(grid.inner(apply(sym.dt_b_matrix(), v[1]), bv2)),
+        _pair(grid, source_w, v, bsource2, bv2)])
 
 
 def garding_sign_probe(u: np.ndarray, sym: Symmetrizer, tau: float,

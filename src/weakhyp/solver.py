@@ -11,9 +11,10 @@ times the plateau profile chi in the (2,1) entry of F, which reproduces
 the wave-like equation d_t^2 u1 = d_x(a d_x u1) + d_x(u1^2) on the
 plateau.  Runs record the Gevrey energy budget along the trajectory in
 two phases: `integrate` keeps the state at each record, and `observe`
-measures the budget of each record after the RK4 loop has ended.  The
-trajectory does not depend on taudot, so one integration serves every
-rate with the same horizon.
+measures the budget of each record after the RK4 loop has ended, one
+row of the `EnergyTrace` table per record.  The trajectory does not
+depend on taudot, so one integration serves every rate with the same
+horizon.
 """
 
 from __future__ import annotations
@@ -238,35 +239,34 @@ def step_rk4(cfg: RunConfig, t: float, u: np.ndarray,
 
 @dataclass
 class EnergyTrace:
-    """Time series of the energy budget along one run."""
+    """Time series of the energy budget along one run.
+
+    `table` holds one row per record in the columns COLUMNS: t, tau,
+    the budget (E, E1, E2, E3, E4) of `dt_energy_breakdown` and the
+    ratios r_k = |E_k| / E1, which are 0 where E1 = 0.
+    """
 
     COLUMNS = ("t", "tau", "E", "E1", "E2", "E3", "E4", "r2", "r3", "r4")
 
-    breakdowns: list
+    table: np.ndarray
     initial_energy: float
     aborted: bool = False
     abort_reason: str = ""
 
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([b.E for b in self.breakdowns])
-
     def max_ratio(self) -> float:
         if self.initial_energy == 0.0:
             return 0.0
-        return float(np.max(self.energies) / self.initial_energy)
+        return float(np.max(self.table[:, 2]) / self.initial_energy)
 
     def max_ratio_sum(self) -> float:
-        """max over time of (|E2| + |E3| + |E4|) / E1."""
-        worst = 0.0
-        for b in self.breakdowns:
-            if b.E1 > 0:
-                worst = max(worst, (abs(b.E2) + abs(b.E3) + abs(b.E4)) / b.E1)
-        return worst
+        """max over time of (|E2| + |E3| + |E4|) / E1, over E1 > 0."""
+        rows = self.table[self.table[:, 3] > 0]
+        E2, E3, E4 = np.abs(rows[:, 4:7]).T
+        return float(np.max((E2 + E3 + E4) / rows[:, 3], initial=0.0))
 
     def rows(self):
-        for b in self.breakdowns:
-            yield {name: getattr(b, name) for name in self.COLUMNS}
+        for row in self.table.tolist():
+            yield dict(zip(self.COLUMNS, row))
 
 
 def _step_plan(cfg: RunConfig):
@@ -353,19 +353,22 @@ def observe(cfg: RunConfig, traj: Trajectory) -> EnergyTrace:
     grid = cfg.grid
     sb = cfg.symbol_b()
     sym0 = traj.sym0
-    breakdowns = []
+    table = np.zeros((len(traj.times), len(EnergyTrace.COLUMNS)))
     aborted, reason = traj.aborted, traj.abort_reason
     try:
-        for t, u in zip(traj.times, traj.states):
+        for k, (t, u) in enumerate(zip(traj.times, traj.states)):
             sym = sym0 if t == sym0.t else Symmetrizer(grid, sb, t)
             transport, source = rhs_parts(cfg, t, u)
-            breakdowns.append(dt_energy_breakdown(u, transport, source, sym,
-                                                  cfg.tau_at(t), cfg.sigma))
+            tau = cfg.tau_at(t)
+            table[k, :7] = (t, tau, *dt_energy_breakdown(
+                u, transport, source, sym, tau, cfg.sigma))
     except SolverBlowupError as err:
+        table = table[:k]
         aborted = True
         reason = str(err)
-    return EnergyTrace(breakdowns=breakdowns,
-                       initial_energy=traj.initial_energy,
+    E1 = table[:, 3:4]
+    np.divide(np.abs(table[:, 4:7]), E1, out=table[:, 7:], where=E1 > 0)
+    return EnergyTrace(table=table, initial_energy=traj.initial_energy,
                        aborted=aborted, abort_reason=reason)
 
 
@@ -411,6 +414,7 @@ def verify_breakdown_identity(cfg: RunConfig, t: float,
     transport, source = rhs_parts(cfg, t, u)
     bd = dt_energy_breakdown(u, transport, source, Symmetrizer(grid, sb, t),
                              cfg.tau_at(t), cfg.sigma)
+    _, E1, E2, E3, E4 = bd
 
     def energy_after(step: float) -> float:
         s = t + step
@@ -419,8 +423,8 @@ def verify_breakdown_identity(cfg: RunConfig, t: float,
                              cfg.sigma)
 
     fd = (energy_after(h) - energy_after(-h)) / (2.0 * h)
-    predicted = bd.dt_energy(cfg.taudot)
-    magnitude = bd.E1 + abs(bd.E2) + abs(bd.E3) + abs(bd.E4)
+    predicted = -cfg.taudot * E1 + E2 + E3 + E4
+    magnitude = E1 + abs(E2) + abs(E3) + abs(E4)
     return {
         "fd": fd,
         "predicted": predicted,

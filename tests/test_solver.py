@@ -1,12 +1,13 @@
 import importlib
 import io
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from weakhyp.energy import Symmetrizer
-from weakhyp.solver import (PACKET_WIDTH, CFLError, RunConfig,
+from weakhyp.solver import (PACKET_WIDTH, CFLError, EnergyTrace, RunConfig,
                             SolverBlowupError, integrate,
                             measure_tau_threshold, observe, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
@@ -216,8 +217,8 @@ class TestRunWithEnergy:
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0,
                         nonlinear=False)
         trace = run_with_energy(cfg)
-        assert not trace.aborted and len(trace.breakdowns) > 1
-        assert all(b.E4 == 0.0 for b in trace.breakdowns)
+        assert not trace.aborted and len(trace.table) > 1
+        assert all(row["E4"] == 0.0 for row in trace.rows())
 
     def test_support_control_along_run(self, coeff):
         cfg = RunConfig(n=256, coeff=coeff, packet_xi=24.0, taudot=0.0,
@@ -241,7 +242,7 @@ class TestRunWithEnergy:
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=1)
         trace = run_with_energy(cfg)
         assert trace.aborted
-        assert len(trace.breakdowns) >= 1
+        assert len(trace.table) >= 1
         assert "non-finite" in trace.abort_reason
 
     def test_initial_symmetrizer_reused_for_first_record(self, coeff,
@@ -257,7 +258,7 @@ class TestRunWithEnergy:
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0)
         trace = run_with_energy(cfg)
         # one build for the normalisation and t = 0, one per later record
-        assert built == [0.0] + [b.t for b in trace.breakdowns[1:]]
+        assert built == [0.0] + [row["t"] for row in trace.rows()][1:]
 
     def test_trace_rows_deterministic(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=4, taudot=1.0)
@@ -269,6 +270,51 @@ class TestRunWithEnergy:
             for r in rows:
                 buf.write(",".join("%.17g" % r[c] for c in cols) + "\n")
         assert buf1.getvalue() == buf2.getvalue()
+
+
+class TestEnergyTrace:
+    def test_zero_state_has_zero_ratios_without_warning(self, coeff,
+                                                        monkeypatch):
+        monkeypatch.setattr(RunConfig, "initial_state",
+                            lambda self: np.zeros((2, self.n), dtype=complex))
+        cfg = RunConfig(n=64, coeff=coeff, sample_stride=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_with_energy(cfg)
+            assert trace.max_ratio_sum() == 0.0
+        assert np.all(trace.table[:, 3] == 0.0)
+        assert np.all(trace.table[:, 7:] == 0.0)
+
+    def test_empty_table_has_zero_ratio_sum(self):
+        trace = EnergyTrace(table=np.zeros((0, len(EnergyTrace.COLUMNS))),
+                            initial_energy=1.0)
+        assert trace.max_ratio_sum() == 0.0
+        assert list(trace.rows()) == []
+
+    def test_table_holds_a_row_of_every_column_per_record(self, coeff):
+        cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0)
+        traj = integrate(cfg)
+        trace = observe(cfg, traj)
+        assert trace.table.shape == (len(traj.times),
+                                     len(EnergyTrace.COLUMNS))
+        assert trace.table.dtype == np.float64
+        rows = list(trace.rows())
+        assert all(tuple(row) == EnergyTrace.COLUMNS for row in rows)
+        for row in rows:
+            assert row["E1"] > 0.0
+            for k in (2, 3, 4):
+                assert row[f"r{k}"] == abs(row[f"E{k}"]) / row["E1"]
+
+    def test_threshold_equals_the_per_record_loop(self, coeff):
+        pilot = integrate(RunConfig(n=64, sigma=0.5, tau0=0.5, coeff=coeff,
+                                    packet_xi=10.0, sample_stride=4))
+        worst = 0.0
+        for row in observe(pilot.cfg, pilot).rows():
+            if row["E1"] > 0:
+                worst = max(worst, (abs(row["E2"]) + abs(row["E3"])
+                                    + abs(row["E4"])) / row["E1"])
+        assert worst > 0.0
+        assert measure_tau_threshold(pilot) == worst
 
 
 class TestTrajectory:
@@ -293,7 +339,7 @@ class TestTrajectory:
     def test_observe_accepts_an_equal_config_built_apart(self):
         traj = integrate(RunConfig(n=64, sample_stride=8))
         trace = observe(RunConfig(n=64, sample_stride=8), traj)
-        assert len(trace.breakdowns) == len(traj.states)
+        assert len(trace.table) == len(traj.states)
 
     @pytest.mark.parametrize("change", [{"taudot": 40.0}, {"sigma": 0.6},
                                         {"sample_stride": 2}])
@@ -316,8 +362,9 @@ class TestTrajectory:
         assert cfg.t_end() == cfg.tau0 / cfg.taudot
         trace = run_with_energy(cfg)
         assert not trace.aborted
-        assert trace.breakdowns[-1].t > cfg.t_end()
-        assert trace.breakdowns[-1].tau == 0.0
+        last = list(trace.rows())[-1]
+        assert last["t"] > cfg.t_end()
+        assert last["tau"] == 0.0
         with pytest.raises(ValueError, match="became negative"):
             cfg.tau_at(1.01 * cfg.t_end())
 
