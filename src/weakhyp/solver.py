@@ -83,10 +83,7 @@ def wave_packet(grid: Grid, center: float, xi_center: float) -> np.ndarray:
     x = grid.x
     env = np.exp(-((x - center) ** 2) / (2.0 * PACKET_WIDTH ** 2))
     vals = env * np.exp(2.0j * np.pi * xi_center * (x - center))
-    # unitary pair, not Grid.multiply: that rounds the packet differently
-    # and moves the recorded traces by up to ~3e-11 relative
-    vh = np.fft.fft(vals, norm="ortho")
-    return np.fft.ifft(vh * _packet_window(grid, xi_center), norm="ortho")
+    return grid.multiply(vals, _packet_window(grid, xi_center))
 
 
 @dataclass
