@@ -227,7 +227,7 @@ def faa_di_bruno_check() -> AuditReport:
                        witness=(order, order), passed=ok)
 
 
-def _sample_phase_points(pm: PhaseMetric, t: float, n_pairs: int, seed: int):
+def _sample_phase_points(pm: PhaseMetric, n_pairs: int, seed: int):
     coeff = pm.sb.coeff
     rng = np.random.default_rng(seed)
     x = coeff.x0 + rng.uniform(-coeff.r, coeff.r, size=n_pairs)
@@ -267,8 +267,8 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     lattice, and the fitted temperance pair (C, N).
     """
     sb = pm.sb
-    x1, xi1 = _sample_phase_points(pm, t, n_pairs, seed)
-    x2, xi2 = _sample_phase_points(pm, t, n_pairs, seed + 1)
+    x1, xi1 = _sample_phase_points(pm, n_pairs, seed)
+    x2, xi2 = _sample_phase_points(pm, n_pairs, seed + 1)
     rng = np.random.default_rng(seed + 2)
     # half the partners are g-scaled perturbations, so the slow-variation
     # ball g_X(X - Y) <= r^2 is well populated
@@ -325,8 +325,8 @@ def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
                                seed: int = 13) -> AuditReport:
     """Fit b(X)/b(Y) <= C (1 + g^sigma_X(X - Y))^N over sampled pairs."""
     sb = pm.sb
-    x1, xi1 = _sample_phase_points(pm, t, n_pairs, seed)
-    x2, xi2 = _sample_phase_points(pm, t, n_pairs, seed + 1)
+    x1, xi1 = _sample_phase_points(pm, n_pairs, seed)
+    x2, xi2 = _sample_phase_points(pm, n_pairs, seed + 1)
     bx = sb.b(t, x1, xi1)
     by = sb.b(t, x2, xi2)
     ratio = np.maximum(bx / by, by / bx)

@@ -55,24 +55,21 @@ class TimeCoefficient:
 
     fn: Callable[[np.ndarray], np.ndarray]
     k: int
-    name: str = ""
 
     def sup_a(self, T: float) -> float:
         return float(np.max(self.fn(np.linspace(0.0, T, 4096))))
 
 
 def coefficient_linear() -> TimeCoefficient:
-    return TimeCoefficient(fn=lambda t: t, k=1, name="a(t)=t")
+    return TimeCoefficient(fn=lambda t: t, k=1)
 
 
 def coefficient_parabola(t_star: float = 0.5) -> TimeCoefficient:
-    return TimeCoefficient(fn=lambda t: (t - t_star) ** 2, k=2,
-                           name=f"a(t)=(t-{t_star})^2")
+    return TimeCoefficient(fn=lambda t: (t - t_star) ** 2, k=2)
 
 
 def coefficient_constant(value: float = 1.0) -> TimeCoefficient:
-    return TimeCoefficient(fn=lambda t: np.full(np.shape(t), value), k=1,
-                           name=f"a(t)={value}")
+    return TimeCoefficient(fn=lambda t: np.full(np.shape(t), value), k=1)
 
 
 def _mode_dt(tc: TimeCoefficient, xi: float, T: float) -> float:

@@ -315,9 +315,9 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     return SymbolField(grid, fft(c, axis=1))
 
 
-def multiplier_matrix(grid: Grid, m) -> np.ndarray:
-    """Dense matrix of the Fourier multiplier m(xi) (exact)."""
-    mv = np.asarray(m(grid.xi) if callable(m) else m, dtype=complex)
+def multiplier_matrix(grid: Grid, m: np.ndarray) -> np.ndarray:
+    """Dense matrix of the Fourier multiplier m, given on grid.xi (exact)."""
+    mv = np.asarray(m, dtype=complex)
     # row j of the product is the image of e_j, i.e. column j of the matrix
     return grid.multiply(np.eye(grid.n, dtype=complex), mv).T
 

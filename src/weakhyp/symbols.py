@@ -219,8 +219,8 @@ class SymbolB:
     allow_invalid: bool = False
 
     def __post_init__(self):
-        if self.c <= 0.0:
-            raise ValueError(f"c = {self.c} must be positive")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"c = {self.c} must be positive and finite")
         if self.c > 2.0 and not self.allow_invalid:
             raise ValueError(
                 f"c = {self.c} violates the uncertainty-principle bound c <= 2 "

@@ -15,7 +15,7 @@ LADDER = [2.0**j for j in range(4, 11)]
 def coefficient_cos():
     """A positive coefficient that is no polynomial in t."""
     return TimeCoefficient(fn=lambda t: 1.5 + 0.5 * np.cos(2 * np.pi * t),
-                           k=1, name="cos")
+                           k=1)
 
 
 COEFFICIENTS = [coefficient_linear, coefficient_parabola,
@@ -174,7 +174,7 @@ class TestGrowthFit:
         # a bounded below: amplification is controlled by the
         # equivalence constant (sup a + eps) / a_min
         tc = TimeCoefficient(fn=lambda t: 1.5 + 0.5 * np.cos(2 * np.pi * t),
-                             k=1, name="positive")
+                             k=1)
         a_min, a_sup = 1.0, 2.0
         eps = a_min
         ratio, _ = max_energy_growth(tc, xi=32.0, T=1.0, eps=eps)

@@ -214,6 +214,13 @@ class TestSymbolB:
         with pytest.raises(ValueError):
             SymbolB(coeff, c=-1.0, allow_invalid=True)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"),
+                                   float("-inf")])
+    @pytest.mark.parametrize("allow_invalid", [False, True])
+    def test_non_finite_c_rejected(self, coeff, c, allow_invalid):
+        with pytest.raises(ValueError, match="finite"):
+            SymbolB(coeff, c=c, allow_invalid=allow_invalid)
+
 
 class TestPhaseMetric:
     def test_positive_definite(self, sb_c1, rng):
