@@ -257,9 +257,9 @@ class EnergyTrace:
 
     def max_ratio_sum(self) -> float:
         """max over time of (|E2| + |E3| + |E4|) / E1, over E1 > 0."""
-        rows = self.table[self.table[:, 3] > 0]
-        E2, E3, E4 = np.abs(rows[:, 4:7]).T
-        return float(np.max((E2 + E3 + E4) / rows[:, 3], initial=0.0))
+        kept = self.table[self.table[:, 3] > 0]
+        E2, E3, E4 = np.abs(kept[:, 4:7]).T
+        return float(np.max((E2 + E3 + E4) / kept[:, 3], initial=0.0))
 
     def rows(self):
         for row in self.table.tolist():
@@ -409,9 +409,9 @@ def verify_breakdown_identity(cfg: RunConfig, t: float,
     # large against the roundoff floor of E
     h = cfg.max_dt() / 64.0
     transport, source = rhs_parts(cfg, t, u)
-    bd = dt_energy_breakdown(u, transport, source, Symmetrizer(grid, sb, t),
-                             cfg.tau_at(t), cfg.sigma)
-    _, E1, E2, E3, E4 = bd
+    _, E1, E2, E3, E4 = dt_energy_breakdown(
+        u, transport, source, Symmetrizer(grid, sb, t), cfg.tau_at(t),
+        cfg.sigma)
 
     def energy_after(step: float) -> float:
         s = t + step
@@ -427,5 +427,4 @@ def verify_breakdown_identity(cfg: RunConfig, t: float,
         "predicted": predicted,
         "residual": abs(fd - predicted),
         "magnitude": magnitude,
-        "breakdown": bd,
     }
