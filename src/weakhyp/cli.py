@@ -32,8 +32,7 @@ from .quantize import (SymbolField, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol_b)
 from .reporting import write_csv, write_json
 from .solver import (RATE_FACTOR, EnergyTrace, RunConfig, SolverBlowupError,
-                     integrate, measure_tau_threshold, observe,
-                     run_with_energy)
+                     integrate, measure_tau_threshold, run_with_energy)
 from .spectral import Grid
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
@@ -161,21 +160,19 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     # the hash names the configuration: the rate rule as given, not the
     # rate the pilot measures for it
     config_hash = cfg.content_hash(taudot=taudot)
-    threshold = pilot = None
+    threshold = trace = None
     if taudot == "auto":
         # cfg has taudot = 0: its trajectory is the pilot's
-        pilot = integrate(cfg)
         try:
-            threshold = measure_tau_threshold(pilot)
+            threshold, trace = measure_tau_threshold(integrate(cfg))
         except SolverBlowupError as err:
             return [{"check": "pilot_completed", "detail": str(err)}]
         taudot = RATE_FACTOR * threshold
     cfg = replace(cfg, taudot=float(taudot))
 
-    # the pilot ends at T; a rate with tau0 / taudot < T ends earlier
-    if pilot is not None and pilot.covers(cfg):
-        trace = observe(cfg, pilot)
-    else:
+    # a given rate, and an auto rate that ends before the pilot's T
+    # (tau0 / taudot < T), integrate a trajectory of their own
+    if trace is None:
         trace = run_with_energy(cfg)
     write_csv(os.path.join(out, "trace.csv"), trace.rows(),
               EnergyTrace.COLUMNS)

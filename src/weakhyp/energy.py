@@ -19,9 +19,9 @@ unweight-reweight round trip, whose roundoff the large weights amplify.
 All four terms are evaluated with exact grid-level operators, so the
 identity holds to the accuracy of the time discretization only.  The
 state is the (2, n) array u; its grid and time are those of the
-Symmetrizer.  `dt_energy_breakdown` returns the budget as the float64
-array (E, E1, E2, E3, E4), which `solver.EnergyTrace` stacks into one
-table per run.
+Symmetrizer.  `dt_energy_breakdown` returns the budget as float64 rows
+(E, E1, E2, E3, E4), one per Gevrey radius tau, which `solver.EnergyTrace`
+stacks into one table per run.
 """
 
 from __future__ import annotations
@@ -122,30 +122,36 @@ def conjugated_matrix(grid: Grid, m_values: np.ndarray, tau: float,
 
 
 def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
-                        source: np.ndarray, sym: Symmetrizer, tau: float,
+                        source: np.ndarray, sym: Symmetrizer, taus,
                         sigma: float) -> np.ndarray:
     """Split dE/dt into -taudot*E1 + E2 + E3 + E4 at the Symmetrizer's time.
 
-    Returns the float64 array (E, E1, E2, E3, E4).  `transport` and
-    `source` are the two parts of the solver's right-hand side at
-    (sym.t, u), as `solver.rhs_parts` returns them.  op(b) meets four
-    second rows, of v, D^sigma v and the two weighted parts; one matrix
-    product applies it to all four, which rounds within a few ulps of
-    four matrix-vector products.
+    Returns one float64 row (E, E1, E2, E3, E4) per tau of `taus`.
+    `transport` and `source` are the two parts of the solver's
+    right-hand side at (sym.t, u), as `solver.rhs_parts` returns them.
+    op(dt b) is quantized once and serves every row; each row takes the
+    same operations as a call with that tau alone, so it matches that
+    call bit for bit.  op(b) meets four second rows, of v, D^sigma v
+    and the two weighted parts; one matrix product applies it to all
+    four, which rounds within a few ulps of four matrix-vector products.
     """
     grid = sym.grid
-    v = weight_values(grid, u, tau, sigma)
-    dv = grid.multiply(v, bracket(grid.xi) ** sigma)
-    transport_w, source_w = weight_values(
-        grid, np.stack((transport, source)), tau, sigma)
-    bv2, bdv2, btransport2, bsource2 = apply(sym.b_matrix, np.stack(
-        (v[1], dv[1], transport_w[1], source_w[1]), axis=1)).T
-    return np.array([
-        0.5 * (grid.norm2(v[0]) + grid.norm2(bv2)),
-        _pair(grid, dv, v, bdv2, bv2),
-        _pair(grid, transport_w, v, btransport2, bv2),
-        np.real(grid.inner(apply(sym.dt_b_matrix(), v[1]), bv2)),
-        _pair(grid, source_w, v, bsource2, bv2)])
+    dt_b = sym.dt_b_matrix()
+    d_sigma = bracket(grid.xi) ** sigma
+    rows = np.empty((len(taus), 5))
+    for row, tau in zip(rows, taus):
+        v = weight_values(grid, u, tau, sigma)
+        dv = grid.multiply(v, d_sigma)
+        transport_w, source_w = weight_values(
+            grid, np.stack((transport, source)), tau, sigma)
+        bv2, bdv2, btransport2, bsource2 = apply(sym.b_matrix, np.stack(
+            (v[1], dv[1], transport_w[1], source_w[1]), axis=1)).T
+        row[:] = (0.5 * (grid.norm2(v[0]) + grid.norm2(bv2)),
+                  _pair(grid, dv, v, bdv2, bv2),
+                  _pair(grid, transport_w, v, btransport2, bv2),
+                  np.real(grid.inner(apply(dt_b, v[1]), bv2)),
+                  _pair(grid, source_w, v, bsource2, bv2))
+    return rows
 
 
 def garding_sign_probe(u: np.ndarray, sym: Symmetrizer, tau: float,

@@ -14,7 +14,10 @@ two phases: `integrate` keeps the state at each record, and `observe`
 measures the budget of each record after the RK4 loop has ended, one
 row of the `EnergyTrace` table per record.  The trajectory does not
 depend on taudot, so one integration serves every rate with the same
-horizon.
+horizon.  An "auto" rate needs the budget at taudot = 0 to set the
+rate, and the budget at that rate: `measure_tau_threshold` observes
+each record once for both, and again only where its guess at the rate
+was stale.
 """
 
 from __future__ import annotations
@@ -251,19 +254,56 @@ class EnergyTrace:
     abort_reason: str = ""
 
     def max_ratio(self) -> float:
+        """max over time of E / E0; 0 for an empty trace or E0 = 0."""
         if self.initial_energy == 0.0:
             return 0.0
-        return float(np.max(self.table[:, 2]) / self.initial_energy)
+        return float(np.max(self.table[:, 2], initial=0.0)
+                     / self.initial_energy)
 
     def max_ratio_sum(self) -> float:
         """max over time of (|E2| + |E3| + |E4|) / E1, over E1 > 0."""
-        kept = self.table[self.table[:, 3] > 0]
-        E2, E3, E4 = np.abs(kept[:, 4:7]).T
-        return float(np.max((E2 + E3 + E4) / kept[:, 3], initial=0.0))
+        return _max_ratio_sum(self.table)
 
     def rows(self):
         for row in self.table.tolist():
             yield dict(zip(self.COLUMNS, row))
+
+
+def _max_ratio_sum(table: np.ndarray) -> float:
+    """max of (|E2| + |E3| + |E4|) / E1 over the rows of a trace table
+    with E1 > 0, and 0 where there are none."""
+    kept = table[table[:, 3] > 0]
+    E2, E3, E4 = np.abs(kept[:, 4:7]).T
+    return float(np.max((E2 + E3 + E4) / kept[:, 3], initial=0.0))
+
+
+def _trace(table: np.ndarray, traj: Trajectory, aborted: bool,
+           reason: str) -> EnergyTrace:
+    """The trace of the budget rows in table[:, :7], whose ratio columns
+    it fills in."""
+    E1 = table[:, 3:4]
+    np.divide(np.abs(table[:, 4:7]), E1, out=table[:, 7:], where=E1 > 0)
+    return EnergyTrace(table=table, initial_energy=traj.initial_energy,
+                       aborted=aborted, abort_reason=reason)
+
+
+def _record(cfg: RunConfig, traj: Trajectory, k: int):
+    """(u, transport, source, sym) of record k, the leading arguments of
+    `dt_energy_breakdown`: its state, the two parts of its right-hand
+    side and its Symmetrizer (t = 0 reuses the trajectory's).
+
+    One record serves every tau it is observed at.  The observing loops
+    hold a record until the next one is built, as a plain loop over the
+    records does: freeing each record's kernels before the next build
+    let the allocator hand their pages back, and one `observe` of the
+    n = 512 headline run then took about 91 000 page faults instead of
+    3 500 to 6 500, and about 40 % more time.  Raises SolverBlowupError
+    where the right-hand side is not finite.
+    """
+    t, u = traj.times[k], traj.states[k]
+    sym = traj.sym0 if t == traj.sym0.t else Symmetrizer(
+        cfg.grid, cfg.symbol_b(), t)
+    return (u, *rhs_parts(cfg, t, u), sym)
 
 
 def _step_plan(cfg: RunConfig):
@@ -281,7 +321,8 @@ class Trajectory:
     `sample_stride` steps and the last step.  `sym0` is the t = 0
     Symmetrizer and `initial_energy` the energy E0 it measured.  Neither
     the flow nor a Symmetrizer depends on taudot, so the trajectory
-    serves every rate whose step plan is the same (`covers`).
+    serves every rate whose step plan is the same (`covers`): the pilot
+    of an "auto" rate and, where it ends at T, that rate itself.
     """
 
     cfg: RunConfig
@@ -341,32 +382,25 @@ def observe(cfg: RunConfig, traj: Trajectory) -> EnergyTrace:
     """The energy budget of every record of `traj` at the rate of `cfg`.
 
     `cfg` must be covered by the trajectory.  The records are observed
-    back to back, each with its own Symmetrizer (t = 0 reuses the
-    trajectory's).  A record whose right-hand side is not finite ends
-    the trace there; otherwise the trace keeps the trajectory's abort.
+    back to back, each from its `_record`.  A record whose right-hand
+    side is not finite ends the trace there; otherwise the trace keeps
+    the trajectory's abort.
     """
     if not traj.covers(cfg):
         raise ValueError("the trajectory was integrated for another run")
-    grid = cfg.grid
-    sb = cfg.symbol_b()
-    sym0 = traj.sym0
     table = np.zeros((len(traj.times), len(EnergyTrace.COLUMNS)))
     aborted, reason = traj.aborted, traj.abort_reason
     try:
-        for k, (t, u) in enumerate(zip(traj.times, traj.states)):
-            sym = sym0 if t == sym0.t else Symmetrizer(grid, sb, t)
-            transport, source = rhs_parts(cfg, t, u)
+        for k, t in enumerate(traj.times):
+            record = _record(cfg, traj, k)
             tau = cfg.tau_at(t)
             table[k, :7] = (t, tau, *dt_energy_breakdown(
-                u, transport, source, sym, tau, cfg.sigma))
+                *record, [tau], cfg.sigma)[0])
     except SolverBlowupError as err:
         table = table[:k]
         aborted = True
         reason = str(err)
-    E1 = table[:, 3:4]
-    np.divide(np.abs(table[:, 4:7]), E1, out=table[:, 7:], where=E1 > 0)
-    return EnergyTrace(table=table, initial_energy=traj.initial_energy,
-                       aborted=aborted, abort_reason=reason)
+    return _trace(table, traj, aborted, reason)
 
 
 def run_with_energy(cfg: RunConfig) -> EnergyTrace:
@@ -379,19 +413,60 @@ def run_with_energy(cfg: RunConfig) -> EnergyTrace:
     return observe(cfg, integrate(cfg))
 
 
-def measure_tau_threshold(run: Trajectory) -> float:
-    """max_t (|E2|+|E3|+|E4|)/E1 of a pilot trajectory at taudot = 0.
+def measure_tau_threshold(run: Trajectory):
+    """The threshold of a pilot trajectory and the trace at the auto rate.
 
-    `run` is a Trajectory integrated to T.  Any taudot above the
-    threshold makes the energy budget strictly dissipative; an "auto"
-    rate is RATE_FACTOR times the measured value, observed on the same
-    trajectory again.  Raises SolverBlowupError if the
-    pilot aborted.
+    `run` is a Trajectory integrated to T.  The threshold is max_t
+    (|E2|+|E3|+|E4|)/E1 at taudot = 0: any taudot above it makes the
+    energy budget strictly dissipative, and the "auto" rate is
+    RATE_FACTOR times it.  Returns (threshold, trace), where `trace` is
+    `observe` of `run` at the auto rate, bit for bit, or None where that
+    rate ends before T (tau0 / taudot < T) and `run` does not cover it.
+
+    One pass observes each record for both rates: next to its pilot row
+    it gets a speculative row at RATE_FACTOR times the threshold of the
+    records before it, from the same `_record`.  Once that running
+    maximum has settled, the speculative rows are the final ones; the
+    records whose speculative tau differs from the final tau are
+    observed again.  No kernel outlives its record.  Raises
+    SolverBlowupError if the pilot aborted.
     """
-    trace = observe(replace(run.cfg, taudot=0.0), run)
-    if trace.aborted:
-        raise SolverBlowupError(f"pilot run aborted: {trace.abort_reason}")
-    return trace.max_ratio_sum()
+    pilot = replace(run.cfg, taudot=0.0)
+    if not run.covers(pilot):
+        raise ValueError("the trajectory was integrated for another run")
+    pilot_table = np.zeros((len(run.times), len(EnergyTrace.COLUMNS)))
+    table = np.zeros_like(pilot_table)
+    guess, covered = pilot, True
+    try:
+        for k, t in enumerate(run.times):
+            rate = RATE_FACTOR * _max_ratio_sum(pilot_table[:k])
+            if rate != guess.taudot:
+                guess = replace(pilot, taudot=rate)
+                # a rate that ends before T is not the final one either:
+                # the running maximum only grows
+                covered = guess.t_end() == pilot.t_end()
+            taus = [pilot.tau_at(t)]
+            if covered and guess.tau_at(t) != taus[0]:
+                taus.append(guess.tau_at(t))
+            record = _record(pilot, run, k)
+            rows = dt_energy_breakdown(*record, taus, pilot.sigma)
+            pilot_table[k, :7] = (t, taus[0], *rows[0])
+            table[k, :7] = (t, taus[-1], *rows[-1])
+    except SolverBlowupError as err:
+        raise SolverBlowupError(f"pilot run aborted: {err}") from err
+    if run.aborted:
+        raise SolverBlowupError(f"pilot run aborted: {run.abort_reason}")
+    threshold = _max_ratio_sum(pilot_table)
+    cfg = replace(pilot, taudot=RATE_FACTOR * threshold)
+    if not run.covers(cfg):
+        return threshold, None
+    for k, t in enumerate(run.times):
+        tau = cfg.tau_at(t)
+        if table[k, 1] != tau:
+            record = _record(cfg, run, k)
+            table[k, :7] = (t, tau, *dt_energy_breakdown(
+                *record, [tau], cfg.sigma)[0])
+    return threshold, _trace(table, run, False, "")
 
 
 def verify_breakdown_identity(cfg: RunConfig, t: float,
@@ -409,8 +484,8 @@ def verify_breakdown_identity(cfg: RunConfig, t: float,
     # large against the roundoff floor of E
     h = cfg.max_dt() / 64.0
     transport, source = rhs_parts(cfg, t, u)
-    _, E1, E2, E3, E4 = dt_energy_breakdown(
-        u, transport, source, Symmetrizer(grid, sb, t), cfg.tau_at(t),
+    (_, E1, E2, E3, E4), = dt_energy_breakdown(
+        u, transport, source, Symmetrizer(grid, sb, t), [cfg.tau_at(t)],
         cfg.sigma)
 
     def energy_after(step: float) -> float:

@@ -64,7 +64,7 @@ def test_criterion_2_energy_estimate_shadow():
         t0 = time.time()
         cfg = RunConfig(n=256, sigma=sigma, tau0=1.0, coeff=coeff,
                         sample_stride=2, packet_xi=24.0, nonlinear=nonlinear)
-        threshold = measure_tau_threshold(integrate(cfg))
+        threshold, _ = measure_tau_threshold(integrate(cfg))
         cfg = replace(cfg, taudot=2.0 * threshold)
         trace = run_with_energy(cfg)
         ratio = trace.max_ratio()

@@ -385,8 +385,12 @@ class TestEnergyScenario:
                                                      monkeypatch):
         first = self._summary(tmp_path, "a", taudot="auto")
         measured = cli_module.measure_tau_threshold
-        monkeypatch.setattr(cli_module, "measure_tau_threshold",
-                            lambda cfg: measured(cfg) * (1 + 1e-15))
+
+        def drifting(run):
+            threshold, trace = measured(run)
+            return threshold * (1 + 1e-15), trace
+
+        monkeypatch.setattr(cli_module, "measure_tau_threshold", drifting)
         drifted = self._summary(tmp_path, "b", taudot="auto")
         assert drifted["taudot"] != first["taudot"]
         assert drifted["config"]["taudot"] == drifted["taudot"]
@@ -396,26 +400,46 @@ class TestEnergyScenario:
              "sample_stride": 8}
 
     def _run_auto(self, tmp_path, monkeypatch, **config):
-        """An auto-rate run: (its exit code, its output dir, its RK4 steps)."""
-        steps = []
+        """An auto-rate run: (its exit code, its output dir, its RK4
+        steps, its Symmetrizer builds)."""
+        steps, builds = [], []
         step = solver_module.step_rk4
 
         def counting(*args):
             steps.append(args[1])
             return step(*args)
 
+        class Counting(solver_module.Symmetrizer):
+            def __post_init__(self):
+                builds.append(self.t)
+                super().__post_init__()
+
         monkeypatch.setattr(solver_module, "step_rk4", counting)
+        monkeypatch.setattr(solver_module, "Symmetrizer", Counting)
         out = tmp_path / "auto"
         code = run_scenario(Scenario(
             "energy_estimate", dict(self.PILOT, taudot="auto", **config),
             str(out)))
         monkeypatch.undo()
-        return code, out, len(steps)
+        return code, out, len(steps), len(builds)
+
+    @staticmethod
+    def _stale_records(cfg, final):
+        """The records whose tau at RATE_FACTOR times the largest pilot
+        ratio of the records before them is not their tau at `final`."""
+        worst, stale = 0.0, 0
+        for row in run_with_energy(cfg).rows():
+            guess = replace(cfg, taudot=RATE_FACTOR * worst)
+            stale += guess.tau_at(row["t"]) != final.tau_at(row["t"])
+            if row["E1"] > 0:
+                worst = max(worst, (abs(row["E2"]) + abs(row["E3"])
+                                    + abs(row["E4"])) / row["E1"])
+        return stale
 
     def _reference(self, tmp_path, **config):
         """measure_tau_threshold, then run_with_energy at twice it."""
         cfg = RunConfig(coeff=CoefficientField(), **dict(self.PILOT, **config))
-        threshold = measure_tau_threshold(integrate(cfg))
+        threshold, _ = measure_tau_threshold(integrate(cfg))
         final = replace(cfg, taudot=2.0 * threshold)
         path = tmp_path / "reference.csv"
         write_csv(str(path), run_with_energy(final).rows(),
@@ -431,43 +455,84 @@ class TestEnergyScenario:
         assert summary["taudot"] == final.taudot
         assert summary["horizon"] == final.t_end()
 
-    def test_auto_rate_observes_the_pilot_trajectory_again(self, tmp_path,
-                                                           monkeypatch):
-        code, out, steps = self._run_auto(tmp_path, monkeypatch)
+    def _check_one_pass(self, tmp_path, monkeypatch, **config):
+        """The auto rate observes the pilot trajectory once, and again
+        only its stale records; returns their number."""
+        code, out, steps, builds = self._run_auto(tmp_path, monkeypatch,
+                                                  **config)
         assert code == 0
-        cfg, final, _, _ = reference = self._reference(tmp_path)
+        cfg, final, _, _ = reference = self._reference(tmp_path, **config)
         self._check_against(out, reference)
         # the final run ends at T with the pilot's steps: no second run
         assert final.t_end() == cfg.t_end()
-        assert steps == integrate(cfg).n_steps
+        traj = integrate(cfg)
+        assert steps == traj.n_steps
+        # one build per record (t = 0 is the normalisation's), and one
+        # per stale record; t = 0 has the same tau at every rate
+        stale = self._stale_records(cfg, final)
+        assert builds == len(traj.times) + stale
+        return stale
+
+    def test_auto_rate_observes_the_pilot_trajectory_again(self, tmp_path,
+                                                           monkeypatch):
+        self._check_one_pass(tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("config", [
+        {"n": 128, "sample_stride": 4},
+        {"n": 128, "sample_stride": 4, "nonlinear": False},
+        {"sample_stride": 1},
+        {"sigma": 0.75, "sample_stride": 4},
+        {"packet_xi": 20.0, "n": 128},
+    ], ids=str)
+    def test_auto_rate_observes_stale_records_again(self, tmp_path,
+                                                    monkeypatch, config):
+        # the running maximum of these pilots settles after record 1
+        assert self._check_one_pass(tmp_path, monkeypatch, **config) > 0
 
     def test_shorter_horizon_integrates_the_final_rate_again(self, tmp_path,
                                                              monkeypatch):
         # a smaller tau0 ends the final run at tau0 / taudot < T
-        code, out, steps = self._run_auto(tmp_path, monkeypatch, tau0=0.2)
+        code, out, steps, builds = self._run_auto(tmp_path, monkeypatch,
+                                                  tau0=0.2)
         assert code == 0
         cfg, final, _, _ = reference = self._reference(tmp_path, tau0=0.2)
         self._check_against(out, reference)
         assert final.t_end() == final.tau0 / final.taudot < cfg.t_end()
         assert steps == integrate(cfg).n_steps + integrate(final).n_steps
+        assert builds == len(integrate(cfg).times) + len(
+            integrate(final).times)
 
-    @pytest.mark.parametrize("t_blowup", [0.01, -1.0])
-    def test_aborted_pilot_exits_1_naming_its_reason(self, tmp_path,
-                                                     monkeypatch, t_blowup):
-        # every right-hand side past t_blowup sees a NaN state; at -1
-        # the right-hand side is not finite at the first record
+    def _blowup_failure(self, tmp_path, monkeypatch, t_blowup, taudot):
+        """The one failure of a run whose right-hand side past t_blowup
+        sees a NaN state; at -1 it is not finite at the first record."""
         parts = solver_module.rhs_parts
         monkeypatch.setattr(solver_module, "rhs_parts", lambda cfg, t, u: parts(
             cfg, t, u if t <= t_blowup else np.full_like(u, np.nan)))
         out = tmp_path / "pilot"
-        s = Scenario("energy_estimate", dict(self.PILOT, taudot="auto"),
+        s = Scenario("energy_estimate", dict(self.PILOT, taudot=taudot),
                      str(out))
         assert run_scenario(s) == 1
         with open(out / "failures.json") as fh:
             (failure,) = json.load(fh)["failures"]
+        return failure
+
+    @pytest.mark.parametrize("t_blowup", [0.01, -1.0])
+    def test_aborted_pilot_exits_1_naming_its_reason(self, tmp_path,
+                                                     monkeypatch, t_blowup):
+        failure = self._blowup_failure(tmp_path, monkeypatch, t_blowup,
+                                       "auto")
         assert failure["check"] == "pilot_completed"
         assert failure["detail"].startswith(
             "pilot run aborted: non-finite right-hand side at t = ")
+
+    def test_fixed_rate_run_without_a_record_exits_1(self, tmp_path,
+                                                     monkeypatch):
+        # the trace is empty: its max_ratio is 0, not a ValueError
+        failure = self._blowup_failure(tmp_path, monkeypatch, -1.0, 0.0)
+        assert failure == {"check": "run_completed", "detail":
+                           "non-finite right-hand side at t = 0.0"}
+        with open(tmp_path / "pilot" / "summary.json") as fh:
+            assert json.load(fh)["max_ratio"] == 0.0
 
     def test_f21_zero_is_no_energy_key(self, tmp_path, capsys):
         # `nonlinear: false` is the one key that switches F off

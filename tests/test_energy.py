@@ -138,7 +138,7 @@ def _e1(st, sym, tau, sigma):
     """E1 of the budget and its square-norm form
     ||D^(sigma/2) v1||^2 + ||D^(sigma/2) op(b) v2||^2."""
     zero = np.zeros_like(st)
-    value = dt_energy_breakdown(st, zero, zero, sym, tau, sigma)[1]
+    value = dt_energy_breakdown(st, zero, zero, sym, [tau], sigma)[0, 1]
     grid = sym.grid
     v = weight_values(grid, st, tau, sigma)
     half = grid.multiply(np.stack((v[0], sym.b_matrix @ v[1])),
@@ -223,19 +223,43 @@ class TestBreakdown:
         sb = cfg.symbol_b()
         sym = Symmetrizer(grid128, sb, 0.0)
         st = np.zeros((2, grid128.n), dtype=complex)
-        bd = dt_energy_breakdown(st, *rhs_parts(cfg, 0.0, st), sym, cfg.tau0,
-                                 cfg.sigma)
-        assert bd.dtype == np.float64 and bd.shape == (5,)
+        bd = dt_energy_breakdown(st, *rhs_parts(cfg, 0.0, st), sym,
+                                 [cfg.tau0], cfg.sigma)
+        assert bd.dtype == np.float64 and bd.shape == (1, 5)
         assert np.all(bd == 0.0)
 
     def test_linear_run_has_zero_e4(self, grid128, coeff, rng):
         cfg = RunConfig(n=128, sigma=0.5, coeff=coeff, nonlinear=False)
         sym = Symmetrizer(grid128, cfg.symbol_b(), 0.0)
         st = _random_state(grid128, rng)
-        E, E1, E2, E3, E4 = dt_energy_breakdown(
-            st, *rhs_parts(cfg, 0.0, st), sym, cfg.tau0, cfg.sigma)
+        (E, E1, E2, E3, E4), = dt_energy_breakdown(
+            st, *rhs_parts(cfg, 0.0, st), sym, [cfg.tau0], cfg.sigma)
         assert E4 == 0.0
         assert E1 > 0.0
+
+    def test_rows_match_single_tau_calls_sharing_one_dt_b(
+            self, coeff, rng, monkeypatch):
+        cfg = RunConfig(n=128, sigma=0.5, coeff=coeff)
+        sym = Symmetrizer(cfg.grid, cfg.symbol_b(), 0.02)
+        st = _random_state(cfg.grid, rng)
+        parts = rhs_parts(cfg, 0.02, st)
+        taus = [0.5, 0.3, 0.5, 0.0, 0.1234]
+        singles = [dt_energy_breakdown(st, *parts, sym, [tau], cfg.sigma)
+                   for tau in taus]
+        built = []
+        dt_b_matrix = Symmetrizer.dt_b_matrix
+
+        def counting(self):
+            built.append(self.t)
+            return dt_b_matrix(self)
+
+        monkeypatch.setattr(Symmetrizer, "dt_b_matrix", counting)
+        rows = dt_energy_breakdown(st, *parts, sym, taus, cfg.sigma)
+        assert built == [0.02]
+        assert rows.shape == (len(taus), 5)
+        assert np.array_equal(rows, np.concatenate(singles))
+        # E1 grows with the Gevrey radius
+        assert rows[3, 1] < rows[4, 1] < rows[1, 1] < rows[0, 1]
 
     def test_identity_against_flow_difference(self, coeff, rng):
         cfg = RunConfig(n=128, sigma=0.5, coeff=coeff, taudot=3.0)
@@ -248,8 +272,8 @@ class TestBreakdown:
         grid = cfg.grid
         sym = Symmetrizer(grid, cfg.symbol_b(), 0.0)
         st = cfg.initial_state()
-        E, E1, E2, E3, E4 = dt_energy_breakdown(
-            st, *rhs_parts(cfg, 0.0, st), sym, cfg.tau0, cfg.sigma)
+        (E, E1, E2, E3, E4), = dt_energy_breakdown(
+            st, *rhs_parts(cfg, 0.0, st), sym, [cfg.tau0], cfg.sigma)
         assert E1 > 0.0
         for r in np.abs((E2, E3, E4)) / E1:
             assert np.isfinite(r)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from weakhyp.energy import Symmetrizer
-from weakhyp.solver import (PACKET_WIDTH, CFLError, EnergyTrace, RunConfig,
-                            SolverBlowupError, integrate,
+from weakhyp.solver import (PACKET_WIDTH, RATE_FACTOR, CFLError,
+                            EnergyTrace, RunConfig, SolverBlowupError,
+                            integrate,
                             measure_tau_threshold, observe, rhs, rhs_parts,
                             run_with_energy, step_rk4, wave_packet)
 from weakhyp.symbols import CoefficientField
@@ -314,7 +315,7 @@ class TestEnergyTrace:
                 worst = max(worst, (abs(row["E2"]) + abs(row["E3"])
                                     + abs(row["E4"])) / row["E1"])
         assert worst > 0.0
-        assert measure_tau_threshold(pilot) == worst
+        assert measure_tau_threshold(pilot)[0] == worst
 
 
 class TestTrajectory:
@@ -326,7 +327,7 @@ class TestTrajectory:
     def test_one_trajectory_serves_every_rate_with_its_step_plan(
             self, pilot_cfg):
         traj = integrate(pilot_cfg)
-        assert (measure_tau_threshold(traj)
+        assert (measure_tau_threshold(traj)[0]
                 == run_with_energy(pilot_cfg).max_ratio_sum())
         for taudot in (0.0, 1.0, 5.0):
             cfg = replace(pilot_cfg, taudot=taudot)
@@ -350,6 +351,23 @@ class TestTrajectory:
         assert not traj.covers(cfg)
         with pytest.raises(ValueError, match="another run"):
             observe(cfg, traj)
+
+    def test_threshold_comes_with_the_auto_rate_trace(self, pilot_cfg):
+        # at stride 1 the records before the maximum are observed again
+        traj = integrate(replace(pilot_cfg, sample_stride=1))
+        threshold, trace = measure_tau_threshold(traj)
+        final = replace(traj.cfg, taudot=RATE_FACTOR * threshold)
+        observed = observe(final, traj)
+        assert not trace.aborted and trace.abort_reason == ""
+        assert trace.initial_energy == observed.initial_energy
+        assert np.array_equal(trace.table, observed.table)
+
+    def test_auto_rate_ending_before_t_has_no_trace(self, pilot_cfg):
+        traj = integrate(replace(pilot_cfg, tau0=0.2))
+        threshold, trace = measure_tau_threshold(traj)
+        assert trace is None
+        assert not traj.covers(replace(traj.cfg,
+                                       taudot=RATE_FACTOR * threshold))
 
     def test_threshold_needs_a_pilot_to_the_full_horizon(self, pilot_cfg):
         traj = integrate(replace(pilot_cfg, taudot=40.0))
