@@ -151,11 +151,13 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     # the RunConfig fields among the keys are passed through as given
     passed = {f.name for f in fields(RunConfig)} - {"coeff", "taudot"}
     kwargs = {k: v for k, v in cfg_raw.items() if k in passed}
-    kwargs["coeff"] = coeff
     try:
-        cfg = RunConfig(**kwargs)
+        cfg = RunConfig(coeff=coeff, **kwargs,
+                        taudot=0.0 if taudot == "auto" else taudot)
     except (TypeError, ValueError) as err:
         raise ScenarioError(str(err)) from err
+    if taudot == "auto" and cfg.tau0 == 0.0:
+        raise ScenarioError('tau0 = 0 ends an "auto" run at t = 0')
 
     # the hash names the configuration: the rate rule as given, not the
     # rate the pilot measures for it
@@ -255,19 +257,14 @@ QUANTIZER_RULES = AUDIT_RULES | {
 def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, QUANTIZER_RULES)
     sb = _symbol_b(cfg_raw, 0.5)
-    coeff = sb.coeff
     t = cfg_raw.get("t", 0.0)
     sizes = cfg_raw.get("sizes", [128, 256])
     dump = cfg_raw.get("dump_matrices", False)
-    try:
-        grids = [Grid(n, 1.0, coeff.x0) for n in sizes]
-    except ValueError as err:   # x0 outside the unit period
-        raise ScenarioError(f"config.coeff: {err}") from err
     records = []
     comp_norms = []
     dumps = []
-    for grid in grids:
-        n = grid.n
+    for n in sizes:
+        grid = Grid(n)
         bf = sample_symbol_b(sb, grid, t)
         B = quantize(bf)
         if dump:
@@ -289,7 +286,7 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
         records.append({"check": "compose_norm_decreases",
                         "constant": ratio, "margin": margin, "pass": hi < lo})
 
-    _, defects = invert_b(sb, 2, t, grids[-1])
+    _, defects = invert_b(sb, 2, t, grid)   # the last size
     records.append({"check": "invert_defects", "constant": defects[-1],
                     "pass": defects[0] >= defects[1] >= defects[2],
                     "defects": defects})

@@ -16,8 +16,8 @@ row of the `EnergyTrace` table per record.  The trajectory does not
 depend on taudot, so one integration serves every rate with the same
 horizon.  An "auto" rate needs the budget at taudot = 0 to set the
 rate, and the budget at that rate: `measure_tau_threshold` observes
-each record once for both, and again only where its guess at the rate
-was stale.
+each record once for both, and `observe` observes again only the
+records where its guess at the rate was stale.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -124,6 +124,9 @@ class RunConfig:
         if (isinstance(stride, bool) or not isinstance(stride, numbers.Integral)
                 or stride <= 0):
             raise ValueError(f"sample_stride = {stride!r} must be a positive int")
+        if self.tau0 == 0.0 and self.taudot > 0.0:
+            raise ValueError(f"tau0 = 0 with taudot = {self.taudot} ends "
+                             "the run at t = 0, before any step")
         if self.tau0 >= TAU0_BOUND:
             raise ValueError(
                 f"tau0 = {self.tau0} must stay below the coefficient's "
@@ -134,8 +137,8 @@ class RunConfig:
                 "coefficient support diameter exceeds half the period; "
                 "wrap-around would not be negligible"
             )
-        # the bump center must lie inside the domain, and the largest
-        # Gevrey weight exp(tau0 <xi_max>^sigma) must stay below the cap
+        # the largest Gevrey weight exp(tau0 <xi_max>^sigma) must stay
+        # below the cap
         exponent = self.tau0 * float(bracket(self.grid.xi_max)) ** self.sigma
         if exponent > DEFAULT_MAX_EXPONENT:
             raise ValueError(
@@ -150,7 +153,7 @@ class RunConfig:
 
     @cached_property
     def grid(self) -> Grid:
-        return Grid(self.n, 1.0, self.coeff.x0)
+        return Grid(self.n)
 
     def symbol_b(self) -> SymbolB:
         """b with the coupling c = 2(1 - sigma) of the estimate."""
@@ -180,7 +183,7 @@ class RunConfig:
         """The (2, n) state u at t = 0: one packet in u2."""
         grid = self.grid
         u = np.zeros((2, grid.n), dtype=complex)
-        u[1] = wave_packet(grid, grid.x0, self.packet_xi)
+        u[1] = wave_packet(grid, self.coeff.x0, self.packet_xi)
         return u
 
     def content_hash(self, **spec) -> str:
@@ -190,10 +193,7 @@ class RunConfig:
         ).hexdigest()[:16]
 
     def describe(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name != "coeff"}
-        d["coeff"] = asdict(self.coeff)
-        return d
+        return asdict(self)
 
 
 def rhs_parts(cfg: RunConfig, t: float, u: np.ndarray):
@@ -262,29 +262,19 @@ class EnergyTrace:
 
     def max_ratio_sum(self) -> float:
         """max over time of (|E2| + |E3| + |E4|) / E1, over E1 > 0."""
-        return _max_ratio_sum(self.table)
+        return _max_ratio_sum(self.table[:, 2:7])
 
     def rows(self):
         for row in self.table.tolist():
             yield dict(zip(self.COLUMNS, row))
 
 
-def _max_ratio_sum(table: np.ndarray) -> float:
-    """max of (|E2| + |E3| + |E4|) / E1 over the rows of a trace table
-    with E1 > 0, and 0 where there are none."""
-    kept = table[table[:, 3] > 0]
-    E2, E3, E4 = np.abs(kept[:, 4:7]).T
-    return float(np.max((E2 + E3 + E4) / kept[:, 3], initial=0.0))
-
-
-def _trace(table: np.ndarray, traj: Trajectory, aborted: bool,
-           reason: str) -> EnergyTrace:
-    """The trace of the budget rows in table[:, :7], whose ratio columns
-    it fills in."""
-    E1 = table[:, 3:4]
-    np.divide(np.abs(table[:, 4:7]), E1, out=table[:, 7:], where=E1 > 0)
-    return EnergyTrace(table=table, initial_energy=traj.initial_energy,
-                       aborted=aborted, abort_reason=reason)
+def _max_ratio_sum(budget: np.ndarray) -> float:
+    """max of (|E2| + |E3| + |E4|) / E1 over the budget rows (E, E1, E2,
+    E3, E4) with E1 > 0, and 0 where there are none."""
+    kept = budget[budget[:, 1] > 0]
+    E2, E3, E4 = np.abs(kept[:, 2:]).T
+    return float(np.max((E2 + E3 + E4) / kept[:, 1], initial=0.0))
 
 
 def _record(cfg: RunConfig, traj: Trajectory, k: int):
@@ -294,11 +284,13 @@ def _record(cfg: RunConfig, traj: Trajectory, k: int):
 
     One record serves every tau it is observed at.  The observing loops
     hold a record until the next one is built, as a plain loop over the
-    records does: freeing each record's kernels before the next build
-    let the allocator hand their pages back, and one `observe` of the
-    n = 512 headline run then took about 91 000 page faults instead of
-    3 500 to 6 500, and about 40 % more time.  Raises SolverBlowupError
-    where the right-hand side is not finite.
+    records does, so at most three Symmetrizers live at once: the
+    trajectory's, the held one and the one being built.  Freeing each
+    record's kernels before the next build let the allocator hand their
+    pages back, and one `observe` of the n = 512 headline run then took
+    about 91 000 page faults instead of 3 500 to 6 500, and about 40 %
+    more time.  Raises SolverBlowupError where the right-hand side is
+    not finite.
     """
     t, u = traj.times[k], traj.states[k]
     sym = traj.sym0 if t == traj.sym0.t else Symmetrizer(
@@ -338,8 +330,8 @@ class Trajectory:
     def covers(self, cfg: RunConfig) -> bool:
         """Whether `cfg` differs from the run's only in a taudot that
         keeps the step plan, so observing this trajectory is its run."""
-        return (replace(cfg, taudot=self.cfg.taudot) == self.cfg
-                and _step_plan(cfg) == (self.dt, self.n_steps))
+        same = asdict(cfg) | {"taudot": 0} == asdict(self.cfg) | {"taudot": 0}
+        return same and _step_plan(cfg) == (self.dt, self.n_steps)
 
 
 def integrate(cfg: RunConfig) -> Trajectory:
@@ -378,29 +370,38 @@ def integrate(cfg: RunConfig) -> Trajectory:
                       abort_reason=reason)
 
 
-def observe(cfg: RunConfig, traj: Trajectory) -> EnergyTrace:
+def observe(cfg: RunConfig, traj: Trajectory,
+            table: np.ndarray | None = None) -> EnergyTrace:
     """The energy budget of every record of `traj` at the rate of `cfg`.
 
-    `cfg` must be covered by the trajectory.  The records are observed
-    back to back, each from its `_record`.  A record whose right-hand
-    side is not finite ends the trace there; otherwise the trace keeps
-    the trajectory's abort.
+    `cfg` must be covered by the trajectory.  The trace fills in `table`,
+    if given, in place: a row already observed at the tau of `cfg` is
+    kept, and the other records are observed back to back, each from its
+    `_record`.  A record whose right-hand side is not finite ends the
+    trace there; otherwise the trace keeps the trajectory's abort.
     """
     if not traj.covers(cfg):
         raise ValueError("the trajectory was integrated for another run")
-    table = np.zeros((len(traj.times), len(EnergyTrace.COLUMNS)))
+    if table is None:
+        # no tau is NaN, so no row counts as observed
+        table = np.zeros((len(traj.times), len(EnergyTrace.COLUMNS)))
+        table[:, 1] = np.nan
     aborted, reason = traj.aborted, traj.abort_reason
     try:
         for k, t in enumerate(traj.times):
-            record = _record(cfg, traj, k)
             tau = cfg.tau_at(t)
-            table[k, :7] = (t, tau, *dt_energy_breakdown(
-                *record, [tau], cfg.sigma)[0])
+            if table[k, 1] != tau:
+                record = _record(cfg, traj, k)
+                table[k, :7] = (t, tau, *dt_energy_breakdown(
+                    *record, [tau], cfg.sigma)[0])
     except SolverBlowupError as err:
         table = table[:k]
         aborted = True
         reason = str(err)
-    return _trace(table, traj, aborted, reason)
+    E1 = table[:, 3:4]
+    np.divide(np.abs(table[:, 4:7]), E1, out=table[:, 7:], where=E1 > 0)
+    return EnergyTrace(table=table, initial_energy=traj.initial_energy,
+                       aborted=aborted, abort_reason=reason)
 
 
 def run_with_energy(cfg: RunConfig) -> EnergyTrace:
@@ -426,20 +427,19 @@ def measure_tau_threshold(run: Trajectory):
     One pass observes each record for both rates: next to its pilot row
     it gets a speculative row at RATE_FACTOR times the threshold of the
     records before it, from the same `_record`.  Once that running
-    maximum has settled, the speculative rows are the final ones; the
-    records whose speculative tau differs from the final tau are
-    observed again.  No kernel outlives its record.  Raises
+    maximum has settled, the speculative rows are the final ones, and
+    `observe` observes again the records whose speculative tau differs
+    from the final tau.  No kernel outlives its record.  Raises
     SolverBlowupError if the pilot aborted.
     """
     pilot = replace(run.cfg, taudot=0.0)
     if not run.covers(pilot):
         raise ValueError("the trajectory was integrated for another run")
-    pilot_table = np.zeros((len(run.times), len(EnergyTrace.COLUMNS)))
-    table = np.zeros_like(pilot_table)
-    guess, covered = pilot, True
+    table = np.zeros((len(run.times), len(EnergyTrace.COLUMNS)))
+    threshold, guess, covered = 0.0, pilot, True
     try:
         for k, t in enumerate(run.times):
-            rate = RATE_FACTOR * _max_ratio_sum(pilot_table[:k])
+            rate = RATE_FACTOR * threshold
             if rate != guess.taudot:
                 guess = replace(pilot, taudot=rate)
                 # a rate that ends before T is not the final one either:
@@ -450,23 +450,17 @@ def measure_tau_threshold(run: Trajectory):
                 taus.append(guess.tau_at(t))
             record = _record(pilot, run, k)
             rows = dt_energy_breakdown(*record, taus, pilot.sigma)
-            pilot_table[k, :7] = (t, taus[0], *rows[0])
+            threshold = max(threshold, _max_ratio_sum(rows[:1]))
             table[k, :7] = (t, taus[-1], *rows[-1])
     except SolverBlowupError as err:
         raise SolverBlowupError(f"pilot run aborted: {err}") from err
     if run.aborted:
         raise SolverBlowupError(f"pilot run aborted: {run.abort_reason}")
-    threshold = _max_ratio_sum(pilot_table)
+    del record   # else a third record beside the two observe holds
     cfg = replace(pilot, taudot=RATE_FACTOR * threshold)
     if not run.covers(cfg):
         return threshold, None
-    for k, t in enumerate(run.times):
-        tau = cfg.tau_at(t)
-        if table[k, 1] != tau:
-            record = _record(cfg, run, k)
-            table[k, :7] = (t, tau, *dt_energy_breakdown(
-                *record, [tau], cfg.sigma)[0])
-    return threshold, _trace(table, run, False, "")
+    return threshold, observe(cfg, run, table)
 
 
 def verify_breakdown_identity(cfg: RunConfig, t: float,

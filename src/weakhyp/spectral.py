@@ -2,8 +2,9 @@
 
 Conventions used throughout the package:
 
-* the spatial domain is the torus [0, L) sampled at n equispaced points,
-* the frequency lattice is xi_k = k / L for k in {-n/2, ..., n/2 - 1}
+* the spatial domain is the unit torus [0, 1) sampled at n equispaced
+  points,
+* the frequency lattice is xi_k = k for k in {-n/2, ..., n/2 - 1}
   (cycles per unit length), stored in numpy's natural FFT order,
 * every Fourier multiplier goes through `Grid.multiply`, which uses the
   unnormalized FFT pair: the normalization of a forward/inverse pair
@@ -50,35 +51,18 @@ def bracket(xi):
 
 @dataclass(frozen=True)
 class Grid:
-    """Periodic spatial grid with its dual frequency lattice.
-
-    Parameters
-    ----------
-    n : int
-        Number of points, must be a power of two.
-    length : float
-        Period L of the domain [0, L).
-    x0 : float
-        Center of the coefficient bump; must lie in the open interior.
-    """
+    """The n equispaced points of the unit period and their dual
+    frequency lattice; n must be a power of two."""
 
     n: int
-    length: float = 1.0
-    x0: float = 0.5
 
     def __post_init__(self):
         if self.n <= 0 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a positive power of two, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if not (0.0 < self.x0 < self.length):
-            raise ValueError(
-                f"x0 = {self.x0} must lie inside the open domain (0, {self.length})"
-            )
 
     @property
     def dx(self) -> float:
-        return self.length / self.n
+        return 1.0 / self.n
 
     @property
     def x(self) -> np.ndarray:
@@ -92,7 +76,7 @@ class Grid:
 
     @cached_property
     def xi(self) -> np.ndarray:
-        """Frequency lattice k / L in numpy FFT order (read-only)."""
+        """Frequency lattice k in numpy FFT order (read-only)."""
         xi = np.fft.fftfreq(self.n, d=self.dx)
         xi.setflags(write=False)
         return xi

@@ -97,7 +97,8 @@ class CoefficientField:
     Parameters
     ----------
     x0, r, r_outer : floats
-        Bump center, plateau radius and support radius (r < r_outer).
+        Bump center, plateau radius and support radius (r < r_outer);
+        the support [x0 - r_outer, x0 + r_outer] lies in (0, 1).
     T, T_outer : floats
         Plateau time and support time (T < T_outer).
     """
@@ -123,6 +124,10 @@ class CoefficientField:
             raise ValueError("need 0 < r < r_outer")
         if not (0.0 < self.T < self.T_outer):
             raise ValueError("need 0 < T < T_outer")
+        # across the seam of the unit period, a would jump
+        if not 0.0 < self.x0 - self.r_outer < self.x0 + self.r_outer < 1.0:
+            raise ValueError(f"x0 = {self.x0}: the support x0 +- r_outer "
+                             "must lie in the unit period (0, 1)")
 
     # -- bump factors ------------------------------------------------------
 

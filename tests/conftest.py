@@ -22,12 +22,12 @@ def sb_half(coeff):
 
 @pytest.fixture(scope="session")
 def grid64():
-    return Grid(64, 1.0, 0.5)
+    return Grid(64)
 
 
 @pytest.fixture(scope="session")
 def grid128():
-    return Grid(128, 1.0, 0.5)
+    return Grid(128)
 
 
 @pytest.fixture

@@ -179,13 +179,13 @@ def test_criterion_7_quantizer_properties():
 
     # Hermiticity of the Weyl-quantized symmetrizer weight
     sb1 = SymbolB(coeff, c=1.0)
-    g = Grid(256, 1.0, coeff.x0)
+    g = Grid(256)
     herm = hermiticity_defect(quantize(sample_symbol_b(sb1, g, 0.0)))
     herm_ok = herm <= 1e-10
     details.append(f"hermiticity {herm:.2e}")
 
     # multiplier and multiplication reductions exact to 1e-12
-    g64 = Grid(64, 1.0, coeff.x0)
+    g64 = Grid(64)
     mv = bracket(g64.xi) ** 0.5
     dm = np.abs(quantize(sample_symbol(
         g64, lambda x, xi: bracket(xi) ** 0.5 + 0 * x))
@@ -201,7 +201,7 @@ def test_criterion_7_quantizer_properties():
     sb_half = SymbolB(coeff, c=0.5)
     norms = []
     for n in (128, 256):
-        gg = Grid(n, 1.0, coeff.x0)
+        gg = Grid(n)
         bf = sample_symbol_b(sb_half, gg, 0.0)
         R = quantize(bf) @ quantize(bf) - quantize(
             SymbolField(gg, bf.samples**2, label="b^2", rows=bf.rows))
@@ -210,7 +210,7 @@ def test_criterion_7_quantizer_properties():
     details.append(f"|op(b)^2-op(b^2)|: {norms[0]:.3e} -> {norms[1]:.3e}")
 
     # inversion defect non-increasing over nu = 0, 1, 2
-    _, defects = invert_b(sb1, 2, 0.0, Grid(256, 1.0, coeff.x0))
+    _, defects = invert_b(sb1, 2, 0.0, Grid(256))
     inv_ok = defects[0] >= defects[1] >= defects[2]
     details.append("defects " + " >= ".join(f"{d:.2e}" for d in defects))
 
@@ -236,7 +236,7 @@ def test_criterion_8_breakdown_identity_and_garding():
         worst = max(worst, res["residual"] / res["magnitude"])
     identity_ok = worst <= 1e-3
 
-    grid = Grid(128, 1.0, coeff.x0)
+    grid = Grid(128)
     sym = Symmetrizer(grid, SymbolB(coeff, c=1.0), 0.01)
     garding_ok = True
     worst_g = 0.0

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -133,18 +134,24 @@ class TestValidationExitCodes:
     @pytest.mark.parametrize("kind", ["energy_estimate", "symbol_audit",
                                       "metric_audit", "quantizer_audit"])
     def test_bad_coeff_exits_2(self, tmp_path, capsys, kind):
+        # x0 = 0.9: the support [0.66, 1.14] crosses the seam at x = 1
         for coeff in ({"T": 0.2}, {"T_outer": float("inf")}, {"r": 0},
-                      {"r_outer": -1.0}, {"x0": True}, {"r": "x"}):
+                      {"r_outer": -1.0}, {"x0": True}, {"r": "x"},
+                      {"x0": 0.9}):
             s = Scenario(kind=kind, config={"coeff": coeff},
                          output_dir=str(tmp_path / "out"))
             assert run_scenario(s) == 2
             assert "config.coeff" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", [
         {"taudot": -1.0}, {"taudot": math.inf}, {"taudot": math.nan},
         {"taudot": "AUTO"}, {"sample_stride": 0}, {"assert_max_ratio": "x"},
         {"nonlinear": "no"}, {"nonlinear": 1}, {"tau0": -0.5},
-        {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9}])
+        {"coeff": 5}, {"tau0": 1.0, "n": 4096, "sigma": 0.9},
+        # no time span: the run would end at t = 0
+        {"tau0": 0}, {"tau0": 0, "taudot": "auto"}, {"tau0": 0, "taudot": 1},
+        {"tau0": 0.0, "taudot": 1e-300}])
     def test_bad_rate_or_run_key_exits_2(self, tmp_path, capsys, bad):
         s = Scenario(kind="energy_estimate", config=dict({"n": 64}, **bad),
                      output_dir=str(tmp_path / "out"))
@@ -289,7 +296,7 @@ class TestRunVerb:
             assert raw.shape == (n * n,)
             # every imaginary part is +0.0, bit for bit
             assert not raw.imag.view(np.int64).any()
-            B = quantize(sample_symbol_b(sb, Grid(n, 1.0, sb.coeff.x0), 0.0))
+            B = quantize(sample_symbol_b(sb, Grid(n), 0.0))
             assert np.array_equal(raw.real.reshape(n, n), B)
 
 
@@ -488,6 +495,27 @@ class TestEnergyScenario:
                                                     monkeypatch, config):
         # the running maximum of these pilots settles after record 1
         assert self._check_one_pass(tmp_path, monkeypatch, **config) > 0
+
+    def test_auto_rate_holds_at_most_three_symmetrizers(self, tmp_path,
+                                                        monkeypatch):
+        # the one at t = 0, the record being held and the one being
+        # built; this pilot has stale records, so observe builds again
+        live, peaks = set(), []
+
+        class Counting(solver_module.Symmetrizer):
+            def __post_init__(self):
+                token = object()
+                live.add(token)
+                weakref.finalize(self, live.discard, token)
+                peaks.append(len(live))
+                super().__post_init__()
+
+        monkeypatch.setattr(solver_module, "Symmetrizer", Counting)
+        s = Scenario("energy_estimate", dict(self.PILOT, taudot="auto", n=128,
+                                             sample_stride=4),
+                     str(tmp_path / "auto"))
+        assert run_scenario(s) == 0
+        assert max(peaks) == 3
 
     def test_shorter_horizon_integrates_the_final_rate_again(self, tmp_path,
                                                              monkeypatch):

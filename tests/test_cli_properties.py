@@ -85,6 +85,10 @@ REPRODUCTIONS = [
     # `weakhyp table --step 0.1 --out ""` wrote into the working
     # directory; an optional fourth entry is the output_dir
     ("constraint_table", {}, 2, ""),
+    # these two ended at t = 0: one step of length 0, two rows at t = 0
+    ("energy_estimate", {"n": 32, "packet_xi": 4, "tau0": 0}, 2),
+    ("energy_estimate", {"n": 32, "packet_xi": 4, "tau0": 0, "taudot": 1},
+     2),
 ]
 
 

@@ -24,8 +24,8 @@ def sym128(sb_c1, grid128):
 
 
 def _random_state(grid, rng):
-    u1 = wave_packet(grid, grid.x0, rng.uniform(5, 30))
-    u2 = wave_packet(grid, grid.x0, rng.uniform(5, 30))
+    u1 = wave_packet(grid, 0.5, rng.uniform(5, 30))
+    u2 = wave_packet(grid, 0.5, rng.uniform(5, 30))
     return np.stack((rng.normal() * u1, rng.normal() * u2))
 
 
@@ -58,7 +58,7 @@ class TestSymmetrizer:
     @pytest.mark.parametrize("t", [0.0, 0.025, 0.07, 0.1])
     def test_distinct_rows_match_full_lattice(self, coeff, n, t):
         # 0.07 lies in (T, T_outer), where eta and dt_a vary in time
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         x = grid.x_doubled[:, None]
         for c in (1.0, 0.5):
             sb = SymbolB(coeff, c=c)
@@ -117,7 +117,7 @@ class TestEnergy:
     def test_single_mode_with_frozen_coefficient(self, frozen_zero_coeff,
                                                  grid128):
         # with a == 0, op(b) is the multiplier <xi>^(c/2): a single mode
-        # of amplitude A has energy (1/2) A^2 <xi*>^c * L
+        # of amplitude A has energy (1/2) A^2 <xi*>^c on the unit period
         sb = SymbolB(frozen_zero_coeff, c=1.0)
         sym = Symmetrizer(grid128, sb, 0.0)
         k = 9
@@ -125,7 +125,7 @@ class TestEnergy:
         A = 0.7
         u2 = A * np.exp(2j * np.pi * xi_star * grid128.x)
         st = np.stack((np.zeros(grid128.n), u2))
-        expected = 0.5 * A**2 * bracket(xi_star) ** sb.c * grid128.length
+        expected = 0.5 * A**2 * bracket(xi_star) ** sb.c
         assert energy(st, sym, 0.0, 0.5) == pytest.approx(expected, rel=1e-10)
 
     def test_positivity_on_random_states(self, sym128, grid128, rng):
@@ -176,7 +176,7 @@ class TestE1:
     def test_equivalence_stable_under_refinement(self, sb_c1, rng):
         kappas = []
         for n in (128, 256):
-            g = Grid(n, 1.0, 0.5)
+            g = Grid(n)
             sym = Symmetrizer(g, sb_c1, 0.0)
             ratios = []
             r = np.random.default_rng(1)
@@ -196,7 +196,7 @@ class TestConjugatedMatrix:
 
     def test_overflow_propagates(self, coeff):
         from weakhyp.spectral import GevreyOverflowError
-        g = Grid(1024, 1.0, 0.5)
+        g = Grid(1024)
         huge_tau = 800.0 / (1.0 + 512.0**2) ** 0.25 + 1.0
         with pytest.raises(GevreyOverflowError):
             conjugated_matrix(g, np.ones(g.n), huge_tau, 0.5)
@@ -316,7 +316,7 @@ class TestGardingProbe:
     @pytest.mark.parametrize("n", [64, 128])
     @pytest.mark.parametrize("t", [0.0, 0.01, 0.025, 0.07])
     def test_distinct_rows_match_full_lattice(self, coeff, rng, n, t):
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         x = grid.x_doubled[:, None]
         st = _random_state(grid, rng)
         for c in (1.0, 0.5):

@@ -89,7 +89,7 @@ class TestDequantize:
             slots.append(c.copy()), fft(c, axis=axis))[1])
         rng = np.random.default_rng(n)
         K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        back = dequantize(K, Grid(n, 1.0, 0.5))
+        back = dequantize(K, Grid(n))
         (c,) = slots
         ref = fft(_roll_fill(c), axis=1)
         assert np.array_equal(back.samples.view(np.int64), ref.view(np.int64))
@@ -128,7 +128,7 @@ class TestWeylGatherCache:
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
     def test_cached_kernels_equal_direct_gather(self, n):
         rng = np.random.default_rng(n)
-        p = SymbolField(Grid(n, 1.0, 0.5),
+        p = SymbolField(Grid(n),
                         rng.normal(size=(2 * n, n))
                         + 1j * rng.normal(size=(2 * n, n)))
         weyl = _reference_kernel(p)
@@ -169,7 +169,7 @@ class TestWeylGatherCache:
         i = np.arange(n)
         anti = (i[:, None] - i[None, :]) % n == n // 2
         K[anti] = 0.5 * (K + K.T)[anti]
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         back = quantize(dequantize(K, grid))
         assert np.abs(back - K).max() < 1e-13 * np.abs(K).max()
 
@@ -210,7 +210,7 @@ class TestRealKernels:
     def test_conjugate_even_field_gives_real_kernel(self, n):
         for samples in (_conjugate_even_field(n, n),
                         _conjugate_even_field(n, n + 1).real):
-            p = SymbolField(Grid(n, 1.0, 0.5), samples)
+            p = SymbolField(Grid(n), samples)
             K = quantize(p)
             assert K.dtype == np.float64
             weyl = _reference_kernel(p)
@@ -239,14 +239,14 @@ class TestRealKernels:
                   _flip_last_bit(even, (2 * n - 1, 2 * n - 2)),
                   _flip_last_bit(even.real.copy(), (5, n - 1))]
         for samples in fields:
-            p = SymbolField(Grid(n, 1.0, 0.5), samples)
+            p = SymbolField(Grid(n), samples)
             K = quantize(p)
             assert np.iscomplexobj(K)
             assert np.array_equal(K, _reference_kernel(p))
 
     @pytest.mark.parametrize("n", [2, 4, 64, 256])
     def test_dequantize_of_real_kernel_is_conjugate_even(self, sb_c1, n):
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         K = quantize(sample_symbol_b(sb_c1, grid, 0.02))
         assert K.dtype == np.float64
         # a real kernel's symbol comes as its half spectrum
@@ -294,7 +294,7 @@ class TestHalfSpectrum:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("mapped", [False, True])
     def test_quantize_equals_mirrored_full_field(self, n, dtype, mapped):
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         half = _random_half(n, n, dtype)
         rows = (np.random.default_rng(n + 1).integers(0, 2 * n, size=2 * n)
                 if mapped else None)
@@ -317,14 +317,14 @@ class TestHalfSpectrum:
         half = _random_half(n, n, complex)
         half[3, column] += 1e-300j
         with pytest.raises(ValueError, match="real columns 0 and n/2"):
-            SymbolField(Grid(n, 1.0, 0.5), half)
+            SymbolField(Grid(n), half)
 
     def test_two_point_fields_keep_the_general_path(self):
         # at n = 2 the half is all n columns: an imaginary Nyquist
         # column makes a complex kernel, not an error
         samples = np.ones((4, 2), dtype=complex)
         samples[:, 1] += 1j
-        K = quantize(SymbolField(Grid(2, 1.0, 0.5), samples))
+        K = quantize(SymbolField(Grid(2), samples))
         assert np.iscomplexobj(K)
 
     def test_invert_b_peak_memory(self, sb_c1):
@@ -380,7 +380,7 @@ class TestRowMappedFields:
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_quantize_equals_expanded_field(self, n, seed):
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         samples, rows = _random_row_map(n, 1000 * n + seed)
         mapped = SymbolField(grid, samples, rows=rows)
         expanded = SymbolField(grid, samples[rows])
@@ -392,7 +392,7 @@ class TestRowMappedFields:
     def test_antipodal_midpoints_on_different_rows(self, n):
         # every antipodal entry averages two midpoints m* and m* + n;
         # give the two halves of the doubled lattice unrelated rows
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         rng = np.random.default_rng(n)
         samples = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         rows = np.repeat([0, 1], n)
@@ -432,7 +432,7 @@ class TestSampleSymbolB:
     @pytest.mark.parametrize("t", [0.0, 0.07])
     @pytest.mark.parametrize("c", [0.5, 1.0])
     def test_kernel_equals_full_lattice_sampling(self, coeff, n, t, c):
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         sb = SymbolB(coeff, c=c)
         field = sample_symbol_b(sb, grid, t)
         full = sample_symbol(grid, lambda x, xi: sb.b(t, x, xi))
@@ -461,7 +461,7 @@ class TestFlatIndexCache:
     def test_alternating_row_maps(self, n):
         # two fields at one n, each with its own map, quantized in turn:
         # every call replaces the cached index of the other map
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         fields = []
         for seed in (7 * n, 7 * n + 1):
             samples, rows = _random_row_map(n, seed)
@@ -516,7 +516,7 @@ class TestOperatorNorm:
         # uniformly bounded across times and resolutions
         norms = []
         for n in (128, 256):
-            g = Grid(n, 1.0, 0.5)
+            g = Grid(n)
             for t in (0.0, 0.025, 0.05):
                 p = sample_symbol(
                     g, lambda x, xi: sb_c1.b(t, x, xi) * bracket(xi) ** (-sb_c1.c / 2))
@@ -564,7 +564,7 @@ class TestInvertB:
     @pytest.mark.parametrize("nu", [0, 2])
     @pytest.mark.parametrize("t", [0.0, 0.02])
     def test_equals_double_product_recursion(self, sb_c1, n, nu, t):
-        grid = Grid(n, 1.0, 0.5)
+        grid = Grid(n)
         field, defects = invert_b(sb_c1, nu, t, grid)
         c, reference = reference_invert_b(sb_c1, nu, t, grid)
         assert np.array_equal(defects, reference)
@@ -595,7 +595,7 @@ class TestInvertB:
         assert defects[0] > 1e-6
 
     def test_defects_non_increasing(self, sb_c1):
-        g = Grid(256, 1.0, 0.5)
+        g = Grid(256)
         _, defects = invert_b(sb_c1, 2, 0.0, g)
         assert defects[1] <= defects[0]
         assert defects[2] <= defects[1]

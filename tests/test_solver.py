@@ -111,7 +111,7 @@ class TestWavePacket:
     def test_unit_energy_normalization_possible(self, coeff):
         cfg = RunConfig(n=128, coeff=coeff)
         g = cfg.grid
-        p = wave_packet(g, g.x0, 20.0)
+        p = wave_packet(g, coeff.x0, 20.0)
         assert np.isfinite(p).all()
         assert g.norm2(p) > 0
 
@@ -125,8 +125,8 @@ class TestWavePacket:
     def test_support_localized(self, coeff):
         cfg = RunConfig(n=256, coeff=coeff, packet_xi=24.0)
         g = cfg.grid
-        p = wave_packet(g, g.x0, 24.0)
-        outside = np.abs(g.x - g.x0) > coeff.r_outer
+        p = wave_packet(g, coeff.x0, 24.0)
+        outside = np.abs(g.x - coeff.x0) > coeff.r_outer
         frac = g.norm2(p * outside) / g.norm2(p)
         assert frac < 1e-8
 
@@ -145,7 +145,10 @@ class TestRunConfig:
     def test_grid_has_the_unit_period_around_the_bump(self):
         for x0 in (0.5, 0.3):
             cfg = RunConfig(n=64, coeff=CoefficientField(x0=x0))
-            assert cfg.grid.length == 1.0 and cfg.grid.x0 == x0
+            assert cfg.grid.dx == 1.0 / 64
+            # the packet peaks at the grid point nearest the bump centre
+            peak = cfg.grid.x[np.argmax(np.abs(cfg.initial_state()[1]))]
+            assert abs(peak - x0) <= cfg.grid.dx / 2
 
     def test_packet_sits_in_u2(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, packet_xi=10.0)
@@ -230,7 +233,7 @@ class TestRunWithEnergy:
         steps = int(np.ceil(cfg.t_end() / dt))
         for _ in range(steps):
             u, t = step_rk4(cfg, t, u, dt), t + dt
-        outside = np.abs(g.x - g.x0) > coeff.r_outer
+        outside = np.abs(g.x - coeff.x0) > coeff.r_outer
         mass = g.norm2(u * outside)
         total = g.norm2(u)
         assert mass < 1e-8 * total
@@ -352,6 +355,35 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="another run"):
             observe(cfg, traj)
 
+    def test_observe_keeps_the_given_rows_at_its_tau(self, pilot_cfg,
+                                                     monkeypatch):
+        traj = integrate(pilot_cfg)
+        cfg = replace(pilot_cfg, taudot=1.0)
+        reference = observe(cfg, traj).table
+        # every other row at the tau of cfg, marked with a budget of -1
+        given = observe(pilot_cfg, traj).table
+        given[::2, 1] = [cfg.tau_at(t) for t in traj.times[::2]]
+        given[::2, 2:7] = -1.0
+        kept = given[:, 1] == [cfg.tau_at(t) for t in traj.times]
+        builds = []
+
+        class Counting(Symmetrizer):
+            def __post_init__(self):
+                builds.append(self.t)
+                super().__post_init__()
+
+        monkeypatch.setattr(solver_module, "Symmetrizer", Counting)
+        table = observe(cfg, traj, given.copy()).table
+        assert np.array_equal(table[kept, :7], given[kept, :7])
+        assert np.array_equal(table[~kept], reference[~kept])
+        assert len(builds) == np.count_nonzero(~kept) > 0
+
+    def test_covers_is_false_for_a_run_without_time_span(self, pilot_cfg):
+        # swapping the rates would build tau0 = 0 with taudot = 1, which
+        # RunConfig rejects; covers compares without building one
+        traj = integrate(replace(pilot_cfg, taudot=1.0))
+        assert not traj.covers(replace(pilot_cfg, tau0=0.0))
+
     def test_threshold_comes_with_the_auto_rate_trace(self, pilot_cfg):
         # at stride 1 the records before the maximum are observed again
         traj = integrate(replace(pilot_cfg, sample_stride=1))
@@ -393,7 +425,7 @@ class TestWaveReduction:
         # d_t^2 u1 = d_x(a d_x u1) + d_x(u1^2)
         cfg = RunConfig(n=256, coeff=coeff)
         g = cfg.grid
-        u1 = wave_packet(g, g.x0, 10.0)
+        u1 = wave_packet(g, coeff.x0, 10.0)
         u = np.stack((0.05 / max(np.abs(u1)) * u1, np.zeros(g.n)))
         dt = cfg.max_dt() / 4.0
         back = step_rk4(cfg, 0.0, u, -dt)
@@ -407,7 +439,7 @@ class TestWaveReduction:
         source = np.fft.ifft(dxi * np.fft.fft(coeff.chi(g.x)
                                               * u[0] ** 2))
         predicted = flux + source
-        inner = np.abs(g.x - g.x0) <= coeff.r * 0.9
+        inner = np.abs(g.x - coeff.x0) <= coeff.r * 0.9
         err = np.abs(d2t_u1 - predicted)[inner].max()
         scale_ref = np.abs(predicted)[inner].max()
         assert err <= 1e-4 * scale_ref

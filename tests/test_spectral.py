@@ -3,6 +3,7 @@ import pytest
 
 from weakhyp.spectral import (DEFAULT_MAX_EXPONENT, GevreyOverflowError, Grid,
                               bracket, gevrey_multiplier)
+from weakhyp.symbols import CoefficientField
 
 
 def _random_values(grid, rng, rows=None):
@@ -17,18 +18,22 @@ def _weight(grid, values, tau, sigma, direction=+1):
 class TestGrid:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            Grid(100, 1.0, 0.5)
+            Grid(100)
 
     def test_rejects_x0_outside_domain(self):
-        with pytest.raises(ValueError):
-            Grid(64, 1.0, 1.5)
+        # the grid is the unit period; the bump that must lie on it
+        # checks its own placement
+        with pytest.raises(ValueError, match="x0 = 1.5"):
+            CoefficientField(x0=1.5)
 
     def test_frequency_lattice_is_k_over_L(self):
-        g = Grid(8, 2.0, 1.0)
-        assert sorted(g.xi) == [k / 2.0 for k in range(-4, 4)]
+        # L is the unit period
+        g = Grid(8)
+        assert g.dx == 1.0 / 8
+        assert sorted(g.xi) == list(range(-4, 4))
 
     def test_xi_and_dxi_are_read_only(self):
-        g = Grid(16, 1.0, 0.5)
+        g = Grid(16)
         assert np.array_equal(g.dxi, 2.0j * np.pi * g.xi)
         for table in (g.xi, g.dxi):
             with pytest.raises(ValueError):
@@ -43,14 +48,14 @@ class TestTransforms:
         assert np.abs(grid64.multiply(u, 1.0 - zero_mode)).max() < 1e-14
 
     def test_pure_mode_lands_on_its_frequency(self, grid64):
-        u = np.exp(2j * np.pi * grid64.x / grid64.length)
-        k = int(np.argmin(np.abs(grid64.xi - 1.0 / grid64.length)))
+        u = np.exp(2j * np.pi * grid64.x)
+        k = int(np.argmin(np.abs(grid64.xi - 1.0)))
         only_k = np.zeros(grid64.n)
         only_k[k] = 1.0
         assert np.abs(grid64.multiply(u, only_k) - u).max() < 1e-13
-        # d/dx of the mode is 2*pi*i/L times the mode
+        # d/dx of the mode is 2*pi*i times the mode
         assert np.abs(grid64.multiply(u, grid64.dxi)
-                      - 2j * np.pi / grid64.length * u).max() < 1e-12
+                      - 2j * np.pi * u).max() < 1e-12
 
     def test_unitarity_on_100_random_vectors(self, grid64, rng):
         for _ in range(100):
@@ -130,7 +135,7 @@ class TestGevreyWeight:
             assert n1 <= n2 * (1 + 1e-14)
 
     def test_overflow_names_frequency(self):
-        g = Grid(1024, 1.0, 0.5)
+        g = Grid(1024)
         tau = (DEFAULT_MAX_EXPONENT + 1) / bracket(g.xi_max) ** 0.5
         with pytest.raises(GevreyOverflowError, match="xi ="):
             gevrey_multiplier(g, tau, 0.5)

@@ -78,10 +78,18 @@ class TestCoefficientField:
         with pytest.raises(ValueError):
             CoefficientField(r=0.3, r_outer=0.2)
 
+    def test_accepts_a_support_inside_the_unit_period(self):
+        # the default support is [x0 - 0.24, x0 + 0.24]
+        for x0 in (0.25, 0.75):
+            assert CoefficientField(x0=x0).x0 == x0
+
     @pytest.mark.parametrize("bad", [
         {"r": 0.0}, {"T": -1.0}, {"T_outer": 0.01},
         {"x0": True}, {"T": "0.05"}, {"r": float("nan")},
-        {"T_outer": float("inf")}, {"r_outer": 1e308}, {"x0": -1e300}])
+        {"T_outer": float("inf")}, {"r_outer": 1e308}, {"x0": -1e300},
+        # supports that leave the unit period (0, 1)
+        {"x0": 0.9}, {"x0": 0.1}, {"x0": 1.5}, {"x0": 0.24}, {"x0": 0.76},
+        {"x0": 0.5, "r_outer": 0.5}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             CoefficientField(**bad)
