@@ -4,15 +4,15 @@ Every analytic inequality the construction relies on is re-checked
 here on sample lattices: the Glaeser inequality for the coefficient,
 the derivative bounds for b, the Faa di Bruno combinatorics (exact
 rational arithmetic), and admissibility of the phase-space metric and
-of the weight b.  Audits return measured constants with witnesses;
-they never assert values the analysis leaves unquantified.
+of the weight b.  Each audit returns the JSON record it is written as:
+{"check", "constant", "witness", "pass"} and its own extra keys.  A
+violated inequality fails the record; the audits never assert values
+the analysis leaves unquantified.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +22,6 @@ from .spectral import bracket
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
 __all__ = [
-    "GlaeserViolationError",
     "glaeser_audit_a",
     "derivative_bound_audit",
     "faa_di_bruno_check",
@@ -35,39 +34,21 @@ XI_MAX = 128.0    # the largest |xi| the symbol and metric audits sample
 R_SLOW = 0.1      # radius of the slow-variation ball
 
 
-class GlaeserViolationError(ArithmeticError):
-    """a vanished while its x-derivative did not."""
-
-
-@dataclass
-class AuditReport:
-    check: str
-    constant: float
-    witness: tuple
-    passed: bool
-    extras: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = {"check": self.check, "constant": self.constant,
-             "witness": list(np.atleast_1d(np.asarray(self.witness, dtype=float))),
-             "pass": bool(self.passed)}
-        d.update({k: _json_scalar(v) for k, v in self.extras.items()})
-        return d
-
-
-def _json_scalar(v):
-    """Ints stay ints; other scalars become floats."""
-    if isinstance(v, numbers.Integral):
-        return int(v)
-    return float(v) if np.isscalar(v) else v
+def _record(check: str, constant: float, witness, passed,
+            **extras) -> dict:
+    """An audit's JSON record: a float witness list and a bool pass."""
+    return {"check": check, "constant": constant,
+            "witness": [float(w) for w in witness], "pass": bool(passed),
+            **extras}
 
 
 def glaeser_audit_a(coeff: CoefficientField, n_t: int = 24,
-                    n_x: int = 257) -> AuditReport:
+                    n_x: int = 257) -> dict:
     """Measure C = max (d_x a)^2 / a over [0, T] x B_r(x0).
 
     0/0 is resolved to 0 only when numerator and denominator both sit
-    below 1e-14; a vanishing a with non-vanishing slope raises.
+    below 1e-14; a vanishing a with non-vanishing slope fails the
+    record, with C = inf at the first such (t, x) in C order.
     """
     ts = np.linspace(0.0, coeff.T, n_t)
     xs = np.linspace(coeff.x0 - coeff.r, coeff.x0 + coeff.r, n_x)
@@ -75,22 +56,11 @@ def glaeser_audit_a(coeff: CoefficientField, n_t: int = 24,
     a = coeff.a(T, X)
     da2 = coeff.dx_a(T, X) ** 2
     tiny_a = a < ZERO_OVER_ZERO_FLOOR
-    bad = tiny_a & (da2 >= ZERO_OVER_ZERO_FLOOR)
-    if np.any(bad):
-        k = np.argwhere(bad)[0]
-        raise GlaeserViolationError(
-            f"Glaeser violation: a = {a[tuple(k)]:.3e} but (d_x a)^2 = "
-            f"{da2[tuple(k)]:.3e} at (t, x) = ({T[tuple(k)]}, {X[tuple(k)]})"
-        )
-    ratio = np.where(tiny_a, 0.0, da2 / np.where(tiny_a, 1.0, a))
+    violated = np.where(da2 >= ZERO_OVER_ZERO_FLOOR, np.inf, 0.0)
+    ratio = np.where(tiny_a, violated, da2 / np.where(tiny_a, 1.0, a))
     k = np.unravel_index(np.argmax(ratio), ratio.shape)
     C = float(ratio[k])
-    return AuditReport(
-        check="glaeser_a",
-        constant=C,
-        witness=(T[k], X[k]),
-        passed=math.isfinite(C),
-    )
+    return _record("glaeser_a", C, (T[k], X[k]), math.isfinite(C))
 
 
 _CENTRAL_STENCILS = {
@@ -140,14 +110,15 @@ def _fd_mixed(fn, x, xi, alpha: int, beta: int, hx, hxi):
 
 def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
                            t: float = 0.0, n_x: int = 41,
-                           n_xi: int = 41) -> AuditReport:
+                           n_xi: int = 41) -> dict:
     """Measured sup of |d_x^a d_xi^b b| / (b^(1+a) <xi>^(-b)).
 
     Derivatives come from nested central differences of the closed-form
     evaluator, with steps eps^(1/(order+2)) times the local metric
     scale, on the whole (x, xi) lattice at once.  The caller compares
     the returned constant against its own budget; the audit only
-    asserts finiteness.
+    asserts finiteness.  An x-stencil that leaves the support B_r_outer
+    fails the record, with constant nan at (x, nan) for the first such x.
     """
     if alpha + beta > 4 or alpha > 4 or beta > 4:
         raise ValueError("central stencils support alpha + beta <= 4")
@@ -161,14 +132,16 @@ def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
     ])
     x, xi = xs[:, None], xis[None, :]
     b = _b_lattice(sb, t, x, xi)
+    extras = {"alpha": alpha, "beta": beta, "t": float(t)}
+    check = f"derivative_bound_b_a{alpha}b{beta}"
     hx = 1.0
     if alpha:
         hx = eps ** (1.0 / (alpha + 2)) * np.maximum(1.0 / b, 1e-3)
         reach = np.abs(x - coeff.x0) + _CENTRAL_STENCILS[alpha][0][-1] * hx
         if np.any(reach > coeff.r_outer):
             i = np.argwhere(reach > coeff.r_outer)[0][0]
-            raise ValueError(
-                f"x-stencil exits the sampled domain at x = {xs[i]}")
+            return _record(check, math.nan, (xs[i], math.nan), False,
+                           **extras)
     br = bracket(xi)
     hxi = eps ** (1.0 / (beta + 2)) * br if beta else 1.0
     val = _fd_mixed(lambda xx, xxi: _b_lattice(sb, t, xx, xxi),
@@ -180,13 +153,7 @@ def derivative_bound_audit(sb: SymbolB, alpha: int, beta: int,
     i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
     worst = float(ratio[i, j])
     witness = (xs[i], xis[j]) if worst > -1.0 else (np.nan, np.nan)
-    return AuditReport(
-        check=f"derivative_bound_b_a{alpha}b{beta}",
-        constant=worst,
-        witness=witness,
-        passed=math.isfinite(worst),
-        extras={"alpha": alpha, "beta": beta, "t": float(t)},
-    )
+    return _record(check, worst, witness, math.isfinite(worst), **extras)
 
 
 def _compositions_count(total: int, parts: int) -> int:
@@ -199,7 +166,7 @@ def _compositions_count(total: int, parts: int) -> int:
     return count
 
 
-def faa_di_bruno_check() -> AuditReport:
+def faa_di_bruno_check() -> dict:
     """Exact checks of the composition-count and square-root coefficients.
 
     For alpha and k up to 8:
@@ -223,8 +190,7 @@ def faa_di_bruno_check() -> AuditReport:
             ok = False
         if abs(c) > math.factorial(k):
             ok = False
-    return AuditReport(check="faa_di_bruno", constant=float(order),
-                       witness=(order, order), passed=ok)
+    return _record("faa_di_bruno", float(order), (order, order), ok)
 
 
 def _sample_phase_points(pm: PhaseMetric, n_pairs: int, seed: int):
@@ -261,10 +227,10 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
                                n_pairs: int = 10_000, seed: int = 11) -> dict:
     """Slow variation, uncertainty and temperance, measured on samples.
 
-    Returns the three findings: the slow-variation constant over pairs
-    with g_X(X - Y) <= R_SLOW^2 (max over random probe directions and
-    also the closed-form supremum), the minimal gain lambda over the
-    lattice, and the fitted temperance pair (C, N).
+    Returns the three records by check name: the slow-variation
+    constant over pairs with g_X(X - Y) <= R_SLOW^2 (max over random
+    probe directions and also the closed-form supremum), the minimal
+    gain lambda over the lattice, and the fitted temperance pair (C, N).
     """
     sb = pm.sb
     x1, xi1 = _sample_phase_points(pm, n_pairs, seed)
@@ -305,24 +271,23 @@ def metric_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     gsig = pm.g_dual(t, (x1, xi1), (x1 - x2, xi1 - xi2))
     C, N, slope, _ = _temperance_fit(ratio_sup, gsig)
     return {
-        "slow_variation": AuditReport(
+        "slow_variation": _record(
             "slow_variation", slow_constant, (R_SLOW,),
             math.isfinite(slow_constant),
-            extras={"probe_constant": slow_probe_constant,
-                    "pairs_in_ball": int(np.sum(near))}),
-        "uncertainty": AuditReport(
+            probe_constant=slow_probe_constant,
+            pairs_in_ball=int(np.sum(near))),
+        "uncertainty": _record(
             "uncertainty", min_lambda, (xs[k[0]], xis[k[1]]),
-            (min_lambda >= 1.0 - 1e-9) == (sb.c <= 2.0),
-            extras={"c": float(sb.c)}),
-        "temperance": AuditReport(
+            (min_lambda >= 1.0 - 1e-9) == (sb.c <= 2.0), c=float(sb.c)),
+        "temperance": _record(
             "temperance", C, (R_SLOW,), math.isfinite(C) and math.isfinite(slope),
-            extras={"N": N, "fitted_slope": slope}),
+            N=N, fitted_slope=slope),
     }
 
 
 def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
                                n_pairs: int = 10_000,
-                               seed: int = 13) -> AuditReport:
+                               seed: int = 13) -> dict:
     """Fit b(X)/b(Y) <= C (1 + g^sigma_X(X - Y))^N over sampled pairs."""
     sb = pm.sb
     x1, xi1 = _sample_phase_points(pm, n_pairs, seed)
@@ -332,6 +297,5 @@ def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     ratio = np.maximum(bx / by, by / bx)
     gsig = pm.g_dual(t, (x1, xi1), (x1 - x2, xi1 - xi2))
     C, N, slope, k = _temperance_fit(ratio, gsig)
-    return AuditReport("weight_admissibility", C, (x1[k], xi1[k]),
-                       math.isfinite(C),
-                       extras={"N": N, "fitted_slope": slope})
+    return _record("weight_admissibility", C, (x1[k], xi1[k]),
+                   math.isfinite(C), N=N, fitted_slope=slope)

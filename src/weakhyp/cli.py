@@ -198,6 +198,13 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
     return failures
 
 
+def _write_records(path: str, records: list) -> list:
+    """Write an audit's {"records": records}; return its failed checks."""
+    write_json(path, {"records": records})
+    return [{"check": r["check"], "detail": "failed"}
+            for r in records if not r["pass"]]
+
+
 AUDIT_RULES = {"c": REAL, "t": NONNEGATIVE, "coeff": None}
 ORDERS = (lambda v: isinstance(v, list) and all(
     isinstance(o, list) and len(o) == 2 and all(map(COUNT[0], o))
@@ -211,19 +218,13 @@ SYMBOL_RULES = AUDIT_RULES | {"orders": ORDERS}
 def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, SYMBOL_RULES)
     sb = _symbol_b(cfg_raw, 1.0)
-    coeff = sb.coeff
     t = cfg_raw.get("t", 0.0)
-    orders = [tuple(o) for o in cfg_raw.get("orders",
-                                            [[0, 0], [1, 0], [0, 1], [2, 0],
-                                             [1, 1], [0, 2], [2, 1], [1, 2]])]
-    reports = [audits.glaeser_audit_a(coeff),
-               audits.faa_di_bruno_check()]
-    for alpha, beta in orders:
-        reports.append(audits.derivative_bound_audit(sb, alpha, beta, t=t))
-    write_json(os.path.join(out, "audit.json"),
-               {"records": [r.as_dict() for r in reports]})
-    return [{"check": r.check, "detail": "failed"}
-            for r in reports if not r.passed]
+    orders = cfg_raw.get("orders", [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1],
+                                    [0, 2], [2, 1], [1, 2]])
+    records = [audits.glaeser_audit_a(sb.coeff), audits.faa_di_bruno_check()]
+    records += [audits.derivative_bound_audit(sb, alpha, beta, t=t)
+                for alpha, beta in orders]
+    return _write_records(os.path.join(out, "audit.json"), records)
 
 
 METRIC_RULES = AUDIT_RULES | {
@@ -237,13 +238,10 @@ def _run_metric_audit(cfg_raw: dict, out: str) -> list:
     pm = PhaseMetric(_symbol_b(cfg_raw, 1.0))
     kwargs = {k: cfg_raw[k] for k in ("t", "n_pairs", "seed")
               if k in cfg_raw}
-    reports = audits.metric_admissibility_audit(pm, **kwargs)
-    weight = audits.weight_admissibility_audit(
-        pm, **{k: v for k, v in kwargs.items() if k != "seed"})
-    records = [r.as_dict() for r in reports.values()] + [weight.as_dict()]
-    write_json(os.path.join(out, "metric.json"), {"records": records})
-    return [{"check": r["check"], "detail": "failed"}
-            for r in records if not r["pass"]]
+    records = list(audits.metric_admissibility_audit(pm, **kwargs).values())
+    records.append(audits.weight_admissibility_audit(
+        pm, **{k: v for k, v in kwargs.items() if k != "seed"}))
+    return _write_records(os.path.join(out, "metric.json"), records)
 
 
 QUANTIZER_RULES = AUDIT_RULES | {
@@ -290,13 +288,12 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
     records.append({"check": "invert_defects", "constant": defects[-1],
                     "pass": defects[0] >= defects[1] >= defects[2],
                     "defects": defects})
-    write_json(os.path.join(out, "quantizer.json"), {"records": records})
+    failures = _write_records(os.path.join(out, "quantizer.json"), records)
     # raw row-major complex doubles, little-endian, written next to
     # quantizer.json: a size that fails leaves no dump behind
     for n, B in dumps:
         B.astype("<c16").tofile(os.path.join(out, f"op_b_n{n}.bin"))
-    return [{"check": r["check"], "detail": "failed"}
-            for r in records if not r["pass"]]
+    return failures
 
 
 CJS_PROFILES = {"linear": cjs.coefficient_linear,

@@ -47,6 +47,4 @@ def _coerce(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
     raise TypeError(f"not JSON serializable: {type(obj)}")

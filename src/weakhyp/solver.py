@@ -430,8 +430,11 @@ def measure_tau_threshold(run: Trajectory):
     maximum has settled, the speculative rows are the final ones, and
     `observe` observes again the records whose speculative tau differs
     from the final tau.  No kernel outlives its record.  Raises
-    SolverBlowupError if the pilot aborted.
+    SolverBlowupError if the pilot aborted, and ValueError for tau0 = 0,
+    where every positive rate ends at t = 0.
     """
+    if run.cfg.tau0 == 0.0:
+        raise ValueError("tau0 = 0 leaves the auto rate no time span")
     pilot = replace(run.cfg, taudot=0.0)
     if not run.covers(pilot):
         raise ValueError("the trajectory was integrated for another run")

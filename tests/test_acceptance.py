@@ -122,8 +122,8 @@ def test_criterion_5_symbol_audits():
     details.append(f"b bounds: upper {upper_ok}, lower {lower_ok}")
 
     # (b) Glaeser ratio finite and grid-stable within 10%
-    c1 = glaeser_audit_a(coeff, n_t=24, n_x=257).constant
-    c2 = glaeser_audit_a(coeff, n_t=48, n_x=513).constant
+    c1 = glaeser_audit_a(coeff, n_t=24, n_x=257)["constant"]
+    c2 = glaeser_audit_a(coeff, n_t=48, n_x=513)["constant"]
     glaeser_ok = np.isfinite(c1) and abs(c2 - c1) <= 0.1 * c1
     details.append(f"glaeser C={c1:.3f} stable")
 
@@ -131,8 +131,10 @@ def test_criterion_5_symbol_audits():
     deriv_ok = True
     for alpha, beta in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                         (2, 1), (1, 2), (3, 0), (0, 3)):
-        d1 = derivative_bound_audit(sb, alpha, beta, n_x=21, n_xi=21).constant
-        d2 = derivative_bound_audit(sb, alpha, beta, n_x=41, n_xi=41).constant
+        d1 = derivative_bound_audit(sb, alpha, beta, n_x=21,
+                                    n_xi=21)["constant"]
+        d2 = derivative_bound_audit(sb, alpha, beta, n_x=41,
+                                    n_xi=41)["constant"]
         deriv_ok = deriv_ok and np.isfinite(d1) and abs(d2 - d1) <= 0.1 * d1
     details.append(f"derivative ratios finite+stable: {deriv_ok}")
 
@@ -158,18 +160,19 @@ def test_criterion_6_metric_admissibility():
     pm = PhaseMetric(SymbolB(coeff, c=1.0))
     rep = metric_admissibility_audit(pm, n_pairs=10_000)
     w = weight_admissibility_audit(pm, n_pairs=10_000)
-    finite = (np.isfinite(rep["slow_variation"].constant)
-              and np.isfinite(rep["temperance"].constant)
-              and np.isfinite(w.constant))
+    finite = (np.isfinite(rep["slow_variation"]["constant"])
+              and np.isfinite(rep["temperance"]["constant"])
+              and np.isfinite(w["constant"]))
     pm2 = PhaseMetric(SymbolB(coeff, c=2.0))
-    sat = metric_admissibility_audit(pm2, n_pairs=2000)["uncertainty"].constant
+    sat = metric_admissibility_audit(
+        pm2, n_pairs=2000)["uncertainty"]["constant"]
     saturated = abs(sat - 1.0) <= 1e-9
     ok = finite and saturated
     _report(6, "metric admissibility", ok,
-            f"slow C={rep['slow_variation'].constant:.2f}, temperance "
-            f"(C,N)=({rep['temperance'].constant:.2f},"
-            f"{rep['temperance'].extras['N']}), weight "
-            f"(C,N)=({w.constant:.2f},{w.extras['N']}); min lambda at c=2: "
+            f"slow C={rep['slow_variation']['constant']:.2f}, temperance "
+            f"(C,N)=({rep['temperance']['constant']:.2f},"
+            f"{rep['temperance']['N']}), weight "
+            f"(C,N)=({w['constant']:.2f},{w['N']}); min lambda at c=2: "
             f"{sat:.12f}")
 
 

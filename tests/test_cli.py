@@ -614,7 +614,7 @@ class TestAuditScenarios:
         weight = audits.weight_admissibility_audit(pm, n_pairs=200)
         expected = tmp_path / "expected.json"
         write_json(str(expected), {"records": [
-            r.as_dict() for r in reports.values()] + [weight.as_dict()]})
+            *reports.values(), weight]})
         assert (out / "metric.json").read_bytes() == expected.read_bytes()
 
     def test_quantizer_audit_passes(self, tmp_path):

@@ -89,6 +89,10 @@ REPRODUCTIONS = [
     ("energy_estimate", {"n": 32, "packet_xi": 4, "tau0": 0}, 2),
     ("energy_estimate", {"n": 32, "packet_xi": 4, "tau0": 0, "taudot": 1},
      2),
+    # a Glaeser violation and an x-stencil outside the support raised:
+    # both are failed records now
+    ("symbol_audit", {"coeff": {"r": 1e-5, "r_outer": 0.2}}, 1),
+    ("symbol_audit", {"coeff": {"r": 0.12, "r_outer": 0.1200001}}, 1),
 ]
 
 

@@ -340,6 +340,17 @@ class TestTrajectory:
             assert observed.initial_energy == direct.initial_energy
             assert list(observed.rows()) == list(direct.rows())
 
+    def test_threshold_rejects_tau0_zero_before_any_record(self,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver_module, "dt_energy_breakdown",
+                            lambda *args: calls.append(args))
+        traj = integrate(RunConfig(n=32, packet_xi=4, tau0=0.0,
+                                   sample_stride=64))
+        with pytest.raises(ValueError, match="tau0 = 0"):
+            measure_tau_threshold(traj)
+        assert calls == []
+
     def test_observe_accepts_an_equal_config_built_apart(self):
         traj = integrate(RunConfig(n=64, sample_stride=8))
         trace = observe(RunConfig(n=64, sample_stride=8), traj)
