@@ -199,9 +199,11 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
 
 
 def _write_records(path: str, records: list) -> list:
-    """Write an audit's {"records": records}; return its failed checks."""
+    """Write an audit's {"records": records}; return its failed checks,
+    each detailed by its constant and, if it has one, its witness."""
     write_json(path, {"records": records})
-    return [{"check": r["check"], "detail": "failed"}
+    return [{"check": r["check"], "detail": f"constant {r['constant']}"
+             + (f" at witness {r['witness']}" if "witness" in r else "")}
             for r in records if not r["pass"]]
 
 
@@ -270,8 +272,9 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
         herm = hermiticity_defect(B)
         records.append({"check": f"hermiticity_n{n}", "constant": herm,
                         "pass": herm <= 1e-10})
-        R = B @ B - quantize(SymbolField(grid, bf.samples**2, time=t,
-                                         label="b^2", rows=bf.rows))
+        R = B @ B
+        R -= quantize(SymbolField(grid, bf.samples**2, time=t, label="b^2",
+                                  rows=bf.rows))
         comp_norms.append(operator_norm(R))
         del B, R   # free this size's kernels before the next size
         records.append({"check": f"compose_norm_n{n}",

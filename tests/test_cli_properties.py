@@ -6,6 +6,7 @@ or 2 and never raises, and a run that exits 2 leaves no output_dir.
 Each reproduced case also exits with the code pinned to it.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -128,3 +129,22 @@ def test_reproduction_exits_its_own_code(kind, config, code, out, tmp_path,
     assert run_scenario(Scenario(kind, BASE[kind] | config, out)) == code
     if code == 2:
         assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("coeff, details", [
+    # an inf Glaeser constant at the first point of the violation
+    ({"r": 1e-5, "r_outer": 0.2},
+     {"glaeser_a": "constant inf at witness [0.0, 0.499999921875]"}),
+    # a NaN stencil: every x-derivative order leaves the support at 0.38
+    ({"r": 0.12, "r_outer": 0.1200001},
+     {f"derivative_bound_b_a{a}b{b}": "constant nan at witness [0.38, nan]"
+      for a, b in ((1, 0), (2, 0), (1, 1), (2, 1), (1, 2))}),
+])
+def test_failures_name_constant_and_witness(coeff, details, tmp_path):
+    out = tmp_path / "out"
+    # the default orders, as `weakhyp run` reads the reproduction
+    assert run_scenario(Scenario("symbol_audit", {"coeff": coeff},
+                                 str(out))) == 1
+    with open(out / "failures.json") as fh:
+        failures = json.load(fh)["failures"]
+    assert {f["check"]: f["detail"] for f in failures} == details

@@ -81,18 +81,42 @@ class TestDequantize:
         assert rel < 5e-2
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
-    def test_fill_matches_whole_field_rolls(self, n, monkeypatch):
-        # the slot array that dequantize hands to its one forward FFT
-        slots = []
-        fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda c, axis: (
-            slots.append(c.copy()), fft(c, axis=axis))[1])
+    def test_fill_matches_whole_field_rolls(self, n):
+        # one whole-field FFT of the roll-filled slot array, for a real
+        # and a complex kernel
         rng = np.random.default_rng(n)
-        K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        back = dequantize(K, Grid(n))
-        (c,) = slots
-        ref = fft(_roll_fill(c), axis=1)
-        assert np.array_equal(back.samples.view(np.int64), ref.view(np.int64))
+        for K in (rng.normal(size=(n, n)),
+                  rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+            fft = np.fft.fft if np.iscomplexobj(K) else np.fft.rfft
+            ref = fft(_roll_fill(_slot_array(K)), axis=1)
+            back = dequantize(K, Grid(n))
+            assert back.samples.shape == ref.shape
+            assert np.array_equal(back.samples.view(np.int64),
+                                  ref.view(np.int64))
+
+    def test_allocates_its_output_and_little_more(self):
+        # the (2n, n/2 + 1) complex output holds 2 n^2 doubles, and the
+        # profiles live in its buffer; a separate profile array adds 2
+        n = 1024
+        K = np.random.default_rng(0).normal(size=(n, n))
+        dequantize(K, Grid(n))   # builds the index maps
+        peak = _traced_peak(dequantize, K, Grid(n))
+        assert peak <= 2.5 * 8 * n ** 2
+
+
+def _slot_array(K):
+    """The (2n, n) difference profiles of K read off `_wrapped_difference`:
+    each entry at its slot (m*, d0), the antipodal column symmetrized
+    over both torus midpoints, the unseen slots zero."""
+    n = K.shape[0]
+    D0, _, Mstar = _wrapped_difference(n)
+    c = np.zeros((2 * n, n), dtype=K.dtype)
+    c[Mstar, D0] = K
+    anti = D0 == n // 2
+    sym = 0.5 * (K[anti] + K.T[anti])
+    c[Mstar[anti], n // 2] = sym
+    c[(Mstar[anti] + n) % (2 * n), n // 2] = sym
+    return c
 
 
 def _roll_fill(c):
@@ -328,17 +352,22 @@ class TestHalfSpectrum:
         assert np.iscomplexobj(K)
 
     def test_invert_b_peak_memory(self, sb_c1):
-        # the recursion runs on (2n, n/2 + 1) half spectra; a full-width
-        # recursion peaks at about 15.5 n^2 doubles
+        # the recursion runs in place on (2n, n/2 + 1) half spectra and
+        # peaks at 7.69 n^2 doubles; one copy of a correction adds 2
         grid = Grid(256)
         invert_b(sb_c1, 2, 0.0, grid)   # builds the index caches
-        tracemalloc.start()
-        try:
-            invert_b(sb_c1, 2, 0.0, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * 8 * grid.n ** 2
+        peak = _traced_peak(invert_b, sb_c1, 2, 0.0, grid)
+        assert peak <= 7.75 * 8 * grid.n ** 2
+
+
+def _traced_peak(fn, *args):
+    """The tracemalloc peak of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestApply:
