@@ -8,6 +8,10 @@ of the weight b.  Each audit returns the JSON record it is written as:
 {"check", "constant", "witness", "pass"} and its own extra keys.  A
 violated inequality fails the record; the audits never assert values
 the analysis leaves unquantified.
+
+The quantizer audit's records, `hermiticity_n<n>` and `compose_norm_n<n>`
+(||op(b)^2 - op(b^2)||) per size, `compose_norm_decreases` between sizes
+and `invert_defects` at the last, carry no witness.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .spectral import bracket
+from .quantize import (SymbolField, hermiticity_defect, invert_b,
+                       operator_norm, quantize, sample_symbol_b)
+from .spectral import Grid, bracket
 from .symbols import CoefficientField, PhaseMetric, SymbolB
 
 __all__ = [
@@ -27,6 +33,7 @@ __all__ = [
     "faa_di_bruno_check",
     "metric_admissibility_audit",
     "weight_admissibility_audit",
+    "quantizer_audit",
 ]
 
 ZERO_OVER_ZERO_FLOOR = 1e-14
@@ -299,3 +306,37 @@ def weight_admissibility_audit(pm: PhaseMetric, t: float = 0.0,
     C, N, slope, k = _temperance_fit(ratio, gsig)
     return _record("weight_admissibility", C, (x1[k], xi1[k]),
                    math.isfinite(C), N=N, fitted_slope=slope)
+
+
+def quantizer_audit(sb: SymbolB, t: float, sizes) -> list:
+    """Hermiticity and composition of op(b) per size, the decrease of
+    the composition norm with n, and the defects of `invert_b`."""
+    records = []
+    comp_norms = []
+    for n in sizes:
+        grid = Grid(n)
+        bf = sample_symbol_b(sb, grid, t)
+        B = quantize(bf)
+        herm = hermiticity_defect(B)
+        records.append({"check": f"hermiticity_n{n}", "constant": herm,
+                        "pass": herm <= 1e-10})
+        R = B @ B
+        R -= quantize(SymbolField(grid, bf.samples**2, time=t, label="b^2",
+                                  rows=bf.rows))
+        comp_norms.append(operator_norm(R))
+        del B, R   # free this size's kernels before the next size
+        records.append({"check": f"compose_norm_n{n}",
+                        "constant": comp_norms[-1], "pass": True})
+    for lo, hi in zip(comp_norms, comp_norms[1:]):
+        # at c near 0 op(b) composes exactly and both norms can be 0:
+        # ratio and margin are IEEE's, nan for 0/0 and +-inf for x/0
+        ratio = hi / lo if lo else (math.nan if hi == 0.0 else math.inf)
+        margin = (lo - hi) / lo if lo else -ratio
+        records.append({"check": "compose_norm_decreases",
+                        "constant": ratio, "margin": margin, "pass": hi < lo})
+
+    _, defects = invert_b(sb, 2, t, grid)   # the last size
+    records.append({"check": "invert_defects", "constant": defects[-1],
+                    "pass": defects[0] >= defects[1] >= defects[2],
+                    "defects": defects})
+    return records

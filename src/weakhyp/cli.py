@@ -28,8 +28,7 @@ from typing import Optional
 
 from . import audits, cjs
 from .constraints import constraint_table, minimal_feasible_sigma
-from .quantize import (SymbolField, hermiticity_defect, invert_b,
-                       operator_norm, quantize, sample_symbol_b)
+from .quantize import quantize, sample_symbol_b
 from .reporting import write_csv, write_json
 from .solver import (RATE_FACTOR, EnergyTrace, RunConfig, SolverBlowupError,
                      integrate, measure_tau_threshold, run_with_energy)
@@ -259,43 +258,14 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
     sb = _symbol_b(cfg_raw, 0.5)
     t = cfg_raw.get("t", 0.0)
     sizes = cfg_raw.get("sizes", [128, 256])
-    dump = cfg_raw.get("dump_matrices", False)
-    records = []
-    comp_norms = []
-    dumps = []
-    for n in sizes:
-        grid = Grid(n)
-        bf = sample_symbol_b(sb, grid, t)
-        B = quantize(bf)
-        if dump:
-            dumps.append((n, B))
-        herm = hermiticity_defect(B)
-        records.append({"check": f"hermiticity_n{n}", "constant": herm,
-                        "pass": herm <= 1e-10})
-        R = B @ B
-        R -= quantize(SymbolField(grid, bf.samples**2, time=t, label="b^2",
-                                  rows=bf.rows))
-        comp_norms.append(operator_norm(R))
-        del B, R   # free this size's kernels before the next size
-        records.append({"check": f"compose_norm_n{n}",
-                        "constant": comp_norms[-1], "pass": True})
-    for lo, hi in zip(comp_norms, comp_norms[1:]):
-        # at c near 0 op(b) composes exactly and both norms can be 0:
-        # ratio and margin are IEEE's, nan for 0/0 and +-inf for x/0
-        ratio = hi / lo if lo else (math.nan if hi == 0.0 else math.inf)
-        margin = (lo - hi) / lo if lo else -ratio
-        records.append({"check": "compose_norm_decreases",
-                        "constant": ratio, "margin": margin, "pass": hi < lo})
-
-    _, defects = invert_b(sb, 2, t, grid)   # the last size
-    records.append({"check": "invert_defects", "constant": defects[-1],
-                    "pass": defects[0] >= defects[1] >= defects[2],
-                    "defects": defects})
-    failures = _write_records(os.path.join(out, "quantizer.json"), records)
-    # raw row-major complex doubles, little-endian, written next to
-    # quantizer.json: a size that fails leaves no dump behind
-    for n, B in dumps:
-        B.astype("<c16").tofile(os.path.join(out, f"op_b_n{n}.bin"))
+    failures = _write_records(os.path.join(out, "quantizer.json"),
+                              audits.quantizer_audit(sb, t, sizes))
+    # raw row-major complex doubles, little-endian, written after
+    # quantizer.json one size at a time, so a dump holds one kernel
+    if cfg_raw.get("dump_matrices", False):
+        for n in sizes:
+            quantize(sample_symbol_b(sb, Grid(n), t)).astype("<c16").tofile(
+                os.path.join(out, f"op_b_n{n}.bin"))
     return failures
 
 
@@ -459,7 +429,7 @@ def main(argv=None) -> int:
     p_audit.add_argument("target", choices=AUDIT_KINDS)
     p_audit.add_argument("--c", type=float)
     p_audit.add_argument("--dump-matrices", action="store_true",
-                         help="write assembled operators as raw complex128")
+                         help="write each op(b) as <c16 after quantizer.json")
     p_audit.add_argument("--out", default="out/audit")
     p_audit.set_defaults(fn=_cmd_verb)
 

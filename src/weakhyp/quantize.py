@@ -67,14 +67,11 @@ from .symbols import SymbolB
 
 __all__ = [
     "SymbolField",
-    "sample_symbol",
     "sample_symbol_b",
     "distinct_rows",
     "quantize",
     "dequantize",
     "hermiticity_defect",
-    "multiplier_matrix",
-    "multiplication_matrix",
     "operator_norm",
     "apply",
     "PowerIterationWarning",
@@ -121,14 +118,6 @@ class SymbolField:
                              f" or {(u, h)} with real columns 0 and n/2")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"symbol '{self.label}' has non-finite samples")
-
-
-def sample_symbol(grid: Grid, fn) -> SymbolField:
-    """Sample fn(x, xi) on the doubled lattice; fn must broadcast."""
-    x = grid.x_doubled[:, None]
-    xi = grid.xi[None, :]
-    return SymbolField(grid, np.broadcast_to(np.asarray(fn(x, xi), dtype=complex),
-                                             (2 * grid.n, grid.n)).copy())
 
 
 def distinct_rows(keys: np.ndarray):
@@ -338,18 +327,6 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
 def _row_blocks(n: int, size: int = 64):
     """Slices of consecutive rows, `size` at a time, that cover n rows."""
     return (slice(lo, lo + size) for lo in range(0, n, size))
-
-
-def multiplier_matrix(grid: Grid, m: np.ndarray) -> np.ndarray:
-    """Dense matrix of the Fourier multiplier m, given on grid.xi (exact)."""
-    mv = np.asarray(m, dtype=complex)
-    # row j of the product is the image of e_j, i.e. column j of the matrix
-    return grid.multiply(np.eye(grid.n, dtype=complex), mv).T
-
-
-def multiplication_matrix(q_values: np.ndarray) -> np.ndarray:
-    """Dense matrix of pointwise multiplication by q(x)."""
-    return np.diag(np.asarray(q_values, dtype=complex))
 
 
 def apply(K: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -1,0 +1,31 @@
+"""Reference builders of dense operators, for the tests only.
+
+`sample_symbol` samples a symbol given as a function on the full
+doubled lattice; `multiplier_matrix` and `multiplication_matrix` build
+the exact matrices that a symbol of xi only and of x only quantize to.
+"""
+
+import numpy as np
+
+from weakhyp.quantize import SymbolField
+from weakhyp.spectral import Grid
+
+
+def sample_symbol(grid: Grid, fn) -> SymbolField:
+    """Sample fn(x, xi) on the doubled lattice; fn must broadcast."""
+    x = grid.x_doubled[:, None]
+    xi = grid.xi[None, :]
+    return SymbolField(grid, np.broadcast_to(np.asarray(fn(x, xi), dtype=complex),
+                                             (2 * grid.n, grid.n)).copy())
+
+
+def multiplier_matrix(grid: Grid, m: np.ndarray) -> np.ndarray:
+    """Dense matrix of the Fourier multiplier m, given on grid.xi (exact)."""
+    mv = np.asarray(m, dtype=complex)
+    # row j of the product is the image of e_j, i.e. column j of the matrix
+    return grid.multiply(np.eye(grid.n, dtype=complex), mv).T
+
+
+def multiplication_matrix(q_values: np.ndarray) -> np.ndarray:
+    """Dense matrix of pointwise multiplication by q(x)."""
+    return np.diag(np.asarray(q_values, dtype=complex))

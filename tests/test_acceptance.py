@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import multiplication_matrix, multiplier_matrix, sample_symbol
 from weakhyp.audits import (derivative_bound_audit, glaeser_audit_a,
                             metric_admissibility_audit,
                             weight_admissibility_audit)
@@ -19,9 +20,7 @@ from weakhyp.constraints import constraint_table, minimal_feasible_sigma
 from weakhyp.energy import (Symmetrizer, garding_sign_probe,
                             subprincipal_refinement)
 from weakhyp.quantize import (SymbolField, hermiticity_defect, invert_b,
-                              multiplication_matrix, multiplier_matrix,
-                              operator_norm, quantize, sample_symbol,
-                              sample_symbol_b)
+                              operator_norm, quantize, sample_symbol_b)
 from weakhyp.solver import (RunConfig, integrate, measure_tau_threshold,
                             run_with_energy, step_rk4,
                             verify_breakdown_identity)

@@ -633,6 +633,59 @@ class TestAuditScenarios:
         hi = by_name["compose_norm_n256"]["constant"]
         assert by_name["compose_norm_decreases"]["margin"] == (lo - hi) / lo
 
+    def test_quantizer_audit_records_are_the_written_ones(self, tmp_path):
+        from weakhyp import audits
+        from weakhyp.reporting import write_json
+        from weakhyp.symbols import SymbolB
+
+        out = tmp_path / "out"
+        assert run_scenario(Scenario("quantizer_audit", {"sizes": [32, 64]},
+                                     str(out))) == 0
+        records = audits.quantizer_audit(
+            SymbolB(CoefficientField(), c=0.5), 0.0, [32, 64])
+        assert [r["check"] for r in records] == [
+            "hermiticity_n32", "compose_norm_n32", "hermiticity_n64",
+            "compose_norm_n64", "compose_norm_decreases", "invert_defects"]
+        expected = tmp_path / "expected.json"
+        write_json(str(expected), {"records": records})
+        assert (out / "quantizer.json").read_bytes() == expected.read_bytes()
+
+    def test_quantizer_audit_fails_on_decreasing_sizes(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_scenario(Scenario("quantizer_audit", {"sizes": [256, 128]},
+                                     str(out))) == 1
+        with open(out / "quantizer.json") as fh:
+            by_name = {r["check"]: r for r in json.load(fh)["records"]}
+        ratio = (by_name["compose_norm_n128"]["constant"]
+                 / by_name["compose_norm_n256"]["constant"])
+        assert by_name["compose_norm_decreases"]["constant"] == ratio
+        # the record has no witness, so its detail names none
+        with open(out / "failures.json") as fh:
+            assert json.load(fh)["failures"] == [
+                {"check": "compose_norm_decreases",
+                 "detail": f"constant {ratio}"}]
+
+    def test_quantizer_dump_costs_no_memory(self, tmp_path):
+        import tracemalloc
+
+        config = {"sizes": [64, 128, 256]}
+        # a first run builds what any run keeps: caches, FFT plans
+        assert run_scenario(Scenario("quantizer_audit", config,
+                                     str(tmp_path / "warm"))) == 0
+        peaks = []
+        for dump in (False, True):
+            tracemalloc.start()
+            try:
+                assert run_scenario(Scenario(
+                    "quantizer_audit", config | {"dump_matrices": dump},
+                    str(tmp_path / f"dump{dump}"))) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the kernels are dumped one at a time, after the audit
+        no_dump, with_dump = (p / (8 * 256**2) for p in peaks)
+        assert abs(with_dump - no_dump) <= 0.05, (no_dump, with_dump)
+
     @pytest.mark.parametrize("sizes, ratio", [([128, 256], math.inf),
                                                ([128, 128], math.nan)])
     def test_quantizer_audit_at_vanishing_c_keeps_ieee_ratio(

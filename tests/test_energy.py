@@ -3,12 +3,13 @@ import importlib
 import numpy as np
 import pytest
 
+from reference import sample_symbol
 from weakhyp.energy import (Symmetrizer, conjugated_matrix,
                             dt_energy_breakdown, energy,
                             garding_sign_probe, subprincipal_refinement,
                             weight_values)
 from weakhyp.quantize import (SymbolField, apply, hermiticity_defect,
-                              quantize, sample_symbol)
+                              quantize)
 from weakhyp.solver import (RunConfig, rhs_parts, verify_breakdown_identity,
                             wave_packet)
 from weakhyp.spectral import Grid, bracket

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference import multiplication_matrix, multiplier_matrix, sample_symbol
 from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map, _wrapped_difference,
                               apply, dequantize, distinct_rows,
                               hermiticity_defect,
-                              invert_b, multiplication_matrix,
-                              multiplier_matrix, operator_norm, quantize,
-                              sample_symbol, sample_symbol_b)
+                              invert_b, operator_norm, quantize,
+                              sample_symbol_b)
 from weakhyp.spectral import Grid, bracket
 from weakhyp.symbols import SymbolB
 
