@@ -8,7 +8,7 @@ construction rests on.
 """
 
 from .spectral import Grid, bracket
-from .symbols import CoefficientField, PhaseMetric, SymbolB
+from .symbols import CoefficientField, SymbolB
 from .quantize import (SymbolField, dequantize, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol_b)
 from .energy import (Symmetrizer, conjugated_matrix, dt_energy_breakdown,
@@ -19,7 +19,7 @@ from .solver import (EnergyTrace, RunConfig, Trajectory, integrate,
                      wave_packet)
 from .cjs import (TimeCoefficient, coefficient_constant, coefficient_linear,
                   coefficient_parabola, growth_exponent_fit, max_energy_growth)
-from .constraints import (ConstraintRecord, constraint_record,
-                          constraint_table, minimal_feasible_sigma)
+from .constraints import (constraint_record, constraint_table,
+                          minimal_feasible_sigma)
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .reporting import write_csv, write_json
 from .solver import (RATE_FACTOR, EnergyTrace, RunConfig, SolverBlowupError,
                      integrate, measure_tau_threshold, run_with_energy)
 from .spectral import Grid
-from .symbols import CoefficientField, PhaseMetric, SymbolB
+from .symbols import CoefficientField, SymbolB
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
 
@@ -236,12 +236,12 @@ METRIC_RULES = AUDIT_RULES | {
 
 def _run_metric_audit(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, METRIC_RULES)
-    pm = PhaseMetric(_symbol_b(cfg_raw, 1.0))
+    sb = _symbol_b(cfg_raw, 1.0)
     kwargs = {k: cfg_raw[k] for k in ("t", "n_pairs", "seed")
               if k in cfg_raw}
-    records = list(audits.metric_admissibility_audit(pm, **kwargs).values())
+    records = list(audits.metric_admissibility_audit(sb, **kwargs).values())
     records.append(audits.weight_admissibility_audit(
-        pm, **{k: v for k, v in kwargs.items() if k != "seed"}))
+        sb, **{k: v for k, v in kwargs.items() if k != "seed"}))
     return _write_records(os.path.join(out, "metric.json"), records)
 
 
@@ -329,14 +329,12 @@ def _run_constraint_table(cfg_raw: dict, out: str) -> list:
         raise ScenarioError(str(err)) from err
     if not records:
         raise ScenarioError("the sigma range is empty: sigma_min > sigma_max")
-    rows = [r.as_dict() for r in records]
-    fields = list(rows[0].keys())
-    write_csv(os.path.join(out, "table.csv"), rows, fields)
+    write_csv(os.path.join(out, "table.csv"), records, list(records[0]))
     minimal = minimal_feasible_sigma(records)
     write_json(os.path.join(out, "summary.json"),
                {"min_feasible_sigma":
                 float(minimal) if minimal is not None else None,
-                "n_rows": len(rows)})
+                "n_rows": len(records)})
     return []
 
 

@@ -10,12 +10,10 @@ is evaluated in rational arithmetic so grid sweeps are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 __all__ = [
-    "ConstraintRecord",
     "constraint_slacks",
     "constraint_record",
     "constraint_table",
@@ -36,28 +34,6 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class ConstraintRecord:
-    sigma: Fraction
-    c: Fraction
-    nu: int
-    f21_zero: bool
-    slacks: dict
-    feasible: bool
-
-    def as_dict(self) -> dict:
-        d = {
-            "sigma": float(self.sigma),
-            "c": float(self.c),
-            "nu": self.nu,
-            "f21_zero": self.f21_zero,
-            "feasible": self.feasible,
-        }
-        for name, s in self.slacks.items():
-            d[f"slack_{name}"] = float(s)
-        return d
-
-
 def constraint_slacks(sigma: Fraction, c: Fraction, nu: int,
                       f21_zero: bool) -> dict:
     """All active slack values; feasibility means every slack <= 0."""
@@ -75,9 +51,10 @@ def constraint_slacks(sigma: Fraction, c: Fraction, nu: int,
     return slacks
 
 
-def constraint_record(sigma, nu: int = 4,
-                      f21_zero: bool = False) -> ConstraintRecord:
-    """Evaluate one parameter point at the coupling c = 2(1 - sigma)."""
+def constraint_record(sigma, nu: int = 4, f21_zero: bool = False) -> dict:
+    """One table row at the coupling c = 2(1 - sigma): sigma, c, nu,
+    f21_zero, feasible, then slack_<name> per constraint, with sigma,
+    c and the slacks exact Fractions."""
     sigma = as_fraction(sigma)
     if not (0 < sigma < 1):
         raise ValueError(f"sigma = {sigma} must lie in (0, 1)")
@@ -85,15 +62,16 @@ def constraint_record(sigma, nu: int = 4,
         raise ValueError(f"nu = {nu} must be >= 0")
     c = 2 * (1 - sigma)
     slacks = constraint_slacks(sigma, c, nu, f21_zero)
-    feasible = all(s <= 0 for s in slacks.values())
-    return ConstraintRecord(sigma=sigma, c=c, nu=nu, f21_zero=f21_zero,
-                            slacks=slacks, feasible=feasible)
+    return {"sigma": sigma, "c": c, "nu": nu, "f21_zero": f21_zero,
+            "feasible": all(s <= 0 for s in slacks.values()),
+            **{f"slack_{name}": s for name, s in slacks.items()}}
 
 
 def constraint_table(sigma_min, sigma_max, step, nu: int = 4,
                      f21_zero: bool = False) -> list:
-    """One ConstraintRecord per sigma on the rational grid; a grid of
-    more than MAX_TABLE_ROWS points raises ValueError before any row."""
+    """One `constraint_record` row per sigma on the rational grid; a
+    grid of more than MAX_TABLE_ROWS points raises ValueError before
+    any row."""
     lo, hi, st = (as_fraction(sigma_min), as_fraction(sigma_max),
                   as_fraction(step))
     if st <= 0:
@@ -106,6 +84,6 @@ def constraint_table(sigma_min, sigma_max, step, nu: int = 4,
             for k in range(n_rows)]
 
 
-def minimal_feasible_sigma(records: Sequence[ConstraintRecord]) -> Optional[Fraction]:
-    feasible = [r.sigma for r in records if r.feasible]
+def minimal_feasible_sigma(records: Sequence[dict]) -> Optional[Fraction]:
+    feasible = [r["sigma"] for r in records if r["feasible"]]
     return min(feasible) if feasible else None

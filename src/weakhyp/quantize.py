@@ -142,30 +142,17 @@ def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
                        label="b", rows=rows)
 
 
-def _wrapped_difference(n: int):
-    """Index maps of the torus pair geometry.
-
-    Returns (D0, Dstar, Mstar): for every entry (i, j), the difference
-    residue d0 = (i - j) mod n, its wrapped representative d* in
-    (-n/2, n/2], and the short-arc midpoint index m* = (2j + d*) mod 2n
-    on the doubled lattice.  At the antipodal column d0 = n/2 the two
-    torus midpoints m* and m* + n are equally valid; callers average
-    over them, which keeps real symbols exactly Hermitian.
-    """
-    i = np.arange(n)
-    D0 = (i[:, None] - i[None, :]) % n
-    Dstar = np.where(D0 <= n // 2, D0, D0 - n)
-    Mstar = (2 * i[None, :] + Dstar) % (2 * n)
-    return D0, Dstar, Mstar
-
-
 class _SlotMap(NamedTuple):
     """The (midpoint, difference) slot of every kernel entry.
 
     Entry (i, j) reads slot (mid[i, j], diff[i, j]) = (m*, d0) of the
-    (2n, n) difference profiles.  `anti` holds the flat kernel
-    positions of the antipodal column d0 = n/2 and `anti_mid` the other
-    torus midpoint m* + n of each.
+    (2n, n) difference profiles: the difference residue d0 = (i - j)
+    mod n and the short-arc midpoint index m* = (2j + d*) mod 2n on the
+    doubled lattice, with d* the representative of d0 in (-n/2, n/2].
+    At the antipodal column d0 = n/2 the two torus midpoints m* and
+    m* + n are equally valid; callers average over them, which keeps
+    real symbols exactly Hermitian.  `anti` holds the flat kernel
+    positions of that column and `anti_mid` the other midpoint of each.
     """
 
     mid: np.ndarray
@@ -176,9 +163,13 @@ class _SlotMap(NamedTuple):
 
 @functools.lru_cache(maxsize=1)
 def _slot_map(n: int) -> _SlotMap:
-    D0, _, Mstar = _wrapped_difference(n)
-    # row i meets d0 = n/2 at column j = (i + n/2) mod n
     i = np.arange(n)
+    D0 = (i[:, None] - i[None, :]) % n
+    # Dstar stays alive to the return: freeing it early shifts where the
+    # allocator places the later maps, and with it the peak RSS
+    Dstar = np.where(D0 <= n // 2, D0, D0 - n)
+    Mstar = (2 * i[None, :] + Dstar) % (2 * n)
+    # row i meets d0 = n/2 at column j = (i + n/2) mod n
     anti = i * n + (i + n // 2) % n
     # numpy gathers fastest through intp indices, so mid is intp;
     # quantize only adds diff (d0 < n), whose int32 halves its memory

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ FLOAT_FORMAT = "%.17g"
 def format_float(x) -> str:
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, float):
+    if isinstance(x, (float, Fraction)):
         return FLOAT_FORMAT % x
     return str(x)
 

@@ -1,4 +1,4 @@
-"""Coefficient a(t,x), regularized symbols and the phase-space metric.
+"""Coefficient a(t,x), the weight b and its phase-space metric.
 
 The degenerate coefficient is a(t,x) = (t + |x - x0|^2) * e(t,x), with
 e a smooth plateau bump: e == 1 on [0,T] x B_r(x0) and e == 0 outside
@@ -8,7 +8,8 @@ e a smooth plateau bump: e == 1 on [0,T] x B_r(x0) and e == 0 outside
     b     = a_nat^(-1/2)           (symmetrizer weight)
     lam   = b^(-1) * <xi>          (calculus gain function)
 
-and the phase-space metric g_X(Y) = |Y1|^2/a_nat + |Y2|^2/<X2>^2.
+and the phase-space metric g_X(Y) = |Y1|^2/a_nat + |Y2|^2/<X2>^2,
+which `SymbolB` evaluates next to b itself.
 
 All evaluators are closed-form, including d/dx and d/dt of a, so the
 audits can compare finite differences against exact derivatives.
@@ -30,7 +31,6 @@ __all__ = [
     "plateau_bump",
     "CoefficientField",
     "SymbolB",
-    "PhaseMetric",
 ]
 
 
@@ -235,6 +235,33 @@ class SymbolB:
     def a_natural(self, t, x, xi):
         return np.asarray(self.coeff.a(t, x)) + bracket(xi) ** (-self.c)
 
+    def g(self, t, X, Y):
+        """g_X(Y) = |Y1|^2 / a_nat(t,X) + |Y2|^2 / <X2>^2."""
+        x, xi = X
+        y1, y2 = Y
+        anat = self.a_natural(t, x, xi)
+        return np.abs(y1) ** 2 / anat + np.abs(y2) ** 2 / bracket(xi) ** 2
+
+    def g_dual(self, t, X, Y):
+        """g^sigma_X(Y) = <X2>^2 |Y1|^2 + a_nat(t,X) |Y2|^2."""
+        x, xi = X
+        y1, y2 = Y
+        anat = self.a_natural(t, x, xi)
+        return bracket(xi) ** 2 * np.abs(y1) ** 2 + anat * np.abs(y2) ** 2
+
+    def sup_ratio(self, t, X, Y):
+        """sup over probes T of g_X(T) / g_Y(T), in closed form.
+
+        The metric is diagonal, so the sup over directions is the larger
+        of the two coefficient ratios.
+        """
+        x1, xi1 = X
+        x2, xi2 = Y
+        anat_x = self.a_natural(t, x1, xi1)
+        anat_y = self.a_natural(t, x2, xi2)
+        return np.maximum(anat_y / anat_x,
+                          bracket(xi2) ** 2 / bracket(xi1) ** 2)
+
     def b(self, t, x, xi):
         return self.a_natural(t, x, xi) ** (-0.5)
 
@@ -252,37 +279,3 @@ class SymbolB:
     def lower_bound(self) -> float:
         """(sup a + 1)^(-1/2), the proven floor of b."""
         return (self.coeff.sup_a() + 1.0) ** (-0.5)
-
-
-@dataclass(frozen=True)
-class PhaseMetric:
-    """g_X(Y) = |Y1|^2 / a_nat(t,X) + |Y2|^2 / <X2>^2 and its dual."""
-
-    sb: SymbolB
-
-    def g(self, t, X, Y):
-        x, xi = X
-        y1, y2 = Y
-        anat = self.sb.a_natural(t, x, xi)
-        return np.abs(y1) ** 2 / anat + np.abs(y2) ** 2 / bracket(xi) ** 2
-
-    def g_dual(self, t, X, Y):
-        """g^sigma_X(Y) = <X2>^2 |Y1|^2 + a_nat(t,X) |Y2|^2."""
-        x, xi = X
-        y1, y2 = Y
-        anat = self.sb.a_natural(t, x, xi)
-        return bracket(xi) ** 2 * np.abs(y1) ** 2 + anat * np.abs(y2) ** 2
-
-    def sup_ratio(self, t, X, Y):
-        """sup over probes T of g_X(T) / g_Y(T), in closed form.
-
-        The metric is diagonal, so the sup over directions is the larger
-        of the two coefficient ratios.
-        """
-        x1, xi1 = X
-        x2, xi2 = Y
-        anat_x = self.sb.a_natural(t, x1, xi1)
-        anat_y = self.sb.a_natural(t, x2, xi2)
-        return np.maximum(
-            anat_y / anat_x, bracket(xi2) ** 2 / bracket(xi1) ** 2
-        )

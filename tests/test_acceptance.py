@@ -25,7 +25,7 @@ from weakhyp.solver import (RunConfig, integrate, measure_tau_threshold,
                             run_with_energy, step_rk4,
                             verify_breakdown_identity)
 from weakhyp.spectral import Grid, bracket
-from weakhyp.symbols import CoefficientField, PhaseMetric, SymbolB
+from weakhyp.symbols import CoefficientField, SymbolB
 
 
 def _report(num, name, passed, detail):
@@ -94,7 +94,7 @@ def test_criterion_4_constraint_engine():
     t0 = time.time()
     recs = constraint_table("0.3", "0.99", "0.001", nu=4, f21_zero=False)
     m_full = minimal_feasible_sigma(recs)
-    coupling_ok = all(r.c == 2 * (1 - r.sigma) for r in recs)
+    coupling_ok = all(r["c"] == 2 * (1 - r["sigma"]) for r in recs)
     recs0 = constraint_table("0.3", "0.99", "0.001", nu=4, f21_zero=True)
     m_f21 = minimal_feasible_sigma(recs0)
     elapsed = time.time() - t0
@@ -156,15 +156,15 @@ def test_criterion_5_symbol_audits():
 
 def test_criterion_6_metric_admissibility():
     coeff = CoefficientField()
-    pm = PhaseMetric(SymbolB(coeff, c=1.0))
-    rep = metric_admissibility_audit(pm, n_pairs=10_000)
-    w = weight_admissibility_audit(pm, n_pairs=10_000)
+    sb = SymbolB(coeff, c=1.0)
+    rep = metric_admissibility_audit(sb, n_pairs=10_000)
+    w = weight_admissibility_audit(sb, n_pairs=10_000)
     finite = (np.isfinite(rep["slow_variation"]["constant"])
               and np.isfinite(rep["temperance"]["constant"])
               and np.isfinite(w["constant"]))
-    pm2 = PhaseMetric(SymbolB(coeff, c=2.0))
+    sb2 = SymbolB(coeff, c=2.0)
     sat = metric_admissibility_audit(
-        pm2, n_pairs=2000)["uncertainty"]["constant"]
+        sb2, n_pairs=2000)["uncertainty"]["constant"]
     saturated = abs(sat - 1.0) <= 1e-9
     ok = finite and saturated
     _report(6, "metric admissibility", ok,

@@ -10,7 +10,7 @@ from weakhyp.audits import (derivative_bound_audit, faa_di_bruno_check,
                             weight_admissibility_audit, _b_lattice,
                             _compositions_count, _CENTRAL_STENCILS)
 from weakhyp.spectral import bracket
-from weakhyp.symbols import CoefficientField, PhaseMetric, SymbolB
+from weakhyp.symbols import CoefficientField, SymbolB
 
 
 def _audit_lattice(coeff, n_x, n_xi, xi_max=128.0):
@@ -193,12 +193,11 @@ class TestDerivativeBoundAudit:
 
 def test_every_record_is_plain_json(sb_c1):
     # no numpy scalar reaches a record, so json needs no default=
-    pm = PhaseMetric(sb_c1)
     records = [glaeser_audit_a(sb_c1.coeff),
                derivative_bound_audit(sb_c1, 1, 1, n_x=11, n_xi=11),
                faa_di_bruno_check(),
-               *metric_admissibility_audit(pm, n_pairs=200).values(),
-               weight_admissibility_audit(pm, n_pairs=200)]
+               *metric_admissibility_audit(sb_c1, n_pairs=200).values(),
+               weight_admissibility_audit(sb_c1, n_pairs=200)]
     for record in records:
         json.dumps(record)
         assert type(record["pass"]) is bool
@@ -226,8 +225,7 @@ class TestFaaDiBruno:
 
 class TestMetricAdmissibility:
     def test_report_finite_and_uncertainty_holds(self, sb_c1):
-        pm = PhaseMetric(sb_c1)
-        rep = metric_admissibility_audit(pm, n_pairs=4000)
+        rep = metric_admissibility_audit(sb_c1, n_pairs=4000)
         assert rep["slow_variation"]["pass"]
         assert rep["slow_variation"]["constant"] >= 1.0
         assert rep["uncertainty"]["pass"]
@@ -236,13 +234,12 @@ class TestMetricAdmissibility:
         assert rep["temperance"]["N"] >= 1
 
     def test_uncertainty_saturated_at_c_two(self, coeff):
-        pm = PhaseMetric(SymbolB(coeff, c=2.0))
-        rep = metric_admissibility_audit(pm, n_pairs=1000)
+        rep = metric_admissibility_audit(SymbolB(coeff, c=2.0), n_pairs=1000)
         assert rep["uncertainty"]["constant"] == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_c_flagged(self, coeff):
-        pm = PhaseMetric(SymbolB(coeff, c=2.5, allow_invalid=True))
-        rep = metric_admissibility_audit(pm, n_pairs=1000)
+        sb = SymbolB(coeff, c=2.5, allow_invalid=True)
+        rep = metric_admissibility_audit(sb, n_pairs=1000)
         assert rep["uncertainty"]["constant"] < 1.0
         assert rep["uncertainty"]["pass"]  # the audit correctly detects it
 
@@ -254,7 +251,7 @@ class TestMetricAdmissibility:
             assert r <= 2.0 ** (sb_c1.c / 2) * 1.01
 
     def test_weight_admissibility_fit(self, sb_c1):
-        rep = weight_admissibility_audit(PhaseMetric(sb_c1), n_pairs=10_000)
+        rep = weight_admissibility_audit(sb_c1, n_pairs=10_000)
         assert rep["pass"]
         assert rep["constant"] < np.inf
         assert rep["N"] >= 1

@@ -6,6 +6,7 @@ import sys
 import warnings
 import weakref
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import weakhyp.cli as cli_module
 import weakhyp.solver as solver_module
 
 from weakhyp.cli import Scenario, ScenarioError, load_scenario, main, run_scenario
-from weakhyp.reporting import write_csv
+from weakhyp.reporting import format_float, write_csv
 from weakhyp.solver import (RATE_FACTOR, EnergyTrace, RunConfig, integrate,
                             measure_tau_threshold, run_with_energy)
 from weakhyp.spectral import SQUARE_CAP
@@ -324,6 +325,32 @@ class TestConstraintTableScenario:
             summary = json.load(fh)
         assert 0.333 <= summary["min_feasible_sigma"] <= 0.334
 
+    @pytest.mark.parametrize("f21_zero, csv", [
+        (False,
+         "sigma,c,nu,f21_zero,feasible,slack_transport_error,"
+         "slack_calculus_remainder,slack_conjugation_error,"
+         "slack_symmetrizer_dt,slack_symmetrizer_dt_tail,"
+         "slack_nonlinear_coupling\n"
+         "0.5,1,4,false,true,0,-0.42857142857142855,0,-0.5,-2.5,0\n"),
+        (True,
+         "sigma,c,nu,f21_zero,feasible,slack_transport_error,"
+         "slack_calculus_remainder,slack_conjugation_error,"
+         "slack_symmetrizer_dt,slack_symmetrizer_dt_tail\n"
+         "0.5,1,4,true,true,0,-0.42857142857142855,0,-0.5,-2.5\n"),
+    ])
+    def test_one_row_table_pins_columns_and_digits(self, tmp_path,
+                                                   f21_zero, csv):
+        out = tmp_path / "t"
+        args = ["table", "--sigma-min", "0.5", "--sigma-max", "0.5",
+                "--step", "0.01", "--out", str(out)]
+        assert main(args + ["--f21-zero"] * f21_zero) == 0
+        assert (out / "table.csv").read_text() == csv
+
+    def test_fractions_are_written_as_their_double(self):
+        assert format_float(Fraction(3, 10)) == "0.29999999999999999"
+        assert format_float(Fraction(3, 10)) == format_float(0.3)
+        assert format_float(Fraction(1)) == "1"
+
     def test_table_over_the_row_cap_exits_2_at_once(self, tmp_path,
                                                    capsys):
         out = tmp_path / "t"
@@ -603,15 +630,15 @@ class TestAuditScenarios:
     def test_metric_audit_samples_up_to_xi_max(self, tmp_path):
         from weakhyp import audits
         from weakhyp.reporting import write_json
-        from weakhyp.symbols import PhaseMetric, SymbolB
+        from weakhyp.symbols import SymbolB
 
         out = tmp_path / "out"
         assert run_scenario(Scenario("metric_audit", {"n_pairs": 200},
                                      str(out))) == 0
-        pm = PhaseMetric(SymbolB(CoefficientField(), c=1.0))
+        sb = SymbolB(CoefficientField(), c=1.0)
         # both audits sample |xi| up to audits.XI_MAX
-        reports = audits.metric_admissibility_audit(pm, n_pairs=200)
-        weight = audits.weight_admissibility_audit(pm, n_pairs=200)
+        reports = audits.metric_admissibility_audit(sb, n_pairs=200)
+        weight = audits.weight_admissibility_audit(sb, n_pairs=200)
         expected = tmp_path / "expected.json"
         write_json(str(expected), {"records": [
             *reports.values(), weight]})

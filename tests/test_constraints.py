@@ -19,23 +19,23 @@ class TestFractions:
 class TestRecords:
     def test_half_with_nu_four_is_feasible(self):
         r = constraint_record("0.5", nu=4)
-        assert r.c == Fraction(1)
-        assert r.feasible
-        assert all(s <= 0 for s in r.slacks.values())
+        assert r["c"] == Fraction(1)
+        assert r["feasible"]
+        assert all(s <= 0 for k, s in r.items() if k.startswith("slack_"))
 
     def test_sigma_045_nonlinear_slack_is_one_tenth(self):
         r = constraint_record("0.45", nu=4, f21_zero=False)
-        assert r.c == Fraction(11, 10)
-        assert r.slacks["nonlinear_coupling"] == Fraction(1, 10)
-        assert not r.feasible
+        assert r["c"] == Fraction(11, 10)
+        assert r["slack_nonlinear_coupling"] == Fraction(1, 10)
+        assert not r["feasible"]
 
     def test_forced_coupling_everywhere(self):
         for sigma in ("0.35", "0.5", "0.61", "0.99"):
             r = constraint_record(sigma)
-            assert r.c == 2 * (1 - Fraction(sigma))
+            assert r["c"] == 2 * (1 - Fraction(sigma))
             # the two forcing constraints are exactly tight
-            assert r.slacks["transport_error"] == 0
-            assert r.slacks["conjugation_error"] == 0
+            assert r["slack_transport_error"] == 0
+            assert r["slack_conjugation_error"] == 0
 
     def test_rejects_sigma_outside_interval(self):
         with pytest.raises(ValueError):
@@ -63,7 +63,7 @@ class TestTable:
     def test_counts_rows_exactly_up_to_the_cap(self, monkeypatch, step, rows):
         monkeypatch.setattr(constraints, "MAX_TABLE_ROWS", 11)
         recs = constraint_table("0.4", "0.5", step)
-        assert [r.sigma for r in recs] == [
+        assert [r["sigma"] for r in recs] == [
             Fraction("0.4") + k * Fraction(step) for k in range(rows)]
 
     def test_rejects_a_table_over_the_cap_before_any_row(self, monkeypatch):
@@ -81,5 +81,5 @@ class TestTable:
     )
     def test_feasibility_monotone_in_sigma(self, i, j, nu, f21):
         lo, hi = sorted((Fraction(i, 1000), Fraction(j, 1000)))
-        if constraint_record(lo, nu=nu, f21_zero=f21).feasible:
-            assert constraint_record(hi, nu=nu, f21_zero=f21).feasible
+        if constraint_record(lo, nu=nu, f21_zero=f21)["feasible"]:
+            assert constraint_record(hi, nu=nu, f21_zero=f21)["feasible"]

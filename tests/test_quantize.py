@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from reference import multiplication_matrix, multiplier_matrix, sample_symbol
-from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map, _wrapped_difference,
+from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map,
                               apply, dequantize, distinct_rows,
                               hermiticity_defect,
                               invert_b, operator_norm, quantize,
@@ -104,12 +104,22 @@ class TestDequantize:
         assert peak <= 2.5 * 8 * n ** 2
 
 
+def _meshgrid_maps(n):
+    """(D0, Mstar) of the torus pair geometry, built from a meshgrid:
+    the residue d0 = (i - j) mod n of every entry (i, j) and its
+    short-arc midpoint m* = (2j + d*) mod 2n, with d* in (-n/2, n/2]."""
+    I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    D0 = (I - J) % n
+    Dstar = np.where(D0 <= n // 2, D0, D0 - n)
+    return D0, (2 * J + Dstar) % (2 * n)
+
+
 def _slot_array(K):
-    """The (2n, n) difference profiles of K read off `_wrapped_difference`:
-    each entry at its slot (m*, d0), the antipodal column symmetrized
-    over both torus midpoints, the unseen slots zero."""
+    """The (2n, n) difference profiles of K: each entry at its slot
+    (m*, d0), the antipodal column symmetrized over both torus
+    midpoints, the unseen slots zero."""
     n = K.shape[0]
-    D0, _, Mstar = _wrapped_difference(n)
+    D0, Mstar = _meshgrid_maps(n)
     c = np.zeros((2 * n, n), dtype=K.dtype)
     c[Mstar, D0] = K
     anti = D0 == n // 2
@@ -128,9 +138,9 @@ def _roll_fill(c):
 
 
 def _reference_kernel(p):
-    """The Weyl kernel gathered directly from `_wrapped_difference`."""
+    """The Weyl kernel gathered directly through the meshgrid maps."""
     n = p.grid.n
-    D0, _, Mstar = _wrapped_difference(n)
+    D0, Mstar = _meshgrid_maps(n)
     c = np.fft.ifft(p.samples, axis=1)
     weyl = c[Mstar, D0]
     anti = D0 == n // 2
@@ -141,13 +151,12 @@ def _reference_kernel(p):
 class TestWeylGatherCache:
     @pytest.mark.parametrize("n", [2, 4, 64, 256])
     def test_wrapped_difference_equals_meshgrid_maps(self, n):
-        I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        D0 = (I - J) % n
-        Dstar = np.where(D0 <= n // 2, D0, D0 - n)
-        Mstar = (2 * J + Dstar) % (2 * n)
-        for got, ref in zip(_wrapped_difference(n), (D0, Dstar, Mstar)):
-            assert got.dtype == ref.dtype
-            assert np.array_equal(got, ref)
+        D0, Mstar = _meshgrid_maps(n)
+        slots = _slot_map(n)
+        # numpy gathers fastest through intp indices
+        assert slots.mid.dtype == np.intp
+        assert np.array_equal(slots.mid, Mstar)
+        assert np.array_equal(slots.diff, D0)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
     def test_cached_kernels_equal_direct_gather(self, n):
@@ -165,23 +174,17 @@ class TestWeylGatherCache:
         with pytest.raises(ValueError):
             slots.mid[0, 0] = 0
 
-    def test_index_maps_built_once_per_n(self, monkeypatch, grid64):
-        calls = []
-
-        def counting(n):
-            calls.append(n)
-            return _wrapped_difference(n)
-
-        monkeypatch.setattr(quantize_module, "_wrapped_difference", counting)
+    def test_index_maps_built_once_per_n(self, grid64):
         _slot_map.cache_clear()
         try:
             p = sample_symbol(grid64, lambda x, xi: np.cos(2 * np.pi * x) + xi)
             first = quantize(p)
             second = quantize(p)
             dequantize(first, grid64)
+            misses = _slot_map.cache_info().misses
         finally:
             _slot_map.cache_clear()
-        assert calls == [64]
+        assert misses == 1
         assert np.array_equal(first, second)
 
     @pytest.mark.parametrize("n", [2, 8, 64])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from weakhyp.spectral import Grid, bracket
-from weakhyp.symbols import (CoefficientField, PhaseMetric, SymbolB,
-                             plateau_bump, smoothstep)
+from weakhyp.symbols import (CoefficientField, SymbolB, plateau_bump,
+                             smoothstep)
 
 
 class TestSmoothstep:
@@ -232,19 +232,35 @@ class TestSymbolB:
 
 class TestPhaseMetric:
     def test_positive_definite(self, sb_c1, rng):
-        pm = PhaseMetric(sb_c1)
         for _ in range(100):
             X = (0.5 + rng.uniform(-0.1, 0.1), rng.uniform(-64, 64))
             Y = (rng.normal(), rng.normal())
             if Y == (0.0, 0.0):
                 continue
-            assert pm.g(0.0, X, Y) > 0.0
-            assert pm.g_dual(0.0, X, Y) > 0.0
+            assert sb_c1.g(0.0, X, Y) > 0.0
+            assert sb_c1.g_dual(0.0, X, Y) > 0.0
 
     def test_sup_ratio_is_one_at_identical_points(self, sb_c1):
-        pm = PhaseMetric(sb_c1)
         X = (0.47, 12.0)
-        assert pm.sup_ratio(0.0, X, X) == pytest.approx(1.0)
+        assert sb_c1.sup_ratio(0.0, X, X) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("c, t", [(0.5, 0.0), (1.0, 0.03), (2.0, 0.0)])
+    def test_sup_ratio_bounds_every_direction(self, coeff, rng, c, t):
+        # the closed-form sup over directions bounds g_X(T) / g_Y(T) and
+        # its inverse for every probe T, up to rounding
+        sb = SymbolB(coeff, c=c)
+
+        def points(n=2000):
+            # the whole period, and |xi| log-uniform up to 128
+            xi = np.expm1(rng.uniform(0.0, np.log(129.0), n))
+            return rng.uniform(0.0, 1.0, n), rng.choice([-1.0, 1.0], n) * xi
+
+        X, Y = points(), points()
+        bound = np.maximum(sb.sup_ratio(t, X, Y), sb.sup_ratio(t, Y, X))
+        for T in rng.normal(size=(32, 2)):
+            gx, gy = sb.g(t, X, T), sb.g(t, Y, T)
+            assert np.all(np.maximum(gx / gy, gy / gx)
+                          <= bound * (1.0 + 1e-12))
 
     def test_lambda_dips_below_one_for_invalid_c(self, coeff):
         sb = SymbolB(coeff, c=2.5, allow_invalid=True)
