@@ -23,7 +23,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 from . import audits, cjs
@@ -184,7 +184,7 @@ def _run_energy_estimate(cfg_raw: dict, out: str) -> list:
         "horizon": cfg.t_end(),
         "aborted": trace.aborted,
         "config_hash": config_hash,
-        "config": cfg.describe(),
+        "config": asdict(cfg),
     }
     write_json(os.path.join(out, "summary.json"), summary)
     failures = []
@@ -295,9 +295,7 @@ def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
         raise ScenarioError(str(err)) from err
     budget = 2.0 / (fit["k"] + 2.0) + 0.05
     passed = fit["no_growth"] or fit["slope"] <= budget
-    write_csv(os.path.join(out, "cjs.csv"),
-              ({"xi": r["xi"], "eps": r["eps"], "G": r["G"],
-                "steps": r["steps"]} for r in fit["rows"]),
+    write_csv(os.path.join(out, "cjs.csv"), fit["rows"],
               ("xi", "eps", "G", "steps"))
     write_json(os.path.join(out, "summary.json"),
                {"k": fit["k"], "slope": fit["slope"],

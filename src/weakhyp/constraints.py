@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 __all__ = [
-    "constraint_slacks",
     "constraint_record",
     "constraint_table",
     "minimal_feasible_sigma",
@@ -34,11 +33,16 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def constraint_slacks(sigma: Fraction, c: Fraction, nu: int,
-                      f21_zero: bool) -> dict:
-    """All active slack values; feasibility means every slack <= 0."""
+def constraint_record(sigma, nu: int = 4, f21_zero: bool = False) -> dict:
+    """One table row at the coupling c = 2(1 - sigma): sigma, c, nu,
+    f21_zero, feasible (every slack <= 0), then slack_<name> per active
+    constraint, with sigma, c and the slacks exact Fractions."""
     sigma = as_fraction(sigma)
-    c = as_fraction(c)
+    if not (0 < sigma < 1):
+        raise ValueError(f"sigma = {sigma} must lie in (0, 1)")
+    if nu < 0:
+        raise ValueError(f"nu = {nu} must be >= 0")
+    c = 2 * (1 - sigma)
     slacks = {
         "transport_error": 1 - c / 2 - sigma,
         "calculus_remainder": c / 2 - 1 + Fraction(1 - sigma, 3 + nu),
@@ -48,20 +52,6 @@ def constraint_slacks(sigma: Fraction, c: Fraction, nu: int,
     }
     if not f21_zero:
         slacks["nonlinear_coupling"] = c / 2 - sigma
-    return slacks
-
-
-def constraint_record(sigma, nu: int = 4, f21_zero: bool = False) -> dict:
-    """One table row at the coupling c = 2(1 - sigma): sigma, c, nu,
-    f21_zero, feasible, then slack_<name> per constraint, with sigma,
-    c and the slacks exact Fractions."""
-    sigma = as_fraction(sigma)
-    if not (0 < sigma < 1):
-        raise ValueError(f"sigma = {sigma} must lie in (0, 1)")
-    if nu < 0:
-        raise ValueError(f"nu = {nu} must be >= 0")
-    c = 2 * (1 - sigma)
-    slacks = constraint_slacks(sigma, c, nu, f21_zero)
     return {"sigma": sigma, "c": c, "nu": nu, "f21_zero": f21_zero,
             "feasible": all(s <= 0 for s in slacks.values()),
             **{f"slack_{name}": s for name, s in slacks.items()}}

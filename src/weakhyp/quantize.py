@@ -7,12 +7,16 @@ dense kernel
 
     K[i, j] = (1/n) * sum_k exp(2*pi*i*(x_i - y_j)*xi_k) * p(m_ij, xi_k)
 
-with the midpoint m_ij = (x_i + y_j)/2.  On the torus the pair (x_i, y_j) is identified through its wrapped
-difference d in (-n/2, n/2] and the midpoint on the short arc, which
-keeps the convention translation-equivariant across the seam.  Per
-midpoint the kernel formula is a single inverse FFT in the difference
-variable.  x-independent symbols reduce exactly to Fourier multipliers
-and x-only symbols to pointwise multiplication.
+with the midpoint m_ij = (x_i + y_j)/2.  On the torus the pair
+(x_i, y_j) is identified through its wrapped difference d in
+(-n/2, n/2] and the midpoint on the short arc, which keeps the
+convention translation-equivariant across the seam.  At d = n/2 the
+kernel averages both midpoints; for n >= 2 the other one of (i, j) is
+the slot of its transpose (j, i), so the average reads K^T, and at
+n = 1 the one entry keeps its own slot.  Per midpoint the kernel
+formula is a single inverse FFT in the difference variable.
+x-independent symbols reduce exactly to Fourier multipliers and x-only
+symbols to pointwise multiplication.
 
 Every symbol field carries a row map: `samples` holds u rows, shape
 (u, n), and `rows` maps each of the 2n doubled-lattice points to its
@@ -152,13 +156,14 @@ class _SlotMap(NamedTuple):
     At the antipodal column d0 = n/2 the two torus midpoints m* and
     m* + n are equally valid; callers average over them, which keeps
     real symbols exactly Hermitian.  `anti` holds the flat kernel
-    positions of that column and `anti_mid` the other midpoint of each.
+    positions of that column and `anti_t` their transposes, the other
+    midpoint of each for n >= 2; at n = 1 both are the one entry.
     """
 
     mid: np.ndarray
     diff: np.ndarray
     anti: np.ndarray
-    anti_mid: np.ndarray
+    anti_t: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
@@ -170,27 +175,22 @@ def _slot_map(n: int) -> _SlotMap:
     Dstar = np.where(D0 <= n // 2, D0, D0 - n)
     Mstar = (2 * i[None, :] + Dstar) % (2 * n)
     # row i meets d0 = n/2 at column j = (i + n/2) mod n
-    anti = i * n + (i + n // 2) % n
+    j = (i + n // 2) % n
     # numpy gathers fastest through intp indices, so mid is intp;
     # quantize only adds diff (d0 < n), whose int32 halves its memory
-    slots = _SlotMap(mid=Mstar, diff=D0.astype(np.int32), anti=anti,
-                     anti_mid=(Mstar.reshape(-1)[anti] + n) % (2 * n))
+    slots = _SlotMap(mid=Mstar, diff=D0.astype(np.int32), anti=i * n + j,
+                     anti_t=j * n + i)
     for arr in slots:
         arr.setflags(write=False)
     return slots
 
 
 class _FlatIndex(NamedTuple):
-    """The flat slots of one row map in the (u * n) difference profiles.
-
-    Entry (i, j) reads `index[i, j]` = rows[m*] * n + d0, and antipodal
-    entry k of `_SlotMap.anti` also reads `anti[k]` = rows[m* + n] * n
-    + n/2, its other torus midpoint.
-    """
+    """The flat slots of one row map in the (u * n) difference profiles:
+    entry (i, j) reads `index[i, j]` = rows[m*] * n + d0."""
 
     rows: np.ndarray
     index: np.ndarray
-    anti: np.ndarray
 
 
 _last_flat_index: Optional[_FlatIndex] = None
@@ -211,8 +211,7 @@ def _flat_index(rows: np.ndarray) -> _FlatIndex:
     index = rows[g.mid]
     index *= n
     index += g.diff
-    flat = _FlatIndex(rows=rows.copy(), index=index,
-                      anti=rows[g.anti_mid] * n + n // 2)
+    flat = _FlatIndex(rows=rows.copy(), index=index)
     for arr in flat:
         arr.setflags(write=False)
     _last_flat_index = flat
@@ -236,14 +235,14 @@ def quantize(p: SymbolField) -> np.ndarray:
     kernel equals that of the expanded field `samples[rows]`.
     """
     n, s = p.grid.n, p.samples
-    anti = _slot_map(n).anti
-    flat = _flat_index(p.rows)
+    g = _slot_map(n)
+    index = _flat_index(p.rows).index
     real = s.shape[1] < n or _conjugate_even(s)
     c = (np.fft.irfft(s[:, :n // 2 + 1], n, axis=1) if real
          else np.fft.ifft(s, axis=1)).reshape(-1)
-    K = c[flat.index]
+    K = c[index]
     Kf = K.reshape(-1)
-    Kf[anti] = 0.5 * (Kf[anti] + c[flat.anti])
+    Kf[g.anti] = 0.5 * (Kf[g.anti] + Kf[g.anti_t])
     return K
 
 
@@ -291,11 +290,9 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     for rows in _row_blocks(n):
         c[g.mid[rows], g.diff[rows]] = matrix[rows]
     mf = matrix.reshape(-1)
-    # the transpose of flat position i * n + j is j * n + i, whose own
-    # slot is the other torus midpoint of (i, j): writing each entry's
-    # slot symmetrizes both
-    anti_t = (g.anti % n) * n + g.anti // n
-    c[g.mid.reshape(-1)[g.anti], n // 2] = 0.5 * (mf[g.anti] + mf[anti_t])
+    # the transpose's own slot is the other torus midpoint of (i, j):
+    # writing each entry's slot symmetrizes both
+    c[g.mid.reshape(-1)[g.anti], n // 2] = 0.5 * (mf[g.anti] + mf[g.anti_t])
     # an unseen slot (row and residue of unlike parity) is the mean of
     # the seen slots in the midpoint rows before and after it: row 2r
     # of odd residues from rows 2r + 1 and 2r - 1, row 2r + 1 of even

@@ -8,8 +8,6 @@ import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = ["format_float", "write_csv", "write_json"]
 
 #: 17 significant digits round-trip doubles exactly
@@ -37,15 +35,5 @@ def write_csv(path: str, rows: Iterable[dict], fieldnames: Sequence[str]) -> Non
 def write_json(path: str, payload: dict) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_coerce)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _coerce(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -187,13 +187,10 @@ class RunConfig:
         return u
 
     def content_hash(self, **spec) -> str:
-        """Hash of `describe()` with the entries of `spec` put over it."""
+        """Hash of `asdict(self)` with the entries of `spec` put over it."""
         return hashlib.sha256(
-            json.dumps(self.describe() | spec, sort_keys=True).encode()
+            json.dumps(asdict(self) | spec, sort_keys=True).encode()
         ).hexdigest()[:16]
-
-    def describe(self) -> dict:
-        return asdict(self)
 
 
 def rhs_parts(cfg: RunConfig, t: float, u: np.ndarray):
@@ -277,7 +274,7 @@ def _max_ratio_sum(budget: np.ndarray) -> float:
     return float(np.max((E2 + E3 + E4) / kept[:, 1], initial=0.0))
 
 
-def _record(cfg: RunConfig, traj: Trajectory, k: int):
+def _record(traj: Trajectory, k: int):
     """(u, transport, source, sym) of record k, the leading arguments of
     `dt_energy_breakdown`: its state, the two parts of its right-hand
     side and its Symmetrizer (t = 0 reuses the trajectory's).
@@ -292,7 +289,7 @@ def _record(cfg: RunConfig, traj: Trajectory, k: int):
     more time.  Raises SolverBlowupError where the right-hand side is
     not finite.
     """
-    t, u = traj.times[k], traj.states[k]
+    cfg, t, u = traj.cfg, traj.times[k], traj.states[k]
     sym = traj.sym0 if t == traj.sym0.t else Symmetrizer(
         cfg.grid, cfg.symbol_b(), t)
     return (u, *rhs_parts(cfg, t, u), sym)
@@ -313,8 +310,8 @@ class Trajectory:
     `sample_stride` steps and the last step.  `sym0` is the t = 0
     Symmetrizer and `initial_energy` the energy E0 it measured.  Neither
     the flow nor a Symmetrizer depends on taudot, so the trajectory
-    serves every rate whose step plan is the same (`covers`): the pilot
-    of an "auto" rate and, where it ends at T, that rate itself.
+    serves every rate with its horizon t_end: the pilot of an "auto"
+    rate and, where it ends at T, that rate itself.
     """
 
     cfg: RunConfig
@@ -322,16 +319,8 @@ class Trajectory:
     states: list
     initial_energy: float
     sym0: Symmetrizer
-    dt: float
-    n_steps: int
     aborted: bool = False
     abort_reason: str = ""
-
-    def covers(self, cfg: RunConfig) -> bool:
-        """Whether `cfg` differs from the run's only in a taudot that
-        keeps the step plan, so observing this trajectory is its run."""
-        same = asdict(cfg) | {"taudot": 0} == asdict(self.cfg) | {"taudot": 0}
-        return same and _step_plan(cfg) == (self.dt, self.n_steps)
 
 
 def integrate(cfg: RunConfig) -> Trajectory:
@@ -366,21 +355,21 @@ def integrate(cfg: RunConfig) -> Trajectory:
         aborted = True
         reason = str(err)
     return Trajectory(cfg=cfg, times=times, states=states, initial_energy=E0,
-                      sym0=sym0, dt=dt, n_steps=n_steps, aborted=aborted,
-                      abort_reason=reason)
+                      sym0=sym0, aborted=aborted, abort_reason=reason)
 
 
-def observe(cfg: RunConfig, traj: Trajectory,
+def observe(traj: Trajectory, taudot: float,
             table: np.ndarray | None = None) -> EnergyTrace:
-    """The energy budget of every record of `traj` at the rate of `cfg`.
+    """The energy budget of every record of `traj` at the rate `taudot`.
 
-    `cfg` must be covered by the trajectory.  The trace fills in `table`,
-    if given, in place: a row already observed at the tau of `cfg` is
-    kept, and the other records are observed back to back, each from its
-    `_record`.  A record whose right-hand side is not finite ends the
-    trace there; otherwise the trace keeps the trajectory's abort.
+    The rate must end where `traj` ends, else ValueError.  The trace
+    fills in `table`, if given, in place: a row already observed at the
+    rate's tau is kept, and the other records are observed back to back,
+    each from its `_record`.  A record whose right-hand side is not
+    finite ends the trace there; otherwise the trace keeps `traj`'s abort.
     """
-    if not traj.covers(cfg):
+    cfg = replace(traj.cfg, taudot=taudot)
+    if cfg.t_end() != traj.cfg.t_end():
         raise ValueError("the trajectory was integrated for another run")
     if table is None:
         # no tau is NaN, so no row counts as observed
@@ -391,7 +380,7 @@ def observe(cfg: RunConfig, traj: Trajectory,
         for k, t in enumerate(traj.times):
             tau = cfg.tau_at(t)
             if table[k, 1] != tau:
-                record = _record(cfg, traj, k)
+                record = _record(traj, k)
                 table[k, :7] = (t, tau, *dt_energy_breakdown(
                     *record, [tau], cfg.sigma)[0])
     except SolverBlowupError as err:
@@ -407,11 +396,11 @@ def observe(cfg: RunConfig, traj: Trajectory,
 def run_with_energy(cfg: RunConfig) -> EnergyTrace:
     """Integrate from t = 0 to min(T, tau0/taudot), recording the budget.
 
-    `observe(cfg, integrate(cfg))`: the RK4 run first, then the budget
-    of each record.  A blow-up aborts the run but keeps the partial
-    trace with the abort reason recorded.
+    `observe(integrate(cfg), cfg.taudot)`: the RK4 run first, then the
+    budget of each record.  A blow-up aborts the run but keeps the
+    partial trace with the abort reason recorded.
     """
-    return observe(cfg, integrate(cfg))
+    return observe(integrate(cfg), cfg.taudot)
 
 
 def measure_tau_threshold(run: Trajectory):
@@ -422,7 +411,7 @@ def measure_tau_threshold(run: Trajectory):
     energy budget strictly dissipative, and the "auto" rate is
     RATE_FACTOR times it.  Returns (threshold, trace), where `trace` is
     `observe` of `run` at the auto rate, bit for bit, or None where that
-    rate ends before T (tau0 / taudot < T) and `run` does not cover it.
+    rate ends before T (tau0 / taudot < T), which `run` does not serve.
 
     One pass observes each record for both rates: next to its pilot row
     it gets a speculative row at RATE_FACTOR times the threshold of the
@@ -436,7 +425,7 @@ def measure_tau_threshold(run: Trajectory):
     if run.cfg.tau0 == 0.0:
         raise ValueError("tau0 = 0 leaves the auto rate no time span")
     pilot = replace(run.cfg, taudot=0.0)
-    if not run.covers(pilot):
+    if pilot.t_end() != run.cfg.t_end():
         raise ValueError("the trajectory was integrated for another run")
     table = np.zeros((len(run.times), len(EnergyTrace.COLUMNS)))
     threshold, guess, covered = 0.0, pilot, True
@@ -451,7 +440,7 @@ def measure_tau_threshold(run: Trajectory):
             taus = [pilot.tau_at(t)]
             if covered and guess.tau_at(t) != taus[0]:
                 taus.append(guess.tau_at(t))
-            record = _record(pilot, run, k)
+            record = _record(run, k)
             rows = dt_energy_breakdown(*record, taus, pilot.sigma)
             threshold = max(threshold, _max_ratio_sum(rows[:1]))
             table[k, :7] = (t, taus[-1], *rows[-1])
@@ -460,10 +449,10 @@ def measure_tau_threshold(run: Trajectory):
     if run.aborted:
         raise SolverBlowupError(f"pilot run aborted: {run.abort_reason}")
     del record   # else a third record beside the two observe holds
-    cfg = replace(pilot, taudot=RATE_FACTOR * threshold)
-    if not run.covers(cfg):
+    taudot = RATE_FACTOR * threshold
+    if replace(pilot, taudot=taudot).t_end() != pilot.t_end():
         return threshold, None
-    return threshold, observe(cfg, run, table)
+    return threshold, observe(run, taudot, table)
 
 
 def verify_breakdown_identity(cfg: RunConfig, t: float,

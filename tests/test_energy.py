@@ -217,6 +217,14 @@ class TestConjugatedMatrix:
         assert n0s[0] > n0s[1] > n0s[2]
         assert n1s[0] > n1s[1] > n1s[2]
 
+    def test_subprincipal_symbol_removes_most_of_the_remainder(self, sb_c1):
+        # s1 is the first-order term of a^(tau) - op(a): with it the
+        # octave remainder drops to about a fifth (0.201, 0.178); a
+        # wrong multiple of s1, such as 2 s1, leaves it near 1
+        res = subprincipal_refinement(sb_c1, tau=0.3, sigma=0.5,
+                                      ns=(128, 256))
+        assert all(r[3] < 0.5 for r in res)
+
 
 class TestBreakdown:
     def test_zero_state_all_zero(self, grid128, coeff):

@@ -167,6 +167,12 @@ class TestWeylGatherCache:
         weyl = _reference_kernel(p)
         assert np.array_equal(quantize(p), weyl)
 
+    def test_one_point_kernel_reads_its_own_slot(self):
+        # at n = 1 the one entry has d0 = 0 = n // 2 but no other
+        # midpoint; the sample at x = 1/2 does not enter the kernel
+        p = SymbolField(Grid(1), np.array([[1.0], [3.0]]))
+        assert np.array_equal(quantize(p), [[1.0]])
+
     def test_cached_arrays_are_read_only(self):
         slots = _slot_map(16)
         for arr in slots:

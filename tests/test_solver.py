@@ -298,7 +298,7 @@ class TestEnergyTrace:
     def test_table_holds_a_row_of_every_column_per_record(self, coeff):
         cfg = RunConfig(n=64, coeff=coeff, sample_stride=8, taudot=1.0)
         traj = integrate(cfg)
-        trace = observe(cfg, traj)
+        trace = observe(traj, cfg.taudot)
         assert trace.table.shape == (len(traj.times),
                                      len(EnergyTrace.COLUMNS))
         assert trace.table.dtype == np.float64
@@ -313,7 +313,7 @@ class TestEnergyTrace:
         pilot = integrate(RunConfig(n=64, sigma=0.5, tau0=0.5, coeff=coeff,
                                     packet_xi=10.0, sample_stride=4))
         worst = 0.0
-        for row in observe(pilot.cfg, pilot).rows():
+        for row in observe(pilot, 0.0).rows():
             if row["E1"] > 0:
                 worst = max(worst, (abs(row["E2"]) + abs(row["E3"])
                                     + abs(row["E4"])) / row["E1"])
@@ -334,8 +334,9 @@ class TestTrajectory:
                 == run_with_energy(pilot_cfg).max_ratio_sum())
         for taudot in (0.0, 1.0, 5.0):
             cfg = replace(pilot_cfg, taudot=taudot)
-            assert traj.covers(cfg)
-            observed = observe(cfg, traj)
+            assert (solver_module._step_plan(cfg)
+                    == solver_module._step_plan(pilot_cfg))
+            observed = observe(traj, taudot)
             direct = run_with_energy(cfg)
             assert observed.initial_energy == direct.initial_energy
             assert list(observed.rows()) == list(direct.rows())
@@ -351,28 +352,20 @@ class TestTrajectory:
             measure_tau_threshold(traj)
         assert calls == []
 
-    def test_observe_accepts_an_equal_config_built_apart(self):
-        traj = integrate(RunConfig(n=64, sample_stride=8))
-        trace = observe(RunConfig(n=64, sample_stride=8), traj)
-        assert len(trace.table) == len(traj.states)
-
-    @pytest.mark.parametrize("change", [{"taudot": 40.0}, {"sigma": 0.6},
-                                        {"sample_stride": 2}])
-    def test_observe_rejects_a_run_the_trajectory_does_not_cover(
-            self, pilot_cfg, change):
+    def test_observe_rejects_a_rate_that_ends_before_the_trajectory(
+            self, pilot_cfg):
         traj = integrate(pilot_cfg)
-        cfg = replace(pilot_cfg, **change)
-        assert not traj.covers(cfg)
+        assert replace(pilot_cfg, taudot=40.0).t_end() < pilot_cfg.t_end()
         with pytest.raises(ValueError, match="another run"):
-            observe(cfg, traj)
+            observe(traj, 40.0)
 
     def test_observe_keeps_the_given_rows_at_its_tau(self, pilot_cfg,
                                                      monkeypatch):
         traj = integrate(pilot_cfg)
         cfg = replace(pilot_cfg, taudot=1.0)
-        reference = observe(cfg, traj).table
+        reference = observe(traj, cfg.taudot).table
         # every other row at the tau of cfg, marked with a budget of -1
-        given = observe(pilot_cfg, traj).table
+        given = observe(traj, pilot_cfg.taudot).table
         given[::2, 1] = [cfg.tau_at(t) for t in traj.times[::2]]
         given[::2, 2:7] = -1.0
         kept = given[:, 1] == [cfg.tau_at(t) for t in traj.times]
@@ -384,23 +377,16 @@ class TestTrajectory:
                 super().__post_init__()
 
         monkeypatch.setattr(solver_module, "Symmetrizer", Counting)
-        table = observe(cfg, traj, given.copy()).table
+        table = observe(traj, cfg.taudot, given.copy()).table
         assert np.array_equal(table[kept, :7], given[kept, :7])
         assert np.array_equal(table[~kept], reference[~kept])
         assert len(builds) == np.count_nonzero(~kept) > 0
-
-    def test_covers_is_false_for_a_run_without_time_span(self, pilot_cfg):
-        # swapping the rates would build tau0 = 0 with taudot = 1, which
-        # RunConfig rejects; covers compares without building one
-        traj = integrate(replace(pilot_cfg, taudot=1.0))
-        assert not traj.covers(replace(pilot_cfg, tau0=0.0))
 
     def test_threshold_comes_with_the_auto_rate_trace(self, pilot_cfg):
         # at stride 1 the records before the maximum are observed again
         traj = integrate(replace(pilot_cfg, sample_stride=1))
         threshold, trace = measure_tau_threshold(traj)
-        final = replace(traj.cfg, taudot=RATE_FACTOR * threshold)
-        observed = observe(final, traj)
+        observed = observe(traj, RATE_FACTOR * threshold)
         assert not trace.aborted and trace.abort_reason == ""
         assert trace.initial_energy == observed.initial_energy
         assert np.array_equal(trace.table, observed.table)
@@ -409,8 +395,8 @@ class TestTrajectory:
         traj = integrate(replace(pilot_cfg, tau0=0.2))
         threshold, trace = measure_tau_threshold(traj)
         assert trace is None
-        assert not traj.covers(replace(traj.cfg,
-                                       taudot=RATE_FACTOR * threshold))
+        with pytest.raises(ValueError, match="another run"):
+            observe(traj, RATE_FACTOR * threshold)
 
     def test_threshold_needs_a_pilot_to_the_full_horizon(self, pilot_cfg):
         traj = integrate(replace(pilot_cfg, taudot=40.0))
