@@ -283,11 +283,10 @@ def metric_admissibility_audit(sb: SymbolB, t: float = 0.0,
 
 
 def weight_admissibility_audit(sb: SymbolB, t: float = 0.0,
-                               n_pairs: int = 10_000,
-                               seed: int = 13) -> dict:
+                               n_pairs: int = 10_000) -> dict:
     """Fit b(X)/b(Y) <= C (1 + g^sigma_X(X - Y))^N over sampled pairs."""
-    x1, xi1 = _sample_phase_points(sb, n_pairs, seed)
-    x2, xi2 = _sample_phase_points(sb, n_pairs, seed + 1)
+    x1, xi1 = _sample_phase_points(sb, n_pairs, 13)
+    x2, xi2 = _sample_phase_points(sb, n_pairs, 14)
     bx = sb.b(t, x1, xi1)
     by = sb.b(t, x2, xi2)
     ratio = np.maximum(bx / by, by / bx)

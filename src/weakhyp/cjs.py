@@ -64,8 +64,8 @@ def coefficient_linear() -> TimeCoefficient:
     return TimeCoefficient(fn=lambda t: t, k=1)
 
 
-def coefficient_parabola(t_star: float = 0.5) -> TimeCoefficient:
-    return TimeCoefficient(fn=lambda t: (t - t_star) ** 2, k=2)
+def coefficient_parabola() -> TimeCoefficient:
+    return TimeCoefficient(fn=lambda t: (t - 0.5) ** 2, k=2)
 
 
 def coefficient_constant(value: float = 1.0) -> TimeCoefficient:

@@ -3,9 +3,9 @@
 Verbs:
 
     weakhyp run <scenario.json> [...]   execute scenario files
-    weakhyp table --sigma-min ... --sigma-max ... --step ... --nu N
+    weakhyp table [--step S] [--f21-zero]   sigma in [0.3, 0.99], nu = 4
     weakhyp audit <symbols|metric|quantizer>
-    weakhyp cjs --k K --xi-ladder 16,32,...
+    weakhyp cjs --k K --xi-ladder 16,32,...  on the horizon T = 1
 
 Scenario files are JSON with a "kind", an "output_dir" and a "config"
 section; unknown config keys are rejected (exit 2) since a silently
@@ -279,7 +279,6 @@ CJS_RULES = {
     "xi_ladder": (lambda v: isinstance(v, list) and len(v) >= 6
                   and all(map(POSITIVE[0], v)),
                   "a list of at least 6 finite reals > 0"),
-    "t_final": POSITIVE,
 }
 
 
@@ -288,9 +287,8 @@ def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
     profile = cfg_raw.get("profile", "linear")
     tc = CJS_PROFILES[profile]()
     ladder = cfg_raw.get("xi_ladder", [2**j for j in range(4, 11)])
-    T = cfg_raw.get("t_final", 1.0)
     try:
-        fit = cjs.growth_exponent_fit(tc, ladder, T, k=cfg_raw.get("k"))
+        fit = cjs.growth_exponent_fit(tc, ladder, T=1.0, k=cfg_raw.get("k"))
     except cjs.StepBudgetError as err:
         raise ScenarioError(str(err)) from err
     budget = 2.0 / (fit["k"] + 2.0) + 0.05
@@ -308,25 +306,18 @@ def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
     return []
 
 
-# constraint_table validates the sigma range and step
-TABLE_RULES = {"sigma_min": None, "sigma_max": None, "step": None,
-               "nu": COUNT, "f21_zero": BOOL}
+# constraint_table validates the step
+TABLE_RULES = {"step": None, "f21_zero": BOOL}
 
 
 def _run_constraint_table(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, TABLE_RULES)
     try:
         records = constraint_table(
-            str(cfg_raw.get("sigma_min", "0.3")),
-            str(cfg_raw.get("sigma_max", "0.99")),
-            str(cfg_raw.get("step", "0.001")),
-            nu=cfg_raw.get("nu", 4),
-            f21_zero=cfg_raw.get("f21_zero", False),
-        )
+            "0.3", "0.99", str(cfg_raw.get("step", "0.001")),
+            f21_zero=cfg_raw.get("f21_zero", False))
     except ValueError as err:
         raise ScenarioError(str(err)) from err
-    if not records:
-        raise ScenarioError("the sigma range is empty: sigma_min > sigma_max")
     write_csv(os.path.join(out, "table.csv"), records, list(records[0]))
     minimal = minimal_feasible_sigma(records)
     write_json(os.path.join(out, "summary.json"),
@@ -412,10 +403,7 @@ def main(argv=None) -> int:
     # the verbs below pass only the flags given; the runners own the defaults
     p_table = sub.add_parser("table", help="constraint feasibility table",
                              argument_default=argparse.SUPPRESS)
-    p_table.add_argument("--sigma-min")
-    p_table.add_argument("--sigma-max")
     p_table.add_argument("--step")
-    p_table.add_argument("--nu", type=int)
     p_table.add_argument("--f21-zero", action="store_true")
     p_table.add_argument("--out", default="out/table")
     p_table.set_defaults(fn=_cmd_verb, kind="constraint_table")
@@ -436,7 +424,6 @@ def main(argv=None) -> int:
     p_cjs.add_argument("--xi-ladder",
                        type=lambda s: [float(v) for v in s.split(",")])
     p_cjs.add_argument("--profile", choices=CJS_PROFILES)
-    p_cjs.add_argument("--t-final", type=float)
     p_cjs.add_argument("--out", default="out/cjs")
     p_cjs.set_defaults(fn=_cmd_verb, kind="cjs_sweep")
 

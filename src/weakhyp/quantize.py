@@ -246,12 +246,18 @@ def quantize(p: SymbolField) -> np.ndarray:
     return K
 
 
+def _frobenius(A: np.ndarray) -> float:
+    # einsum sums without BLAS: np.linalg.norm's BLAS dot rounds
+    # differently under each BLAS thread count
+    return float(np.sqrt(np.einsum("ij,ij->", A, A.conj()).real))
+
+
 def hermiticity_defect(K: np.ndarray) -> float:
     """Relative Frobenius distance ||K - K*|| / ||K|| of a kernel."""
-    scale = np.linalg.norm(K)
+    scale = _frobenius(K)
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(K - K.conj().T) / scale)
+    return _frobenius(K - K.conj().T) / scale
 
 
 def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:

@@ -58,6 +58,7 @@ CFL = 0.25           # the step as a fraction of dx / max(1, sup sqrt(a))
 TAU0_BOUND = 2.0     # tau0 < R^(-s)/s of the coefficient's claimed Gevrey
                      # class (s, R) = (1/2, 1); not a measured radius
 PACKET_WIDTH = 0.02  # the Gaussian width of the initial packet in u2
+STEP_BUDGET = 10_000_000  # the most RK4 steps one run may plan
 PACKET_CUT = 5.0     # a packet keeps the frequencies within this many widths
 RATE_FACTOR = 2.0    # an "auto" taudot is this multiple of the threshold
 
@@ -150,6 +151,7 @@ class RunConfig:
                 f"packet_xi = {self.packet_xi!r} keeps no frequency of the "
                 f"n = {self.n} grid (|xi| <= {self.grid.xi_max:g})"
             )
+        _step_plan(self)    # ValueError above STEP_BUDGET steps
 
     @cached_property
     def grid(self) -> Grid:
@@ -296,9 +298,18 @@ def _record(traj: Trajectory, k: int):
 
 
 def _step_plan(cfg: RunConfig):
-    """(dt, n_steps): equal steps to t_end, none longer than the CFL bound."""
+    """(dt, n_steps): equal steps to t_end, none longer than the CFL bound.
+
+    ValueError above STEP_BUDGET steps, counted in floats as
+    `cjs._mode_dt` counts them: a large T_outer raises sup a, and the
+    CFL step can be tiny.
+    """
     t_end = cfg.t_end()
-    n_steps = max(1, int(math.ceil(t_end / cfg.max_dt() - 1e-12)))
+    steps = t_end / cfg.max_dt() - 1e-12
+    if not steps <= STEP_BUDGET:
+        raise ValueError(f"{steps:.6g} RK4 steps to t = {t_end:g} exceed "
+                         f"the budget {STEP_BUDGET}")
+    n_steps = max(1, math.ceil(steps))
     return t_end / n_steps, n_steps
 
 

@@ -207,7 +207,12 @@ def _sup_a(coeff: CoefficientField) -> float:
     ts = np.linspace(0.0, coeff.T_outer, 64)
     xs = np.linspace(coeff.x0 - coeff.r_outer, coeff.x0 + coeff.r_outer,
                      2048)
-    return float(np.max(coeff.a(ts[:, None], xs[None, :])))
+    # four times a block: 64 KB temporaries stay below glibc's mmap
+    # threshold, which freeing a larger one raises; a RunConfig plans its
+    # steps at once, and a raised threshold put 1.8 MB on the peak RSS
+    # of the n = 512 observer run
+    return max(float(np.max(coeff.a(ts[k:k + 4, None], xs[None, :])))
+               for k in range(0, len(ts), 4))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ from weakhyp.solver import (RATE_FACTOR, EnergyTrace, RunConfig, integrate,
 from weakhyp.spectral import SQUARE_CAP
 from weakhyp.symbols import CoefficientField
 
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scenarios")
+
 
 def _write_scenario(path, payload):
     with open(path, "w") as fh:
@@ -54,9 +57,9 @@ BAD_VALUES = [
     ("quantizer_audit", {"dump_matrices": "yes"}),
     ("cjs_sweep", {"k": -2}),
     ("cjs_sweep", {"xi_ladder": [0, 1, 2, 3, 4, 5]}),
-    ("cjs_sweep", {"t_final": -1}),
+    ("cjs_sweep", {"xi_ladder": [16, 32]}),
     ("cjs_sweep", {"profile": ["linear"]}),
-    ("constraint_table", {"nu": "x"}),
+    ("constraint_table", {"step": "0"}),
     ("constraint_table", {"f21_zero": "yes"}),
 ]
 
@@ -184,7 +187,11 @@ class TestValidationExitCodes:
         ("energy_estimate", {"taudot": None}),
         ("metric_audit", {"xi_max": 128.0}),
         ("metric_audit", {"xi_max": math.nextafter(SQUARE_CAP, math.inf)}),
-        ("metric_audit", {"xi_max": 1e160})])
+        ("metric_audit", {"xi_max": 1e160}),
+        ("constraint_table", {"sigma_min": "0.3"}),
+        ("constraint_table", {"sigma_max": "0.99"}),
+        ("constraint_table", {"nu": 4}),
+        ("cjs_sweep", {"t_final": 1.0})])
     def test_removed_key_exits_2_naming_it(self, tmp_path, capsys, kind,
                                            config):
         out = tmp_path / "out"
@@ -214,10 +221,10 @@ class TestValidationExitCodes:
         ("symbol_audit", {"orders": [[5, 0]]}),
         ("metric_audit", {"n_pairs": 0}),
         ("quantizer_audit", {"sizes": [100]}),
-        ("cjs_sweep", {"t_final": -1}),
-        ("constraint_table", {"nu": "x"}),
+        ("cjs_sweep", {"xi_ladder": [16, 32]}),
+        ("constraint_table", {"step": "0"}),
         ("cjs_sweep", {"xi_ladder": [16, 32, 64, 128, 256, 1e6]}),
-        ("cjs_sweep", {"t_final": 1e9}),
+        ("cjs_sweep", {"xi_ladder": [16, 32, 64, 128, 256, 1e308]}),
         ("symbol_audit", {"coeff": {"T_outer": float("inf")}})])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, kind, bad):
         proc = _run_cli(tmp_path, kind, bad)
@@ -231,15 +238,17 @@ class TestValidationExitCodes:
         assert run_scenario(s) == 2
 
     @pytest.mark.parametrize("kind, bad", BAD_VALUES + [
-        ("cjs_sweep", {"t_final": 1e9}), ("cjs_sweep", {"t_final": 1e308}),
-        ("constraint_table", {"sigma_max": 0.2}),
-        ("constraint_table", {"sigma_min": 1e308}),
-        ("constraint_table", {"sigma_max": 0}),
-        ("constraint_table", {"sigma_max": -1}),
+        ("cjs_sweep", {"xi_ladder": [16, 32, 64, 128, 256, 1e6]}),
+        ("cjs_sweep", {"xi_ladder": [16, 32, 64, 128, 256, 1e308]}),
+        ("constraint_table", {"step": "1e-9"}),
+        ("constraint_table", {"step": None}),
+        ("constraint_table", {"step": "-1"}),
+        ("constraint_table", {"step": "x"}),
         ("symbol_audit", {"coeff": {"r_outer": 1e308}}),
         ("quantizer_audit", {"coeff": {"x0": 0}}),
         ("energy_estimate", {"n": 32, "packet_xi": 100}),
-        ("energy_estimate", {"n": 32, "packet_xi": 1e308})])
+        ("energy_estimate", {"n": 32, "packet_xi": 1e308}),
+        ("energy_estimate", {"n": 32, "coeff": {"T_outer": 1e150}})])
     def test_invalid_scenario_leaves_no_output_dir(self, tmp_path, kind, bad):
         s = Scenario(kind=kind, config=bad, output_dir=str(tmp_path / "out"))
         assert run_scenario(s) == 2
@@ -247,9 +256,7 @@ class TestValidationExitCodes:
 
     def test_output_dir_naming_a_file_exits_2(self, tmp_path):
         (tmp_path / "out").write_text("")
-        proc = _run_cli(tmp_path, "constraint_table",
-                        {"sigma_min": "0.45", "sigma_max": "0.55",
-                         "step": "0.01"})
+        proc = _run_cli(tmp_path, "constraint_table", {"step": "0.01"})
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
@@ -272,8 +279,7 @@ class TestRunVerb:
             paths.append(_write_scenario(
                 tmp_path / f"{name}.json",
                 {"kind": "constraint_table",
-                 "config": {"sigma_min": "0.45", "sigma_max": "0.55",
-                            "step": "0.01"},
+                 "config": {"step": "0.01"},
                  "output_dir": str(tmp_path / name)}))
         assert main(["run"] + paths) == 0
         assert (tmp_path / "x" / "table.csv").exists()
@@ -304,8 +310,7 @@ class TestRunVerb:
 class TestConstraintTableScenario:
     def test_writes_csv_and_summary(self, tmp_path):
         out = tmp_path / "table"
-        rc = main(["table", "--sigma-min", "0.45", "--sigma-max", "0.55",
-                   "--step", "0.001", "--nu", "4", "--out", str(out)])
+        rc = main(["table", "--step", "0.001", "--out", str(out)])
         assert rc == 0
         with open(out / "summary.json") as fh:
             summary = json.load(fh)
@@ -317,8 +322,7 @@ class TestConstraintTableScenario:
 
     def test_f21_zero_changes_bound(self, tmp_path):
         out = tmp_path / "t2"
-        rc = main(["table", "--sigma-min", "0.3", "--sigma-max", "0.4",
-                   "--step", "0.001", "--nu", "4", "--f21-zero",
+        rc = main(["table", "--step", "0.001", "--f21-zero",
                    "--out", str(out)])
         assert rc == 0
         with open(out / "summary.json") as fh:
@@ -340,11 +344,13 @@ class TestConstraintTableScenario:
     ])
     def test_one_row_table_pins_columns_and_digits(self, tmp_path,
                                                    f21_zero, csv):
+        # the header and the sigma = 0.5 row of the rows 0.3, 0.5, 0.7, 0.9
         out = tmp_path / "t"
-        args = ["table", "--sigma-min", "0.5", "--sigma-max", "0.5",
-                "--step", "0.01", "--out", str(out)]
+        args = ["table", "--step", "0.2", "--out", str(out)]
         assert main(args + ["--f21-zero"] * f21_zero) == 0
-        assert (out / "table.csv").read_text() == csv
+        header, *rows = (out / "table.csv").read_text().splitlines(True)
+        assert [float(r.split(",")[0]) for r in rows] == [0.3, 0.5, 0.7, 0.9]
+        assert header + rows[1] == csv
 
     def test_fractions_are_written_as_their_double(self):
         assert format_float(Fraction(3, 10)) == "0.29999999999999999"
@@ -359,8 +365,7 @@ class TestConstraintTableScenario:
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
-        args = ["table", "--sigma-min", "0.4", "--sigma-max", "0.6",
-                "--step", "0.01", "--nu", "4"]
+        args = ["table", "--step", "0.01"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
@@ -790,15 +795,11 @@ class TestVerbs:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["table", "--sigma-max", "0.2"], ["table", "--sigma-min", "1e308"],
-        ["table", "--sigma-max", "0"], ["table", "--sigma-max", "-1"],
-        ["cjs", "--t-final", "1e308"]])
-    def test_empty_table_or_overlong_run_exits_2(self, tmp_path, capsys,
-                                                 argv):
+    def test_overlong_cjs_run_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert main(argv + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["cjs", "--xi-ladder", "16,32,64,128,256,1e6",
+                     "--out", str(out)]) == 2
+        assert "exceed the budget" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -819,6 +820,16 @@ class TestVerbs:
         for name in ("cjs.csv", "summary.json"):
             assert ((tmp_path / "verb" / name).read_bytes()
                     == (tmp_path / "scenario" / name).read_bytes())
+
+    def test_table_verb_writes_the_scenario_file_bytes(self, tmp_path):
+        assert main(["table", "--out", str(tmp_path / "verb")]) == 0
+        scenario = load_scenario(
+            os.path.join(SCENARIOS, "constraint_table.json"))
+        assert run_scenario(replace(scenario,
+                                    output_dir=str(tmp_path / "file"))) == 0
+        for name in ("table.csv", "summary.json"):
+            assert ((tmp_path / "verb" / name).read_bytes()
+                    == (tmp_path / "file" / name).read_bytes())
 
 
 class TestCjsScenario:

@@ -64,6 +64,7 @@ def scenarios(draw):
 # each of these raised a traceback, or ran, before its value was rejected;
 # the last entry is the exit code it must give
 REPRODUCTIONS = [
+    # the first five set keys since removed, which exit 2 as unknown
     ("constraint_table", {"sigma_max": 0.2}, 2),
     ("constraint_table", {"sigma_min": 1e308}, 2),
     ("constraint_table", {"sigma_max": 0}, 2),
@@ -94,6 +95,9 @@ REPRODUCTIONS = [
     # both are failed records now
     ("symbol_audit", {"coeff": {"r": 1e-5, "r_outer": 0.2}}, 1),
     ("symbol_audit", {"coeff": {"r": 0.12, "r_outer": 0.1200001}}, 1),
+    # these two planned 3.4e75 and 1.1e8 RK4 steps, and ran on
+    ("energy_estimate", {"coeff": {"T_outer": 1e150}}, 2),
+    ("energy_estimate", {"coeff": {"T_outer": 2**50}}, 2),
 ]
 
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,22 @@ class TestQuantizeReductions:
     def test_hermiticity_of_real_symbol(self, sb_c1, grid128):
         B = quantize(sample_symbol_b(sb_c1, grid128, 0.0))
         assert hermiticity_defect(B) <= 1e-10
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_hermiticity_defect_matches_exact_sums(self, rng, dtype):
+        def frobenius(A):
+            # math.fsum rounds the sum of the squares once
+            return math.sqrt(math.fsum(
+                np.concatenate([A.real.ravel(), A.imag.ravel()]) ** 2))
+
+        K = rng.normal(size=(64, 64)).astype(dtype)
+        if dtype is complex:
+            K += 1j * rng.normal(size=(64, 64))
+        K += K.conj().T + 1e-9 * rng.normal(size=(64, 64))
+        exact = frobenius(K - K.conj().T) / frobenius(K)
+        assert 1e-11 < exact < 1e-8
+        assert hermiticity_defect(K) == pytest.approx(exact, rel=1e-13)
+        assert hermiticity_defect(np.zeros((4, 4))) == 0.0
 
     def test_symbol_field_validation(self, grid64):
         with pytest.raises(ValueError):

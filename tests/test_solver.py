@@ -440,3 +440,32 @@ class TestWaveReduction:
         err = np.abs(d2t_u1 - predicted)[inner].max()
         scale_ref = np.abs(predicted)[inner].max()
         assert err <= 1e-4 * scale_ref
+
+
+def _symmetry_budget(nonlinear, packet_xi=24.0, shift=0):
+    """The trace table of an n = 256 run at taudot = 3, its bump and
+    packet moved by `shift` grid points."""
+    cfg = RunConfig(n=256, sigma=0.5, tau0=1.0, taudot=3.0, sample_stride=2,
+                    nonlinear=nonlinear, packet_xi=packet_xi,
+                    coeff=CoefficientField(x0=0.5 + shift / 256))
+    return run_with_energy(cfg).table
+
+
+class TestSymmetries:
+    """The system is real and translation invariant on the torus, so the
+    conjugate datum and a shifted bump run through the same budget, to
+    roundoff: checks that need no reference solution."""
+
+    @pytest.mark.parametrize("nonlinear", [False, True])
+    @pytest.mark.parametrize("moved", [
+        {"packet_xi": -24.0},   # the complex conjugate of the datum
+        {"shift": 1}, {"shift": 8}], ids=["conjugate", "shift1", "shift8"])
+    def test_budget_is_invariant(self, nonlinear, moved):
+        base = _symmetry_budget(nonlinear)
+        other = _symmetry_budget(nonlinear, **moved)
+        assert np.array_equal(other[:, :2], base[:, :2])
+        # each budget row (E, E1, E2, E3, E4) against its E1 + |E2..E4|
+        scale = base[:, 3] + np.abs(base[:, 4:7]).sum(axis=1)
+        assert np.all(scale > 0)
+        assert np.all(np.abs(other[:, 2:7] - base[:, 2:7])
+                      <= 1e-11 * scale[:, None])
