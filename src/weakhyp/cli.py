@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import os
 import sys
@@ -32,7 +31,7 @@ from .quantize import quantize, sample_symbol_b
 from .reporting import write_csv, write_json
 from .solver import (RATE_FACTOR, EnergyTrace, RunConfig, SolverBlowupError,
                      integrate, measure_tau_threshold, run_with_energy)
-from .spectral import Grid
+from .spectral import MAX_SIZE, Grid, finite_real
 from .symbols import CoefficientField, SymbolB
 
 __all__ = ["Scenario", "load_scenario", "run_scenario", "main"]
@@ -66,19 +65,14 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         )
 
 
-def _real(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
-
-
 def _int(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
 # (predicate, what it asks for) of a config value
-REAL = (_real, "a finite real")
-NONNEGATIVE = (lambda v: _real(v) and v >= 0, "a finite real >= 0")
-POSITIVE = (lambda v: _real(v) and v > 0, "a finite real > 0")
+REAL = (finite_real, "a finite real")
+NONNEGATIVE = (lambda v: finite_real(v) and v >= 0, "a finite real >= 0")
+POSITIVE = (lambda v: finite_real(v) and v > 0, "a finite real > 0")
 COUNT = (lambda v: _int(v) and v >= 0, "an int >= 0")
 BOOL = (lambda v: isinstance(v, bool), "true or false")
 RATE = (lambda v: v == "auto" or NONNEGATIVE[0](v),
@@ -101,7 +95,9 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    # ValueError covers malformed JSON and an int of more digits than
+    # Python converts (4300)
+    except (OSError, ValueError) as err:
         raise ScenarioError(f"cannot read scenario {path}: {err}") from err
     _check_keys(raw, {"kind", "config", "output_dir"}, path)
     for key in ("kind", "output_dir"):
@@ -138,7 +134,7 @@ ENERGY_RULES = dict.fromkeys(
     ("n", "sigma", "tau0", "packet_xi", "sample_stride", "nonlinear",
      "coeff")) | {
     "taudot": RATE,
-    "assert_max_ratio": (lambda v: v is None or _real(v),
+    "assert_max_ratio": (lambda v: v is None or finite_real(v),
                          "null or a finite real"),
 }
 
@@ -229,7 +225,8 @@ def _run_symbol_audit(cfg_raw: dict, out: str) -> list:
 
 
 METRIC_RULES = AUDIT_RULES | {
-    "n_pairs": (lambda v: _int(v) and v >= 1, "an int >= 1"),
+    "n_pairs": (lambda v: _int(v) and 1 <= v <= MAX_SIZE,
+                "an int in [1, 2**50]"),
     "seed": COUNT,
 }
 
@@ -247,8 +244,8 @@ def _run_metric_audit(cfg_raw: dict, out: str) -> list:
 
 QUANTIZER_RULES = AUDIT_RULES | {
     "sizes": (lambda v: isinstance(v, list) and len(v) > 0 and all(
-        _int(n) and n > 0 and n & (n - 1) == 0 for n in v),
-        "a non-empty list of positive power-of-two ints"),
+        _int(n) and 0 < n <= MAX_SIZE and n & (n - 1) == 0 for n in v),
+        "a non-empty list of power-of-two ints in [1, 2**50]"),
     "dump_matrices": BOOL,
 }
 
@@ -275,7 +272,8 @@ CJS_PROFILES = {"linear": cjs.coefficient_linear,
 CJS_RULES = {
     "profile": (lambda v: isinstance(v, str) and v in CJS_PROFILES,
                 "one of " + ", ".join(CJS_PROFILES)),
-    "k": (lambda v: v is None or COUNT[0](v), "null or an int >= 0"),
+    "k": (lambda v: v is None or COUNT[0](v) and finite_real(v),
+          "null or an int >= 0 within the double range"),
     "xi_ladder": (lambda v: isinstance(v, list) and len(v) >= 6
                   and all(map(POSITIVE[0], v)),
                   "a list of at least 6 finite reals > 0"),

@@ -181,9 +181,13 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
         N1 = || (a^(tau) - op(a) - op(s1)) P ||
 
     with the first-order symbol s1 = tau/(2 pi i) * d_xi <xi>^sigma *
-    d_x a.  Returns a list of (n, N0, N1, N1/N0); the ratio decreasing
-    under refinement reflects the extra frequency decay of the
-    remainder.
+    d_x a.  s1 is imaginary and odd in xi, so conjugate-even on every
+    column but the Nyquist column xi = -n/2, which stands for +n/2 as
+    well.  It is sampled on the half spectrum with that column replaced
+    by its conjugate-even projection, the real part, 0, so op(s1) is a
+    real kernel.  Returns a list of (n, N0, N1, N1/N0); the ratio
+    decreasing under refinement reflects the extra frequency decay of
+    the remainder.
     """
     coeff = sb.coeff
     results = []
@@ -193,11 +197,11 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
         conj = conjugated_matrix(grid, a_vals, tau, sigma)
         op_a = np.diag(a_vals)
         x = grid.x_doubled[:, None]
-        xi = grid.xi[None, :]
+        xi = grid.xi[None, :n // 2 + 1]
         s1 = (tau / (2.0j * np.pi)) * (sigma * xi * bracket(xi) ** (sigma - 2.0)
                                        ) * coeff.dx_a(0.0, x)
-        op_s1 = quantize(SymbolField(grid, s1.astype(complex), time=0.0,
-                                     label="subprincipal"))
+        s1[:, -1] = s1[:, -1].real
+        op_s1 = quantize(SymbolField(grid, s1, time=0.0, label="subprincipal"))
         # right product with the octave projection (the mask is even in xi)
         mask = (np.abs(grid.xi) >= grid.xi_max / 2.0).astype(float)
         N0 = operator_norm(grid.multiply(conj - op_a, mask))

@@ -18,9 +18,17 @@ formula is a single inverse FFT in the difference variable.
 x-independent symbols reduce exactly to Fourier multipliers and x-only
 symbols to pointwise multiplication.
 
+Every operator quantized here is real: a symbol with p(x, -xi) =
+conj p(x, xi) has a real kernel, fixed by its half spectrum, the
+n // 2 + 1 columns 0..n/2 (column n/2 is xi = -n/2), whose columns 0
+and n/2 are real.  A symbol field holds only these, and `quantize` hands
+them straight to `irfft` for a float64 kernel.  b, its powers, dt b, the
+corrections of `invert_b` and the subprincipal term s1 are all
+conjugate-even.
+
 Every symbol field carries a row map: `samples` holds u rows, shape
-(u, n), and `rows` maps each of the 2n doubled-lattice points to its
-sample row, so the field stands for the full (2n, n) field
+(u, n // 2 + 1), and `rows` maps each of the 2n doubled-lattice points
+to its sample row, so the field stands for the (2n, n // 2 + 1) field
 `samples[rows]`.  By default u = 2n and `rows` is the identity.
 `sample_symbol_b` returns such a row-mapped field: b depends on x only
 through a(t, x), so it stores one row per distinct value of a (492
@@ -28,33 +36,24 @@ rows for 2048 points at n = 1024, t = 0).  The inverse FFT runs over
 the u stored rows only, and the gather reads row `rows[m]` for
 midpoint m, which gives the kernel of the expanded field bit for bit.
 
-A symbol with p(x, -xi) = conj p(x, xi) has a real kernel, fixed by its
-half spectrum, the n/2 + 1 columns 0..n/2 (all n columns for n <= 2).
-A field may store just these, with columns 0 and n/2 real, and
-`quantize` hands them straight to `irfft` for a float64 kernel.  A full
-field takes that path when s[:, -k] == conj(s[:, k]) exactly for every
-column k, else the complex one of `ifft`.  b, its powers, dt b and the
-corrections of `invert_b` are conjugate-even, and `sample_symbol_b`, the
-`Symmetrizer` and `dequantize` of a real kernel write them as halves.
-
 De-quantization inverts the kernel formula along the (midpoint,
-difference) slots, FFT in x - y.  The slot map (i, j) <-> (m, d) is a
-bijection, so `quantize(dequantize(K)) == K` holds for every matrix
-that is symmetric on the antipodal column d = n/2 (every image of
-`quantize` is); each midpoint row only observes difference residues of
-its own parity, and the unobserved components are interpolated from
-the neighboring midpoint rows.  A real matrix takes `rfft`, whose half
-spectrum is its exactly conjugate-even symbol.  The difference
-profiles live at the head of each row of the output (of its float
-view, row stride n + 2, for a real matrix), so a real n = 1024 kernel
-costs 2.13 n^2 doubles, 2 of them the output.
+difference) slots, `rfft` in x - y, which gives the half spectrum of
+the exactly conjugate-even symbol of a real matrix.  The slot map
+(i, j) <-> (m, d) is a bijection, so `quantize(dequantize(K)) == K`
+holds for every real matrix that is symmetric on the antipodal column
+d = n/2 (every image of `quantize` is); each midpoint row only observes
+difference residues of its own parity, and the unobserved components
+are interpolated from the neighboring midpoint rows.  The difference
+profiles live at the head of each row of the float view of the output
+(row stride n + 2), so an n = 1024 kernel costs 2.13 n^2 doubles, 2 of
+them the output.
 
 The index maps of the slot map depend on n only; they are built once
 and cached (read-only) for the last size seen, so a run over several
 sizes holds the maps of one.  So is the n^2 flat index
 `rows[m*] * n + d0` that the gather of `quantize` reads, for the last
 row map seen: the two kernels of a Symmetrizer record share their row
-map, and the full-field callers all share the identity map.
+map, and the unmapped fields all share the identity map.
 """
 
 from __future__ import annotations
@@ -84,13 +83,13 @@ __all__ = [
 
 @dataclass
 class SymbolField:
-    """Symbol samples on the doubled (2n, n) phase-space lattice.
+    """Symbol samples on the doubled phase-space lattice.
 
-    `samples` holds u rows, shape (u, n), and the doubled-lattice point
-    m carries the row `samples[rows[m]]`; `rows` defaults to the
-    identity map of a full (2n, n) field.  A conjugate-even field may
-    hold only its half spectrum, shape (u, n // 2 + 1), the columns of
-    xi >= 0 (column n/2 is xi = -n/2), whose columns 0 and n/2 are real.
+    `samples` holds u rows, each the half spectrum of a conjugate-even
+    symbol: shape (u, n // 2 + 1), the columns of xi >= 0 (column n/2
+    is xi = -n/2), with columns 0 and n/2 real.  The doubled-lattice
+    point m carries the row `samples[rows[m]]`; `rows` defaults to the
+    identity map of u = 2n rows.
     """
 
     grid: Grid
@@ -116,10 +115,9 @@ class SymbolField:
                              f"[{rows.min()}, {rows.max()}]")
         self.rows = rows.astype(np.intp)
         s, h = self.samples, n // 2 + 1
-        if s.shape not in ((u, n), (u, h)) or (
-                s.shape[1] == h < n and s[:, [0, -1]].imag.any()):
-            raise ValueError(f"samples have shape {s.shape}, expected {(u, n)}"
-                             f" or {(u, h)} with real columns 0 and n/2")
+        if s.shape != (u, h) or s[:, [0, -1]].imag.any():
+            raise ValueError(f"samples have shape {s.shape}, expected {(u, h)}"
+                             " with real columns 0 and n/2")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError(f"symbol '{self.label}' has non-finite samples")
 
@@ -218,29 +216,19 @@ def _flat_index(rows: np.ndarray) -> _FlatIndex:
     return flat
 
 
-def _conjugate_even(s: np.ndarray) -> bool:
-    """s[:, -k] == conj(s[:, k]) for every column k, compared exactly."""
-    h = s.shape[1] // 2
-    pos, neg = s[:, 1:h], s[:, :h:-1]
-    if not np.iscomplexobj(s):
-        return np.array_equal(pos, neg)
-    return (not s[:, [0, h]].imag.any() and np.array_equal(pos.real, neg.real)
-            and np.array_equal(pos.imag, -neg.imag))
-
-
 def quantize(p: SymbolField) -> np.ndarray:
-    """The dense (n, n) kernel of op(p), real for a conjugate-even p.
+    """The dense, real (n, n) kernel of op(p).
 
     The inverse FFT runs over the stored rows of the field only; the
     kernel equals that of the expanded field `samples[rows]`.
     """
-    n, s = p.grid.n, p.samples
+    n = p.grid.n
     g = _slot_map(n)
+    # the index comes first: built after the transform, on a cache miss,
+    # it lands elsewhere on the heap, and the quantizer audit at
+    # n = 256..1024 peaked 8 MB higher in RSS
     index = _flat_index(p.rows).index
-    real = s.shape[1] < n or _conjugate_even(s)
-    c = (np.fft.irfft(s[:, :n // 2 + 1], n, axis=1) if real
-         else np.fft.ifft(s, axis=1)).reshape(-1)
-    K = c[index]
+    K = np.fft.irfft(p.samples, n, axis=1).reshape(-1)[index]
     Kf = K.reshape(-1)
     Kf[g.anti] = 0.5 * (Kf[g.anti] + Kf[g.anti_t])
     return K
@@ -275,23 +263,23 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     shape the extracted symbol: they are interpolated from the two
     neighboring midpoints, which keeps the symbol free of
     midpoint-Nyquist ripple.  The symbol of a real matrix is
-    conjugate-even and comes as its half spectrum.
+    conjugate-even and comes as its half spectrum; a complex matrix is
+    rejected.
 
     The profiles live in the output: at the head of each row of the
-    float view of a real matrix's (2n, n/2 + 1) complex half spectrum,
-    or in the (2n, n) complex output itself.  Each block of rows is
-    transformed out of a copy of itself.  At n = 1024 a real kernel
-    costs 2.13 n^2 doubles beyond `matrix` (2 are the output), a
-    complex one 4.26 (4 are the output).
+    float view of the (2n, n/2 + 1) complex half spectrum.  Each block
+    of rows is transformed out of a copy of itself.  At n = 1024 a
+    kernel costs 2.13 n^2 doubles beyond `matrix` (2 are the output).
     """
     n = grid.n
-    real = not np.iscomplexobj(matrix)
-    matrix = np.asarray(matrix, dtype=float if real else complex)
+    if np.iscomplexobj(matrix):
+        raise ValueError("dequantize takes a real matrix, got a complex one")
+    matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (n, n):
         raise ValueError(f"matrix has shape {matrix.shape}, expected {(n, n)}")
-    out = np.zeros((2 * n, n // 2 + 1 if real else n), dtype=complex)
+    out = np.zeros((2 * n, n // 2 + 1), dtype=complex)
     # the (2n, n) difference profiles c fill the head of each output row
-    c = out.view(np.float64)[:, :n] if real else out
+    c = out.view(np.float64)[:, :n]
     g = _slot_map(n)
     for rows in _row_blocks(n):
         c[g.mid[rows], g.diff[rows]] = matrix[rows]
@@ -312,9 +300,8 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     np.add(seen[-1], seen[0], out=fill[-1])
     fill *= 0.5
     # a transform reads a copy of its rows and overwrites them in out
-    fft = np.fft.rfft if real else np.fft.fft
     for rows in _row_blocks(2 * n):
-        fft(c[rows].copy(), axis=1, out=out[rows])
+        np.fft.rfft(c[rows].copy(), axis=1, out=out[rows])
     return SymbolField(grid, out)
 
 

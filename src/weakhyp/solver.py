@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import DEFAULT_MAX_EXPONENT, Grid, bracket
+from .spectral import (DEFAULT_MAX_EXPONENT, MAX_SIZE, Grid, bracket,
+                       finite_real)
 from .symbols import CoefficientField, SymbolB
 from .energy import Symmetrizer, dt_energy_breakdown
 from .energy import energy as gevrey_energy
@@ -106,12 +107,12 @@ class RunConfig:
     def __post_init__(self):
         n = self.n
         if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-                or n <= 0 or n & (n - 1) != 0):
-            raise ValueError(f"n = {n!r} must be a positive power-of-two int")
+                or not 0 < n <= MAX_SIZE or n & (n - 1) != 0):
+            raise ValueError(f"n = {n!r} must be a power-of-two int in "
+                             "[1, 2**50]")
         for name in ("sigma", "tau0", "taudot", "packet_xi"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not finite_real(value):
                 raise ValueError(f"{name} = {value!r} must be a finite real number")
         for name in ("tau0", "taudot"):
             value = getattr(self, name)

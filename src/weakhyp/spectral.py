@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +30,7 @@ import numpy as np
 __all__ = [
     "Grid",
     "GevreyOverflowError",
+    "finite_real",
     "bracket",
     "gevrey_multiplier",
 ]
@@ -38,6 +40,22 @@ DEFAULT_MAX_EXPONENT = 700.0
 
 #: the largest float whose square is finite
 SQUARE_CAP = math.sqrt(sys.float_info.max)
+
+#: the largest grid size or sample count a run may ask for: an array of
+#: 2**50 doubles exceeds a 48-bit address space and fails to allocate
+#: at once, and near 2**63 elements numpy refuses the shape itself
+MAX_SIZE = 2**50
+
+
+def finite_real(value) -> bool:
+    """A real number, not a bool, within the double range.  An int is
+    compared exactly, so one too large for a double is rejected, not
+    converted (float() of it would raise OverflowError)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
+    return math.isfinite(value)
 
 
 class GevreyOverflowError(OverflowError):

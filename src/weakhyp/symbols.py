@@ -18,13 +18,11 @@ audits can compare finite differences against exact derivatives.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectral import SQUARE_CAP, bracket
+from .spectral import SQUARE_CAP, bracket, finite_real
 
 __all__ = [
     "smoothstep",
@@ -112,8 +110,7 @@ class CoefficientField:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+            if not finite_real(value):
                 raise ValueError(f"{f.name} = {value!r} must be a finite real")
             # the coefficient squares x - x0, which reaches r_outer
             if abs(value) > SQUARE_CAP:
@@ -229,7 +226,7 @@ class SymbolB:
     allow_invalid: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0.0):
+        if not (finite_real(self.c) and self.c > 0.0):
             raise ValueError(f"c = {self.c} must be positive and finite")
         if self.c > 2.0 and not self.allow_invalid:
             raise ValueError(

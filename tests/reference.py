@@ -1,7 +1,8 @@
 """Reference builders of dense operators, for the tests only.
 
-`sample_symbol` samples a symbol given as a function on the full
-doubled lattice; `multiplier_matrix` and `multiplication_matrix` build
+`sample_symbol` samples the half spectrum of a symbol given as a
+function on the doubled lattice; `multiplier_matrix` and
+`multiplication_matrix` build
 the exact matrices that a symbol of xi only and of x only quantize to.
 """
 
@@ -12,11 +13,13 @@ from weakhyp.spectral import Grid
 
 
 def sample_symbol(grid: Grid, fn) -> SymbolField:
-    """Sample fn(x, xi) on the doubled lattice; fn must broadcast."""
+    """Sample fn(x, xi) on the doubled lattice at the n // 2 + 1 columns
+    of the half spectrum, xi = 0..n/2 - 1 and -n/2; fn must broadcast
+    and be real at xi = 0 and -n/2."""
     x = grid.x_doubled[:, None]
-    xi = grid.xi[None, :]
+    xi = grid.xi[None, :grid.n // 2 + 1]
     return SymbolField(grid, np.broadcast_to(np.asarray(fn(x, xi), dtype=complex),
-                                             (2 * grid.n, grid.n)).copy())
+                                             (2 * grid.n, grid.n // 2 + 1)).copy())
 
 
 def multiplier_matrix(grid: Grid, m: np.ndarray) -> np.ndarray:

@@ -81,6 +81,15 @@ class TestScenarioLoading:
         with pytest.raises(ScenarioError, match="output_dir"):
             load_scenario(p)
 
+    def test_int_of_too_many_digits_exits_2(self, tmp_path, capsys):
+        # json raised a ValueError: Python converts ints of at most 4300
+        # digits from a string
+        p = tmp_path / "s.json"
+        p.write_text('{"kind": "symbol_audit", "output_dir": "o", '
+                     '"config": {"t": ' + "9" * 5000 + '}}')
+        assert main(["run", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
+
     @pytest.mark.parametrize("output_dir", [5, None, ["a"]])
     def test_output_dir_not_a_string_exits_2(self, tmp_path, capsys,
                                              output_dir):

@@ -21,9 +21,11 @@ from weakhyp.cli import Scenario, run_scenario
 from weakhyp.symbols import CoefficientField
 
 # 2**50 doubles exceed the 48-bit address space, so an array of that
-# size fails to allocate at once, whatever the overcommit policy
+# size fails to allocate at once, whatever the overcommit policy;
+# 2**1100 is an int above the double range that is a power of two, so
+# it passes the checks of `n` and `sizes` but for their bound
 POOL = ("x", [], {}, None, True, math.nan, math.inf, -math.inf, 0, -1, 1e308,
-        1e-200, 5e-324, 2**50)
+        1e-200, 5e-324, 2**50, 2**1100)
 
 RULES = {
     "energy_estimate": cli.ENERGY_RULES,
@@ -98,6 +100,19 @@ REPRODUCTIONS = [
     # these two planned 3.4e75 and 1.1e8 RK4 steps, and ran on
     ("energy_estimate", {"coeff": {"T_outer": 1e150}}, 2),
     ("energy_estimate", {"coeff": {"T_outer": 2**50}}, 2),
+    # ints above the double range raised OverflowError where they were
+    # converted to a float
+    ("symbol_audit", {"t": 10**309}, 2),
+    ("quantizer_audit", {"c": 10**309}, 2),
+    ("energy_estimate", {"tau0": 10**309}, 2),
+    ("energy_estimate", {"packet_xi": 10**309}, 2),
+    ("energy_estimate", {"coeff": {"T": 10**309}}, 2),
+    ("cjs_sweep", {"xi_ladder": [1, 2, 4, 8, 16, 10**309]}, 2),
+    ("cjs_sweep", {"k": 10**309}, 2),
+    ("energy_estimate", {"n": 2**1100}, 2),
+    # numpy refused these shapes with a ValueError, not a MemoryError
+    ("quantizer_audit", {"sizes": [2**64]}, 2),
+    ("metric_audit", {"n_pairs": 2**63}, 2),
 ]
 
 

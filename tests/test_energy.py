@@ -49,7 +49,7 @@ class TestSymmetrizer:
     @pytest.mark.parametrize("t", [0.0, 0.025, 0.07])
     def test_dt_b_matrix_reuses_b_samples_exactly(self, sb_c1, grid128, t):
         x = grid128.x_doubled[:, None]
-        xi = grid128.xi[None, :]
+        xi = grid128.xi[None, :grid128.n // 2 + 1]
         direct = quantize(SymbolField(grid128, sb_c1.dt_b(t, x, xi)))
         sym = Symmetrizer(grid128, sb_c1, t)
         assert np.array_equal(sym.dt_b_matrix(), direct)
@@ -99,8 +99,7 @@ class TestSymmetrizer:
             assert sym._b.shape == (len(pairs), grid128.n // 2 + 1)
             assert len(pairs) < grid128.n
             full = sample_symbol(grid128, lambda x, xi: sb.b(t, x, xi))
-            assert np.array_equal(sym._b[sym._rows],
-                                  full.samples.real[:, :grid128.n // 2 + 1])
+            assert np.array_equal(sym._b[sym._rows], full.samples.real)
             assert np.array_equal(sym.b_matrix, quantize(full))
 
 
@@ -219,11 +218,30 @@ class TestConjugatedMatrix:
 
     def test_subprincipal_symbol_removes_most_of_the_remainder(self, sb_c1):
         # s1 is the first-order term of a^(tau) - op(a): with it the
-        # octave remainder drops to about a fifth (0.201, 0.178); a
+        # octave remainder drops to about an eighth (0.132, 0.112); a
         # wrong multiple of s1, such as 2 s1, leaves it near 1
         res = subprincipal_refinement(sb_c1, tau=0.3, sigma=0.5,
                                       ns=(128, 256))
         assert all(r[3] < 0.5 for r in res)
+
+    def test_subprincipal_operator_is_real(self, sb_c1, monkeypatch):
+        # criterion 9 at n = 128: s1 is conjugate-even once its Nyquist
+        # column is projected, so op(s1) is a real kernel and the
+        # remainder is as real as the exact conjugation
+        kernels = []
+
+        def recording(p):
+            kernels.append(quantize(p))
+            return kernels[-1]
+
+        monkeypatch.setattr(energy_module, "quantize", recording)
+        subprincipal_refinement(sb_c1, tau=0.3, sigma=0.5, ns=(128,))
+        [op_s1] = kernels
+        assert op_s1.dtype == np.float64
+        grid = Grid(128)
+        a_vals = sb_c1.coeff.a(0.0, grid.x).astype(complex)
+        R = conjugated_matrix(grid, a_vals, 0.3, 0.5) - np.diag(a_vals) - op_s1
+        assert np.abs(R.imag).max() <= 1e-12 * np.abs(R.real).max()
 
 
 class TestBreakdown:
@@ -331,7 +349,8 @@ class TestGardingProbe:
         for c in (1.0, 0.5):
             sb = SymbolB(coeff, c=c)
             sym = Symmetrizer(grid, sb, t)
-            g = np.sqrt(np.maximum(coeff.dt_a(t, x), 0.0)) * sb.b(t, x, grid.xi)
+            g = (np.sqrt(np.maximum(coeff.dt_a(t, x), 0.0))
+                 * sb.b(t, x, grid.xi[:n // 2 + 1]))
             G = quantize(SymbolField(grid, g))
             w = apply(sym.b_matrix, weight_values(grid, st[1], 0.2, 0.5))
             reference = float(np.real(grid.inner(apply(G, apply(G, w)), w)))

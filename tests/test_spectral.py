@@ -1,8 +1,11 @@
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from weakhyp.spectral import (DEFAULT_MAX_EXPONENT, GevreyOverflowError, Grid,
-                              bracket, gevrey_multiplier)
+                              bracket, finite_real, gevrey_multiplier)
 from weakhyp.symbols import CoefficientField
 
 
@@ -143,3 +146,17 @@ class TestGevreyWeight:
     def test_rejects_bad_sigma(self, grid64):
         with pytest.raises(ValueError):
             gevrey_multiplier(grid64, 1.0, 1.5)
+
+
+class TestFiniteReal:
+    @pytest.mark.parametrize("value", [0, -7, 2**1023, sys.float_info.max,
+                                       -sys.float_info.max, 5e-324,
+                                       np.float32(3.5), Fraction(1, 3)])
+    def test_accepts_reals_in_the_double_range(self, value):
+        assert finite_real(value)
+
+    @pytest.mark.parametrize("value", [2**1024, -(10**309), float("inf"),
+                                       float("nan"), True, "1", None, 1j])
+    def test_rejects_the_rest_without_converting(self, value):
+        # an int of 2**1024 or more would raise OverflowError in float()
+        assert not finite_real(value)
