@@ -114,11 +114,10 @@ def energy(u: np.ndarray, sym: Symmetrizer, tau: float, sigma: float) -> float:
 
 def conjugated_matrix(grid: Grid, m_values: np.ndarray, tau: float,
                       sigma: float) -> np.ndarray:
-    """Dense matrix of exp(tau D^sigma) * m(x) * exp(-tau D^sigma)."""
-    m = np.asarray(m_values, dtype=complex)
-    eye = np.eye(grid.n, dtype=complex)
-    return weight_values(grid, weight_values(grid, eye, tau, sigma, -1) * m,
-                         tau, sigma, +1).T
+    """Dense real matrix of exp(tau D^sigma) * m(x) * exp(-tau D^sigma)
+    for a real m (the weight is even in xi: the transforms are real)."""
+    w = weight_values(grid, np.eye(grid.n), tau, sigma, -1) * m_values
+    return weight_values(grid, w, tau, sigma, +1).real.T.copy()
 
 
 def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
@@ -193,7 +192,7 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
     results = []
     for n in ns:
         grid = Grid(n)
-        a_vals = coeff.a(0.0, grid.x).astype(complex)
+        a_vals = coeff.a(0.0, grid.x)
         conj = conjugated_matrix(grid, a_vals, tau, sigma)
         op_a = np.diag(a_vals)
         x = grid.x_doubled[:, None]
@@ -202,9 +201,10 @@ def subprincipal_refinement(sb: SymbolB, tau: float, sigma: float,
                                        ) * coeff.dx_a(0.0, x)
         s1[:, -1] = s1[:, -1].real
         op_s1 = quantize(SymbolField(grid, s1, time=0.0, label="subprincipal"))
-        # right product with the octave projection (the mask is even in xi)
+        # right product with the octave projection (even in xi: real)
         mask = (np.abs(grid.xi) >= grid.xi_max / 2.0).astype(float)
-        N0 = operator_norm(grid.multiply(conj - op_a, mask))
-        N1 = operator_norm(grid.multiply(conj - op_a - op_s1, mask))
+        R0 = conj - op_a
+        N0, N1 = (operator_norm(grid.multiply(R, mask).real.copy())
+                  for R in (R0, R0 - op_s1))
         results.append((n, N0, N1, N1 / N0 if N0 > 0 else np.inf))
     return results

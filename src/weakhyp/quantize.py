@@ -48,12 +48,13 @@ profiles live at the head of each row of the float view of the output
 (row stride n + 2), so an n = 1024 kernel costs 2.13 n^2 doubles, 2 of
 them the output.
 
-The index maps of the slot map depend on n only; they are built once
-and cached (read-only) for the last size seen, so a run over several
-sizes holds the maps of one.  So is the n^2 flat index
-`rows[m*] * n + d0` that the gather of `quantize` reads, for the last
-row map seen: the two kernels of a Symmetrizer record share their row
-map, and the unmapped fields all share the identity map.
+The slot map depends on n only: one n^2 flat index m* * n + d0 (intp,
+8 bytes per entry), built once and cached (read-only) for the last
+size seen, so a run over several sizes holds the index of one.  The
+gather of `quantize` reads it as is for an unmapped field, and
+`dequantize` scatters every kernel through it.  A row-mapped field
+reads one more n^2 index, `rows[m*] * n + d0`, cached for the last row
+map seen: the two kernels of a Symmetrizer record share their row map.
 """
 
 from __future__ import annotations
@@ -147,10 +148,10 @@ def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
 class _SlotMap(NamedTuple):
     """The (midpoint, difference) slot of every kernel entry.
 
-    Entry (i, j) reads slot (mid[i, j], diff[i, j]) = (m*, d0) of the
-    (2n, n) difference profiles: the difference residue d0 = (i - j)
-    mod n and the short-arc midpoint index m* = (2j + d*) mod 2n on the
-    doubled lattice, with d* the representative of d0 in (-n/2, n/2].
+    Entry (i, j) reads slot index[i, j] = m* * n + d0 of the flat (2n, n)
+    difference profiles: the difference residue d0 = (i - j) mod n and
+    the short-arc midpoint index m* = (2j + d*) mod 2n on the doubled
+    lattice, with d* the representative of d0 in (-n/2, n/2].
     At the antipodal column d0 = n/2 the two torus midpoints m* and
     m* + n are equally valid; callers average over them, which keeps
     real symbols exactly Hermitian.  `anti` holds the flat kernel
@@ -158,8 +159,7 @@ class _SlotMap(NamedTuple):
     midpoint of each for n >= 2; at n = 1 both are the one entry.
     """
 
-    mid: np.ndarray
-    diff: np.ndarray
+    index: np.ndarray
     anti: np.ndarray
     anti_t: np.ndarray
 
@@ -167,53 +167,46 @@ class _SlotMap(NamedTuple):
 @functools.lru_cache(maxsize=1)
 def _slot_map(n: int) -> _SlotMap:
     i = np.arange(n)
-    D0 = (i[:, None] - i[None, :]) % n
-    # Dstar stays alive to the return: freeing it early shifts where the
-    # allocator places the later maps, and with it the peak RSS
-    Dstar = np.where(D0 <= n // 2, D0, D0 - n)
-    Mstar = (2 * i[None, :] + Dstar) % (2 * n)
+    # n is a power of two, so masks reduce mod n and mod 2n; the index
+    # is built in place beside D0
+    D0 = (i[:, None] - i[None, :]) & (n - 1)
+    index = D0 + 2 * i
+    np.subtract(index, n, out=index, where=D0 > n // 2)
+    index &= 2 * n - 1
+    index *= n
+    index += D0
     # row i meets d0 = n/2 at column j = (i + n/2) mod n
-    j = (i + n // 2) % n
-    # numpy gathers fastest through intp indices, so mid is intp;
-    # quantize only adds diff (d0 < n), whose int32 halves its memory
-    slots = _SlotMap(mid=Mstar, diff=D0.astype(np.int32), anti=i * n + j,
-                     anti_t=j * n + i)
+    j = (i + n // 2) & (n - 1)
+    slots = _SlotMap(index=index, anti=i * n + j, anti_t=j * n + i)
     for arr in slots:
         arr.setflags(write=False)
     return slots
 
 
-class _FlatIndex(NamedTuple):
-    """The flat slots of one row map in the (u * n) difference profiles:
-    entry (i, j) reads `index[i, j]` = rows[m*] * n + d0."""
-
-    rows: np.ndarray
-    index: np.ndarray
+_last_flat_index: Optional[tuple] = None
 
 
-_last_flat_index: Optional[_FlatIndex] = None
-
-
-def _flat_index(rows: np.ndarray) -> _FlatIndex:
-    """The flat slots of the row map `rows` (read-only), kept for the
-    last map seen."""
+def _flat_index(rows: np.ndarray) -> np.ndarray:
+    """The flat slots rows[m*] * n + d0 of the row map `rows` in the
+    (u * n) difference profiles (read-only), kept for the last map
+    seen.  The identity map reads the slot index itself."""
     global _last_flat_index
     hit = _last_flat_index
-    if hit is not None and np.array_equal(hit.rows, rows):
-        return hit
+    if hit is not None and np.array_equal(hit[0], rows):
+        return hit[1]
     # the old index goes first, so two are never held at once
     _last_flat_index = None
     n = rows.shape[0] // 2
     g = _slot_map(n)
-    # built in place
-    index = rows[g.mid]
-    index *= n
-    index += g.diff
-    flat = _FlatIndex(rows=rows.copy(), index=index)
-    for arr in flat:
-        arr.setflags(write=False)
-    _last_flat_index = flat
-    return flat
+    if np.array_equal(rows, np.arange(2 * n)):
+        return g.index
+    # slot m* * n + d0 moves by (rows[m*] - m*) * n
+    offset = (rows - np.arange(2 * n)) * n
+    index = offset[g.index >> (n.bit_length() - 1)]
+    index += g.index
+    index.setflags(write=False)
+    _last_flat_index = (rows.copy(), index)
+    return index
 
 
 def quantize(p: SymbolField) -> np.ndarray:
@@ -227,7 +220,7 @@ def quantize(p: SymbolField) -> np.ndarray:
     # the index comes first: built after the transform, on a cache miss,
     # it lands elsewhere on the heap, and the quantizer audit at
     # n = 256..1024 peaked 8 MB higher in RSS
-    index = _flat_index(p.rows).index
+    index = _flat_index(p.rows)
     K = np.fft.irfft(p.samples, n, axis=1).reshape(-1)[index]
     Kf = K.reshape(-1)
     Kf[g.anti] = 0.5 * (Kf[g.anti] + Kf[g.anti_t])
@@ -281,12 +274,17 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     # the (2n, n) difference profiles c fill the head of each output row
     c = out.view(np.float64)[:, :n]
     g = _slot_map(n)
+    # slot m* * n + d0 lies at m* * (n + 2) + d0 of the flat output
+    # (at n = 1 the one slot is 0)
+    flat, log2n = out.view(np.float64).reshape(-1), n.bit_length() - 1
     for rows in _row_blocks(n):
-        c[g.mid[rows], g.diff[rows]] = matrix[rows]
+        slot = g.index[rows]
+        flat[slot + 2 * (slot >> log2n)] = matrix[rows]
     mf = matrix.reshape(-1)
     # the transpose's own slot is the other torus midpoint of (i, j):
     # writing each entry's slot symmetrizes both
-    c[g.mid.reshape(-1)[g.anti], n // 2] = 0.5 * (mf[g.anti] + mf[g.anti_t])
+    mid = g.index.reshape(-1)[g.anti] >> log2n
+    c[mid, n // 2] = 0.5 * (mf[g.anti] + mf[g.anti_t])
     # an unseen slot (row and residue of unlike parity) is the mean of
     # the seen slots in the midpoint rows before and after it: row 2r
     # of odd residues from rows 2r + 1 and 2r - 1, row 2r + 1 of even
@@ -311,10 +309,11 @@ def _row_blocks(n: int, size: int = 64):
 
 
 def apply(K: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """K @ X; a real K meets a complex X as one real product on its
-    interleaved real and imaginary parts (numpy would copy K to complex)."""
+    """K @ X of a real K and a complex X: one real product on the
+    interleaved real and imaginary parts of X (numpy would copy K)."""
     if np.iscomplexobj(K) or not np.iscomplexobj(X):
-        return K @ X
+        raise ValueError(f"apply takes a real kernel and a complex right-hand"
+                         f" side, got {K.dtype} and {X.dtype}")
     cols = np.ascontiguousarray(X, dtype=complex).reshape(len(X), -1)
     return (K @ cols.view(np.float64)).view(complex).reshape(X.shape)
 
@@ -377,7 +376,7 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):
     The recursion works in place: s_k is dequantized from M_{k-1}
     first, M_{k-1} - Id is then formed in the buffer of M_{k-1} for its
     defect, and c_k in the buffer of s_k, row block by row block.  At
-    n = 256 a call peaks at 7.69 n^2 doubles, in the dequantize that
+    n = 256 a call peaks at 6.80 n^2 doubles, in the dequantize that
     holds B, c_1, M_1 and s_2 at once.
     """
     if nu < 0 or nu > 6:

@@ -168,14 +168,14 @@ def _reference_kernel(full):
 
 
 class TestWeylGatherCache:
-    @pytest.mark.parametrize("n", [2, 4, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 256])
     def test_wrapped_difference_equals_meshgrid_maps(self, n):
         D0, Mstar = _meshgrid_maps(n)
-        slots = _slot_map(n)
+        index = _slot_map(n).index
         # numpy gathers fastest through intp indices
-        assert slots.mid.dtype == np.intp
-        assert np.array_equal(slots.mid, Mstar)
-        assert np.array_equal(slots.diff, D0)
+        assert index.dtype == np.intp
+        assert np.array_equal(index, Mstar * n + D0)
+        assert not index.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
     def test_cached_kernels_equal_direct_gather(self, n):
@@ -191,11 +191,12 @@ class TestWeylGatherCache:
         assert np.array_equal(quantize(p), [[1.0]])
 
     def test_cached_arrays_are_read_only(self):
-        slots = _slot_map(16)
-        for arr in slots:
-            assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            slots.mid[0, 0] = 0
+        for n in (1, 16):
+            slots = _slot_map(n)
+            for arr in slots:
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                slots.index[0, 0] = 0
 
     def test_index_maps_built_once_per_n(self, grid64):
         _slot_map.cache_clear()
@@ -210,7 +211,7 @@ class TestWeylGatherCache:
         assert misses == 1
         assert np.array_equal(first, second)
 
-    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
     def test_round_trip_on_random_matrices(self, n):
         K = np.random.default_rng(n).normal(size=(n, n))
         # quantize averages the antipodal column d0 = n/2 over its two
@@ -371,13 +372,14 @@ class TestApply:
         rows = rng.normal(size=(4, 32)) + 1j * rng.normal(size=(4, 32))
         assert np.array_equal(apply(K, rows.T), apply(K, rows.T.copy()))
 
-    def test_other_dtypes_take_the_plain_product(self, rng):
+    def test_other_dtypes_are_rejected(self, rng):
         K = rng.normal(size=(16, 16))
         x = rng.normal(size=16)
-        assert np.array_equal(apply(K, x), K @ x)
         Kc = K + 1j * rng.normal(size=(16, 16))
         xc = x + 1j * rng.normal(size=16)
-        assert np.array_equal(apply(Kc, xc), Kc @ xc)
+        for kernel, rhs in ((K, x), (Kc, xc), (Kc, x)):
+            with pytest.raises(ValueError, match="real kernel"):
+                apply(kernel, rhs)
 
 
 def _random_row_map(n, seed):
@@ -488,11 +490,27 @@ class TestFlatIndexCache:
     def test_cached_index_is_read_only(self, grid64):
         samples, rows = _random_row_map(64, 5)
         quantize(SymbolField(grid64, samples, rows=rows))
-        flat = quantize_module._flat_index(rows)
-        for arr in flat:
-            assert not arr.flags.writeable
+        index = quantize_module._flat_index(rows)
+        assert index.dtype == np.intp
+        assert not index.flags.writeable
         with pytest.raises(ValueError):
-            flat.index[0, 0] = 0
+            index[0, 0] = 0
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_identity_map_gathers_through_the_slot_index(self, n):
+        # no second n^2 array: the gather index of an unmapped field is
+        # the resident slot index itself
+        rows = SymbolField(Grid(n), np.ones((2 * n, n // 2 + 1))).rows
+        assert quantize_module._flat_index(rows) is _slot_map(n).index
+
+    def test_unmapped_field_releases_the_cached_index(self, grid64):
+        # an unmapped field after a mapped one leaves no gather index
+        # of the mapped one alive beside the slot index
+        samples, rows = _random_row_map(64, 11)
+        quantize(SymbolField(grid64, samples, rows=rows))
+        assert quantize_module._last_flat_index is not None
+        quantize(SymbolField(grid64, samples[rows]))
+        assert quantize_module._last_flat_index is None
 
     def test_keyed_by_row_map_content(self, grid64):
         samples, rows = _random_row_map(64, 9)
