@@ -323,7 +323,7 @@ def quantizer_audit(sb: SymbolB, t: float, sizes) -> list:
         records.append({"check": "compose_norm_decreases",
                         "constant": ratio, "margin": margin, "pass": hi < lo})
 
-    _, defects = invert_b(sb, 2, t, grid)   # the last size
+    _, defects = invert_b(sb, t, grid)   # the last size
     records.append({"check": "invert_defects", "constant": defects[-1],
                     "pass": defects[0] >= defects[1] >= defects[2],
                     "defects": defects})

@@ -28,6 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .spectral import STEP_BUDGET
+
 __all__ = [
     "TimeCoefficient",
     "coefficient_linear",
@@ -35,20 +37,15 @@ __all__ = [
     "coefficient_constant",
     "max_energy_growth",
     "growth_exponent_fit",
-    "StepBudgetError",
 ]
 
-STEP_BUDGET = 10_000_000
+HORIZON = 1.0      # T: every mode runs on [0, T]
 BLOCK = 1 << 16    # steps per block of the prefix product
-
-
-class StepBudgetError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
 class TimeCoefficient:
-    """Nonnegative coefficient a(t) on [0, T] and its C^k class.
+    """Nonnegative coefficient a(t) on [0, HORIZON] and its C^k class.
 
     `fn` maps an array of times to the array of values of a.
     """
@@ -56,8 +53,8 @@ class TimeCoefficient:
     fn: Callable[[np.ndarray], np.ndarray]
     k: int
 
-    def sup_a(self, T: float) -> float:
-        return float(np.max(self.fn(np.linspace(0.0, T, 4096))))
+    def sup_a(self) -> float:
+        return float(np.max(self.fn(np.linspace(0.0, HORIZON, 4096))))
 
 
 def coefficient_linear() -> TimeCoefficient:
@@ -72,26 +69,25 @@ def coefficient_constant(value: float = 1.0) -> TimeCoefficient:
     return TimeCoefficient(fn=lambda t: np.full(np.shape(t), value), k=1)
 
 
-def _mode_dt(tc: TimeCoefficient, xi: float, T: float) -> float:
-    dt = min(1e-3, 0.05 / (abs(xi) * math.sqrt(tc.sup_a(T) + 1.0)))
+def _mode_dt(tc: TimeCoefficient, xi: float) -> float:
+    dt = min(1e-3, 0.05 / (abs(xi) * math.sqrt(tc.sup_a() + 1.0)))
     # counted in floats: T / dt can overflow to inf, and dt underflow to 0
-    steps = T / dt if dt > 0.0 else math.inf
+    steps = HORIZON / dt if dt > 0.0 else math.inf
     if not steps <= STEP_BUDGET:
-        raise StepBudgetError(f"{steps:.6g} steps exceed the budget "
-                              f"{STEP_BUDGET} for xi={xi}, T={T}")
-    return T / math.ceil(steps)
+        raise ValueError(f"{steps:.6g} steps exceed the budget "
+                         f"{STEP_BUDGET} for xi={xi}, T={HORIZON}")
+    return HORIZON / math.ceil(steps)
 
 
-def _propagator(tc: TimeCoefficient, xi: float, T: float,
-                dt: Optional[float] = None):
+def _propagator(tc: TimeCoefficient, xi: float, dt: Optional[float] = None):
     """RK4 fundamental matrices of the mode; returns (t, a(t), Phi).
 
     t holds the N + 1 step times, accumulated as t += dt, and Phi has
     shape (N + 1, 2, 2) with y(t_j) = Phi[j] @ y(0) for y = (w, w').
     """
     if dt is None:
-        dt = _mode_dt(tc, xi, T)
-    steps = int(round(T / dt))
+        dt = _mode_dt(tc, xi)
+    steps = int(round(HORIZON / dt))
     t = np.add.accumulate(np.r_[0.0, np.full(steps, dt)])   # as t += dt
     a = tc.fn(t)
     # the generator A(t) = [[0, 1], [-a(t) xi^2, 0]] is N - a(t) xi^2 E
@@ -117,7 +113,7 @@ def _propagator(tc: TimeCoefficient, xi: float, T: float,
     return t, a, Phi
 
 
-def max_energy_growth(tc: TimeCoefficient, xi: float, T: float, eps: float):
+def max_energy_growth(tc: TimeCoefficient, xi: float, eps: float):
     """Worst-case energy amplification max_t sup_u E_eps(t)/E_eps(0).
 
     The fundamental matrix in energy coordinates z = (w', sqrt(a + eps)
@@ -125,7 +121,7 @@ def max_energy_growth(tc: TimeCoefficient, xi: float, T: float, eps: float):
     the amplification over all initial data, free of phase accidents.
     Returns (ratio, steps).
     """
-    t, a, Phi = _propagator(tc, xi, T)
+    t, a, Phi = _propagator(tc, xi)
     omega = np.sqrt(a + eps) * abs(xi)
     # columns: the solutions with z(0) = e1 (w = 0, w' = 1) and
     # z(0) = e2 (w = 1/omega(0), w' = 0)
@@ -137,25 +133,25 @@ def max_energy_growth(tc: TimeCoefficient, xi: float, T: float, eps: float):
 
 
 def growth_exponent_fit(tc: TimeCoefficient, xi_list: Sequence[float],
-                        T: float, k: Optional[int] = None) -> dict:
+                        k: Optional[int] = None) -> dict:
     """Fit log G(xi) = p log|xi| + const over a dyadic ladder.
 
     G(xi) = max_t log(E_eps(t)/E_eps(0)) with eps = |xi|^(-2/(k+2)),
     maximized over initial data (fundamental-matrix norm).  Returns
     slope, intercept, rms residual and the per-frequency table.
     Non-positive growth anywhere is reported with slope 0 and a flag.
-    Raises StepBudgetError before any integration if a ladder entry
-    needs more than STEP_BUDGET steps.
+    Raises ValueError before any integration if a ladder entry needs
+    more than STEP_BUDGET steps.
     """
     if len(xi_list) < 6:
         raise ValueError("need at least 6 ladder frequencies for the fit")
     for xi in xi_list:
-        _mode_dt(tc, xi, T)
+        _mode_dt(tc, xi)
     k_eff = tc.k if k is None else k
     rows = []
     for xi in xi_list:
         eps = abs(xi) ** (-2.0 / (k_eff + 2.0))
-        ratio, steps = max_energy_growth(tc, xi, T, eps)
+        ratio, steps = max_energy_growth(tc, xi, eps)
         G = math.log(ratio) if ratio > 0 else float("-inf")
         rows.append({"xi": xi, "eps": eps, "G": G, "steps": steps})
     Gs = np.array([r["G"] for r in rows])

@@ -3,9 +3,12 @@
 Verbs:
 
     weakhyp run <scenario.json> [...]   execute scenario files
-    weakhyp table [--step S] [--f21-zero]   sigma in [0.3, 0.99], nu = 4
+    weakhyp table [--step S] [--f21-zero]
     weakhyp audit <symbols|metric|quantizer>
-    weakhyp cjs --k K --xi-ladder 16,32,...  on the horizon T = 1
+    weakhyp cjs --k K --xi-ladder 16,32,...
+
+Settings no run varies are constants, not flags: constraints.SIGMA_MIN,
+SIGMA_MAX and NU (the table), cjs.HORIZON and quantize.INVERT_DEPTH.
 
 Scenario files are JSON with a "kind", an "output_dir" and a "config"
 section; unknown config keys are rejected (exit 2) since a silently
@@ -70,7 +73,6 @@ def _int(value) -> bool:
 
 
 # (predicate, what it asks for) of a config value
-REAL = (finite_real, "a finite real")
 NONNEGATIVE = (lambda v: finite_real(v) and v >= 0, "a finite real >= 0")
 POSITIVE = (lambda v: finite_real(v) and v > 0, "a finite real > 0")
 COUNT = (lambda v: _int(v) and v >= 0, "an int >= 0")
@@ -202,7 +204,7 @@ def _write_records(path: str, records: list) -> list:
             for r in records if not r["pass"]]
 
 
-AUDIT_RULES = {"c": REAL, "t": NONNEGATIVE, "coeff": None}
+AUDIT_RULES = {"c": None, "t": NONNEGATIVE, "coeff": None}  # SymbolB checks c
 ORDERS = (lambda v: isinstance(v, list) and all(
     isinstance(o, list) and len(o) == 2 and all(map(COUNT[0], o))
     and sum(o) <= 4 for o in v),
@@ -243,9 +245,9 @@ def _run_metric_audit(cfg_raw: dict, out: str) -> list:
 
 
 QUANTIZER_RULES = AUDIT_RULES | {
-    "sizes": (lambda v: isinstance(v, list) and len(v) > 0 and all(
-        _int(n) and 0 < n <= MAX_SIZE and n & (n - 1) == 0 for n in v),
-        "a non-empty list of power-of-two ints in [1, 2**50]"),
+    "sizes": (lambda v: isinstance(v, list) and len(v) > 0
+              and all(map(Grid.size_ok, v)),
+              "a non-empty list of power-of-two ints in [1, 2**50]"),
     "dump_matrices": BOOL,
 }
 
@@ -286,8 +288,8 @@ def _run_cjs_sweep(cfg_raw: dict, out: str) -> list:
     tc = CJS_PROFILES[profile]()
     ladder = cfg_raw.get("xi_ladder", [2**j for j in range(4, 11)])
     try:
-        fit = cjs.growth_exponent_fit(tc, ladder, T=1.0, k=cfg_raw.get("k"))
-    except cjs.StepBudgetError as err:
+        fit = cjs.growth_exponent_fit(tc, ladder, k=cfg_raw.get("k"))
+    except ValueError as err:
         raise ScenarioError(str(err)) from err
     budget = 2.0 / (fit["k"] + 2.0) + 0.05
     passed = fit["no_growth"] or fit["slope"] <= budget
@@ -311,9 +313,8 @@ TABLE_RULES = {"step": None, "f21_zero": BOOL}
 def _run_constraint_table(cfg_raw: dict, out: str) -> list:
     _check_config(cfg_raw, TABLE_RULES)
     try:
-        records = constraint_table(
-            "0.3", "0.99", str(cfg_raw.get("step", "0.001")),
-            f21_zero=cfg_raw.get("f21_zero", False))
+        records = constraint_table(str(cfg_raw.get("step", "0.001")),
+                                   f21_zero=cfg_raw.get("f21_zero", False))
     except ValueError as err:
         raise ScenarioError(str(err)) from err
     write_csv(os.path.join(out, "table.csv"), records, list(records[0]))

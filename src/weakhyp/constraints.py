@@ -20,6 +20,8 @@ __all__ = [
 ]
 
 MAX_TABLE_ROWS = 100_000  # the most rows one table may have
+NU = 4                    # the calculus depth nu of every row
+SIGMA_MIN, SIGMA_MAX = Fraction("0.3"), Fraction("0.99")  # holds 1/3, 1/2
 
 
 def as_fraction(x) -> Fraction:
@@ -33,16 +35,14 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def constraint_record(sigma, nu: int = 4, f21_zero: bool = False) -> dict:
-    """One table row at the coupling c = 2(1 - sigma): sigma, c, nu,
-    f21_zero, feasible (every slack <= 0), then slack_<name> per active
-    constraint, with sigma, c and the slacks exact Fractions."""
+def constraint_record(sigma, f21_zero: bool = False) -> dict:
+    """One table row at the coupling c = 2(1 - sigma) and nu = NU: sigma,
+    c, nu, f21_zero, feasible (every slack <= 0), then slack_<name> per
+    active constraint, with sigma, c and the slacks exact Fractions."""
     sigma = as_fraction(sigma)
     if not (0 < sigma < 1):
         raise ValueError(f"sigma = {sigma} must lie in (0, 1)")
-    if nu < 0:
-        raise ValueError(f"nu = {nu} must be >= 0")
-    c = 2 * (1 - sigma)
+    nu, c = NU, 2 * (1 - sigma)
     slacks = {
         "transport_error": 1 - c / 2 - sigma,
         "calculus_remainder": c / 2 - 1 + Fraction(1 - sigma, 3 + nu),
@@ -57,20 +57,18 @@ def constraint_record(sigma, nu: int = 4, f21_zero: bool = False) -> dict:
             **{f"slack_{name}": s for name, s in slacks.items()}}
 
 
-def constraint_table(sigma_min, sigma_max, step, nu: int = 4,
-                     f21_zero: bool = False) -> list:
-    """One `constraint_record` row per sigma on the rational grid; a
-    grid of more than MAX_TABLE_ROWS points raises ValueError before
-    any row."""
-    lo, hi, st = (as_fraction(sigma_min), as_fraction(sigma_max),
-                  as_fraction(step))
+def constraint_table(step, f21_zero: bool = False) -> list:
+    """One `constraint_record` row per sigma of the rational grid from
+    SIGMA_MIN by `step` up to SIGMA_MAX; a grid of more than
+    MAX_TABLE_ROWS points raises ValueError before any row."""
+    st = as_fraction(step)
     if st <= 0:
         raise ValueError("step must be positive")
-    n_rows = max(0, math.floor((hi - lo) / st) + 1)
+    n_rows = math.floor((SIGMA_MAX - SIGMA_MIN) / st) + 1
     if n_rows > MAX_TABLE_ROWS:
         raise ValueError(f"the table would have {n_rows} rows, more than "
-                         f"{MAX_TABLE_ROWS}; raise step or narrow the range")
-    return [constraint_record(lo + k * st, nu=nu, f21_zero=f21_zero)
+                         f"{MAX_TABLE_ROWS}; raise step")
+    return [constraint_record(SIGMA_MIN + k * st, f21_zero=f21_zero)
             for k in range(n_rows)]
 
 

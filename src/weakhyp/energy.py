@@ -130,7 +130,8 @@ def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
     right-hand side at (sym.t, u), as `solver.rhs_parts` returns them.
     op(dt b) is quantized once and serves every row; each row takes the
     same operations as a call with that tau alone, so it matches that
-    call bit for bit.  op(b) meets four second rows, of v, D^sigma v
+    call bit for bit.  Per row, u and the two parts are weighted by one
+    stacked transform.  op(b) meets four second rows, of v, D^sigma v
     and the two weighted parts; one matrix product applies it to all
     four, which rounds within a few ulps of four matrix-vector products.
     """
@@ -139,10 +140,9 @@ def dt_energy_breakdown(u: np.ndarray, transport: np.ndarray,
     d_sigma = bracket(grid.xi) ** sigma
     rows = np.empty((len(taus), 5))
     for row, tau in zip(rows, taus):
-        v = weight_values(grid, u, tau, sigma)
+        v, transport_w, source_w = weight_values(
+            grid, np.stack((u, transport, source)), tau, sigma)
         dv = grid.multiply(v, d_sigma)
-        transport_w, source_w = weight_values(
-            grid, np.stack((transport, source)), tau, sigma)
         bv2, bdv2, btransport2, bsource2 = apply(sym.b_matrix, np.stack(
             (v[1], dv[1], transport_w[1], source_w[1]), axis=1)).T
         row[:] = (0.5 * (grid.norm2(v[0]) + grid.norm2(bv2)),

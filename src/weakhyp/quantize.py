@@ -82,6 +82,8 @@ __all__ = [
     "invert_b",
 ]
 
+INVERT_DEPTH = 2   # the corrections c_1, ..., c_nu that invert_b makes
+
 @dataclass
 class SymbolField:
     """Symbol samples on the doubled phase-space lattice.
@@ -227,18 +229,26 @@ def quantize(p: SymbolField) -> np.ndarray:
     return K
 
 
+def _real(A: np.ndarray, name: str) -> np.ndarray:
+    if np.iscomplexobj(A):
+        raise ValueError(f"{name} takes a real matrix, got {A.dtype}")
+    return A
+
+
 def _frobenius(A: np.ndarray) -> float:
     # einsum sums without BLAS: np.linalg.norm's BLAS dot rounds
     # differently under each BLAS thread count
-    return float(np.sqrt(np.einsum("ij,ij->", A, A.conj()).real))
+    return float(np.sqrt(np.einsum("ij,ij->", A, A)))
 
 
 def hermiticity_defect(K: np.ndarray) -> float:
-    """Relative Frobenius distance ||K - K*|| / ||K|| of a kernel."""
+    """Relative Frobenius distance ||K - K^T|| / ||K|| of a real kernel;
+    a complex one raises ValueError."""
+    K = _real(np.asarray(K), "hermiticity_defect")
     scale = _frobenius(K)
     if scale == 0.0:
         return 0.0
-    return _frobenius(K - K.conj().T) / scale
+    return _frobenius(K - K.T) / scale
 
 
 def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
@@ -265,9 +275,7 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     kernel costs 2.13 n^2 doubles beyond `matrix` (2 are the output).
     """
     n = grid.n
-    if np.iscomplexobj(matrix):
-        raise ValueError("dequantize takes a real matrix, got a complex one")
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.asarray(_real(matrix, "dequantize"), dtype=float)
     if matrix.shape != (n, n):
         raise ValueError(f"matrix has shape {matrix.shape}, expected {(n, n)}")
     out = np.zeros((2 * n, n // 2 + 1), dtype=complex)
@@ -323,24 +331,18 @@ class PowerIterationWarning(UserWarning):
 
 
 def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200) -> float:
-    """Largest singular value by blocked power iteration on A* A.
+    """Largest singular value of a real matrix by blocked power
+    iteration on A^T A; a complex matrix raises ValueError.
 
     A single power vector stalls on near-degenerate top singular values
     (frequency multipliers routinely have clustered maxima), so a small
     orthonormal block of 8 seeded vectors is iterated and the top
     Rayleigh-Ritz value tracked until its relative change falls below
-    `tol`.  A real matrix starts from the real part of the block only, so
-    its products stay real.
+    `tol`.
     """
-    A = np.asarray(matrix)
+    A = _real(np.asarray(matrix), "operator_norm")
     n = A.shape[0]
-    block = min(8, n)
-    rng = np.random.default_rng(7)
-    V = rng.normal(size=(n, block))
-    if np.iscomplexobj(A):
-        V = V + 1j * rng.normal(size=(n, block))
-    V, _ = np.linalg.qr(V)
-    AH = A.conj().T
+    V, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(n, min(8, n))))
     est = -1.0
     sigma = 0.0
     change = np.inf
@@ -353,7 +355,7 @@ def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200) -> float:
         if change <= tol:
             return sigma
         est = sigma
-        V, _ = np.linalg.qr(AH @ W)
+        V, _ = np.linalg.qr(A.T @ W)
     warnings.warn(
         f"power iteration did not converge in {max_iter} iterations; "
         f"achieved relative change {change:.3g}",
@@ -362,16 +364,16 @@ def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200) -> float:
     return sigma
 
 
-def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):
+def invert_b(sb: SymbolB, t: float, grid: Grid):
     """Approximate inverse symbol of op(b) by the defect recursion.
 
     c_0 = b^(-1) and c_k = c_{k-1} + b^(-1) (1 - s_k), where s_k is the
     symbol extracted from the exact matrix product M_{k-1} =
     op(b) op(c_{k-1}).  Returns (SymbolField c_nu, defects) with
-    defects[k] = || M_k - Id ||; each M_k is formed once and serves
-    both its defect and the next step.  A defect increase between
-    consecutive steps signals the discretization floor and is reported
-    via warning, not an exception.
+    nu = INVERT_DEPTH and defects[k] = || M_k - Id ||; each M_k is formed
+    once and serves both its defect and the next step.  A defect increase
+    between consecutive steps signals the discretization floor and is
+    reported via warning, not an exception.
 
     The recursion works in place: s_k is dequantized from M_{k-1}
     first, M_{k-1} - Id is then formed in the buffer of M_{k-1} for its
@@ -379,8 +381,7 @@ def invert_b(sb: SymbolB, nu: int, t: float, grid: Grid):
     n = 256 a call peaks at 6.80 n^2 doubles, in the dequantize that
     holds B, c_1, M_1 and s_2 at once.
     """
-    if nu < 0 or nu > 6:
-        raise ValueError(f"nu must be in 0..6, got {nu}")
+    nu = INVERT_DEPTH
     b = sample_symbol_b(sb, grid, t)
     B = quantize(b)
     c = SymbolField(grid, 1.0 / b.samples, time=t, label="c_0", rows=b.rows)

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import (DEFAULT_MAX_EXPONENT, MAX_SIZE, Grid, bracket,
+from .spectral import (DEFAULT_MAX_EXPONENT, STEP_BUDGET, Grid, bracket,
                        finite_real)
 from .symbols import CoefficientField, SymbolB
 from .energy import Symmetrizer, dt_energy_breakdown
@@ -59,7 +59,6 @@ CFL = 0.25           # the step as a fraction of dx / max(1, sup sqrt(a))
 TAU0_BOUND = 2.0     # tau0 < R^(-s)/s of the coefficient's claimed Gevrey
                      # class (s, R) = (1/2, 1); not a measured radius
 PACKET_WIDTH = 0.02  # the Gaussian width of the initial packet in u2
-STEP_BUDGET = 10_000_000  # the most RK4 steps one run may plan
 PACKET_CUT = 5.0     # a packet keeps the frequencies within this many widths
 RATE_FACTOR = 2.0    # an "auto" taudot is this multiple of the threshold
 
@@ -105,11 +104,7 @@ class RunConfig:
     packet_xi: float = 24.0
 
     def __post_init__(self):
-        n = self.n
-        if (isinstance(n, bool) or not isinstance(n, numbers.Integral)
-                or not 0 < n <= MAX_SIZE or n & (n - 1) != 0):
-            raise ValueError(f"n = {n!r} must be a power-of-two int in "
-                             "[1, 2**50]")
+        self.grid           # Grid checks n
         for name in ("sigma", "tau0", "taudot", "packet_xi"):
             value = getattr(self, name)
             if not finite_real(value):

@@ -46,6 +46,9 @@ SQUARE_CAP = math.sqrt(sys.float_info.max)
 #: at once, and near 2**63 elements numpy refuses the shape itself
 MAX_SIZE = 2**50
 
+#: the most time steps one run may plan, of the system or of a cjs mode
+STEP_BUDGET = 10_000_000
+
 
 def finite_real(value) -> bool:
     """A real number, not a bool, within the double range.  An int is
@@ -70,13 +73,20 @@ def bracket(xi):
 @dataclass(frozen=True)
 class Grid:
     """The n equispaced points of the unit period and their dual
-    frequency lattice; n must be a power of two."""
+    frequency lattice; n must be a power of two (`Grid.size_ok`)."""
 
     n: int
 
+    @staticmethod
+    def size_ok(n) -> bool:
+        """n is a power-of-two int, not a bool, in [1, MAX_SIZE]."""
+        return (not isinstance(n, bool) and isinstance(n, numbers.Integral)
+                and 0 < n <= MAX_SIZE and n & (n - 1) == 0)
+
     def __post_init__(self):
-        if self.n <= 0 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a positive power of two, got {self.n}")
+        if not self.size_ok(self.n):
+            raise ValueError(f"n = {self.n!r} must be a power-of-two int in "
+                             "[1, 2**50]")
 
     @property
     def dx(self) -> float:

@@ -227,7 +227,7 @@ class SymbolB:
 
     def __post_init__(self):
         if not (finite_real(self.c) and self.c > 0.0):
-            raise ValueError(f"c = {self.c} must be positive and finite")
+            raise ValueError(f"c = {self.c!r} must be positive and finite")
         if self.c > 2.0 and not self.allow_invalid:
             raise ValueError(
                 f"c = {self.c} violates the uncertainty-principle bound c <= 2 "

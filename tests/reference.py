@@ -3,7 +3,9 @@
 `sample_symbol` samples the half spectrum of a symbol given as a
 function on the doubled lattice; `multiplier_matrix` and
 `multiplication_matrix` build
-the exact matrices that a symbol of xi only and of x only quantize to.
+the exact matrices that a symbol of xi only and of x only quantize to;
+`reference_kernel` is the Weyl kernel of a full-width symbol, gathered
+through the pair geometry of `meshgrid_maps`.
 """
 
 import numpy as np
@@ -32,3 +34,25 @@ def multiplier_matrix(grid: Grid, m: np.ndarray) -> np.ndarray:
 def multiplication_matrix(q_values: np.ndarray) -> np.ndarray:
     """Dense matrix of pointwise multiplication by q(x)."""
     return np.diag(np.asarray(q_values, dtype=complex))
+
+
+def meshgrid_maps(n):
+    """(D0, Mstar) of the torus pair geometry, built from a meshgrid:
+    the residue d0 = (i - j) mod n of every entry (i, j) and its
+    short-arc midpoint m* = (2j + d*) mod 2n, with d* in (-n/2, n/2]."""
+    I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    D0 = (I - J) % n
+    Dstar = np.where(D0 <= n // 2, D0, D0 - n)
+    return D0, (2 * J + Dstar) % (2 * n)
+
+
+def reference_kernel(full):
+    """The Weyl kernel of the (2n, n) samples `full` of all frequency
+    columns, gathered directly through the meshgrid maps."""
+    n = full.shape[1]
+    D0, Mstar = meshgrid_maps(n)
+    c = np.fft.ifft(full, axis=1)
+    weyl = c[Mstar, D0]
+    anti = D0 == n // 2
+    weyl[anti] = 0.5 * (weyl[anti] + c[(Mstar[anti] + n) % (2 * n), n // 2])
+    return weyl

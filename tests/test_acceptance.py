@@ -43,7 +43,7 @@ def test_criterion_1_cjs_exponent():
     ok = True
     for name, tc in (("a(t)=t", coefficient_linear()),
                      ("a(t)=(t-0.5)^2", coefficient_parabola())):
-        fit = growth_exponent_fit(tc, LADDER, T=1.0)
+        fit = growth_exponent_fit(tc, LADDER)
         budget = 2.0 / (fit["k"] + 2.0) + 0.05
         passed = fit["no_growth"] or fit["slope"] <= budget
         ok = ok and passed
@@ -92,10 +92,10 @@ def test_criterion_3_decay_term_necessity():
 
 def test_criterion_4_constraint_engine():
     t0 = time.time()
-    recs = constraint_table("0.3", "0.99", "0.001", nu=4, f21_zero=False)
+    recs = constraint_table("0.001", f21_zero=False)
     m_full = minimal_feasible_sigma(recs)
     coupling_ok = all(r["c"] == 2 * (1 - r["sigma"]) for r in recs)
-    recs0 = constraint_table("0.3", "0.99", "0.001", nu=4, f21_zero=True)
+    recs0 = constraint_table("0.001", f21_zero=True)
     m_f21 = minimal_feasible_sigma(recs0)
     elapsed = time.time() - t0
     ok = (float(m_full) == 0.5 and 0.333 <= float(m_f21) <= 0.334
@@ -212,7 +212,7 @@ def test_criterion_7_quantizer_properties():
     details.append(f"|op(b)^2-op(b^2)|: {norms[0]:.3e} -> {norms[1]:.3e}")
 
     # inversion defect non-increasing over nu = 0, 1, 2
-    _, defects = invert_b(sb1, 2, 0.0, Grid(256))
+    _, defects = invert_b(sb1, 0.0, Grid(256))
     inv_ok = defects[0] >= defects[1] >= defects[2]
     details.append("defects " + " >= ".join(f"{d:.2e}" for d in defects))
 

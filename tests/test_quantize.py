@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from reference import multiplication_matrix, multiplier_matrix, sample_symbol
+from reference import (meshgrid_maps, multiplication_matrix,
+                       multiplier_matrix, reference_kernel, sample_symbol)
 from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map,
                               apply, dequantize, distinct_rows,
                               hermiticity_defect,
@@ -58,18 +59,14 @@ class TestQuantizeReductions:
         B = quantize(sample_symbol_b(sb_c1, grid128, 0.0))
         assert hermiticity_defect(B) <= 1e-10
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_hermiticity_defect_matches_exact_sums(self, rng, dtype):
+    def test_hermiticity_defect_matches_exact_sums(self, rng):
         def frobenius(A):
             # math.fsum rounds the sum of the squares once
-            return math.sqrt(math.fsum(
-                np.concatenate([A.real.ravel(), A.imag.ravel()]) ** 2))
+            return math.sqrt(math.fsum(A.ravel() ** 2))
 
-        K = rng.normal(size=(64, 64)).astype(dtype)
-        if dtype is complex:
-            K += 1j * rng.normal(size=(64, 64))
-        K += K.conj().T + 1e-9 * rng.normal(size=(64, 64))
-        exact = frobenius(K - K.conj().T) / frobenius(K)
+        K = rng.normal(size=(64, 64))
+        K += K.T + 1e-9 * rng.normal(size=(64, 64))
+        exact = frobenius(K - K.T) / frobenius(K)
         assert 1e-11 < exact < 1e-8
         assert hermiticity_defect(K) == pytest.approx(exact, rel=1e-13)
         assert hermiticity_defect(np.zeros((4, 4))) == 0.0
@@ -122,22 +119,12 @@ class TestDequantize:
         assert peak <= 2.5 * 8 * n ** 2
 
 
-def _meshgrid_maps(n):
-    """(D0, Mstar) of the torus pair geometry, built from a meshgrid:
-    the residue d0 = (i - j) mod n of every entry (i, j) and its
-    short-arc midpoint m* = (2j + d*) mod 2n, with d* in (-n/2, n/2]."""
-    I, J = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    D0 = (I - J) % n
-    Dstar = np.where(D0 <= n // 2, D0, D0 - n)
-    return D0, (2 * J + Dstar) % (2 * n)
-
-
 def _slot_array(K):
     """The (2n, n) difference profiles of K: each entry at its slot
     (m*, d0), the antipodal column symmetrized over both torus
     midpoints, the unseen slots zero."""
     n = K.shape[0]
-    D0, Mstar = _meshgrid_maps(n)
+    D0, Mstar = meshgrid_maps(n)
     c = np.zeros((2 * n, n), dtype=K.dtype)
     c[Mstar, D0] = K
     anti = D0 == n // 2
@@ -155,22 +142,10 @@ def _roll_fill(c):
     return np.where(unseen, fill, c)
 
 
-def _reference_kernel(full):
-    """The Weyl kernel of the (2n, n) samples `full` of all frequency
-    columns, gathered directly through the meshgrid maps."""
-    n = full.shape[1]
-    D0, Mstar = _meshgrid_maps(n)
-    c = np.fft.ifft(full, axis=1)
-    weyl = c[Mstar, D0]
-    anti = D0 == n // 2
-    weyl[anti] = 0.5 * (weyl[anti] + c[(Mstar[anti] + n) % (2 * n), n // 2])
-    return weyl
-
-
 class TestWeylGatherCache:
     @pytest.mark.parametrize("n", [1, 2, 4, 64, 256])
     def test_wrapped_difference_equals_meshgrid_maps(self, n):
-        D0, Mstar = _meshgrid_maps(n)
+        D0, Mstar = meshgrid_maps(n)
         index = _slot_map(n).index
         # numpy gathers fastest through intp indices
         assert index.dtype == np.intp
@@ -254,7 +229,7 @@ def _random_half(n, seed, dtype, u=None):
 def _assert_reference_kernel(K, full):
     """K is real and the oracle's kernel of the (2n, n) field `full`,
     whose imaginary part is roundoff, to a few ulps."""
-    weyl = _reference_kernel(full)
+    weyl = reference_kernel(full)
     scale = np.abs(K).max()
     assert K.dtype == np.float64
     assert np.abs(K - weyl.real).max() <= 4 * EPS * scale
@@ -299,7 +274,7 @@ class TestRealKernels:
             return K
 
         monkeypatch.setattr(quantize_module, "quantize", recording)
-        invert_b(sb_c1, 2, 0.02, grid64)
+        invert_b(sb_c1, 0.02, grid64)
         assert dtypes == [np.float64] * 4
 
     def test_norm_of_real_matrix_is_top_singular_value(self, rng):
@@ -339,8 +314,8 @@ class TestHalfSpectrum:
         # the recursion runs in place on (2n, n/2 + 1) half spectra and
         # peaks at 7.69 n^2 doubles; one copy of a correction adds 2
         grid = Grid(256)
-        invert_b(sb_c1, 2, 0.0, grid)   # builds the index caches
-        peak = _traced_peak(invert_b, sb_c1, 2, 0.0, grid)
+        invert_b(sb_c1, 0.0, grid)   # builds the index caches
+        peak = _traced_peak(invert_b, sb_c1, 0.0, grid)
         assert peak <= 7.75 * 8 * grid.n ** 2
 
 
@@ -527,12 +502,20 @@ class TestOperatorNorm:
     def test_identity(self):
         assert operator_norm(np.eye(32)) == pytest.approx(1.0, rel=1e-8)
 
+    @pytest.mark.parametrize("fn", [operator_norm, hermiticity_defect])
+    def test_complex_matrices_are_rejected(self, fn):
+        # a complex dtype is rejected even with zero imaginary parts
+        with pytest.raises(ValueError, match="real matrix"):
+            fn(np.eye(8, dtype=complex))
+
     def test_zero(self):
         assert operator_norm(np.zeros((16, 16))) == 0.0
 
     def test_multiplier_norm_is_sup(self, grid64):
-        mv = 1.0 + 0.5 * np.sin(grid64.xi / 7.0)
-        M = multiplier_matrix(grid64, mv)
+        # even in xi, so the matrix is real; its top singular value is
+        # double, at xi = +-11
+        mv = 1.0 + 0.5 * np.sin(np.abs(grid64.xi) / 7.0)
+        M = multiplier_matrix(grid64, mv).real
         assert operator_norm(M, max_iter=500) == pytest.approx(
             np.max(np.abs(mv)), rel=1e-6)
 
@@ -588,13 +571,20 @@ def reference_invert_b(sb, nu, t, grid):
     return c, defects
 
 
+def _depth(monkeypatch, nu):
+    """invert_b runs nu corrections: the recursion at other depths."""
+    monkeypatch.setattr(quantize_module, "INVERT_DEPTH", nu)
+
+
 class TestInvertB:
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("nu", [0, 2])
     @pytest.mark.parametrize("t", [0.0, 0.02])
-    def test_equals_double_product_recursion(self, sb_c1, n, nu, t):
+    def test_equals_double_product_recursion(self, sb_c1, n, nu, t,
+                                             monkeypatch):
+        _depth(monkeypatch, nu)
         grid = Grid(n)
-        field, defects = invert_b(sb_c1, nu, t, grid)
+        field, defects = invert_b(sb_c1, t, grid)
         c, reference = reference_invert_b(sb_c1, nu, t, grid)
         assert np.array_equal(defects, reference)
         assert np.array_equal(field.samples[field.rows], c)
@@ -610,31 +600,30 @@ class TestInvertB:
             return quantize(p)
 
         monkeypatch.setattr(quantize_module, "quantize", counting)
-        invert_b(sb_c1, nu, 0.0, grid64)
+        _depth(monkeypatch, nu)
+        invert_b(sb_c1, 0.0, grid64)
         assert len(calls) == nu + 2
 
-    def test_pure_multiplier_inverts_at_order_zero(self, frozen_zero_coeff, grid64):
+    def test_pure_multiplier_inverts_at_order_zero(self, frozen_zero_coeff,
+                                                   grid64):
         sb = SymbolB(frozen_zero_coeff, c=1.0)
-        _, defects = invert_b(sb, 0, 0.0, grid64)
-        assert defects[0] < 1e-12
+        _, defects = invert_b(sb, 0.0, grid64)
+        assert len(defects) == quantize_module.INVERT_DEPTH + 1 == 3
+        assert max(defects) < 1e-12
 
     def test_defect_positive_for_x_dependent_symbol(self, sb_c1, grid64):
-        _, defects = invert_b(sb_c1, 0, 0.02, grid64)
+        _, defects = invert_b(sb_c1, 0.02, grid64)
         assert defects[0] > 1e-6
 
     def test_defects_non_increasing(self, sb_c1):
         g = Grid(256)
-        _, defects = invert_b(sb_c1, 2, 0.0, g)
+        _, defects = invert_b(sb_c1, 0.0, g)
         assert defects[1] <= defects[0]
         assert defects[2] <= defects[1]
 
     def test_returned_symbol_quantizes_near_inverse(self, sb_c1, grid64):
-        field, defects = invert_b(sb_c1, 2, 0.0, grid64)
+        field, defects = invert_b(sb_c1, 0.0, grid64)
         B = quantize(sample_symbol_b(sb_c1, grid64, 0.0))
         C = quantize(field)
         assert operator_norm(B @ C - np.eye(grid64.n)) == pytest.approx(
             defects[-1], rel=1e-6)
-
-    def test_rejects_large_nu(self, sb_c1, grid64):
-        with pytest.raises(ValueError):
-            invert_b(sb_c1, 7, 0.0, grid64)
