@@ -312,7 +312,7 @@ def quantizer_audit(sb: SymbolB, t: float, sizes) -> list:
         R -= quantize(SymbolField(grid, bf.samples**2, time=t, label="b^2",
                                   rows=bf.rows))
         comp_norms.append(operator_norm(R))
-        del B, R   # free this size's kernels before the next size
+        del R   # the last size's B goes on to invert_b
         records.append({"check": f"compose_norm_n{n}",
                         "constant": comp_norms[-1], "pass": True})
     for lo, hi in zip(comp_norms, comp_norms[1:]):
@@ -323,7 +323,7 @@ def quantizer_audit(sb: SymbolB, t: float, sizes) -> list:
         records.append({"check": "compose_norm_decreases",
                         "constant": ratio, "margin": margin, "pass": hi < lo})
 
-    _, defects = invert_b(sb, t, grid)   # the last size
+    _, defects = invert_b(bf, B)   # the last size's field and kernel
     records.append({"check": "invert_defects", "constant": defects[-1],
                     "pass": defects[0] >= defects[1] >= defects[2],
                     "defects": defects})

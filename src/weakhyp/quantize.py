@@ -48,13 +48,20 @@ profiles live at the head of each row of the float view of the output
 (row stride n + 2), so an n = 1024 kernel costs 2.13 n^2 doubles, 2 of
 them the output.
 
-The slot map depends on n only: one n^2 flat index m* * n + d0 (intp,
-8 bytes per entry), built once and cached (read-only) for the last
-size seen, so a run over several sizes holds the index of one.  The
-gather of `quantize` reads it as is for an unmapped field, and
-`dequantize` scatters every kernel through it.  A row-mapped field
-reads one more n^2 index, `rows[m*] * n + d0`, cached for the last row
-map seen: the two kernels of a Symmetrizer record share their row map.
+The slot map depends on n only, and no n^2 copy of it is kept: the
+shift (i, j) -> (i + 1, j + 1) keeps the difference and moves the
+midpoint by 2, so every kernel row's slots m* * n + d0 are row 0's,
+shifted, plus 2n per row mod 2n^2.  Row 0 (n entries, cached for the
+last size seen) gives the slots of each block of 64 rows: `quantize`
+gathers an unmapped field block by block into its output, and
+`dequantize` scatters each block of the kernel to its positions in the
+float view of its output, from the same kind of row.  A row-mapped
+field reads one n^2 gather index, `rows[m*] * n + d0` (intp, 8 bytes
+per entry), built block by block and cached for the last row map seen:
+the two kernels of a Symmetrizer record share their row map, and in
+the n = 512 headline run all records have the same.  A full-field
+`quantize` or a `dequantize` drops it, so after either no n^2 array
+stays cached.
 """
 
 from __future__ import annotations
@@ -147,51 +154,80 @@ def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
                        label="b", rows=rows)
 
 
-class _SlotMap(NamedTuple):
-    """The (midpoint, difference) slot of every kernel entry.
+class _SlotRow(NamedTuple):
+    """Row 0 of the slot map, from which every kernel row follows.
 
-    Entry (i, j) reads slot index[i, j] = m* * n + d0 of the flat (2n, n)
-    difference profiles: the difference residue d0 = (i - j) mod n and
-    the short-arc midpoint index m* = (2j + d*) mod 2n on the doubled
-    lattice, with d* the representative of d0 in (-n/2, n/2].
+    Entry (i, j) reads slot m* * n + d0 of the flat (2n, n) difference
+    profiles: the difference residue d0 = (i - j) mod n and the
+    short-arc midpoint index m* = (2j + d*) mod 2n on the doubled
+    lattice, with d* the representative of d0 in (-n/2, n/2].  The shift
+    (i, j) -> (i + 1, j + 1) keeps d0 and moves m* by 2, so row i is row
+    0 shifted right by i places plus 2in, mod 2n^2 (`_shifted_rows`).
+    `slots` holds row 0 twice over, and `pos` likewise its positions
+    m* * w + d0 in the float view of a (2n, n // 2 + 1) complex half
+    spectrum, of row stride w = n + 2 (2 at n = 1).
+
     At the antipodal column d0 = n/2 the two torus midpoints m* and
     m* + n are equally valid; callers average over them, which keeps
     real symbols exactly Hermitian.  `anti` holds the flat kernel
     positions of that column and `anti_t` their transposes, the other
-    midpoint of each for n >= 2; at n = 1 both are the one entry.
+    midpoint of each for n >= 2 (at n = 1 both are the one entry), and
+    `mid` the midpoint m* of each.
     """
 
-    index: np.ndarray
+    slots: np.ndarray
+    pos: np.ndarray
     anti: np.ndarray
     anti_t: np.ndarray
+    mid: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
-def _slot_map(n: int) -> _SlotMap:
-    i = np.arange(n)
-    # n is a power of two, so masks reduce mod n and mod 2n; the index
-    # is built in place beside D0
-    D0 = (i[:, None] - i[None, :]) & (n - 1)
-    index = D0 + 2 * i
-    np.subtract(index, n, out=index, where=D0 > n // 2)
-    index &= 2 * n - 1
-    index *= n
-    index += D0
-    # row i meets d0 = n/2 at column j = (i + n/2) mod n
-    j = (i + n // 2) & (n - 1)
-    slots = _SlotMap(index=index, anti=i * n + j, anti_t=j * n + i)
-    for arr in slots:
+def _slot_row(n: int) -> _SlotRow:
+    j = np.arange(n, dtype=np.intp)
+    # n is a power of two, so masks reduce mod n and mod 2n
+    d0 = -j & (n - 1)
+    m = (2 * j + np.where(d0 > n // 2, d0 - n, d0)) & (2 * n - 1)
+    # row i meets d0 = n/2 at column a = (i + n/2) mod n
+    a = (j + n // 2) & (n - 1)
+    row = _SlotRow(slots=np.tile(m * n + d0, 2),
+                   pos=np.tile(m * (2 * (n // 2 + 1)) + d0, 2),
+                   anti=j * n + a, anti_t=a * n + j,
+                   mid=(2 * a + n // 2) & (2 * n - 1))
+    for arr in row:
         arr.setflags(write=False)
-    return slots
+    return row
+
+
+def _shifted_rows(row: np.ndarray, step: int, size: int = 64):
+    """(rows, values) of each block of `size` kernel rows: row i holds
+    row 0 shifted right by i places plus i * step, mod n * step.
+
+    `row` is row 0 twice over, so row i is the window of n entries that
+    starts at n - i.  The values of every block share one intp buffer.
+    """
+    n = len(row) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(row, n)
+    buf = np.empty((min(size, n), n), dtype=np.intp)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        v = buf[:hi - lo]
+        np.add(windows[n - lo:n - hi:-1], step * np.arange(lo, hi)[:, None],
+               out=v)
+        # both terms lie below n * step: one subtraction wraps the sum
+        np.subtract(v, n * step, out=v, where=v >= n * step)
+        yield slice(lo, hi), v
 
 
 _last_flat_index: Optional[tuple] = None
 
 
-def _flat_index(rows: np.ndarray) -> np.ndarray:
+def _flat_index(rows: np.ndarray) -> Optional[np.ndarray]:
     """The flat slots rows[m*] * n + d0 of the row map `rows` in the
-    (u * n) difference profiles (read-only), kept for the last map
-    seen.  The identity map reads the slot index itself."""
+    (u * n) difference profiles (read-only, n^2 intp), kept for the
+    last map seen; None for the identity map, whose slots `quantize`
+    takes block by block.  An identity map drops the kept index, and so
+    does `dequantize`."""
     global _last_flat_index
     hit = _last_flat_index
     if hit is not None and np.array_equal(hit[0], rows):
@@ -199,13 +235,15 @@ def _flat_index(rows: np.ndarray) -> np.ndarray:
     # the old index goes first, so two are never held at once
     _last_flat_index = None
     n = rows.shape[0] // 2
-    g = _slot_map(n)
-    if np.array_equal(rows, np.arange(2 * n)):
-        return g.index
     # slot m* * n + d0 moves by (rows[m*] - m*) * n
     offset = (rows - np.arange(2 * n)) * n
-    index = offset[g.index >> (n.bit_length() - 1)]
-    index += g.index
+    if not offset.any():
+        return None
+    index = np.empty((n, n), dtype=np.intp)
+    log2n = n.bit_length() - 1
+    for block, slots in _shifted_rows(_slot_row(n).slots, 2 * n):
+        np.take(offset, slots >> log2n, out=index[block], mode="clip")
+        index[block] += slots
     index.setflags(write=False)
     _last_flat_index = (rows.copy(), index)
     return index
@@ -218,12 +256,20 @@ def quantize(p: SymbolField) -> np.ndarray:
     kernel equals that of the expanded field `samples[rows]`.
     """
     n = p.grid.n
-    g = _slot_map(n)
+    g = _slot_row(n)
     # the index comes first: built after the transform, on a cache miss,
     # it lands elsewhere on the heap, and the quantizer audit at
     # n = 256..1024 peaked 8 MB higher in RSS
     index = _flat_index(p.rows)
-    K = np.fft.irfft(p.samples, n, axis=1).reshape(-1)[index]
+    h = np.fft.irfft(p.samples, n, axis=1).reshape(-1)
+    if index is None:
+        K = np.empty((n, n))
+        # every slot is in range; "clip" spares the copy of `out` that
+        # the default mode makes
+        for block, slots in _shifted_rows(g.slots, 2 * n):
+            h.take(slots, out=K[block], mode="clip")
+    else:
+        K = h[index]
     Kf = K.reshape(-1)
     Kf[g.anti] = 0.5 * (Kf[g.anti] + Kf[g.anti_t])
     return K
@@ -278,21 +324,21 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     matrix = np.asarray(_real(matrix, "dequantize"), dtype=float)
     if matrix.shape != (n, n):
         raise ValueError(f"matrix has shape {matrix.shape}, expected {(n, n)}")
+    global _last_flat_index
+    _last_flat_index = None   # no gather index is held beside the output
     out = np.zeros((2 * n, n // 2 + 1), dtype=complex)
     # the (2n, n) difference profiles c fill the head of each output row
-    c = out.view(np.float64)[:, :n]
-    g = _slot_map(n)
-    # slot m* * n + d0 lies at m* * (n + 2) + d0 of the flat output
-    # (at n = 1 the one slot is 0)
-    flat, log2n = out.view(np.float64).reshape(-1), n.bit_length() - 1
-    for rows in _row_blocks(n):
-        slot = g.index[rows]
-        flat[slot + 2 * (slot >> log2n)] = matrix[rows]
+    rowwise = out.view(np.float64)
+    c = rowwise[:, :n]
+    g = _slot_row(n)
+    flat = rowwise.reshape(-1)
+    for rows, pos in _shifted_rows(g.pos, 2 * rowwise.shape[1]):
+        flat[pos] = matrix[rows]
+    del pos   # the block buffer
     mf = matrix.reshape(-1)
     # the transpose's own slot is the other torus midpoint of (i, j):
     # writing each entry's slot symmetrizes both
-    mid = g.index.reshape(-1)[g.anti] >> log2n
-    c[mid, n // 2] = 0.5 * (mf[g.anti] + mf[g.anti_t])
+    c[g.mid, n // 2] = 0.5 * (mf[g.anti] + mf[g.anti_t])
     # an unseen slot (row and residue of unlike parity) is the mean of
     # the seen slots in the midpoint rows before and after it: row 2r
     # of odd residues from rows 2r + 1 and 2r - 1, row 2r + 1 of even
@@ -364,26 +410,28 @@ def operator_norm(matrix, tol: float = 1e-8, max_iter: int = 200) -> float:
     return sigma
 
 
-def invert_b(sb: SymbolB, t: float, grid: Grid):
+def invert_b(b: SymbolField, B: np.ndarray):
     """Approximate inverse symbol of op(b) by the defect recursion.
 
-    c_0 = b^(-1) and c_k = c_{k-1} + b^(-1) (1 - s_k), where s_k is the
-    symbol extracted from the exact matrix product M_{k-1} =
-    op(b) op(c_{k-1}).  Returns (SymbolField c_nu, defects) with
-    nu = INVERT_DEPTH and defects[k] = || M_k - Id ||; each M_k is formed
-    once and serves both its defect and the next step.  A defect increase
-    between consecutive steps signals the discretization floor and is
-    reported via warning, not an exception.
+    `b` is the sampled symbol b, as `sample_symbol_b` returns it, and
+    `B = quantize(b)` its kernel, both the caller's.  c_0 = b^(-1) and
+    c_k = c_{k-1} + b^(-1) (1 - s_k), where s_k is the symbol extracted
+    from the exact matrix product M_{k-1} = op(b) op(c_{k-1}).  Returns
+    (SymbolField c_nu, defects) with nu = INVERT_DEPTH and defects[k] =
+    || M_k - Id ||; each M_k is formed once and serves both its defect
+    and the next step.  A defect increase between consecutive steps
+    signals the discretization floor and is reported via warning, not an
+    exception.
 
     The recursion works in place: s_k is dequantized from M_{k-1}
     first, M_{k-1} - Id is then formed in the buffer of M_{k-1} for its
     defect, and c_k in the buffer of s_k, row block by row block.  At
-    n = 256 a call peaks at 6.80 n^2 doubles, in the dequantize that
-    holds B, c_1, M_1 and s_2 at once.
+    n = 256 a call, with the sampling and quantization of b before it,
+    peaks at 6.80 n^2 doubles, in the dequantize that holds B, c_1, M_1
+    and s_2 at once.
     """
     nu = INVERT_DEPTH
-    b = sample_symbol_b(sb, grid, t)
-    B = quantize(b)
+    grid, t = b.grid, b.time
     c = SymbolField(grid, 1.0 / b.samples, time=t, label="c_0", rows=b.rows)
     defects = []
     for k in range(nu + 1):

@@ -275,21 +275,24 @@ def _max_ratio_sum(budget: np.ndarray) -> float:
 def _record(traj: Trajectory, k: int):
     """(u, transport, source, sym) of record k, the leading arguments of
     `dt_energy_breakdown`: its state, the two parts of its right-hand
-    side and its Symmetrizer (t = 0 reuses the trajectory's).
+    side and its Symmetrizer.  Record 0 takes the trajectory's t = 0
+    Symmetrizer, once: the trajectory lets go of it, and a later record
+    0 builds its own.
 
     One record serves every tau it is observed at.  The observing loops
     hold a record until the next one is built, as a plain loop over the
-    records does, so at most three Symmetrizers live at once: the
-    trajectory's, the held one and the one being built.  Freeing each
-    record's kernels before the next build let the allocator hand their
-    pages back, and one `observe` of the n = 512 headline run then took
-    about 91 000 page faults instead of 3 500 to 6 500, and about 40 %
-    more time.  Raises SolverBlowupError where the right-hand side is
-    not finite.
+    records does, so at most two Symmetrizers live at once: the held
+    one and the one being built.  Freeing each record's kernels before
+    the next build let the allocator hand their pages back, and one
+    `observe` of the n = 512 headline run then took about 91 000 page
+    faults instead of 3 500 to 6 500, and about 40 % more time.  Raises
+    SolverBlowupError where the right-hand side is not finite.
     """
     cfg, t, u = traj.cfg, traj.times[k], traj.states[k]
-    sym = traj.sym0 if t == traj.sym0.t else Symmetrizer(
-        cfg.grid, cfg.symbol_b(), t)
+    if k == 0 and traj.sym0 is not None:
+        sym, traj.sym0 = traj.sym0, None
+    else:
+        sym = Symmetrizer(cfg.grid, cfg.symbol_b(), t)
     return (u, *rhs_parts(cfg, t, u), sym)
 
 
@@ -315,7 +318,8 @@ class Trajectory:
 
     `states[k]` is the (2, n) state at `times[k]`: t = 0, every
     `sample_stride` steps and the last step.  `sym0` is the t = 0
-    Symmetrizer and `initial_energy` the energy E0 it measured.  Neither
+    Symmetrizer and `initial_energy` the energy E0 it measured; the
+    first record observed takes `sym0` over and leaves None.  Neither
     the flow nor a Symmetrizer depends on taudot, so the trajectory
     serves every rate with its horizon t_end: the pilot of an "auto"
     rate and, where it ends at T, that rate itself.
@@ -325,7 +329,7 @@ class Trajectory:
     times: list
     states: list
     initial_energy: float
-    sym0: Symmetrizer
+    sym0: Symmetrizer | None
     aborted: bool = False
     abort_reason: str = ""
 

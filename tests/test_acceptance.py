@@ -212,7 +212,8 @@ def test_criterion_7_quantizer_properties():
     details.append(f"|op(b)^2-op(b^2)|: {norms[0]:.3e} -> {norms[1]:.3e}")
 
     # inversion defect non-increasing over nu = 0, 1, 2
-    _, defects = invert_b(sb1, 0.0, Grid(256))
+    b = sample_symbol_b(sb1, Grid(256), 0.0)
+    _, defects = invert_b(b, quantize(b))
     inv_ok = defects[0] >= defects[1] >= defects[2]
     details.append("defects " + " >= ".join(f"{d:.2e}" for d in defects))
 

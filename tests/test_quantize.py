@@ -7,7 +7,8 @@ import pytest
 
 from reference import (meshgrid_maps, multiplication_matrix,
                        multiplier_matrix, reference_kernel, sample_symbol)
-from weakhyp.quantize import (PowerIterationWarning, SymbolField, _slot_map,
+from weakhyp.quantize import (PowerIterationWarning, SymbolField,
+                              _shifted_rows, _slot_row,
                               apply, dequantize, distinct_rows,
                               hermiticity_defect,
                               invert_b, operator_norm, quantize,
@@ -142,15 +143,38 @@ def _roll_fill(c):
     return np.where(unseen, fill, c)
 
 
-class TestWeylGatherCache:
-    @pytest.mark.parametrize("n", [1, 2, 4, 64, 256])
-    def test_wrapped_difference_equals_meshgrid_maps(self, n):
-        D0, Mstar = meshgrid_maps(n)
-        index = _slot_map(n).index
+def _stacked_rows(row, step, size):
+    """Every block of `_shifted_rows`, copied and stacked; checks the
+    row slices cover the kernel rows in order."""
+    n, lo, blocks = len(row) // 2, 0, []
+    for rows, values in _shifted_rows(row, step, size):
+        assert (rows.start, rows.stop) == (lo, min(lo + size, n))
         # numpy gathers fastest through intp indices
-        assert index.dtype == np.intp
-        assert np.array_equal(index, Mstar * n + D0)
-        assert not index.flags.writeable
+        assert values.dtype == np.intp
+        blocks.append(values.copy())
+        lo = rows.stop
+    assert lo == n
+    return np.concatenate(blocks)
+
+
+class TestWeylGatherCache:
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
+    def test_wrapped_difference_equals_meshgrid_maps(self, n):
+        # blocks of 3 and 5 rows end mid-matrix, and so do those of 64
+        # rows at n = 256 but for the last one
+        D0, Mstar = meshgrid_maps(n)
+        row = _slot_row(n)
+        w = 2 * (n // 2 + 1)   # the row stride of a half spectrum's floats
+        for size in (64, 3, 5):
+            assert np.array_equal(_stacked_rows(row.slots, 2 * n, size),
+                                  Mstar * n + D0)
+            assert np.array_equal(_stacked_rows(row.pos, 2 * w, size),
+                                  Mstar * w + D0)
+        anti = D0.reshape(-1)[row.anti] == n // 2
+        assert anti.all() and len(row.anti) == n
+        assert np.array_equal(row.mid, Mstar.reshape(-1)[row.anti])
+        assert np.array_equal(row.anti_t,
+                              (row.anti % n) * n + row.anti // n)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
     def test_cached_kernels_equal_direct_gather(self, n):
@@ -166,23 +190,25 @@ class TestWeylGatherCache:
         assert np.array_equal(quantize(p), [[1.0]])
 
     def test_cached_arrays_are_read_only(self):
+        # the slot row holds n or 2n entries per array, no n^2 one
         for n in (1, 16):
-            slots = _slot_map(n)
-            for arr in slots:
+            row = _slot_row(n)
+            for arr in row:
                 assert not arr.flags.writeable
+                assert arr.dtype == np.intp and arr.size <= 2 * n
             with pytest.raises(ValueError):
-                slots.index[0, 0] = 0
+                row.slots[0] = 0
 
     def test_index_maps_built_once_per_n(self, grid64):
-        _slot_map.cache_clear()
+        _slot_row.cache_clear()
         try:
             p = sample_symbol(grid64, lambda x, xi: np.cos(2 * np.pi * x) + xi)
             first = quantize(p)
             second = quantize(p)
             dequantize(first, grid64)
-            misses = _slot_map.cache_info().misses
+            misses = _slot_row.cache_info().misses
         finally:
-            _slot_map.cache_clear()
+            _slot_row.cache_clear()
         assert misses == 1
         assert np.array_equal(first, second)
 
@@ -274,7 +300,7 @@ class TestRealKernels:
             return K
 
         monkeypatch.setattr(quantize_module, "quantize", recording)
-        invert_b(sb_c1, 0.02, grid64)
+        _invert_b(sb_c1, 0.02, grid64)
         assert dtypes == [np.float64] * 4
 
     def test_norm_of_real_matrix_is_top_singular_value(self, rng):
@@ -311,12 +337,20 @@ class TestHalfSpectrum:
             SymbolField(Grid(n), half)
 
     def test_invert_b_peak_memory(self, sb_c1):
-        # the recursion runs in place on (2n, n/2 + 1) half spectra and
-        # peaks at 7.69 n^2 doubles; one copy of a correction adds 2
+        # sampling b, its kernel and the recursion, which runs in place
+        # on (2n, n/2 + 1) half spectra, peak at 6.80 n^2 doubles; one
+        # copy of a correction adds 2
         grid = Grid(256)
-        invert_b(sb_c1, 0.0, grid)   # builds the index caches
-        peak = _traced_peak(invert_b, sb_c1, 0.0, grid)
-        assert peak <= 7.75 * 8 * grid.n ** 2
+        _invert_b(sb_c1, 0.0, grid)   # builds the slot row
+        peak = _traced_peak(_invert_b, sb_c1, 0.0, grid)
+        assert peak <= 6.85 * 8 * grid.n ** 2
+
+
+def _invert_b(sb, t, grid):
+    """invert_b of b sampled at t on `grid` and its kernel, both
+    formed through the module's quantize."""
+    b = sample_symbol_b(sb, grid, t)
+    return invert_b(b, quantize_module.quantize(b))
 
 
 def _traced_peak(fn, *args):
@@ -388,7 +422,7 @@ class TestRowMappedFields:
         mapped = quantize(SymbolField(grid, samples, rows=rows))
         expanded = quantize(SymbolField(grid, samples[rows]))
         assert np.array_equal(mapped, expanded)
-        anti = _slot_map(n).anti
+        anti = _slot_row(n).anti
         assert np.array_equal(mapped.reshape(-1)[anti],
                               expanded.reshape(-1)[anti])
 
@@ -473,14 +507,44 @@ class TestFlatIndexCache:
 
     @pytest.mark.parametrize("n", [1, 2, 64])
     def test_identity_map_gathers_through_the_slot_index(self, n):
-        # no second n^2 array: the gather index of an unmapped field is
-        # the resident slot index itself
-        rows = SymbolField(Grid(n), np.ones((2 * n, n // 2 + 1))).rows
-        assert quantize_module._flat_index(rows) is _slot_map(n).index
+        # no n^2 gather index: an unmapped field reads the slots m* * n
+        # + d0 themselves, block by block from the slot row
+        half = _random_half(n, n, float)
+        p = SymbolField(Grid(n), half)
+        assert quantize_module._flat_index(p.rows) is None
+        D0, Mstar = meshgrid_maps(n)
+        K = np.fft.irfft(half, n, axis=1)[Mstar, D0]
+        anti = D0 == n // 2
+        K[anti] = 0.5 * (K + K.T)[anti]
+        assert np.array_equal(quantize(p), K)
+
+    def _square_arrays(self, n):
+        """The cached arrays of n^2 entries or more at size n."""
+        cached = list(_slot_row(n))
+        if quantize_module._last_flat_index is not None:
+            cached.extend(quantize_module._last_flat_index)
+        return [a for a in cached if a.size >= n * n]
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_only_a_row_mapped_quantize_caches_a_square_array(self, n):
+        grid = Grid(n)
+        samples, rows = _random_row_map(n, 13 * n)
+        mapped = SymbolField(grid, samples, rows=rows)
+        K = quantize(mapped)
+        (index,) = self._square_arrays(n)
+        assert index.shape == (n, n)
+        dequantize(K, grid)
+        assert self._square_arrays(n) == []
+        quantize(mapped)
+        assert len(self._square_arrays(n)) == 1
+        quantize(SymbolField(grid, samples[rows]))
+        assert self._square_arrays(n) == []
+        dequantize(K, grid)
+        assert self._square_arrays(n) == []
 
     def test_unmapped_field_releases_the_cached_index(self, grid64):
         # an unmapped field after a mapped one leaves no gather index
-        # of the mapped one alive beside the slot index
+        # of the mapped one alive
         samples, rows = _random_row_map(64, 11)
         quantize(SymbolField(grid64, samples, rows=rows))
         assert quantize_module._last_flat_index is not None
@@ -584,7 +648,7 @@ class TestInvertB:
                                              monkeypatch):
         _depth(monkeypatch, nu)
         grid = Grid(n)
-        field, defects = invert_b(sb_c1, t, grid)
+        field, defects = _invert_b(sb_c1, t, grid)
         c, reference = reference_invert_b(sb_c1, nu, t, grid)
         assert np.array_equal(defects, reference)
         assert np.array_equal(field.samples[field.rows], c)
@@ -601,28 +665,28 @@ class TestInvertB:
 
         monkeypatch.setattr(quantize_module, "quantize", counting)
         _depth(monkeypatch, nu)
-        invert_b(sb_c1, 0.0, grid64)
+        _invert_b(sb_c1, 0.0, grid64)
         assert len(calls) == nu + 2
 
     def test_pure_multiplier_inverts_at_order_zero(self, frozen_zero_coeff,
                                                    grid64):
         sb = SymbolB(frozen_zero_coeff, c=1.0)
-        _, defects = invert_b(sb, 0.0, grid64)
+        _, defects = _invert_b(sb, 0.0, grid64)
         assert len(defects) == quantize_module.INVERT_DEPTH + 1 == 3
         assert max(defects) < 1e-12
 
     def test_defect_positive_for_x_dependent_symbol(self, sb_c1, grid64):
-        _, defects = invert_b(sb_c1, 0.02, grid64)
+        _, defects = _invert_b(sb_c1, 0.02, grid64)
         assert defects[0] > 1e-6
 
     def test_defects_non_increasing(self, sb_c1):
         g = Grid(256)
-        _, defects = invert_b(sb_c1, 0.0, g)
+        _, defects = _invert_b(sb_c1, 0.0, g)
         assert defects[1] <= defects[0]
         assert defects[2] <= defects[1]
 
     def test_returned_symbol_quantizes_near_inverse(self, sb_c1, grid64):
-        field, defects = invert_b(sb_c1, 0.0, grid64)
+        field, defects = _invert_b(sb_c1, 0.0, grid64)
         B = quantize(sample_symbol_b(sb_c1, grid64, 0.0))
         C = quantize(field)
         assert operator_norm(B @ C - np.eye(grid64.n)) == pytest.approx(

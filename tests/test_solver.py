@@ -1,6 +1,7 @@
 import importlib
 import io
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -340,6 +341,20 @@ class TestTrajectory:
             direct = run_with_energy(cfg)
             assert observed.initial_energy == direct.initial_energy
             assert list(observed.rows()) == list(direct.rows())
+
+    def test_first_record_takes_the_initial_symmetrizer_over(self,
+                                                             pilot_cfg):
+        traj = integrate(pilot_cfg)
+        assert traj.sym0.t == 0.0
+        sym0 = weakref.ref(traj.sym0)
+        first = observe(traj, 1.0)
+        # the record let go of it: nothing holds a t = 0 Symmetrizer
+        assert traj.sym0 is None and sym0() is None
+        # the second pass builds its own, to the same bits
+        second = observe(traj, 1.0)
+        assert traj.sym0 is None
+        assert np.array_equal(first.table.view(np.int64),
+                              second.table.view(np.int64))
 
     def test_threshold_rejects_tau0_zero_before_any_record(self,
                                                            monkeypatch):
