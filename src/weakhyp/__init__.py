@@ -9,7 +9,7 @@ construction rests on.
 
 from .spectral import Grid, bracket
 from .symbols import CoefficientField, SymbolB
-from .quantize import (SymbolField, dequantize, hermiticity_defect, invert_b,
+from .quantize import (SymbolField, hermiticity_defect, invert_b,
                        operator_norm, quantize, sample_symbol_b)
 from .energy import (Symmetrizer, conjugated_matrix, dt_energy_breakdown,
                      energy, garding_sign_probe, subprincipal_refinement)

@@ -260,11 +260,14 @@ def _run_quantizer_audit(cfg_raw: dict, out: str) -> list:
     failures = _write_records(os.path.join(out, "quantizer.json"),
                               audits.quantizer_audit(sb, t, sizes))
     # raw row-major complex doubles, little-endian, written after
-    # quantizer.json one size at a time, so a dump holds one kernel
+    # quantizer.json one size at a time, so a dump holds one kernel,
+    # converted 64 rows at a time
     if cfg_raw.get("dump_matrices", False):
         for n in sizes:
-            quantize(sample_symbol_b(sb, Grid(n), t)).astype("<c16").tofile(
-                os.path.join(out, f"op_b_n{n}.bin"))
+            K = quantize(sample_symbol_b(sb, Grid(n), t))
+            with open(os.path.join(out, f"op_b_n{n}.bin"), "wb") as fh:
+                for lo in range(0, n, 64):
+                    K[lo:lo + 64].astype("<c16").tofile(fh)
     return failures
 
 

@@ -43,25 +43,26 @@ the exactly conjugate-even symbol of a real matrix.  The slot map
 holds for every real matrix that is symmetric on the antipodal column
 d = n/2 (every image of `quantize` is); each midpoint row only observes
 difference residues of its own parity, and the unobserved components
-are interpolated from the neighboring midpoint rows.  The difference
-profiles live at the head of each row of the float view of the output
-(row stride n + 2), so an n = 1024 kernel costs 2.13 n^2 doubles, 2 of
-them the output.
+are interpolated from the neighboring midpoint rows.
 
 The slot map depends on n only, and no n^2 copy of it is kept: the
 shift (i, j) -> (i + 1, j + 1) keeps the difference and moves the
-midpoint by 2, so every kernel row's slots m* * n + d0 are row 0's,
-shifted, plus 2n per row mod 2n^2.  Row 0 (n entries, cached for the
-last size seen) gives the slots of each block of 64 rows: `quantize`
-gathers an unmapped field block by block into its output, and
-`dequantize` scatters each block of the kernel to its positions in the
-float view of its output, from the same kind of row.  A row-mapped
-field reads one n^2 gather index, `rows[m*] * n + d0` (intp, 8 bytes
-per entry), built block by block and cached for the last row map seen:
-the two kernels of a Symmetrizer record share their row map, and in
-the n = 512 headline run all records have the same.  A full-field
-`quantize` or a `dequantize` drops it, so after either no n^2 array
-stays cached.
+midpoint by 2.  So midpoint row 2r + p sees the kernel entries of row p
+shifted by (r, r) along the diagonal, and a full field is handled one
+block of 64 midpoint rows at a time from these two template rows (n
+entries in all, cached for the last size seen): `quantize`
+inverse-transforms a block and scatters each row's own-parity residues
+to their kernel entries, and `dequantize` gathers a block's difference
+profiles straight from the kernel, fills them and transforms them into
+its output, so it costs 2.26 n^2 doubles at n = 1024, 2 of them the
+output.  A row-mapped field reads one n^2 gather index,
+`rows[m*] * n + d0` (intp, 8 bytes per entry), from the slots
+m* * n + d0 of kernel row i: row 0's shifted right by i places plus 2in
+mod 2n^2.  It is built block by block and cached for the last row map
+seen: the two kernels of a Symmetrizer record share their row
+map, and in the n = 512 headline run all records have the same.  A
+full-field `quantize` or a `dequantize` drops it, so after either no
+n^2 array stays cached.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ __all__ = [
     "sample_symbol_b",
     "distinct_rows",
     "quantize",
-    "dequantize",
     "hermiticity_defect",
     "operator_norm",
     "apply",
@@ -90,6 +90,7 @@ __all__ = [
 ]
 
 INVERT_DEPTH = 2   # the corrections c_1, ..., c_nu that invert_b makes
+_BLOCK_ROWS = 64   # the kernel or midpoint rows handled at a time
 
 @dataclass
 class SymbolField:
@@ -155,31 +156,37 @@ def sample_symbol_b(sb: SymbolB, grid: Grid, t: float) -> SymbolField:
 
 
 class _SlotRow(NamedTuple):
-    """Row 0 of the slot map, from which every kernel row follows.
+    """Rows 0 of the slot map and of the midpoints, from which every
+    kernel entry's slot follows.
 
     Entry (i, j) reads slot m* * n + d0 of the flat (2n, n) difference
     profiles: the difference residue d0 = (i - j) mod n and the
     short-arc midpoint index m* = (2j + d*) mod 2n on the doubled
     lattice, with d* the representative of d0 in (-n/2, n/2].  The shift
     (i, j) -> (i + 1, j + 1) keeps d0 and moves m* by 2, so row i is row
-    0 shifted right by i places plus 2in, mod 2n^2 (`_shifted_rows`).
-    `slots` holds row 0 twice over, and `pos` likewise its positions
-    m* * w + d0 in the float view of a (2n, n // 2 + 1) complex half
-    spectrum, of row stride w = n + 2 (2 at n = 1).
+    0 shifted right by i places plus 2in, mod 2n^2 (`_shifted_rows`);
+    `slots` holds row 0 twice over.
+
+    Conversely midpoint row m sees the residues of its own parity, at
+    the entries ((m + d*) / 2, (m - d*) / 2) mod n, so row 2r + p sees
+    those of row p shifted by (r, r) along the diagonal
+    (`_midpoint_blocks`).  `even` and `odd` hold the entries (i, j) that
+    midpoint rows 0 and 1 see, i in row 0 and j in row 1 of a (2, n/2)
+    array, one per residue of their parity in increasing order (at
+    n = 1 one even residue and no odd one).
 
     At the antipodal column d0 = n/2 the two torus midpoints m* and
     m* + n are equally valid; callers average over them, which keeps
     real symbols exactly Hermitian.  `anti` holds the flat kernel
     positions of that column and `anti_t` their transposes, the other
-    midpoint of each for n >= 2 (at n = 1 both are the one entry), and
-    `mid` the midpoint m* of each.
+    midpoint of each for n >= 2 (at n = 1 both are the one entry).
     """
 
     slots: np.ndarray
-    pos: np.ndarray
     anti: np.ndarray
     anti_t: np.ndarray
-    mid: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
@@ -187,19 +194,24 @@ def _slot_row(n: int) -> _SlotRow:
     j = np.arange(n, dtype=np.intp)
     # n is a power of two, so masks reduce mod n and mod 2n
     d0 = -j & (n - 1)
-    m = (2 * j + np.where(d0 > n // 2, d0 - n, d0)) & (2 * n - 1)
+    # the representative d* in (-n/2, n/2] of each residue j
+    dstar = np.where(j > n // 2, j - n, j)
+    m = (2 * j + dstar[d0]) & (2 * n - 1)
     # row i meets d0 = n/2 at column a = (i + n/2) mod n
     a = (j + n // 2) & (n - 1)
+    # midpoint row p sees the residues d0 = p, p + 2, ... at the entries
+    # ((p + d*) / 2, (p - d*) / 2) mod n
+    seen = [np.stack([(p + d) // 2, (p - d) // 2]) & (n - 1)
+            for p, d in ((0, dstar[0::2]), (1, dstar[1::2]))]
     row = _SlotRow(slots=np.tile(m * n + d0, 2),
-                   pos=np.tile(m * (2 * (n // 2 + 1)) + d0, 2),
                    anti=j * n + a, anti_t=a * n + j,
-                   mid=(2 * a + n // 2) & (2 * n - 1))
+                   even=seen[0], odd=seen[1])
     for arr in row:
         arr.setflags(write=False)
     return row
 
 
-def _shifted_rows(row: np.ndarray, step: int, size: int = 64):
+def _shifted_rows(row: np.ndarray, step: int, size: int = _BLOCK_ROWS):
     """(rows, values) of each block of `size` kernel rows: row i holds
     row 0 shifted right by i places plus i * step, mod n * step.
 
@@ -217,6 +229,35 @@ def _shifted_rows(row: np.ndarray, step: int, size: int = 64):
         # both terms lie below n * step: one subtraction wraps the sum
         np.subtract(v, n * step, out=v, where=v >= n * step)
         yield slice(lo, hi), v
+
+
+def _midpoint_blocks(n: int, size: int = _BLOCK_ROWS):
+    """(rows, even, odd) of each block of `size` midpoint rows (size
+    even): `even` holds the flat kernel positions of the even residues
+    that midpoint row 2r sees and `odd` those of the odd residues that
+    row 2r + 1 sees, one row of each per r from rows.start / 2 - 1 to
+    rows.stop / 2, so one pair of rows beyond each edge of the block.
+    The positions of every block share the same two intp buffers.
+    """
+    t = _slot_row(n)
+    log2n = n.bit_length() - 1
+    span = min(size, 2 * n) // 2 + 2
+    templates = [(i << log2n, j, np.empty((2, span, len(j)), dtype=np.intp))
+                 for i, j in (t.even, t.odd)]
+    for lo in range(0, 2 * n, size):
+        hi = min(lo + size, 2 * n)
+        r = np.arange(lo // 2 - 1, hi // 2 + 1, dtype=np.intp)[:, None]
+        positions = []
+        for i, j, (pos, col) in templates:
+            pos, col = pos[:len(r)], col[:len(r)]
+            # (i + r, j + r) mod n: the shift along the diagonal
+            np.add(r << log2n, i, out=pos)
+            pos &= (n - 1) << log2n
+            np.add(r, j, out=col)
+            col &= n - 1
+            pos |= col
+            positions.append(pos)
+        yield slice(lo, hi), *positions
 
 
 _last_flat_index: Optional[tuple] = None
@@ -261,14 +302,18 @@ def quantize(p: SymbolField) -> np.ndarray:
     # it lands elsewhere on the heap, and the quantizer audit at
     # n = 256..1024 peaked 8 MB higher in RSS
     index = _flat_index(p.rows)
-    h = np.fft.irfft(p.samples, n, axis=1).reshape(-1)
     if index is None:
         K = np.empty((n, n))
-        # every slot is in range; "clip" spares the copy of `out` that
-        # the default mode makes
-        for block, slots in _shifted_rows(g.slots, 2 * n):
-            h.take(slots, out=K[block], mode="clip")
+        h = np.empty((min(_BLOCK_ROWS, 2 * n), n))
+        for rows, even, odd in _midpoint_blocks(n):
+            hb = np.fft.irfft(p.samples[rows], n, axis=1,
+                              out=h[:rows.stop - rows.start])
+            # each midpoint row scatters the residues of its own parity;
+            # every position is in range, and "clip" skips the check
+            np.put(K, even[1:-1], hb[0::2, 0::2], mode="clip")
+            np.put(K, odd[1:-1], hb[1::2, 1::2], mode="clip")
     else:
+        h = np.fft.irfft(p.samples, n, axis=1).reshape(-1)
         K = h[index]
     Kf = K.reshape(-1)
     Kf[g.anti] = 0.5 * (Kf[g.anti] + Kf[g.anti_t])
@@ -315,51 +360,63 @@ def dequantize(matrix: np.ndarray, grid: Grid) -> SymbolField:
     conjugate-even and comes as its half spectrum; a complex matrix is
     rejected.
 
-    The profiles live in the output: at the head of each row of the
-    float view of the (2n, n/2 + 1) complex half spectrum.  Each block
-    of rows is transformed out of a copy of itself.  At n = 1024 a
-    kernel costs 2.13 n^2 doubles beyond `matrix` (2 are the output).
+    The profiles are built and transformed one block of midpoint rows
+    at a time (`_symbol_blocks`), so a call allocates little beyond its
+    (2n, n/2 + 1) complex output, 2 n^2 doubles.
     """
     n = grid.n
     matrix = np.asarray(_real(matrix, "dequantize"), dtype=float)
     if matrix.shape != (n, n):
         raise ValueError(f"matrix has shape {matrix.shape}, expected {(n, n)}")
-    global _last_flat_index
-    _last_flat_index = None   # no gather index is held beside the output
-    out = np.zeros((2 * n, n // 2 + 1), dtype=complex)
-    # the (2n, n) difference profiles c fill the head of each output row
-    rowwise = out.view(np.float64)
-    c = rowwise[:, :n]
-    g = _slot_row(n)
-    flat = rowwise.reshape(-1)
-    for rows, pos in _shifted_rows(g.pos, 2 * rowwise.shape[1]):
-        flat[pos] = matrix[rows]
-    del pos   # the block buffer
-    mf = matrix.reshape(-1)
-    # the transpose's own slot is the other torus midpoint of (i, j):
-    # writing each entry's slot symmetrizes both
-    c[g.mid, n // 2] = 0.5 * (mf[g.anti] + mf[g.anti_t])
-    # an unseen slot (row and residue of unlike parity) is the mean of
-    # the seen slots in the midpoint rows before and after it: row 2r
-    # of odd residues from rows 2r + 1 and 2r - 1, row 2r + 1 of even
-    # residues from rows 2r and 2r + 2 (row indices mod 2n)
-    fill, seen = c[0::2, 1::2], c[1::2, 1::2]
-    np.add(seen[1:], seen[:-1], out=fill[1:])
-    np.add(seen[0], seen[-1], out=fill[0])
-    fill *= 0.5
-    fill, seen = c[1::2, 0::2], c[0::2, 0::2]
-    np.add(seen[:-1], seen[1:], out=fill[:-1])
-    np.add(seen[-1], seen[0], out=fill[-1])
-    fill *= 0.5
-    # a transform reads a copy of its rows and overwrites them in out
-    for rows in _row_blocks(2 * n):
-        np.fft.rfft(c[rows].copy(), axis=1, out=out[rows])
+    out = np.empty((2 * n, n // 2 + 1), dtype=complex)
+    for rows, s in _symbol_blocks(matrix):
+        out[rows] = s
     return SymbolField(grid, out)
 
 
-def _row_blocks(n: int, size: int = 64):
-    """Slices of consecutive rows, `size` at a time, that cover n rows."""
-    return (slice(lo, lo + size) for lo in range(0, n, size))
+def _symbol_blocks(matrix: np.ndarray):
+    """(rows, s) of each block of midpoint rows: s is the half spectrum
+    of the block's difference profiles, the rows `rows` of the symbol
+    that `dequantize` returns, in one buffer that every block reuses.
+
+    A block's profiles come straight from the (n, n) `matrix`: each
+    midpoint row gathers the residues of its own parity from their
+    kernel entries, the antipodal column averaged with the transposes;
+    each unseen residue is the mean of the seen ones in the rows before
+    and after it, so the block reads one row beyond each edge.  The
+    cached gather index of a row map is dropped at the call, before
+    the first block, so what the caller allocates next finds it gone.
+    """
+    global _last_flat_index
+    _last_flat_index = None
+    n = len(matrix)
+    mf = matrix.reshape(-1)
+    log2n = n.bit_length() - 1
+    # the antipodal residue n/2: its parity and its place among them
+    anti_parity, anti_k = (n // 2) % 2, (n // 2) // 2
+    profiles = np.empty((min(_BLOCK_ROWS, 2 * n), n))
+    spectra = np.empty((len(profiles), n // 2 + 1), dtype=complex)
+
+    def blocks():
+        for rows, *positions in _midpoint_blocks(n):
+            even, odd = seen = [mf.take(pos, mode="clip") for pos in positions]
+            pos = positions[anti_parity][:, anti_k]
+            # the other torus midpoint of (i, j) is the slot of (j, i)
+            transposed = (pos & (n - 1)) << log2n | pos >> log2n
+            col = seen[anti_parity][:, anti_k]
+            col[:] = 0.5 * (col + mf[transposed])
+            c = profiles[:rows.stop - rows.start]
+            c[0::2, 0::2] = even[1:-1]
+            c[1::2, 1::2] = odd[1:-1]
+            # row 2r + 1 of even residues from rows 2r and 2r + 2, row 2r
+            # of odd residues from rows 2r - 1 and 2r + 1
+            np.add(even[1:-1], even[2:], out=c[1::2, 0::2])
+            np.add(odd[:-2], odd[1:-1], out=c[0::2, 1::2])
+            c[1::2, 0::2] *= 0.5
+            c[0::2, 1::2] *= 0.5
+            yield rows, np.fft.rfft(c, axis=1, out=spectra[:len(c)])
+
+    return blocks()
 
 
 def apply(K: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -423,12 +480,13 @@ def invert_b(b: SymbolField, B: np.ndarray):
     signals the discretization floor and is reported via warning, not an
     exception.
 
-    The recursion works in place: s_k is dequantized from M_{k-1}
-    first, M_{k-1} - Id is then formed in the buffer of M_{k-1} for its
-    defect, and c_k in the buffer of s_k, row block by row block.  At
+    The recursion works in place: as `_symbol_blocks` extracts s_k from
+    M_{k-1} block by block, c_{k-1} + (1 - s_k) / b is written into the
+    buffer of c_{k-1} (a new one for the row-mapped c_0), and M_{k-1} -
+    Id is then formed in the buffer of M_{k-1} for its defect.  At
     n = 256 a call, with the sampling and quantization of b before it,
-    peaks at 6.80 n^2 doubles, in the dequantize that holds B, c_1, M_1
-    and s_2 at once.
+    peaks at 5.81 n^2 doubles, in a product B op(c_k) that holds B,
+    c_k, op(c_k) and M_k at once.
     """
     nu = INVERT_DEPTH
     grid, t = b.grid, b.time
@@ -437,7 +495,17 @@ def invert_b(b: SymbolField, B: np.ndarray):
     for k in range(nu + 1):
         M = B @ quantize(c)
         if k < nu:
-            s = dequantize(M, grid).samples
+            # the call drops the gather index of c_0's row map before
+            # the buffer of c_1 is allocated
+            blocks = _symbol_blocks(M)
+            out = (c.samples if k else
+                   np.empty((2 * grid.n, grid.n // 2 + 1), dtype=complex))
+            for rows, s in blocks:
+                # c + (1 - s) / b: IEEE addition commutes
+                np.subtract(1.0, s, out=s)
+                s /= b.samples[b.rows[rows]]
+                np.add(c.samples[c.rows[rows]], s, out=out[rows])
+            c = SymbolField(grid, out, time=t, label=f"c_{k + 1}")
         # M - Id in place, the same bits as M - np.eye(n)
         M.reshape(-1)[::grid.n + 1] -= 1.0
         defects.append(operator_norm(M))
@@ -449,11 +517,4 @@ def invert_b(b: SymbolField, B: np.ndarray):
                 "discretization floor reached",
                 UserWarning,
             )
-        if k < nu:
-            # c + (1 - s) / b in the buffer of s: IEEE addition commutes
-            np.subtract(1.0, s, out=s)
-            for rows in _row_blocks(2 * grid.n):
-                s[rows] /= b.samples[b.rows[rows]]
-                s[rows] += c.samples[c.rows[rows]]
-            c = SymbolField(grid, s, time=t, label=f"c_{k + 1}")
     return c, defects

@@ -8,7 +8,8 @@ import pytest
 from reference import (meshgrid_maps, multiplication_matrix,
                        multiplier_matrix, reference_kernel, sample_symbol)
 from weakhyp.quantize import (PowerIterationWarning, SymbolField,
-                              _shifted_rows, _slot_row,
+                              _midpoint_blocks, _shifted_rows, _slot_row,
+                              _symbol_blocks,
                               apply, dequantize, distinct_rows,
                               hermiticity_defect,
                               invert_b, operator_norm, quantize,
@@ -96,7 +97,7 @@ class TestDequantize:
         rel = np.abs(back.samples - full).max() / np.abs(full).max()
         assert rel < 5e-2
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
     def test_fill_matches_whole_field_rolls(self, n):
         # one whole-field rfft of the roll-filled slot array
         K = np.random.default_rng(n).normal(size=(n, n))
@@ -105,6 +106,15 @@ class TestDequantize:
         assert back.samples.shape == ref.shape
         assert np.array_equal(back.samples.view(np.int64), ref.view(np.int64))
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
+    def test_stacked_symbol_blocks_equal_dequantize(self, n):
+        K = np.random.default_rng(n).normal(size=(n, n))
+        # every block lands in one reused buffer
+        blocks = [(rows, s.copy()) for rows, s in _symbol_blocks(K)]
+        assert [rows.start for rows, _ in blocks] == list(range(0, 2 * n, 64))
+        stacked = np.concatenate([s for _, s in blocks])
+        assert np.array_equal(stacked, dequantize(K, Grid(n)).samples)
+
     def test_rejects_complex_matrices(self, grid64):
         K = np.eye(grid64.n, dtype=complex)
         with pytest.raises(ValueError, match="real matrix"):
@@ -112,12 +122,13 @@ class TestDequantize:
 
     def test_allocates_its_output_and_little_more(self):
         # the (2n, n/2 + 1) complex output holds 2 n^2 doubles, and the
-        # profiles live in its buffer; a separate profile array adds 2
+        # profiles and their positions live one block of midpoint rows
+        # at a time; it reads 2.26, and a (2n, n) profile array adds 2
         n = 1024
         K = np.random.default_rng(0).normal(size=(n, n))
         dequantize(K, Grid(n))   # builds the index maps
         peak = _traced_peak(dequantize, K, Grid(n))
-        assert peak <= 2.5 * 8 * n ** 2
+        assert peak <= 2.3 * 8 * n ** 2
 
 
 def _slot_array(K):
@@ -164,17 +175,38 @@ class TestWeylGatherCache:
         # rows at n = 256 but for the last one
         D0, Mstar = meshgrid_maps(n)
         row = _slot_row(n)
-        w = 2 * (n // 2 + 1)   # the row stride of a half spectrum's floats
         for size in (64, 3, 5):
             assert np.array_equal(_stacked_rows(row.slots, 2 * n, size),
                                   Mstar * n + D0)
-            assert np.array_equal(_stacked_rows(row.pos, 2 * w, size),
-                                  Mstar * w + D0)
         anti = D0.reshape(-1)[row.anti] == n // 2
         assert anti.all() and len(row.anti) == n
-        assert np.array_equal(row.mid, Mstar.reshape(-1)[row.anti])
         assert np.array_equal(row.anti_t,
                               (row.anti % n) * n + row.anti // n)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256])
+    def test_midpoint_positions_equal_meshgrid_maps(self, n):
+        # the kernel position of every seen slot (m, d0), inverted from
+        # the meshgrid maps; blocks of 6 and 10 rows end mid-matrix, and
+        # so do those of 64 rows at n = 256 but for the last one
+        D0, Mstar = meshgrid_maps(n)
+        at = np.full((2 * n, n), -1)
+        at[Mstar, D0] = np.arange(n * n).reshape(n, n)
+        for size in (64, 6, 10):
+            lo, seen = 0, []
+            for rows, even, odd in _midpoint_blocks(n, size):
+                assert (rows.start, rows.stop) == (lo, min(lo + size, 2 * n))
+                assert even.dtype == odd.dtype == np.intp
+                # one pair of rows beyond each edge of the block
+                r = np.arange(lo // 2 - 1, rows.stop // 2 + 1) % n
+                assert np.array_equal(even, at[2 * r, 0::2])
+                assert np.array_equal(odd, at[2 * r + 1, 1::2])
+                # copies: the blocks share their buffers
+                seen.extend([even[1:-1].flatten(), odd[1:-1].flatten()])
+                lo = rows.stop
+            assert lo == 2 * n
+            # the seen slots of all blocks cover the kernel once
+            assert np.array_equal(np.sort(np.concatenate(seen)),
+                                  np.arange(n * n))
 
     @pytest.mark.parametrize("n", [2, 4, 8, 64, 256])
     def test_cached_kernels_equal_direct_gather(self, n):
@@ -337,13 +369,14 @@ class TestHalfSpectrum:
             SymbolField(Grid(n), half)
 
     def test_invert_b_peak_memory(self, sb_c1):
-        # sampling b, its kernel and the recursion, which runs in place
-        # on (2n, n/2 + 1) half spectra, peak at 6.80 n^2 doubles; one
-        # copy of a correction adds 2
+        # sampling b, its kernel and the recursion, which writes each
+        # correction into the (2n, n/2 + 1) half spectrum of the last,
+        # peak at 5.81 n^2 doubles, in a product B op(c_k); one copy of
+        # a correction adds 2
         grid = Grid(256)
         _invert_b(sb_c1, 0.0, grid)   # builds the slot row
         peak = _traced_peak(_invert_b, sb_c1, 0.0, grid)
-        assert peak <= 6.85 * 8 * grid.n ** 2
+        assert peak <= 5.9 * 8 * grid.n ** 2
 
 
 def _invert_b(sb, t, grid):
